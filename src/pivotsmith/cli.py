@@ -56,7 +56,6 @@ from .triangulate import (
     estimate_pivot_size_rows,
     filter_rows,
     reorder_rows,
-    reordering_to_rows,
     write_reordering_rows,
 )
 
@@ -137,34 +136,33 @@ def cmd_pivot(args: argparse.Namespace) -> int:
     reordering = args.reordering_out is not None
     if reordering and args.reordering_pt is None:
         raise UsageError("--reordering-out requires --reordering-pt")
-    if reordering and ("-" in (args.sp, args.pt, args.output) or args.output is None):
-        raise UsageError("reordering output needs file paths for --sp, --pt and -o,"
-                         " they are read twice")
-    if args.sp == "-" and args.pt == "-":
-        raise UsageError("only one of --sp and --pt can read stdin")
+    inputs = [args.sp, args.pt]
+    if reordering:
+        inputs += [args.reordering_sp, args.reordering_pt]
+    if inputs.count("-") > 1:
+        raise UsageError("only one input table can read stdin")
+    pt_reo = None
+    if reordering:
+        if args.reordering_out == "-" and args.output in (None, "-"):
+            raise UsageError("only one of -o and --reordering-out can write stdout")
+        if args.reordering_sp is not None:
+            with _open_in(args.reordering_sp) as stream:
+                entries = parse_reordering_table(stream)
+            logger.info("source-pivot reordering table (%d entries) is validated"
+                        " but unused by the pivot mixture", len(entries))
+        with _open_in(args.reordering_pt) as stream:
+            pt_reo = reorder_rows(parse_reordering_table(stream))
     with _open_in(args.sp) as sp_f, _open_in(args.pt) as pt_f, \
             _open_out(args.output) as out:
         sp_extras, sp_rows = read_rows(sp_f)
         pt_extras, pt_rows = read_rows(pt_f)
-        write_rows(compose_rows(sp_rows, sp_extras, pt_rows, pt_extras, cfg), out)
-    if not reordering:
-        return 0
-    if args.reordering_sp is not None:
-        with _open_in(args.reordering_sp) as stream:
-            entries = parse_reordering_table(stream)
-        logger.info("source-pivot reordering table (%d entries) is validated"
-                    " but unused by the pivot mixture", len(entries))
-    with _open_in(args.reordering_pt) as stream:
-        pt_reo = parse_reordering_table(stream)
-    with _open_in(args.sp) as sp_f, _open_in(args.pt) as pt_f, \
-            _open_in(args.output) as composed_f, \
-            _open_out(args.reordering_out) as out:
-        sp_extras, sp_rows = read_rows(sp_f)
-        pt_extras, pt_rows = read_rows(pt_f)
-        _, composed = read_rows(composed_f)
-        rows = reorder_rows(sp_rows, sp_extras, pt_rows, pt_extras,
-                            reordering_to_rows(pt_reo), composed, cfg)
-        write_reordering_rows(rows, out)
+        rows = compose_rows(sp_rows, sp_extras, pt_rows, pt_extras, cfg,
+                            pt_reo_rows=pt_reo)
+        if reordering:
+            with _open_out(args.reordering_out) as reo_out:
+                write_reordering_rows(rows, out, reo_out)
+        else:
+            write_rows(rows, out)
     return 0
 
 
@@ -422,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reordering-out", default=None,
                    help="write a reordering table for the composed pairs")
     _add_sort_opts(p)
-    _add_threads(p)
     p.set_defaults(func=cmd_pivot)
 
     p = sub.add_parser("filter", help="keep the top-n entries per source phrase")

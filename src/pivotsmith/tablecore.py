@@ -513,11 +513,14 @@ def parse_reordering_table(lines: Iterable[str],
     return tuple(entries)
 
 
-def write_reordering_table(entries: Iterable[ReorderingEntry],
-                           stream: TextIO) -> None:
+def format_reordering_row(src: Phrase, tgt: Phrase, probs: Sequence[float]) -> str:
     # repr keeps the triples summing to one after a round trip, which 6
     # significant digits would not.
+    return SEPARATOR.join([" ".join(src), " ".join(tgt),
+                           " ".join(repr(v) for v in probs)])
+
+
+def write_reordering_table(entries: Iterable[ReorderingEntry],
+                           stream: TextIO) -> None:
     for entry in sorted(entries, key=lambda e: (e.src, e.tgt)):
-        stream.write(SEPARATOR.join([
-            " ".join(entry.src), " ".join(entry.tgt),
-            " ".join(repr(v) for v in entry.probs)]) + "\n")
+        stream.write(format_reordering_row(entry.src, entry.tgt, entry.probs) + "\n")

@@ -23,7 +23,7 @@ import logging
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .extsort import DEFAULT_CHUNK_SIZE, ext_sorted
 from .tablecore import (
@@ -39,6 +39,8 @@ from .tablecore import (
     Row,
     TableError,
     entry_to_row,
+    format_reordering_row,
+    format_row,
     loglinear_score,
     row_to_entry,
     weight_vector,
@@ -183,15 +185,41 @@ def _paired_pivot_groups(sp_rows: Iterable[Row], pt_rows: Iterable[Row],
             pt_item = next(pt_groups, None)
 
 
+def _attach_orientations(pt_rows: Iterable[Row], reo_rows: Iterable[Row],
+                         ) -> Iterator[Row]:
+    """Append six orientation probabilities to each pivot-target row.
+
+    Both streams are sorted by (pivot, tgt).  A pair without a reordering
+    entry gets uniform probabilities.
+    """
+    reo = iter(reo_rows)
+    cur = next(reo, None)
+    for pivot, tgt, g, a_pt in pt_rows:
+        key = (pivot, tgt)
+        probs = _UNIFORM_TRIPLE
+        while cur is not None and _BY_SRC_TGT(cur) <= key:
+            if _BY_SRC_TGT(cur) == key:
+                probs = cur[2]
+            cur = next(reo, None)
+        yield pivot, tgt, g + probs, a_pt
+
+
 def _iter_join(sp_by_pivot: Iterable[Row], pt_by_pivot: Iterable[Row],
                ) -> Iterator[Row]:
-    """Emit one partial product row per entry pair sharing a pivot phrase."""
+    """Emit one partial product row per entry pair sharing a pivot phrase.
+
+    When the pivot-target row carries orientation probabilities, the
+    partial carries them too, after the source-pivot forward score that
+    weights them.  Both are shared references: ``_iter_reduce`` multiplies
+    them, so a partial holds four new floats, not ten.
+    """
     for _, sp_group, pt_group in _paired_pivot_groups(sp_by_pivot, pt_by_pivot):
         for src, _, f, a_sp in sp_group:
             for _, tgt, g, a_pt in pt_group:
-                yield (src, tgt,
-                       (f[0] * g[0], f[1] * g[1], f[2] * g[2], f[3] * g[3]),
-                       _project(a_sp, a_pt))
+                scores = (f[0] * g[0], f[1] * g[1], f[2] * g[2], f[3] * g[3])
+                if len(g) > 4:
+                    scores += (f[0], *g[4:])
+                yield src, tgt, scores, _project(a_sp, a_pt)
 
 
 def _snap_score(total: float, column: str, src: Sequence[str],
@@ -205,35 +233,67 @@ def _snap_score(total: float, column: str, src: Sequence[str],
     return total
 
 
-def _iter_reduce(partials: Iterable[Row], min_links: int) -> Iterator[Row]:
-    """Sum partial products per (src, tgt) pair and union their alignments."""
+def _normalize_triples(values: Sequence[float]) -> tuple[float, ...]:
+    out = []
+    for lo in (0, 3):
+        total = values[lo] + values[lo + 1] + values[lo + 2]
+        if total > 0.0:
+            out.extend(values[lo + k] / total for k in range(3))
+        else:
+            out.extend(_UNIFORM_TRIPLE[:3])
+    return tuple(out)
+
+
+def _iter_reduce(partials: Iterable[Row], min_links: int,
+                 reordering: bool = False) -> Iterator[Row]:
+    """Sum partial products per (src, tgt) pair and union their alignments.
+
+    With ``reordering`` each partial also carries a weight and six
+    orientation probabilities; their weighted sums, renormalized per
+    direction triple, follow the four core scores of the output row.
+    Summation runs in partial order, ascending pivot, so both outputs are
+    reproducible to the bit.
+    """
     for (src, tgt), grouped in groupby(partials, key=_BY_SRC_TGT):
         s0 = s1 = s2 = s3 = 0.0
+        mix = [0.0] * 6
         links: set[tuple[int, int]] = set()
         for _, _, scores, align in grouped:
             s0 += scores[0]
             s1 += scores[1]
             s2 += scores[2]
             s3 += scores[3]
+            if reordering:
+                weight = scores[4]
+                for k in range(6):
+                    mix[k] += weight * scores[5 + k]
             links.update(align)
         if len(links) < min_links:
             continue
-        yield (src, tgt,
-               (_snap_score(s0, CORE_FEATURES[0], src, tgt),
-                _snap_score(s1, CORE_FEATURES[1], src, tgt),
-                _snap_score(s2, CORE_FEATURES[2], src, tgt),
-                _snap_score(s3, CORE_FEATURES[3], src, tgt)),
-               tuple(sorted(links)))
+        out = (_snap_score(s0, CORE_FEATURES[0], src, tgt),
+               _snap_score(s1, CORE_FEATURES[1], src, tgt),
+               _snap_score(s2, CORE_FEATURES[2], src, tgt),
+               _snap_score(s3, CORE_FEATURES[3], src, tgt))
+        if reordering:
+            out += _normalize_triples(mix)
+        yield src, tgt, out, tuple(sorted(links))
 
 
 def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
                  pt_rows: Iterable[Row], pt_extras: Sequence[str],
                  cfg: PivotConfig, inputs_sorted: bool = False,
+                 pt_reo_rows: Iterable[Row] | None = None,
                  ) -> Iterator[Row]:
     """Streaming triangulation over raw rows, yielding (src, tgt) sorted rows.
 
     Extra feature columns on either input are dropped before composing
     because summed products are only defined for the shared core four.
+
+    ``pt_reo_rows`` (see ``reorder_rows``) composes a reordering table in
+    the same pass: each output row then has ten scores, the four core
+    scores and the six orientation probabilities of its pair, mixed over
+    shared pivots with the source-pivot forward scores as weights.
+    ``min_alignment_links`` drops a pair from both at once.
     """
     for side, extras in (("source-pivot", sp_extras), ("pivot-target", pt_extras)):
         if extras:
@@ -248,11 +308,16 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
     if not inputs_sorted:
         sp_rows = sort(sp_rows, _BY_SRC_TGT)
         pt_rows = sort(pt_rows, _BY_SRC_TGT)
+        if pt_reo_rows is not None:
+            pt_reo_rows = sort(pt_reo_rows, _BY_SRC_TGT)
     sp_kept = _drop_extras(_iter_top_n(sp_rows, wv_sp, cfg.top_n, "source-pivot"))
     pt_kept = _drop_extras(_iter_top_n(pt_rows, wv_pt, cfg.top_n, "pivot-target"))
+    if pt_reo_rows is not None:
+        pt_kept = _attach_orientations(pt_kept, pt_reo_rows)
     sp_by_pivot = sort(sp_kept, _BY_PIVOT_SRC)
     partials = _iter_join(sp_by_pivot, pt_kept)
-    return _iter_reduce(sort(partials, _BY_SRC_TGT), cfg.min_alignment_links)
+    return _iter_reduce(sort(partials, _BY_SRC_TGT), cfg.min_alignment_links,
+                        reordering=pt_reo_rows is not None)
 
 
 def pivot_compose(sp: PhraseTable, pt: PhraseTable,
@@ -291,111 +356,18 @@ def estimate_pivot_size(sp: PhraseTable, pt: PhraseTable) -> int:
 
 # --- lexicalized reordering through the pivot --------------------------------
 
-class _GroupCursor:
-    """Sorted group lookup that advances monotonically through a stream."""
-
-    def __init__(self, rows: Iterable[Row], keyfn) -> None:
-        self._groups = groupby(rows, key=keyfn)
-        self._current = next(self._groups, None)
-
-    def get(self, key) -> list[Row] | None:
-        while self._current is not None and self._current[0] < key:
-            self._current = next(self._groups, None)
-        if self._current is not None and self._current[0] == key:
-            return list(self._current[1])
-        return None
-
-
-def reordering_to_rows(entries: Iterable[ReorderingEntry]) -> Iterator[Row]:
+def reorder_rows(entries: Iterable[ReorderingEntry]) -> Iterator[Row]:
+    """Reordering entries as rows whose scores are the six probabilities."""
     for entry in entries:
         yield (entry.src, entry.tgt, entry.probs, ())
 
 
-def write_reordering_rows(rows: Iterable[Row], stream) -> None:
-    """Serialize reordering rows without materializing them."""
-    for src, tgt, probs, _ in rows:
-        stream.write(" ||| ".join([
-            " ".join(src), " ".join(tgt),
-            " ".join(repr(p) for p in probs)]) + "\n")
-
-
-def _iter_reorder_join(sp_by_pivot: Iterable[Row], pt_by_pivot: Iterable[Row],
-                       pt_reo_rows: Iterable[Row]) -> Iterator[Row]:
-    """Partial orientation rows weighted by the source forward score.
-
-    A pivot-target pair without a reordering entry contributes uniform
-    orientation probabilities.
-    """
-    reo = _GroupCursor(pt_reo_rows, itemgetter(0))
-    for pivot, sp_group, pt_group in _paired_pivot_groups(sp_by_pivot, pt_by_pivot):
-        reo_group = reo.get(pivot)
-        probs_by_tgt = {row[1]: row[2] for row in reo_group} if reo_group else {}
-        for src, _, f, _ in sp_group:
-            weight = f[0]
-            for _, tgt, _, _ in pt_group:
-                probs = probs_by_tgt.get(tgt, _UNIFORM_TRIPLE)
-                yield (src, tgt, tuple(weight * p for p in probs), ())
-
-
-def _normalize_triples(values: Sequence[float]) -> tuple[float, ...]:
-    out = []
-    for lo in (0, 3):
-        total = values[lo] + values[lo + 1] + values[lo + 2]
-        if total > 0.0:
-            out.extend(values[lo + k] / total for k in range(3))
-        else:
-            out.extend(_UNIFORM_TRIPLE[:3])
-    return tuple(out)
-
-
-def _iter_reorder_reduce(partials: Iterable[Row]) -> Iterator[Row]:
-    for (src, tgt), grouped in groupby(partials, key=_BY_SRC_TGT):
-        sums = [0.0] * 6
-        for _, _, scores, _ in grouped:
-            for k in range(6):
-                sums[k] += scores[k]
-        yield (src, tgt, _normalize_triples(sums), ())
-
-
-def _restrict_to_pairs(rows: Iterable[Row], pairs: Iterable[Row]) -> Iterator[Row]:
-    """Keep rows whose (src, tgt) appears in the pair stream, both sorted."""
-    pair_iter = iter(pairs)
-    pair = next(pair_iter, None)
-    for row in rows:
-        key = _BY_SRC_TGT(row)
-        while pair is not None and _BY_SRC_TGT(pair) < key:
-            pair = next(pair_iter, None)
-        if pair is not None and _BY_SRC_TGT(pair) == key:
-            yield row
-
-
-def reorder_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
-                 pt_rows: Iterable[Row], pt_extras: Sequence[str],
-                 pt_reo_rows: Iterable[Row], composed_pairs: Iterable[Row],
-                 cfg: PivotConfig, inputs_sorted: bool = False) -> Iterator[Row]:
-    """Streaming reordering mixture over raw rows.
-
-    For each composed pair the pivot-target orientation distribution is
-    mixed with the source-pivot forward scores as mixture weights, then
-    each directional triple is renormalized.  Output is restricted to the
-    pairs of the composed phrase table so both artifacts stay in step.
-    """
-    wv_sp = weight_vector(CORE_FEATURES + tuple(sp_extras), cfg.weights_sp)
-    wv_pt = weight_vector(CORE_FEATURES + tuple(pt_extras), cfg.weights_pt)
-
-    def sort(rows: Iterable[Row], key) -> Iterator[Row]:
-        return ext_sorted(rows, key, chunk_size=cfg.chunk_size, tmp_base=cfg.tmpdir)
-
-    if not inputs_sorted:
-        sp_rows = sort(sp_rows, _BY_SRC_TGT)
-        pt_rows = sort(pt_rows, _BY_SRC_TGT)
-        pt_reo_rows = sort(pt_reo_rows, _BY_SRC_TGT)
-    sp_kept = _drop_extras(_iter_top_n(sp_rows, wv_sp, cfg.top_n, "source-pivot"))
-    pt_kept = _drop_extras(_iter_top_n(pt_rows, wv_pt, cfg.top_n, "pivot-target"))
-    sp_by_pivot = sort(sp_kept, _BY_PIVOT_SRC)
-    partials = _iter_reorder_join(sp_by_pivot, pt_kept, pt_reo_rows)
-    reduced = _iter_reorder_reduce(sort(partials, _BY_SRC_TGT))
-    return _restrict_to_pairs(reduced, composed_pairs)
+def write_reordering_rows(rows: Iterable[Row], table_out: TextIO,
+                          reordering_out: TextIO) -> None:
+    """Split composed rows carrying orientations into both output files."""
+    for src, tgt, scores, align in rows:
+        table_out.write(format_row((src, tgt, scores[:4], align)) + "\n")
+        reordering_out.write(format_reordering_row(src, tgt, scores[4:]) + "\n")
 
 
 def pivot_reordering(sp_reo: Sequence[ReorderingEntry],
@@ -417,14 +389,10 @@ def pivot_reordering(sp_reo: Sequence[ReorderingEntry],
     if sp_reo:
         logger.info("source-pivot reordering table (%d entries) is unused"
                     " by the pivot mixture", len(sp_reo))
-    composed = compose_rows(
+    rows = compose_rows(
         (entry_to_row(e) for e in sp), sp.extras_names,
         (entry_to_row(e) for e in pt), pt.extras_names,
-        cfg, inputs_sorted=True)
-    pt_reo_sorted = sorted(pt_reo, key=lambda e: (e.src, e.tgt))
-    rows = reorder_rows(
-        (entry_to_row(e) for e in sp), sp.extras_names,
-        (entry_to_row(e) for e in pt), pt.extras_names,
-        reordering_to_rows(pt_reo_sorted), composed, cfg, inputs_sorted=True)
-    return tuple(ReorderingEntry(src=row[0], tgt=row[1], probs=row[2])
+        cfg, inputs_sorted=True,
+        pt_reo_rows=reorder_rows(sorted(pt_reo, key=lambda e: (e.src, e.tgt))))
+    return tuple(ReorderingEntry(src=row[0], tgt=row[1], probs=row[2][4:])
                  for row in rows)

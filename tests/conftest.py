@@ -68,6 +68,38 @@ def oracle_compose(sp_entries, pt_entries, min_links=0):
             if len(links) >= min_links}
 
 
+
+def oracle_reordering(sp_entries, pt_entries, pt_reo, min_links=0):
+    """Quadratic-loop reordering composition for the pairs of oracle_compose.
+
+    Every shared pivot, taken in ascending order, adds the source-pivot
+    forward score times the six pivot-target orientation probabilities,
+    uniform where ``pt_reo`` has no entry for the pivot-target pair.  Each
+    direction triple of the sum is then divided by its own total.  Returns
+    a dict mapping (src, tgt) to the six probabilities.
+    """
+    uniform = (1.0 / 3.0,) * 6
+    probs_by_pair = {(e.src, e.tgt): e.probs for e in pt_reo}
+    acc = {}
+    for sp in sorted(sp_entries, key=lambda e: e.tgt):
+        for pt in pt_entries:
+            if sp.tgt != pt.src:
+                continue
+            sums = acc.setdefault((sp.src, pt.tgt), [0.0] * 6)
+            probs = probs_by_pair.get((pt.src, pt.tgt), uniform)
+            for k in range(6):
+                sums[k] += sp.scores.phi_fwd * probs[k]
+    out = {}
+    for key in oracle_compose(sp_entries, pt_entries, min_links):
+        sums = acc[key]
+        probs = []
+        for lo in (0, 3):
+            total = sums[lo] + sums[lo + 1] + sums[lo + 2]
+            for k in range(3):
+                probs.append(sums[lo + k] / total if total > 0.0 else uniform[k])
+        out[key] = tuple(probs)
+    return out
+
 def _phrase(prefix: str, index: int, length: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{index}x{k}" for k in range(length))
 

@@ -7,12 +7,20 @@ import random
 
 import pytest
 
-from conftest import entry, random_pivot_pair, table
+from conftest import (
+    entry,
+    oracle_compose,
+    oracle_reordering,
+    random_pivot_pair,
+    table,
+)
 from pivotsmith.cli import main
 from pivotsmith.tablecore import (
+    ReorderingEntry,
     parse_phrase_table,
     parse_reordering_table,
     write_phrase_table,
+    write_reordering_table,
 )
 from pivotsmith.triangulate import PivotConfig, pivot_compose, pivot_reordering
 
@@ -119,6 +127,59 @@ class TestPivotCommand:
             pt_reo = parse_reordering_table(stream)
         want = pivot_reordering((), pt_reo, sp, pt)
         assert got == want
+
+    def test_reordering_matches_oracle_through_stdin_and_stdout(
+            self, tmp_path, capsys, monkeypatch):
+        rng = random.Random(2024)
+        sp, pt = random_pivot_pair(rng, n_src=12, n_pivot=6, n_tgt=10)
+
+        def triples():
+            probs = []
+            for _ in range(2):
+                raw = [rng.random() + 0.01 for _ in range(3)]
+                probs.extend(value / sum(raw) for value in raw)
+            return tuple(probs)
+
+        sp_path, pt_path, reo_path, reo_out = (
+            tmp_path / name for name in ("sp.txt", "pt.txt", "reo.txt", "reo-out.txt"))
+        write_table(sp, sp_path)
+        write_table(pt, pt_path)
+        with open(reo_path, "w", encoding="utf-8") as stream:
+            write_reordering_table([ReorderingEntry(e.src, e.tgt, triples())
+                                    for e in pt.entries[::2]], stream)
+        # The oracle reads the tables as written, scores rounded to 6 digits.
+        with open(sp_path, encoding="utf-8") as stream:
+            sp = parse_phrase_table(stream)
+        with open(pt_path, encoding="utf-8") as stream:
+            pt = parse_phrase_table(stream)
+        with open(reo_path, encoding="utf-8") as stream:
+            pt_reo = parse_reordering_table(stream)
+
+        with open(sp_path, encoding="utf-8") as stream:
+            monkeypatch.setattr("sys.stdin", stream)
+            assert main(["pivot", "--sp", "-", "--pt", str(pt_path), "-o", "-",
+                         "--chunk-size", "1", "--min-links", "1",
+                         "--reordering-pt", str(reo_path),
+                         "--reordering-out", str(reo_out)]) == 0
+        composed = parse_phrase_table(io.StringIO(capsys.readouterr().out))
+        got = parse_reordering_table(reo_out.read_text().splitlines(keepends=True))
+        want = oracle_reordering(sp, pt, pt_reo, min_links=1)
+        assert 0 < len(want) < len(oracle_compose(sp, pt))
+        assert {(e.src, e.tgt): e.probs for e in got} == want
+        assert [(e.src, e.tgt) for e in composed] == sorted(want)
+
+    @pytest.mark.parametrize("extra", [
+        ["--sp", "-", "--reordering-pt", "-"],
+        ["--pt", "-", "--reordering-sp", "-", "--reordering-pt", "r.txt"],
+        ["--reordering-pt", "r.txt", "--reordering-out", "-"],
+    ])
+    def test_reordering_stdio_conflicts_rejected(self, toy_files, extra):
+        _, _, sp_path, pt_path, tmp_path = toy_files
+        argv = ["pivot", "--sp", sp_path, "--pt", pt_path,
+                "--reordering-out", str(tmp_path / "r.txt")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + extra)
+        assert exc.value.code == 2
 
     def test_reordering_needs_pt_table(self, toy_files):
         _, _, sp_path, pt_path, tmp_path = toy_files
