@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import functools
 import logging
+import os
+import stat
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from typing import Iterator, TextIO
 
 from . import __version__
@@ -75,12 +77,50 @@ def _open_in(path: str | None) -> Iterator[TextIO]:
 
 @contextmanager
 def _open_out(path: str | None) -> Iterator[TextIO]:
+    """Write a file whole or not at all: a failed command leaves no output.
+
+    A regular file is written under a temporary name in its directory and
+    renamed over ``path`` on success.  A symlink, device or FIFO at
+    ``path`` is written in place, since renaming would replace it.
+    """
     if path is None or path == "-":
         yield sys.stdout
         sys.stdout.flush()
         return
-    with open(path, "w", encoding="utf-8") as stream:
-        yield stream
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8") as stream:
+            yield stream
+        return
+    tmp, fd = _create_sibling(path)
+    try:
+        with open(fd, "w", encoding="utf-8") as stream:
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
+            yield stream
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def _create_sibling(path: str) -> tuple[str, int]:
+    """Create a new file beside ``path`` with the bits ``open(path, "w")`` gives."""
+    head, tail = os.path.split(path)
+    while True:
+        tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+        try:
+            # 0o666 under the umask, as open() creates files; not mkstemp's 0o600.
+            return tmp, os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
+        except OSError as exc:
+            exc.filename = path  # report the output the user named
+            raise
 
 
 def _positive_int(text: str) -> int:

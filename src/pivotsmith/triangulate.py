@@ -185,14 +185,30 @@ def _paired_pivot_groups(sp_rows: Iterable[Row], pt_rows: Iterable[Row],
             pt_item = next(pt_groups, None)
 
 
+def _strictly_sorted_reordering(rows: Iterable[Row]) -> Iterator[Row]:
+    """Pass rows through, raising ``TableError`` on a key out of order."""
+    prev = None
+    for row in rows:
+        key = _BY_SRC_TGT(row)
+        if prev is not None and key <= prev:
+            raise TableError(
+                "pivot-target reordering rows are not sorted by (pivot, target)"
+                f" with one row per pair: {' '.join(key[0])!r} -> {' '.join(key[1])!r}"
+                f" follows {' '.join(prev[0])!r} -> {' '.join(prev[1])!r}")
+        prev = key
+        yield row
+
+
 def _attach_orientations(pt_rows: Iterable[Row], reo_rows: Iterable[Row],
                          ) -> Iterator[Row]:
     """Append six orientation probabilities to each pivot-target row.
 
-    Both streams are sorted by (pivot, tgt).  A pair without a reordering
-    entry gets uniform probabilities.
+    Both streams are sorted by (pivot, tgt), ``reo_rows`` strictly: a key
+    that is not greater than the one before it raises ``TableError``
+    rather than attaching the wrong probabilities.  A pair without a
+    reordering entry gets uniform probabilities.
     """
-    reo = iter(reo_rows)
+    reo = _strictly_sorted_reordering(reo_rows)
     cur = next(reo, None)
     for pivot, tgt, g, a_pt in pt_rows:
         key = (pivot, tgt)
@@ -202,6 +218,8 @@ def _attach_orientations(pt_rows: Iterable[Row], reo_rows: Iterable[Row],
                 probs = cur[2]
             cur = next(reo, None)
         yield pivot, tgt, g + probs, a_pt
+    for _ in reo:  # an unsorted tail would have hidden entries too
+        pass
 
 
 def _iter_join(sp_by_pivot: Iterable[Row], pt_by_pivot: Iterable[Row],
@@ -293,7 +311,10 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
     the same pass: each output row then has ten scores, the four core
     scores and the six orientation probabilities of its pair, mixed over
     shared pivots with the source-pivot forward scores as weights.
-    ``min_alignment_links`` drops a pair from both at once.
+    ``min_alignment_links`` drops a pair from both at once.  The
+    reordering rows must arrive sorted by (pivot, tgt), one per pair, as
+    ``parse_reordering_table`` returns them, whatever ``inputs_sorted``
+    says; they are not sorted here.
     """
     for side, extras in (("source-pivot", sp_extras), ("pivot-target", pt_extras)):
         if extras:
@@ -308,8 +329,6 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
     if not inputs_sorted:
         sp_rows = sort(sp_rows, _BY_SRC_TGT)
         pt_rows = sort(pt_rows, _BY_SRC_TGT)
-        if pt_reo_rows is not None:
-            pt_reo_rows = sort(pt_reo_rows, _BY_SRC_TGT)
     sp_kept = _drop_extras(_iter_top_n(sp_rows, wv_sp, cfg.top_n, "source-pivot"))
     pt_kept = _drop_extras(_iter_top_n(pt_rows, wv_pt, cfg.top_n, "pivot-target"))
     if pt_reo_rows is not None:

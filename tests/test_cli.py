@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import io
+import os
 import random
+import stat
 
 import pytest
 
@@ -198,6 +200,68 @@ class TestPivotCommand:
         assert main(["pivot", "--sp", str(sp), "--pt", str(pt),
                      "-o", str(out), "--min-links", "1"]) == 0
         assert out.read_text() == "a ||| u ||| 1 1 1 1 ||| 0-0\n"
+
+
+class TestOutputFiles:
+    """A failed command leaves no partial output; special targets stay put."""
+
+    def test_unopenable_reordering_out_leaves_no_table(self, toy_files):
+        _, _, sp_path, pt_path, tmp_path = toy_files
+        reo_pt = tmp_path / "reo_pt.txt"
+        reo_pt.write_text("x ||| u ||| 0.8 0.1 0.1 0.6 0.2 0.2\n")
+        before = sorted(os.listdir(tmp_path))
+        assert main(["pivot", "--sp", sp_path, "--pt", pt_path,
+                     "-o", str(tmp_path / "out.txt"),
+                     "--reordering-pt", str(reo_pt),
+                     "--reordering-out", str(tmp_path / "missing-dir" / "reo.txt")]) == 1
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_bad_last_line_leaves_existing_output_unchanged(self, toy_files, capsys):
+        _, _, sp_path, pt_path, tmp_path = toy_files
+        bad = tmp_path / "bad.txt"
+        bad.write_text((tmp_path / "sp.txt").read_text() + "c ||| x ||| 2.0 1 1 1 |||\n")
+        out = tmp_path / "out.txt"
+        out.write_bytes(b"previous run\n")
+        before = sorted(os.listdir(tmp_path))
+        assert main(["pivot", "--sp", str(bad), "--pt", pt_path, "-o", str(out),
+                     "--chunk-size", "1"]) == 1
+        assert "score out of range" in capsys.readouterr().err
+        assert out.read_bytes() == b"previous run\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_new_file_gets_umask_bits_and_existing_file_keeps_its_bits(self, toy_files):
+        _, _, sp_path, pt_path, tmp_path = toy_files
+        fresh, kept = tmp_path / "fresh.txt", tmp_path / "kept.txt"
+        kept.write_text("old\n")
+        kept.chmod(0o640)
+        umask = os.umask(0o027)
+        try:
+            for out in (fresh, kept):
+                assert main(["pivot", "--sp", sp_path, "--pt", pt_path,
+                             "-o", str(out)]) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o640
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+        assert kept.read_bytes() == fresh.read_bytes() != b"old\n"
+
+    def test_symlink_and_fifo_are_written_in_place(self, toy_files):
+        _, _, sp_path, pt_path, tmp_path = toy_files
+        target, link, fifo = (tmp_path / n for n in ("target.txt", "link.txt", "fifo"))
+        target.write_text("old\n")
+        link.symlink_to(target)
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            for out in (link, fifo):
+                assert main(["pivot", "--sp", sp_path, "--pt", pt_path,
+                             "-o", str(out)]) == 0
+            piped = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert link.is_symlink() and stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert target.read_bytes() == piped
+        assert piped.startswith(b"a ||| u |||")
 
 
 class TestFilterCommand:

@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import os
 import random
+import subprocess
+import sys
+import textwrap
 from operator import itemgetter
 
+import pytest
+
+import pivotsmith
 from pivotsmith.extsort import decode_row, encode_row, ext_sorted, scratch_base
+from pivotsmith.tablecore import AlignmentLink
 
 
 def random_rows(rng, count):
@@ -78,3 +85,64 @@ def test_scratch_base_precedence(monkeypatch):
     monkeypatch.setenv("PIVOTSMITH_TMPDIR", "/y")
     assert scratch_base(None) == "/y"
     assert scratch_base("/x") == "/x"
+
+
+@pytest.mark.parametrize("value", [
+    5e-324,                   # smallest subnormal
+    2.225073858507201e-308,   # largest subnormal
+    1.0,
+    0.30000000000000004,      # 17 significant digits
+    1 / 3,
+    1.7976931348623157e308,
+    123456789.12345679,
+])
+def test_codec_round_trips_float_bits(value):
+    row = (("a", "b"), ("c",), (0.5, 0.25, 1.0, value, value, -value), ((0, 0),))
+    got = decode_row(encode_row(row))
+    assert got == row
+    assert [v.hex() for v in got[2]] == [v.hex() for v in row[2]]
+
+
+def test_codec_round_trips_alignment_links():
+    row = (("a", "b"), ("c", "d"), (0.5,) * 4,
+           (AlignmentLink(0, 1), AlignmentLink(1, 0)))
+    got = decode_row(encode_row(row))
+    assert got == row
+    assert [tuple(pair) for pair in got[3]] == [(0, 1), (1, 0)]
+
+
+@pytest.mark.parametrize("chunk_size", [1, 7, 120, 10_000])
+def test_chunk_sizes_match_sorted(tmp_path, chunk_size):
+    rows = random_rows(random.Random(10), 120)
+    key = itemgetter(0, 1)
+    got = list(ext_sorted(rows, key, chunk_size=chunk_size, tmp_base=str(tmp_path)))
+    assert got == sorted(rows, key=key)
+    assert os.listdir(tmp_path) == []
+
+
+_FD_EXHAUSTION_CHILD = textwrap.dedent("""
+    import errno, resource, sys
+    from operator import itemgetter
+    from pivotsmith.extsort import ext_sorted
+
+    _, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))
+    rows = [((f"s{i:03d}",), ("t",), (0.5,), ()) for i in reversed(range(200))]
+    try:
+        list(ext_sorted(rows, itemgetter(0), chunk_size=1, tmp_base=sys.argv[1]))
+    except OSError as exc:
+        sys.exit(0 if exc.errno == errno.EMFILE else 3)
+    sys.exit(4)
+""")
+
+
+def test_fd_exhaustion_in_merge_still_removes_scratch_dir(tmp_path):
+    # 200 runs merged at once under a 64-descriptor limit, set in a child
+    # process only, run out of descriptors part way through opening them.
+    src_dir = os.path.dirname(os.path.dirname(pivotsmith.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _FD_EXHAUSTION_CHILD, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert os.listdir(tmp_path) == []

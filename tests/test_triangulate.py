@@ -320,6 +320,18 @@ class TestReorderingPivot:
         assert got[0].probs == pytest.approx((1.0 / 3.0,) * 6)
         assert any("unused" in m for m in caplog.messages)
 
+    @pytest.mark.parametrize("order,n_pt", [((1, 0), 2), ((0, 0), 2), ((1, 0), 1)],
+                             ids=["descending", "duplicate", "unsorted-tail"])
+    def test_orientation_rows_out_of_order_raise(self, order, n_pt):
+        sp_rows = [(("a",), ("x",), (0.5,) * 4, ()), (("a",), ("y",), (0.5,) * 4, ())]
+        pt_rows = [(("x",), ("u",), (0.5,) * 4, ()), (("y",), ("u",), (0.5,) * 4, ())]
+        reo = [(("x",), ("u",), (0.8, 0.1, 0.1, 0.6, 0.2, 0.2), ()),
+               (("y",), ("u",), (0.2, 0.4, 0.4, 0.3, 0.3, 0.4), ())]
+        rows = compose_rows(sp_rows, (), pt_rows[:n_pt], (), PivotConfig(),
+                            pt_reo_rows=[reo[i] for i in order])
+        with pytest.raises(TableError, match="not sorted"):
+            list(rows)
+
 
 class TestConfig:
     def test_default_top_n(self):
