@@ -470,11 +470,15 @@ def validate_reordering(entry: ReorderingEntry,
     check_phrase(entry.tgt, "target", max_phrase_len, line)
     if len(entry.probs) != 6:
         raise TableError(f"expected 6 probabilities, got {len(entry.probs)}", line)
-    for value in entry.probs:
+    _check_orientation_probs(entry.probs, line)
+
+
+def _check_orientation_probs(probs: Sequence[float], line: int | None) -> None:
+    for value in probs:
         if not math.isfinite(value) or value < 0.0 or value > 1.0:
             raise TableError(f"probability {value!r} not in [0, 1]", line)
     for lo in (0, 3):
-        total = entry.probs[lo] + entry.probs[lo + 1] + entry.probs[lo + 2]
+        total = probs[lo] + probs[lo + 1] + probs[lo + 2]
         if abs(total - 1.0) > REORDERING_TRIPLE_TOL:
             raise TableError(
                 f"orientation triple sums to {total!r}, expected 1", line)
@@ -501,9 +505,9 @@ def parse_reordering_table(lines: Iterable[str],
             probs = tuple(float(f) for f in fields)
         except ValueError:
             raise TableError(f"non-numeric probability in {parts[2]!r}", lineno) from None
-        entry = ReorderingEntry(src=src, tgt=tgt, probs=probs)
-        validate_reordering(entry, max_phrase_len, lineno)
-        entries.append(entry)
+        # The phrase fields were checked as they were split.
+        _check_orientation_probs(probs, lineno)
+        entries.append(ReorderingEntry(src=src, tgt=tgt, probs=probs))
     entries.sort(key=lambda e: (e.src, e.tgt))
     for prev, cur in zip(entries, entries[1:]):
         if prev.src == cur.src and prev.tgt == cur.tgt:

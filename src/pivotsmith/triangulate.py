@@ -12,16 +12,29 @@ they are, no renormalization happens.  Word alignments are projected
 through the pivot positions and unioned across pivot phrases.
 
 Both sides are filtered to the top ``n`` entries per source phrase by
-log-linear score before joining.  The join itself streams over both tables
-sorted by pivot phrase, so memory stays bounded by the largest single
-pivot group plus the sort chunk size rather than by table size.
+log-linear score before joining.  The join takes one of two paths, chosen
+by the size of the pivot-target table:
+
+* at most one sort chunk of pivot-target rows: a hash join.  The kept
+  pivot-target rows are held in a dict by pivot phrase, the source-pivot
+  table streams past it in (source, pivot) order, and each source's
+  partial products are put in target order in memory.  Memory holds the
+  pivot-target table, one chunk of the source-pivot sort and one source's
+  partials.
+* more rows: a sort-merge join.  Both sides stream sorted by pivot phrase
+  and the partial products are sorted back into (source, target) order,
+  all through the disk-backed sort.  Memory holds a sort chunk plus the
+  largest single pivot group, not the whole table.
+
+Both paths sum each pair's products in ascending pivot order, so they give
+the same output to the bit.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby, islice
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -32,7 +45,6 @@ from .tablecore import (
     SCORE_OVERSHOOT_TOL,
     AlignmentLink,
     LogLinearWeights,
-    Phrase,
     PhraseEntry,
     PhraseTable,
     ReorderingEntry,
@@ -162,16 +174,18 @@ def _drop_extras(rows: Iterable[Row]) -> Iterator[Row]:
 
 
 def _paired_pivot_groups(sp_rows: Iterable[Row], pt_rows: Iterable[Row],
-                         ) -> Iterator[tuple[Phrase, list[Row], list[Row]]]:
+                         ) -> Iterator[tuple[list[Row], list[Row]]]:
     """Walk two pivot-sorted streams and yield groups sharing a pivot phrase.
 
     ``sp_rows`` must be sorted by (tgt, src) and ``pt_rows`` by (src, tgt);
-    the shared key is the pivot phrase, sp target and pt source.
+    the shared key is the pivot phrase, sp target and pt source.  The
+    pivot-target stream is pulled first, so that its sort has consumed its
+    input before the source-pivot sort starts on its own.
     """
     sp_groups = groupby(sp_rows, key=itemgetter(1))
     pt_groups = groupby(pt_rows, key=itemgetter(0))
-    sp_item = next(sp_groups, None)
     pt_item = next(pt_groups, None)
+    sp_item = next(sp_groups, None)
     while sp_item is not None and pt_item is not None:
         sp_key, sp_group = sp_item
         pt_key, pt_group = pt_item
@@ -180,9 +194,44 @@ def _paired_pivot_groups(sp_rows: Iterable[Row], pt_rows: Iterable[Row],
         elif pt_key < sp_key:
             pt_item = next(pt_groups, None)
         else:
-            yield sp_key, list(sp_group), list(pt_group)
+            yield list(sp_group), list(pt_group)
             sp_item = next(sp_groups, None)
             pt_item = next(pt_groups, None)
+
+
+def _hashed_pivot_groups(sp_rows: Iterable[Row], pt_rows: Iterable[Row],
+                         ) -> Iterator[tuple[tuple[Row], list[Row]]]:
+    """Pair each source-pivot row with the pivot-target rows of its pivot.
+
+    ``pt_rows`` must be sorted by pivot phrase; all of them are read into
+    a dict before the first source-pivot row is read.  Source-pivot rows
+    come out in their input order, each as a group of one.
+    """
+    by_pivot = {pivot: list(group)
+                for pivot, group in groupby(pt_rows, key=itemgetter(0))}
+    for row in sp_rows:
+        pt_group = by_pivot.get(row[1])
+        if pt_group is not None:
+            yield (row,), pt_group
+
+
+def _by_target_per_source(partials: Iterable[Row]) -> Iterator[Row]:
+    """Stable-sort each source's run of partials by target phrase.
+
+    Partials of one pair keep their relative order, ascending pivot when
+    the source's rows arrive in (source, pivot) order.
+    """
+    for _, grouped in groupby(partials, key=itemgetter(0)):
+        group = list(grouped)
+        group.sort(key=itemgetter(1))
+        yield from group
+
+
+def _drain(rows: list[Row]) -> Iterator[Row]:
+    """Yield a list's rows in order, dropping each from the list as it goes."""
+    rows.reverse()
+    while rows:
+        yield rows.pop()
 
 
 def _strictly_sorted_reordering(rows: Iterable[Row]) -> Iterator[Row]:
@@ -222,16 +271,18 @@ def _attach_orientations(pt_rows: Iterable[Row], reo_rows: Iterable[Row],
         pass
 
 
-def _iter_join(sp_by_pivot: Iterable[Row], pt_by_pivot: Iterable[Row],
+def _iter_join(groups: Iterable[tuple[Sequence[Row], Sequence[Row]]],
                ) -> Iterator[Row]:
-    """Emit one partial product row per entry pair sharing a pivot phrase.
+    """Emit one partial product row per entry pair of each pivot group.
 
-    When the pivot-target row carries orientation probabilities, the
-    partial carries them too, after the source-pivot forward score that
-    weights them.  Both are shared references: ``_iter_reduce`` multiplies
-    them, so a partial holds four new floats, not ten.
+    ``groups`` yields (source-pivot rows, pivot-target rows) sharing one
+    pivot phrase.  When the pivot-target row carries orientation
+    probabilities, the partial carries them too, after the source-pivot
+    forward score that weights them.  Both are shared references:
+    ``_iter_reduce`` multiplies them, so a partial holds four new floats,
+    not ten.
     """
-    for _, sp_group, pt_group in _paired_pivot_groups(sp_by_pivot, pt_by_pivot):
+    for sp_group, pt_group in groups:
         for src, _, f, a_sp in sp_group:
             for _, tgt, g, a_pt in pt_group:
                 scores = (f[0] * g[0], f[1] * g[1], f[2] * g[2], f[3] * g[3])
@@ -307,6 +358,12 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
     Extra feature columns on either input are dropped before composing
     because summed products are only defined for the shared core four.
 
+    The call reads up to ``cfg.chunk_size + 1`` pivot-target rows to pick
+    the join (see the module docstring): at most ``chunk_size`` rows take
+    the hash join, more take the sort-merge join.  Either way the
+    pivot-target input is read to the end before the first source-pivot
+    row, unless ``inputs_sorted`` lets the sort-merge join stream both.
+
     ``pt_reo_rows`` (see ``reorder_rows``) composes a reordering table in
     the same pass: each output row then has ten scores, the four core
     scores and the six orientation probabilities of its pair, mixed over
@@ -326,6 +383,18 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
     def sort(rows: Iterable[Row], key) -> Iterator[Row]:
         return ext_sorted(rows, key, chunk_size=cfg.chunk_size, tmp_base=cfg.tmpdir)
 
+    pt_rest = iter(pt_rows)
+    probe = list(islice(pt_rest, cfg.chunk_size + 1))
+    hash_join = len(probe) <= cfg.chunk_size
+    if hash_join:
+        logger.info("pivot-target table fits one sort chunk (%d rows): hash join",
+                    len(probe))
+    else:
+        logger.info("pivot-target table exceeds one sort chunk (over %d rows):"
+                    " sort-merge join", cfg.chunk_size)
+    # Draining hands each probed row to the pivot-target sort, so the probe
+    # buffer does not stay alive beside the sort's own chunk.
+    pt_rows = chain(_drain(probe), pt_rest)
     if not inputs_sorted:
         sp_rows = sort(sp_rows, _BY_SRC_TGT)
         pt_rows = sort(pt_rows, _BY_SRC_TGT)
@@ -333,9 +402,13 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
     pt_kept = _drop_extras(_iter_top_n(pt_rows, wv_pt, cfg.top_n, "pivot-target"))
     if pt_reo_rows is not None:
         pt_kept = _attach_orientations(pt_kept, pt_reo_rows)
-    sp_by_pivot = sort(sp_kept, _BY_PIVOT_SRC)
-    partials = _iter_join(sp_by_pivot, pt_kept)
-    return _iter_reduce(sort(partials, _BY_SRC_TGT), cfg.min_alignment_links,
+    if hash_join:
+        groups = _hashed_pivot_groups(sp_kept, pt_kept)
+        partials = _by_target_per_source(_iter_join(groups))
+    else:
+        groups = _paired_pivot_groups(sort(sp_kept, _BY_PIVOT_SRC), pt_kept)
+        partials = sort(_iter_join(groups), _BY_SRC_TGT)
+    return _iter_reduce(partials, cfg.min_alignment_links,
                         reordering=pt_reo_rows is not None)
 
 

@@ -22,6 +22,7 @@ from pivotsmith.tablecore import (
     parse_reordering_table,
     read_rows,
     score_entry,
+    validate_reordering,
     weight_vector,
     write_phrase_table,
     write_reordering_table,
@@ -239,6 +240,28 @@ class TestReordering:
         ]
         with pytest.raises(TableError, match="duplicate reordering entry"):
             parse_reordering_table(lines)
+
+    @pytest.mark.parametrize("phrases,message", [
+        (" ||| x", "malformed source phrase field"),
+        ("a  b ||| x", "malformed source phrase field"),
+        ("a ||| x\ty", "malformed target phrase field"),
+        ("a ||| " + " ".join(["y"] * 8), "target phrase has 8 tokens, limit is 7"),
+    ], ids=["empty", "double-space", "tab", "too-long"])
+    def test_phrase_fields_rejected_while_parsing(self, phrases, message):
+        line = f"{phrases} ||| 0.5 0.25 0.25 0.1 0.2 0.7\n"
+        with pytest.raises(TableError, match=message):
+            parse_reordering_table([line], max_phrase_len=7)
+
+    @pytest.mark.parametrize("tgt,probs,message", [
+        (("x y",), (0.5, 0.25, 0.25, 0.1, 0.2, 0.7), "bad token"),
+        (("x|||y",), (0.5, 0.25, 0.25, 0.1, 0.2, 0.7), "contains '|||'"),
+        (("x",), (0.5, 0.25, 0.25, 0.1, 0.2), "expected 6 probabilities"),
+        (("x",), (0.5, 0.25, 0.25, 0.1, 0.2, 0.6), "triple sums to"),
+    ], ids=["space", "separator", "five", "sum"])
+    def test_validate_reordering_checks_library_entries(self, tgt, probs, message):
+        bad = ReorderingEntry(("a",), tgt, probs)
+        with pytest.raises(TableError, match=message):
+            validate_reordering(bad)
 
     def test_written_triples_survive_reparsing(self):
         third = 1.0 / 3.0

@@ -8,7 +8,16 @@ import random
 
 import pytest
 
-from conftest import entry, oracle_compose, random_pivot_pair, table
+from conftest import (
+    entry,
+    oracle_compose,
+    oracle_reordering,
+    random_pivot_pair,
+    table,
+)
+from pivotsmith import triangulate
+from pivotsmith.cli import main
+from pivotsmith.extsort import ext_sorted
 from pivotsmith.tablecore import (
     AlignmentLink,
     LogLinearWeights,
@@ -17,6 +26,7 @@ from pivotsmith.tablecore import (
     ReorderingEntry,
     ScoreSet,
     TableError,
+    entry_to_row,
     parse_phrase_table,
     read_rows,
     write_phrase_table,
@@ -30,6 +40,7 @@ from pivotsmith.triangulate import (
     pivot_compose,
     pivot_reordering,
     project_alignment,
+    reorder_rows,
 )
 
 
@@ -249,12 +260,99 @@ class TestStreaming:
 
         assert out.getvalue() == expected.getvalue()
 
-    def test_tiny_chunks_do_not_change_results(self):
+    @pytest.mark.parametrize("chunk", ["pt-rows", "pt-rows-less-1", 3, 100_000],
+                             ids=["hash", "merge", "chunk3", "chunk100000"])
+    @pytest.mark.parametrize("reordering,min_links", [(False, 0), (True, 0), (True, 2)],
+                             ids=["core", "reordering", "reordering-min-links-2"])
+    def test_tiny_chunks_do_not_change_results(self, chunk, reordering, min_links):
+        # A chunk of exactly the pivot-target rows takes the hash join, one
+        # row less the sort-merge join; both must match the oracle to the bit.
         rng = random.Random(78)
-        sp, pt = random_pivot_pair(rng, n_src=15, n_pivot=10, n_tgt=15)
-        small = pivot_compose(sp, pt, PivotConfig(chunk_size=3))
-        large = pivot_compose(sp, pt, PivotConfig(chunk_size=100_000))
-        assert as_dict(small) == as_dict(large)
+        sp, pt, pt_reo = random_pivot_triple(rng)
+        chunk_size = {"pt-rows": len(pt), "pt-rows-less-1": len(pt) - 1}.get(chunk, chunk)
+        cfg = PivotConfig(chunk_size=chunk_size, min_alignment_links=min_links)
+        rows = list(compose_rows(
+            shuffled_rows(rng, sp), (), shuffled_rows(rng, pt), (), cfg,
+            pt_reo_rows=reorder_rows(pt_reo) if reordering else None))
+
+        want = oracle_compose(sp, pt, min_links)
+        assert 0 < len(want)
+        assert {(src, tgt): (scores[:4], frozenset(align))
+                for src, tgt, scores, align in rows} == want
+        assert [row[:2] for row in rows] == sorted(want)
+        if reordering:
+            assert {(src, tgt): scores[4:] for src, tgt, scores, _ in rows} == \
+                oracle_reordering(sp, pt, pt_reo, min_links)
+
+    @pytest.mark.parametrize("extra_rows,sorts", [(0, 2), (1, 4)], ids=["hash", "merge"])
+    def test_join_path_sort_count_and_read_order(self, monkeypatch, extra_rows, sorts):
+        rng = random.Random(79)
+        sp, pt, _ = random_pivot_triple(rng)
+        calls = []
+
+        def counting_sort(*args, **kwargs):
+            calls.append(1)
+            return ext_sorted(*args, **kwargs)
+        monkeypatch.setattr(triangulate, "ext_sorted", counting_sort)
+        reads = []
+
+        def logged(side, rows):
+            for row in rows:
+                reads.append(side)
+                yield row
+        cfg = PivotConfig(chunk_size=len(pt) - extra_rows)
+        list(compose_rows(logged("sp", shuffled_rows(rng, sp)), (),
+                          logged("pt", shuffled_rows(rng, pt)), (), cfg))
+        assert len(calls) == sorts
+        # The whole pivot-target input goes into its sort before the first
+        # source-pivot row is read, so the probed rows never outlive it.
+        assert reads == ["pt"] * len(pt) + ["sp"] * len(sp)
+
+    @pytest.mark.parametrize("chunk,message", [
+        (None, "pivot-target table fits one sort chunk ({n} rows): hash join"),
+        ("2", "pivot-target table exceeds one sort chunk (over 2 rows): sort-merge join"),
+    ], ids=["hash", "merge"])
+    def test_verbose_names_the_join_path_and_keeps_the_bytes(
+            self, tmp_path, caplog, chunk, message):
+        rng = random.Random(80)
+        sp, pt, _ = random_pivot_triple(rng)
+        paths = {}
+        for name, tbl in (("sp", sp), ("pt", pt)):
+            paths[name] = tmp_path / f"{name}.txt"
+            with open(paths[name], "w", encoding="utf-8") as stream:
+                write_phrase_table(tbl, stream)
+        argv = ["pivot", "--sp", str(paths["sp"]), "--pt", str(paths["pt"])]
+        if chunk is not None:
+            argv += ["--chunk-size", chunk]
+        assert main(argv + ["-o", str(tmp_path / "quiet.txt")]) == 0
+        with caplog.at_level(logging.INFO, logger="pivotsmith.triangulate"):
+            assert main(["--verbose"] + argv + ["-o", str(tmp_path / "verbose.txt")]) == 0
+        assert message.format(n=len(pt)) in caplog.messages
+        assert (tmp_path / "verbose.txt").read_bytes() == \
+            (tmp_path / "quiet.txt").read_bytes()
+
+
+def shuffled_rows(rng: random.Random, tbl: PhraseTable) -> list:
+    rows = [entry_to_row(e) for e in tbl]
+    rng.shuffle(rows)
+    return rows
+
+
+def random_pivot_triple(rng: random.Random):
+    """A random pivot pair and orientation entries for every other pt pair.
+
+    Few targets make many pairs share three or more pivots, where the
+    order of summation shows in the last bits.
+    """
+    sp, pt = random_pivot_pair(rng, n_src=15, n_pivot=10, n_tgt=4)
+    pt_reo = []
+    for e in pt.entries[::2]:
+        probs = []
+        for _ in range(2):
+            raw = [rng.random() + 0.01 for _ in range(3)]
+            probs.extend(value / sum(raw) for value in raw)
+        pt_reo.append(ReorderingEntry(e.src, e.tgt, tuple(probs)))
+    return sp, pt, pt_reo
 
 
 class TestEstimate:
