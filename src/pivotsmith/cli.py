@@ -3,8 +3,9 @@
 One subcommand per pipeline stage.  Commands read stdin and write stdout
 when file flags are omitted, exit 2 on usage errors, and exit 1 on data
 errors with the offending line number in the message.  Nothing here uses
-randomness and results do not depend on the thread count, so reruns are
-byte-identical.
+randomness and every command runs its work in one thread, so reruns are
+byte-identical.  ``--threads`` on ``annotate`` and ``decode`` is accepted
+for compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .morphmodel import (
     load_rules,
     train_fc_model,
 )
-from .parallel import default_threads, ordered_map
+from .parallel import ordered_map
 from .tablecore import (
     CORE_FEATURES,
     LogLinearWeights,
@@ -418,9 +419,9 @@ def _add_io(parser: argparse.ArgumentParser, input_help: str) -> None:
 
 
 def _add_threads(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threads", type=_positive_int, default=default_threads(),
-                        help="worker threads; results do not depend on this"
-                             " (default: machine cores)")
+    parser.add_argument("--threads", type=_positive_int, default=1,
+                        help="accepted for compatibility; work runs on one"
+                             " thread whatever the value (default 1)")
 
 
 def _add_sort_opts(parser: argparse.ArgumentParser) -> None:

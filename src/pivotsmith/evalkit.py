@@ -135,7 +135,11 @@ def decode_scored(sentence: Sequence[str], table: PhraseTable,
 def decode_corpus(sentences: Sequence[Sequence[str]], table: PhraseTable,
                   cfg: DecodeConfig | None = None,
                   threads: int = 1) -> list[tuple[str, ...]]:
-    """Decode many sentences against one shared phrase index."""
+    """Decode many sentences against one shared phrase index.
+
+    Sentences are decoded in the calling thread; ``threads`` is ignored
+    apart from being validated (at least 1).
+    """
     if cfg is None:
         cfg = DecodeConfig()
     index = build_phrase_index(table, cfg)

@@ -6,6 +6,12 @@ Runs of ``chunk_size`` rows are sorted in memory and spilled to temp files,
 then merged lazily with ``heapq.merge``.  Inputs that fit in one chunk are
 sorted without touching the disk at all.
 
+A merge reads at most ``MERGE_FAN_IN`` runs at once.  A sort with more
+runs first merges consecutive groups of that many runs, in run order, into one
+run each, and repeats until few enough are left; the final merge is lazy,
+with the in-memory tail last.  Groups keep run order, so rows with equal
+keys still come out in input order.
+
 Runs are binary: each row is one pickle (protocol 5) behind a 4-byte
 length prefix, so reading a run back parses no text and floats come back
 bit for bit.  Rows are encoded one at a time, so the merge holds one
@@ -25,11 +31,14 @@ import os
 import shutil
 import struct
 import tempfile
+from contextlib import ExitStack
 from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .tablecore import Row
 
 DEFAULT_CHUNK_SIZE = 250_000
+# Runs read at once by one merge, to stay under the open-file limit.
+MERGE_FAN_IN = 128
 TMPDIR_ENV = "PIVOTSMITH_TMPDIR"
 
 _LENGTH = struct.Struct("<I")
@@ -71,14 +80,36 @@ def _read_run(stream: BinaryIO) -> Iterator[Row]:
         yield decode_row(head + read(_LENGTH.unpack(head)[0]))
 
 
+def _write_run(path: str, rows: Iterable[Row]) -> None:
+    with open(path, "wb") as out:
+        out.writelines(encode_row(r) for r in rows)
+
+
+def _merge_runs(paths: list[str], key: Callable[[Row], object],
+                path: str) -> None:
+    """Merge the run files ``paths`` into a new run ``path`` and delete them."""
+    with ExitStack() as stack:
+        readers = [stack.enter_context(open(run, "rb")) for run in paths]
+        _write_run(path, heapq.merge(*map(_read_run, readers), key=key))
+    for run in paths:
+        os.remove(run)
+
+
 def ext_sorted(rows: Iterable[Row], key: Callable[[Row], object],
                chunk_size: int = DEFAULT_CHUNK_SIZE,
                tmp_base: str | None = None) -> Iterator[Row]:
-    """Yield rows in key order, spilling chunks to disk when needed."""
+    """Yield rows in key order, spilling chunks to disk when needed.
+
+    A chunk is spilled as soon as it is full, before the sort knows whether
+    more rows follow, so that during the merge only the partial tail is in
+    memory: the pivot join merges two sorts at once, and keeping a full last
+    chunk of each in memory raised peak RSS by more than it saved in time.
+    """
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
     tmpdir: str | None = None
     runs: list[str] = []
+    written = 0
     readers: list[BinaryIO] = []
     chunk: list[Row] = []
     try:
@@ -89,15 +120,25 @@ def ext_sorted(rows: Iterable[Row], key: Callable[[Row], object],
                 if tmpdir is None:
                     tmpdir = tempfile.mkdtemp(prefix="pivotsmith-sort-",
                                               dir=scratch_base(tmp_base))
-                path = os.path.join(tmpdir, f"run{len(runs)}")
-                with open(path, "wb") as out:
-                    out.writelines(encode_row(r) for r in chunk)
-                runs.append(path)
+                runs.append(os.path.join(tmpdir, f"run{written}"))
+                written += 1
+                _write_run(runs[-1], chunk)
                 chunk = []
         chunk.sort(key=key)
         if not runs:
             yield from chunk
             return
+        while len(runs) > MERGE_FAN_IN:
+            groups = [runs[start:start + MERGE_FAN_IN]
+                      for start in range(0, len(runs), MERGE_FAN_IN)]
+            runs = []
+            for group in groups:
+                if len(group) > 1:
+                    path = os.path.join(tmpdir, f"run{written}")
+                    written += 1
+                    _merge_runs(group, key, path)
+                    group = [path]
+                runs.extend(group)
         for path in runs:
             readers.append(open(path, "rb"))
         streams = [_read_run(reader) for reader in readers]

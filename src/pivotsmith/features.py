@@ -89,7 +89,11 @@ def induced_morph_scores(entry: PhraseEntry, src_lex: MorphLexicon,
 
 def annotate_table(table: PhraseTable, scorer: Scorer,
                    names: tuple[str, str], threads: int = 1) -> PhraseTable:
-    """Append one scorer's two values to every entry as named extras."""
+    """Append one scorer's two values to every entry as named extras.
+
+    Entries are scored in the calling thread; ``threads`` is ignored apart
+    from being validated (at least 1).
+    """
     if len(names) != 2 or names[0] == names[1]:
         raise TableError(f"need two distinct feature names, got {names!r}")
     for name in names:

@@ -1,39 +1,24 @@
-"""Order-preserving parallel map.
+"""Order-preserving map over per-item work.
 
-Results come back in input order no matter how many workers run, so output
-is identical for any thread count.
+Work runs lazily in the calling thread: the scorers and the decoder are
+pure Python and hold the GIL, so worker threads would only add overhead.
+``threads`` is checked and otherwise ignored, so output is identical for
+any value of it.  ``features`` and ``cli`` call the work through this
+function rather than the builtin ``map`` because the benchmark's tracer
+(``perfbench/tracing.py``) wraps it there by name.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from itertools import islice
 from typing import Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-BATCH_SIZE = 1024
-
-
-def default_threads() -> int:
-    return os.cpu_count() or 1
-
 
 def ordered_map(fn: Callable[[T], R], items: Iterable[T],
-                threads: int = 1, batch_size: int = BATCH_SIZE) -> Iterator[R]:
+                threads: int = 1) -> Iterator[R]:
+    """``map(fn, items)`` in the calling thread; ``threads`` must be >= 1."""
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    if threads == 1:
-        yield from map(fn, items)
-        return
-    # Batching keeps memory bounded; pool.map on a bare iterable would
-    # submit every item up front.
-    stream = iter(items)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        while True:
-            batch = list(islice(stream, batch_size))
-            if not batch:
-                return
-            yield from pool.map(fn, batch)
+    return map(fn, items)

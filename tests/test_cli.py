@@ -6,6 +6,9 @@ import io
 import os
 import random
 import stat
+import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -16,6 +19,7 @@ from conftest import (
     random_pivot_pair,
     table,
 )
+import pivotsmith
 from pivotsmith.cli import main
 from pivotsmith.tablecore import (
     ReorderingEntry,
@@ -503,6 +507,46 @@ class TestStatsAndEstimate:
         assert main(["estimate-size", "--sp", sp_path, "--pt", pt_path]) == 0
         # a->x, a->y, b->x against x->u, x->v, y->u enumerates 5 pairs.
         assert capsys.readouterr().out == "5\n"
+
+
+class TestSingleThread:
+    @pytest.fixture(autouse=True)
+    def refuse_threads(self, monkeypatch):
+        def start(thread):
+            raise AssertionError(f"started thread {thread.name}")
+        monkeypatch.setattr(threading.Thread, "start", start)
+
+    def test_annotate_starts_no_thread(self, tmp_path):
+        tbl = tmp_path / "t.txt"
+        write_table(table([entry("a b", "x", align=[(0, 0), (1, 0)]),
+                           entry("c", "y z", align=[(0, 1)])]), tbl)
+        out = tmp_path / "o.txt"
+        assert main(["annotate", "-i", str(tbl), "-o", str(out),
+                     "--kind", "connectivity", "--threads", "8"]) == 0
+        assert out.read_text() == ("#features: conn_s conn_t\n"
+                                   "a b ||| x ||| 1 1 1 1 1 1 ||| 0-0 1-0\n"
+                                   "c ||| y z ||| 1 1 1 1 1 0.5 ||| 0-1\n")
+
+    def test_decode_starts_no_thread(self, tmp_path):
+        tbl = tmp_path / "t.txt"
+        tbl.write_text("a ||| X ||| 0.5 0.5 0.5 0.5 |||\n")
+        inp = tmp_path / "in.txt"
+        inp.write_text("a b\nb a a\n")
+        out = tmp_path / "o.txt"
+        assert main(["decode", "--table", str(tbl), "--input", str(inp),
+                     "-o", str(out), "--threads", "8"]) == 0
+        assert out.read_text() == "X b\nb X X\n"
+
+
+def test_cli_import_loads_no_thread_pool():
+    src_dir = os.path.dirname(os.path.dirname(pivotsmith.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, pivotsmith.cli;"
+            " sys.exit('concurrent.futures' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_unknown_command_exits_two():

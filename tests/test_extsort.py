@@ -12,6 +12,7 @@ from operator import itemgetter
 import pytest
 
 import pivotsmith
+from pivotsmith import extsort
 from pivotsmith.extsort import decode_row, encode_row, ext_sorted, scratch_base
 from pivotsmith.tablecore import AlignmentLink
 
@@ -143,6 +144,45 @@ def test_fd_exhaustion_in_merge_still_removes_scratch_dir(tmp_path):
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", _FD_EXHAUSTION_CHILD, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("chunk_size", [1, 2, 7])
+def test_bounded_fan_in_matches_sorted(tmp_path, monkeypatch, chunk_size):
+    monkeypatch.setattr(extsort, "MERGE_FAN_IN", 3)
+    rng = random.Random(11)
+    rows = [((f"s{rng.randint(0, 9)}",), (f"t{i}",), (float(i),), ())
+            for i in range(120)]
+    key = itemgetter(0)
+    got = list(ext_sorted(rows, key, chunk_size=chunk_size, tmp_base=str(tmp_path)))
+    assert got == sorted(rows, key=key)
+    assert os.listdir(tmp_path) == []
+
+
+_FAN_IN_CHILD = textwrap.dedent("""
+    import resource, sys
+    from operator import itemgetter
+    from pivotsmith import extsort
+
+    _, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))
+    extsort.MERGE_FAN_IN = 16
+    rows = [((f"s{i:03d}",), ("t",), (0.5,), ()) for i in reversed(range(200))]
+    got = list(extsort.ext_sorted(rows, itemgetter(0), chunk_size=1,
+                                  tmp_base=sys.argv[1]))
+    sys.exit(0 if got == sorted(rows, key=itemgetter(0)) else 3)
+""")
+
+
+def test_bounded_fan_in_sorts_more_runs_than_descriptors(tmp_path):
+    # 200 single-row runs under a 64-descriptor limit, set in a child
+    # process only: merging at most 16 runs at once stays under it.
+    src_dir = os.path.dirname(os.path.dirname(pivotsmith.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _FAN_IN_CHILD, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert os.listdir(tmp_path) == []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
@@ -14,6 +15,7 @@ from pivotsmith.features import (
     rule_morph_scores,
 )
 from pivotsmith.morphmodel import FcModel, MorphLexicon, RuleMapping, build_lexicon
+from pivotsmith.parallel import ordered_map
 from pivotsmith.tablecore import TableError
 
 
@@ -244,3 +246,21 @@ class TestAnnotate:
         tbl = table([entry("a", "x")])
         with pytest.raises(TableError, match="bad value"):
             annotate_table(tbl, lambda e: (-1.0, 0.0), ("s", "t"))
+
+
+class TestOrderedMap:
+    def test_runs_in_the_calling_thread(self):
+        idents = list(ordered_map(lambda _: threading.get_ident(), range(50), 8))
+        assert idents == [threading.get_ident()] * 50
+
+    def test_is_lazy(self):
+        calls = []
+        results = ordered_map(lambda x: calls.append(x) or 2 * x, range(5), 8)
+        assert calls == []
+        assert next(results) == 0
+        assert calls == [0]
+        assert list(results) == [2, 4, 6, 8]
+
+    def test_zero_threads_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            list(ordered_map(str, [1], 0))
