@@ -5,7 +5,13 @@ when file flags are omitted, exit 2 on usage errors, and exit 1 on data
 errors with the offending line number in the message.  Nothing here uses
 randomness and every command runs its work in one thread, so reruns are
 byte-identical.  ``--threads`` on ``annotate`` and ``decode`` is accepted
-for compatibility and has no effect.
+for compatibility and has no effect.  A command may read stdin for at
+most one of its inputs.
+
+Every command that reads a phrase table streams it as raw rows; none
+builds a ``PhraseTable``.  ``annotate``, ``combine`` and ``decode`` sort
+their rows into table order through the disk-backed sort, which also
+rejects duplicate pairs.
 """
 
 from __future__ import annotations
@@ -16,16 +22,16 @@ import logging
 import os
 import stat
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from typing import Iterator, TextIO
 
 from . import __version__
-from .combine import combine_tables
-from .evalkit import DecodeConfig, bleu4_report, build_phrase_index, read_sentences
+from .combine import combine_rows
+from .evalkit import DecodeConfig, bleu4_report, phrase_index_rows, read_sentences
 from .evalkit import _decode_indexed as _decode_one
 from .features import (
     DEFAULT_RULE_FEATURES,
-    annotate_table,
+    annotate_rows,
     connectivity_scores,
     induced_morph_scores,
     rule_morph_scores,
@@ -46,10 +52,9 @@ from .tablecore import (
     CORE_FEATURES,
     LogLinearWeights,
     TableError,
-    parse_phrase_table,
     parse_reordering_table,
     read_rows,
-    write_phrase_table,
+    sort_table_rows,
     write_rows,
 )
 from .triangulate import (
@@ -61,6 +66,13 @@ from .triangulate import (
     reorder_rows,
     write_reordering_rows,
 )
+
+# Unused here since the commands stream rows.  perfbench/tracing.py still
+# wraps these names on this module, so they stay until it stops doing so.
+from .combine import combine_tables  # noqa: F401
+from .evalkit import build_phrase_index  # noqa: F401
+from .features import annotate_table  # noqa: F401
+from .tablecore import parse_phrase_table, write_phrase_table  # noqa: F401
 
 logger = logging.getLogger("pivotsmith")
 
@@ -157,6 +169,17 @@ def _feature_list(text: str) -> tuple[str, ...]:
     return names
 
 
+def _check_stdin(paths: list[str | None],
+                 message: str = "only one input can read stdin") -> None:
+    """Usage error when more than one of ``paths`` is ``-``.
+
+    Two readers of stdin would leave the second one an empty stream.
+    Callers pass ``-`` for an input that defaults to stdin.
+    """
+    if paths.count("-") > 1:
+        raise UsageError(message)
+
+
 def _name_pair(text: str) -> tuple[str, str]:
     names = tuple(name.strip() for name in text.split(","))
     if len(names) != 2 or not all(names):
@@ -167,6 +190,14 @@ def _name_pair(text: str) -> tuple[str, str]:
 # --- subcommands -------------------------------------------------------------
 
 def cmd_pivot(args: argparse.Namespace) -> int:
+    reordering = args.reordering_out is not None
+    if reordering and args.reordering_pt is None:
+        raise UsageError("--reordering-out requires --reordering-pt")
+    inputs = [args.sp, args.pt]
+    if reordering:
+        inputs += [args.reordering_sp, args.reordering_pt]
+    _check_stdin(inputs, "only one input table can read stdin")
+    _check_stdin(inputs + [args.weights_sp, args.weights_pt])
     cfg = PivotConfig(
         top_n=args.top_n,
         weights_sp=_load_weights(args.weights_sp),
@@ -174,14 +205,6 @@ def cmd_pivot(args: argparse.Namespace) -> int:
         min_alignment_links=args.min_links,
         tmpdir=args.tmpdir,
         chunk_size=args.chunk_size)
-    reordering = args.reordering_out is not None
-    if reordering and args.reordering_pt is None:
-        raise UsageError("--reordering-out requires --reordering-pt")
-    inputs = [args.sp, args.pt]
-    if reordering:
-        inputs += [args.reordering_sp, args.reordering_pt]
-    if inputs.count("-") > 1:
-        raise UsageError("only one input table can read stdin")
     pt_reo = None
     if reordering:
         if args.reordering_out == "-" and args.output in (None, "-"):
@@ -208,6 +231,7 @@ def cmd_pivot(args: argparse.Namespace) -> int:
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
+    _check_stdin([args.input or "-", args.weights])
     weights = _load_weights(args.weights)
     with _open_in(args.input) as stream, _open_out(args.output) as out:
         extras, rows = read_rows(stream)
@@ -246,18 +270,25 @@ def _build_scorer(args: argparse.Namespace):
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
+    inputs = [args.input or "-"]
+    if args.kind == "rules":
+        inputs += [args.src_lex, args.tgt_lex, args.rules]
+    elif args.kind == "induced":
+        inputs += [args.src_lex, args.tgt_lex, args.fc_model]
+    _check_stdin(inputs)
     scorer, default_names = _build_scorer(args)
     names = args.names if args.names is not None else default_names
-    with _open_in(args.input) as stream:
-        table = parse_phrase_table(stream)
-    annotated = annotate_table(table, scorer, names, threads=args.threads)
-    with _open_out(args.output) as out:
-        write_phrase_table(annotated, out)
+    with _open_in(args.input) as stream, _open_out(args.output) as out:
+        extras, rows = read_rows(stream)
+        extras, annotated = annotate_rows(rows, extras, scorer, names,
+                                          threads=args.threads)
+        write_rows(annotated, out, extras)
     return 0
 
 
 def cmd_lexicon(args: argparse.Namespace) -> int:
     paths = args.input if args.input else [None]
+    _check_stdin([path or "-" for path in paths])
     streams = []
     try:
         for path in paths:
@@ -296,6 +327,7 @@ def cmd_rules_check(args: argparse.Namespace) -> int:
 
 
 def cmd_fc_train(args: argparse.Namespace) -> int:
+    _check_stdin([args.src_lex, args.tgt_lex, args.src, args.tgt, args.align])
     with _open_in(args.src_lex) as stream:
         src_lex = MorphLexicon.load(stream)
     with _open_in(args.tgt_lex) as stream:
@@ -309,24 +341,27 @@ def cmd_fc_train(args: argparse.Namespace) -> int:
 
 
 def cmd_combine(args: argparse.Namespace) -> int:
-    tables = []
-    for name, path in args.input:
-        with _open_in(path) as stream:
-            tables.append((parse_phrase_table(stream), name))
-    combined = combine_tables(tables)
-    with _open_out(args.output) as out:
-        write_phrase_table(combined, out)
+    _check_stdin([path for _, path in args.input])
+    with ExitStack() as stack:
+        inputs = []
+        for name, path in args.input:
+            extras, rows = read_rows(stack.enter_context(_open_in(path)))
+            inputs.append((extras, rows, name))
+        extras, combined = combine_rows(inputs)
+        with _open_out(args.output) as out:
+            write_rows(combined, out, extras)
     return 0
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
+    _check_stdin([args.weights, args.table, args.input or "-"])
     cfg = DecodeConfig(
         weights=_load_weights(args.weights),
         max_phrase_len=args.max_phrase_len,
         unknown_word_penalty=args.unknown_penalty)
     with _open_in(args.table) as stream:
-        table = parse_phrase_table(stream)
-    index = build_phrase_index(table, cfg)
+        extras, rows = read_rows(stream)
+        index = phrase_index_rows(sort_table_rows(rows, extras), extras, cfg)
     with _open_in(args.input) as stream:
         sentences = read_sentences(stream)
     with _open_out(args.output) as out:
@@ -338,6 +373,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 
 def cmd_bleu(args: argparse.Namespace) -> int:
+    _check_stdin([args.hyp, *args.ref])
     with _open_in(args.hyp) as stream:
         hypotheses = read_sentences(stream)
     reference_sets = None
@@ -395,8 +431,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate_size(args: argparse.Namespace) -> int:
-    if args.sp == "-" and args.pt == "-":
-        raise UsageError("only one of --sp and --pt can read stdin")
+    _check_stdin([args.sp, args.pt], "only one of --sp and --pt can read stdin")
     with _open_in(args.sp) as sp_f, _open_in(args.pt) as pt_f:
         _, sp_rows = read_rows(sp_f)
         _, pt_rows = read_rows(pt_f)

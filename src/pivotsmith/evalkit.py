@@ -7,6 +7,10 @@ any table phrase pass through unchanged at a fixed penalty.  BLEU is the
 standard corpus metric: clipped modified n-gram precisions up to length
 four, their geometric mean, and a brevity penalty against the closest
 reference length.
+
+``phrase_index_rows`` builds the decoder's best-option index from a
+stream of raw rows, holding one entry per distinct source phrase;
+``build_phrase_index`` is its ``PhraseTable`` adapter.
 """
 
 from __future__ import annotations
@@ -18,11 +22,14 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .parallel import ordered_map
 from .tablecore import (
+    CORE_FEATURES,
     DEFAULT_LOG_FLOOR,
     DEFAULT_MAX_PHRASE_LEN,
     LogLinearWeights,
     Phrase,
     PhraseTable,
+    Row,
+    entry_to_row,
     loglinear_score,
     weight_vector,
 )
@@ -41,24 +48,31 @@ class DecodeConfig:
             raise ValueError("unknown_word_penalty must be finite")
 
 
-def build_phrase_index(table: PhraseTable, cfg: DecodeConfig,
-                       ) -> dict[Phrase, tuple[float, Phrase]]:
-    """Best translation option per source phrase.
+def phrase_index_rows(rows: Iterable[Row], extras_names: Sequence[str],
+                      cfg: DecodeConfig) -> dict[Phrase, tuple[float, Phrase]]:
+    """Best translation option per source phrase of a table's rows.
 
     Highest log-linear score wins; ties keep the lexicographically
-    smaller target so decoding is reproducible.
+    smaller target so decoding is reproducible.  The result does not
+    depend on the order of the rows.
     """
-    weight_vec = weight_vector(table.manifest, cfg.weights)
+    weight_vec = weight_vector(CORE_FEATURES + tuple(extras_names), cfg.weights)
     index: dict[Phrase, tuple[float, Phrase]] = {}
-    for entry in table:
-        if len(entry.src) > cfg.max_phrase_len:
+    for src, tgt, scores, _ in rows:
+        if len(src) > cfg.max_phrase_len:
             continue
-        score = loglinear_score(entry.scores.values(), weight_vec, DEFAULT_LOG_FLOOR)
-        known = index.get(entry.src)
+        score = loglinear_score(scores, weight_vec, DEFAULT_LOG_FLOOR)
+        known = index.get(src)
         if known is None or score > known[0] or (score == known[0]
-                                                 and entry.tgt < known[1]):
-            index[entry.src] = (score, entry.tgt)
+                                                 and tgt < known[1]):
+            index[src] = (score, tgt)
     return index
+
+
+def build_phrase_index(table: PhraseTable, cfg: DecodeConfig,
+                       ) -> dict[Phrase, tuple[float, Phrase]]:
+    """``phrase_index_rows`` over a table's entries."""
+    return phrase_index_rows(map(entry_to_row, table), table.extras_names, cfg)
 
 
 def _decode_indexed(sentence: Sequence[str],

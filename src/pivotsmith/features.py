@@ -1,25 +1,39 @@
-"""Constraint feature scorers for phrase table entries.
+"""Constraint feature scorers for phrase table rows.
 
 Each scorer turns one entry into a source-side and a target-side score,
-and ``annotate_table`` appends those as two named extra columns.  The
-connectivity scores measure alignment coverage.  The morphology scores
-check agreement between aligned words, either against hand-written rule
-pairs or against a trained FC tag translation model.
+and ``annotate_rows`` appends those as two named extra columns to a
+stream of raw rows, which it returns in table order with duplicates
+rejected; ``annotate_table`` is its ``PhraseTable`` adapter.  A scorer
+reads ``src``, ``tgt`` and ``alignment`` by name and unpacks each link as
+``(i, j)``, so it takes a ``PhraseEntry`` or a ``RowView`` of a raw row
+alike.  The connectivity scores measure alignment coverage.  The
+morphology scores check agreement between aligned words, either against
+hand-written rule pairs or against a trained FC tag translation model.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .morphmodel import DEFAULT_FC_FEATURES, FcModel, MorphLexicon, RuleMapping
 from .parallel import ordered_map
-from .tablecore import PhraseEntry, PhraseTable, ScoreSet, TableError
+from .tablecore import (
+    CORE_FEATURES,
+    PhraseEntry,
+    PhraseTable,
+    Row,
+    RowView,
+    TableError,
+    _checked_manifest,
+    entry_to_row,
+    sort_table_rows,
+    table_from_rows,
+)
 
 DEFAULT_RULE_FEATURES = ("gen", "num", "det", "pos")
 
-Scorer = Callable[[PhraseEntry], tuple[float, float]]
+Scorer = Callable[[PhraseEntry | RowView], tuple[float, float]]
 
 
 class FeatureScores(NamedTuple):
@@ -31,8 +45,8 @@ def connectivity_scores(entry: PhraseEntry) -> FeatureScores:
     """Fraction of source and of target positions covered by the alignment."""
     if not entry.alignment:
         return FeatureScores(0.0, 0.0)
-    src_covered = len({link.src_pos for link in entry.alignment})
-    tgt_covered = len({link.tgt_pos for link in entry.alignment})
+    src_covered = len({i for i, _ in entry.alignment})
+    tgt_covered = len({j for _, j in entry.alignment})
     return FeatureScores(src_covered / len(entry.src), tgt_covered / len(entry.tgt))
 
 
@@ -55,11 +69,11 @@ def rule_morph_scores(entry: PhraseEntry, src_lex: MorphLexicon,
     n = len(entry.src)
     m = len(entry.tgt)
     for feature in features:
-        for link in entry.alignment:
-            src_value = src_lex.mle(entry.src[link.src_pos], feature)
+        for i, j in entry.alignment:
+            src_value = src_lex.mle(entry.src[i], feature)
             if src_value is None:
                 continue
-            tgt_value = tgt_lex.mle(entry.tgt[link.tgt_pos], feature)
+            tgt_value = tgt_lex.mle(entry.tgt[j], feature)
             if tgt_value is None:
                 continue
             if rules.allows(feature, src_value, tgt_value):
@@ -79,36 +93,49 @@ def induced_morph_scores(entry: PhraseEntry, src_lex: MorphLexicon,
     """
     w_s = 0.0
     w_t = 0.0
-    for link in entry.alignment:
-        src_tag = src_lex.fc_tag(entry.src[link.src_pos])
-        tgt_tag = tgt_lex.fc_tag(entry.tgt[link.tgt_pos])
+    for i, j in entry.alignment:
+        src_tag = src_lex.fc_tag(entry.src[i])
+        tgt_tag = tgt_lex.fc_tag(entry.tgt[j])
         w_s += model.p_src_given_tgt(src_tag, tgt_tag)
         w_t += model.p_tgt_given_src(src_tag, tgt_tag)
     return FeatureScores(w_s / len(entry.src), w_t / len(entry.tgt))
 
 
-def annotate_table(table: PhraseTable, scorer: Scorer,
-                   names: tuple[str, str], threads: int = 1) -> PhraseTable:
-    """Append one scorer's two values to every entry as named extras.
+def annotate_rows(rows: Iterable[Row], extras_names: Sequence[str],
+                  scorer: Scorer, names: tuple[str, str], threads: int = 1,
+                  ) -> tuple[tuple[str, ...], Iterator[Row]]:
+    """Append one scorer's two values to every row as named extras.
 
-    Entries are scored in the calling thread; ``threads`` is ignored apart
-    from being validated (at least 1).
+    Returns the output extras names and a lazy stream of the scored rows
+    in table order (``sort_table_rows``), so a duplicate pair raises while
+    the stream is read.  Rows are scored in the calling thread, once each,
+    through a ``RowView``; ``threads`` is ignored apart from being
+    validated (at least 1).
     """
     if len(names) != 2 or names[0] == names[1]:
         raise TableError(f"need two distinct feature names, got {names!r}")
     for name in names:
-        if name in table.manifest:
+        if name in CORE_FEATURES or name in extras_names:
             raise TableError(f"feature {name!r} already in table manifest")
-    entries = []
-    for entry, scores in zip(table.entries,
-                             ordered_map(scorer, table.entries, threads)):
-        w_s, w_t = scores
+    out_extras = tuple(extras_names) + tuple(names)
+    _checked_manifest(out_extras)
+
+    def score(row: Row) -> Row:
+        src, tgt, scores, align = row
+        w_s, w_t = scorer(RowView._make(row))
         for value in (w_s, w_t):
             if not math.isfinite(value) or value < 0.0:
                 raise TableError(
                     f"scorer returned bad value {value!r} for pair"
-                    f" {' '.join(entry.src)!r} -> {' '.join(entry.tgt)!r}")
-        extras = entry.scores.extras + ((names[0], w_s), (names[1], w_t))
-        entries.append(replace(entry, scores=replace(entry.scores, extras=extras)))
-    return PhraseTable.build(entries, table.extras_names + tuple(names),
-                             max_phrase_len=None, validate=False)
+                    f" {' '.join(src)!r} -> {' '.join(tgt)!r}")
+        return src, tgt, scores + (w_s, w_t), align
+
+    return out_extras, sort_table_rows(ordered_map(score, rows, threads), out_extras)
+
+
+def annotate_table(table: PhraseTable, scorer: Scorer,
+                   names: tuple[str, str], threads: int = 1) -> PhraseTable:
+    """``annotate_rows`` over a table's entries, collected into a table."""
+    extras, rows = annotate_rows(map(entry_to_row, table), table.extras_names,
+                                 scorer, names, threads)
+    return table_from_rows(extras, rows)

@@ -3,9 +3,11 @@
 Work runs lazily in the calling thread: the scorers and the decoder are
 pure Python and hold the GIL, so worker threads would only add overhead.
 ``threads`` is checked and otherwise ignored, so output is identical for
-any value of it.  ``features`` and ``cli`` call the work through this
-function rather than the builtin ``map`` because the benchmark's tracer
-(``perfbench/tracing.py``) wraps it there by name.
+any value of it.  ``features.annotate_rows`` scores each row through this
+function and ``cli`` decodes each sentence through it, rather than with
+the builtin ``map``, because the benchmark's tracer
+(``perfbench/tracing.py``) wraps it there by name.  Both pass it lazy
+streams, so nothing is buffered here.
 """
 
 from __future__ import annotations

@@ -24,8 +24,11 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import closing
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
+
 
 SEPARATOR = " ||| "
 CORE_FEATURES = ("phi_fwd", "lex_fwd", "phi_bwd", "lex_bwd")
@@ -160,9 +163,71 @@ def _check_alignment(links: Sequence[tuple[int, int]], src_len: int,
         seen.add((i, j))
 
 
-def _origin_indexes(extras_names: Sequence[str]) -> tuple[int, ...]:
-    return tuple(i for i, name in enumerate(extras_names)
-                 if name.startswith(ORIGIN_PREFIX))
+class RowView(NamedTuple):
+    """A raw row read by field name, as the feature scorers read a ``PhraseEntry``.
+
+    ``scores`` is the flat tuple of core then extra values and each
+    alignment link a plain ``(i, j)`` pair.
+    """
+
+    src: Phrase
+    tgt: Phrase
+    scores: tuple[float, ...]
+    alignment: tuple[tuple[int, int], ...]
+
+
+_BY_SRC_TGT = itemgetter(0, 1)
+
+
+def table_order(extras_names: Sequence[str]) -> Callable[[Row], tuple]:
+    """Sort key of a table's rows: source, target, then origin marks descending.
+
+    Two rows with equal keys are duplicates: the same pair with the same
+    ``origin_*`` values.  Without origin columns the key is the pair.
+    """
+    origin_idx = tuple(4 + i for i, name in enumerate(extras_names)
+                       if name.startswith(ORIGIN_PREFIX))
+    if not origin_idx:
+        return _BY_SRC_TGT
+
+    def key(row: Row) -> tuple:
+        scores = row[2]
+        return (row[0], row[1], tuple([-scores[i] for i in origin_idx]))
+    return key
+
+
+def check_unique(rows: Iterable[Row], key: Callable[[Row], tuple]) -> Iterator[Row]:
+    """Pass rows sorted by ``key`` through, raising on a duplicate.
+
+    ``key`` is a ``table_order`` key: two neighbouring rows are duplicates
+    when their keys are equal, so only rows of the same pair are keyed.
+    """
+    prev = None
+    for row in rows:
+        if (prev is not None and row[1] == prev[1] and row[0] == prev[0]
+                and key(row) == key(prev)):
+            raise TableError("duplicate entry for pair"
+                             f" {' '.join(row[0])!r} -> {' '.join(row[1])!r}")
+        prev = row
+        yield row
+
+
+def sort_table_rows(rows: Iterable[Row],
+                    extras_names: Sequence[str]) -> Iterator[Row]:
+    """Rows in table order, duplicates rejected, through the disk-backed sort.
+
+    The sort holds ``extsort.DEFAULT_CHUNK_SIZE`` rows in memory and spills
+    under ``PIVOTSMITH_TMPDIR`` or the system default.  Its scratch files
+    are removed as soon as this stream ends, fails or is closed.
+    """
+    # extsort imports this module.  Importing it from here at load time
+    # would also reorder the package's imports, which raised the peak RSS
+    # of the pivot-spill benchmark workload by 0.2 MB.
+    from . import extsort
+
+    key = table_order(extras_names)
+    with closing(extsort.ext_sorted(rows, key, extsort.DEFAULT_CHUNK_SIZE)) as ordered:
+        yield from check_unique(ordered, key)
 
 
 @dataclass(frozen=True)
@@ -170,10 +235,11 @@ class PhraseTable:
     """Sorted, validated collection of phrase entries.
 
     The manifest lists feature names in column order, always starting with
-    the four core names.  Entries are kept sorted by source then target
-    tokens.  Duplicate (src, tgt) pairs are rejected unless the entries
-    carry ``origin_*`` extras that differ, which is how combined tables
-    keep one option per input table.
+    the four core names.  Entries are kept in ``table_order``: by source
+    then target tokens, then descending ``origin_*`` marks.  Duplicate
+    (src, tgt) pairs are rejected unless the entries carry ``origin_*``
+    extras that differ, which is how combined tables keep one option per
+    input table.
     """
 
     manifest: tuple[str, ...] = CORE_FEATURES
@@ -199,22 +265,11 @@ class PhraseTable:
         if validate:
             for entry in items:
                 validate_entry(entry, max_phrase_len, extras_names)
-        origin_idx = _origin_indexes(extras_names)
-
-        def sort_key(entry: PhraseEntry):
-            marks = tuple(-entry.scores.extras[i][1] for i in origin_idx)
-            return (entry.src, entry.tgt, marks)
-
-        items.sort(key=sort_key)
-        for prev, cur in zip(items, items[1:]):
-            if prev.src == cur.src and prev.tgt == cur.tgt:
-                if not origin_idx or all(
-                        prev.scores.extras[i][1] == cur.scores.extras[i][1]
-                        for i in origin_idx):
-                    raise TableError(
-                        "duplicate entry for pair"
-                        f" {' '.join(prev.src)!r} -> {' '.join(prev.tgt)!r}")
-        return cls(manifest=manifest, entries=tuple(items))
+        # Each entry rides in the alignment slot of a row of its sort fields.
+        order = table_order(extras_names)
+        rows = sorted(((e.src, e.tgt, e.scores.values(), e) for e in items), key=order)
+        return cls(manifest=manifest,
+                   entries=tuple(row[3] for row in check_unique(rows, order)))
 
 
 def _checked_manifest(extras_names: Sequence[str]) -> tuple[str, ...]:
@@ -333,6 +388,14 @@ def row_to_entry(row: Row, extras_names: Sequence[str] = ()) -> PhraseEntry:
         src=src, tgt=tgt,
         scores=ScoreSet(*scores[:4], extras=tuple(zip(extras_names, scores[4:]))),
         alignment=tuple(AlignmentLink(*pair) for pair in align))
+
+
+def table_from_rows(extras_names: Sequence[str],
+                    rows: Iterable[Row]) -> PhraseTable:
+    """A ``PhraseTable`` of rows already in table order and checked, as
+    ``sort_table_rows`` yields them."""
+    return PhraseTable(manifest=_checked_manifest(extras_names),
+                       entries=tuple(row_to_entry(row, extras_names) for row in rows))
 
 
 def entry_to_row(entry: PhraseEntry) -> Row:

@@ -432,6 +432,7 @@ def _run_pivot_measured(sp_path, pt_path, out_path, scratch):
     return elapsed, peak_kb
 
 
+@pytest.mark.slow
 @pytest.mark.criterion(10, "streaming scale")
 def test_million_entry_pivot_bounded_time_and_memory(tmp_path):
     scratch = tmp_path / "scratch"

@@ -509,6 +509,56 @@ class TestStatsAndEstimate:
         assert capsys.readouterr().out == "5\n"
 
 
+class TestStdinOnce:
+    """A second reader of stdin would see it empty, so it is a usage error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["annotate", "--kind", "rules", "--src-lex", "-", "--tgt-lex", "L"],
+        ["annotate", "-i", "T", "--kind", "induced", "--src-lex", "L",
+         "--tgt-lex", "-", "--fc-model", "-"],
+        ["combine", "-i", "a=-", "-i", "b=-"],
+        ["decode", "--table", "-"],
+        ["decode", "--table", "T", "--input", "-", "--weights", "-"],
+        ["fc-train", "--src", "-", "--tgt", "-", "--align", "A",
+         "--src-lex", "L", "--tgt-lex", "L"],
+        ["bleu", "--hyp", "H", "--ref", "-", "--ref", "-"],
+        ["filter", "--weights", "-"],
+        ["pivot", "--sp", "-", "--pt", "P", "--weights-sp", "-"],
+        ["pivot", "--sp", "S", "--pt", "P", "--weights-sp", "-", "--weights-pt", "-"],
+        ["lexicon", "-i", "-", "-i", "-"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_second_stdin_reader_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "only one input can read stdin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["pivot", "--sp", "-", "--pt", "-"], "only one input table can read stdin"),
+        (["estimate-size", "--sp", "-", "--pt", "-"],
+         "only one of --sp and --pt can read stdin"),
+    ])
+    def test_pivot_and_estimate_keep_their_messages(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_one_stdin_reader_is_fine(self, tmp_path, monkeypatch, capsys):
+        a = tmp_path / "a.txt"
+        a.write_text("a ||| x ||| 1 1 1 1 |||\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO("b ||| y ||| 1 1 1 1 |||\n"))
+        assert main(["combine", "-i", f"a={a}", "-i", "b=-"]) == 0
+        out = capsys.readouterr().out
+        assert "a ||| x ||| 1 1 1 1 1 0 |||" in out
+        assert "b ||| y ||| 1 1 1 1 0 1 |||" in out
+
+    def test_unused_lexicon_flags_do_not_count(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO("a ||| x ||| 1 1 1 1 ||| 0-0\n"))
+        assert main(["annotate", "--kind", "connectivity", "--src-lex", "-"]) == 0
+        assert capsys.readouterr().out.endswith("a ||| x ||| 1 1 1 1 1 1 ||| 0-0\n")
+
+
 class TestSingleThread:
     @pytest.fixture(autouse=True)
     def refuse_threads(self, monkeypatch):
