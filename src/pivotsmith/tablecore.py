@@ -416,12 +416,17 @@ def format_score(value: float) -> str:
 
 
 def format_row(row: Row) -> str:
+    """One table line, without its newline; scores as ``format_score`` gives them."""
     src, tgt, scores, align = row
-    head = SEPARATOR.join(
-        [" ".join(src), " ".join(tgt), " ".join(format_score(v) for v in scores)])
+    if len(scores) == 4:
+        line = "%s ||| %s ||| %.6g %.6g %.6g %.6g ||| " % (
+            " ".join(src), " ".join(tgt), *scores)
+    else:
+        line = "%s ||| %s ||| %s ||| " % (
+            " ".join(src), " ".join(tgt), " ".join(["%.6g" % v for v in scores]))
     if not align:
-        return head + " |||"
-    return head + SEPARATOR + " ".join(f"{i}-{j}" for i, j in align)
+        return line[:-1]
+    return line + " ".join(["%d-%d" % link for link in align])
 
 
 def write_phrase_table(table: PhraseTable, stream: TextIO) -> None:
@@ -583,8 +588,7 @@ def parse_reordering_table(lines: Iterable[str],
 def format_reordering_row(src: Phrase, tgt: Phrase, probs: Sequence[float]) -> str:
     # repr keeps the triples summing to one after a round trip, which 6
     # significant digits would not.
-    return SEPARATOR.join([" ".join(src), " ".join(tgt),
-                           " ".join(repr(v) for v in probs)])
+    return SEPARATOR.join([" ".join(src), " ".join(tgt), " ".join(map(repr, probs))])
 
 
 def write_reordering_table(entries: Iterable[ReorderingEntry],

@@ -20,11 +20,12 @@ by the size of the pivot-target table:
   table streams past it in (source, pivot) order, and each source's
   partial products are put in target order in memory.  Memory holds the
   pivot-target table, one chunk of the source-pivot sort and one source's
-  partials.
+  partials, up to ``top_n`` squared of them.
 * more rows: a sort-merge join.  Both sides stream sorted by pivot phrase
   and the partial products are sorted back into (source, target) order,
   all through the disk-backed sort.  Memory holds a sort chunk plus the
-  largest single pivot group, not the whole table.
+  pivot-target rows of one pivot, at most ``top_n`` of them; a pivot's
+  source-pivot rows stream past them.
 
 Both paths sum each pair's products in ascending pivot order, so they give
 the same output to the bit.
@@ -64,7 +65,8 @@ DEFAULT_TOP_N = 1000
 
 _BY_SRC_TGT = itemgetter(0, 1)
 _BY_PIVOT_SRC = itemgetter(1, 0)
-_UNIFORM_TRIPLE = (1.0 / 3.0,) * 6
+_THIRD = 1.0 / 3.0
+_UNIFORM_TRIPLE = (_THIRD,) * 6
 
 
 @dataclass(frozen=True)
@@ -174,13 +176,17 @@ def _drop_extras(rows: Iterable[Row]) -> Iterator[Row]:
 
 
 def _paired_pivot_groups(sp_rows: Iterable[Row], pt_rows: Iterable[Row],
-                         ) -> Iterator[tuple[list[Row], list[Row]]]:
+                         ) -> Iterator[tuple[Iterator[Row], list[Row]]]:
     """Walk two pivot-sorted streams and yield groups sharing a pivot phrase.
 
     ``sp_rows`` must be sorted by (tgt, src) and ``pt_rows`` by (src, tgt);
     the shared key is the pivot phrase, sp target and pt source.  The
     pivot-target stream is pulled first, so that its sort has consumed its
     input before the source-pivot sort starts on its own.
+
+    The source-pivot group is ``groupby``'s lazy group, valid until the next
+    pair is pulled, so a hub pivot's source-pivot rows are never held at
+    once.  The pivot-target group is a list, already cut to ``top_n`` rows.
     """
     sp_groups = groupby(sp_rows, key=itemgetter(1))
     pt_groups = groupby(pt_rows, key=itemgetter(0))
@@ -194,7 +200,7 @@ def _paired_pivot_groups(sp_rows: Iterable[Row], pt_rows: Iterable[Row],
         elif pt_key < sp_key:
             pt_item = next(pt_groups, None)
         else:
-            yield list(sp_group), list(pt_group)
+            yield sp_group, list(pt_group)
             sp_item = next(sp_groups, None)
             pt_item = next(pt_groups, None)
 
@@ -271,24 +277,30 @@ def _attach_orientations(pt_rows: Iterable[Row], reo_rows: Iterable[Row],
         pass
 
 
-def _iter_join(groups: Iterable[tuple[Sequence[Row], Sequence[Row]]],
+def _iter_join(groups: Iterable[tuple[Iterable[Row], Sequence[Row]]],
                ) -> Iterator[Row]:
     """Emit one partial product row per entry pair of each pivot group.
 
     ``groups`` yields (source-pivot rows, pivot-target rows) sharing one
-    pivot phrase.  When the pivot-target row carries orientation
-    probabilities, the partial carries them too, after the source-pivot
-    forward score that weights them.  Both are shared references:
-    ``_iter_reduce`` multiplies them, so a partial holds four new floats,
-    not ten.
+    pivot phrase.  The source-pivot rows are walked once, in order; the
+    pivot-target rows once per source-pivot row.  When the pivot-target
+    rows carry orientation probabilities, the partial carries them too,
+    after the source-pivot forward score that weights them.  Both are
+    shared references: ``_iter_reduce`` multiplies them, so a partial holds
+    four new floats, not ten.
     """
     for sp_group, pt_group in groups:
-        for src, _, f, a_sp in sp_group:
-            for _, tgt, g, a_pt in pt_group:
-                scores = (f[0] * g[0], f[1] * g[1], f[2] * g[2], f[3] * g[3])
-                if len(g) > 4:
-                    scores += (f[0], *g[4:])
-                yield src, tgt, scores, _project(a_sp, a_pt)
+        oriented = len(pt_group[0][2]) > 4
+        for src, _, (f0, f1, f2, f3), a_sp in sp_group:
+            if oriented:
+                for _, tgt, g, a_pt in pt_group:
+                    yield (src, tgt,
+                           (f0 * g[0], f1 * g[1], f2 * g[2], f3 * g[3], f0) + g[4:],
+                           _project(a_sp, a_pt))
+            else:
+                for _, tgt, g, a_pt in pt_group:
+                    yield (src, tgt, (f0 * g[0], f1 * g[1], f2 * g[2], f3 * g[3]),
+                           _project(a_sp, a_pt))
 
 
 def _snap_score(total: float, column: str, src: Sequence[str],
@@ -302,17 +314,6 @@ def _snap_score(total: float, column: str, src: Sequence[str],
     return total
 
 
-def _normalize_triples(values: Sequence[float]) -> tuple[float, ...]:
-    out = []
-    for lo in (0, 3):
-        total = values[lo] + values[lo + 1] + values[lo + 2]
-        if total > 0.0:
-            out.extend(values[lo + k] / total for k in range(3))
-        else:
-            out.extend(_UNIFORM_TRIPLE[:3])
-    return tuple(out)
-
-
 def _iter_reduce(partials: Iterable[Row], min_links: int,
                  reordering: bool = False) -> Iterator[Row]:
     """Sum partial products per (src, tgt) pair and union their alignments.
@@ -321,31 +322,56 @@ def _iter_reduce(partials: Iterable[Row], min_links: int,
     orientation probabilities; their weighted sums, renormalized per
     direction triple, follow the four core scores of the output row.
     Summation runs in partial order, ascending pivot, so both outputs are
-    reproducible to the bit.
+    reproducible to the bit.  Every sum starts from ``0.0``, so a ``-0``
+    input score composes to ``0``.
     """
     for (src, tgt), grouped in groupby(partials, key=_BY_SRC_TGT):
-        s0 = s1 = s2 = s3 = 0.0
-        mix = [0.0] * 6
-        links: set[tuple[int, int]] = set()
-        for _, _, scores, align in grouped:
+        s0 = s1 = s2 = s3 = m0 = m1 = m2 = m3 = m4 = m5 = 0.0
+        align = links = None
+        for _, _, scores, part in grouped:
             s0 += scores[0]
             s1 += scores[1]
             s2 += scores[2]
             s3 += scores[3]
             if reordering:
                 weight = scores[4]
-                for k in range(6):
-                    mix[k] += weight * scores[5 + k]
-            links.update(align)
-        if len(links) < min_links:
+                m0 += weight * scores[5]
+                m1 += weight * scores[6]
+                m2 += weight * scores[7]
+                m3 += weight * scores[8]
+                m4 += weight * scores[9]
+                m5 += weight * scores[10]
+            # _project gives each partial's links sorted and unique, so a
+            # pair of one partial keeps them as they are.
+            if align is None:
+                align = part
+            else:
+                if links is None:
+                    links = set(align)
+                links.update(part)
+        if links is not None:
+            align = tuple(sorted(links))
+        if len(align) < min_links:
             continue
-        out = (_snap_score(s0, CORE_FEATURES[0], src, tgt),
-               _snap_score(s1, CORE_FEATURES[1], src, tgt),
-               _snap_score(s2, CORE_FEATURES[2], src, tgt),
-               _snap_score(s3, CORE_FEATURES[3], src, tgt))
-        if reordering:
-            out += _normalize_triples(mix)
-        yield src, tgt, out, tuple(sorted(links))
+        if s0 > 1.0 or s1 > 1.0 or s2 > 1.0 or s3 > 1.0:
+            s0 = _snap_score(s0, CORE_FEATURES[0], src, tgt)
+            s1 = _snap_score(s1, CORE_FEATURES[1], src, tgt)
+            s2 = _snap_score(s2, CORE_FEATURES[2], src, tgt)
+            s3 = _snap_score(s3, CORE_FEATURES[3], src, tgt)
+        if not reordering:
+            yield src, tgt, (s0, s1, s2, s3), align
+            continue
+        total = m0 + m1 + m2
+        if total > 0.0:
+            m0, m1, m2 = m0 / total, m1 / total, m2 / total
+        else:
+            m0 = m1 = m2 = _THIRD
+        total = m3 + m4 + m5
+        if total > 0.0:
+            m3, m4, m5 = m3 / total, m4 / total, m5 / total
+        else:
+            m3 = m4 = m5 = _THIRD
+        yield src, tgt, (s0, s1, s2, s3, m0, m1, m2, m3, m4, m5), align
 
 
 def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],

@@ -7,7 +7,11 @@ has something independent to be checked against.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -25,6 +29,42 @@ def pytest_runtest_makereport(item, call):
     outcome = yield
     report = outcome.get_result()
     setattr(item, f"report_{report.when}", report)
+
+
+_CHILD_MEASURE = """
+import resource, sys
+from pivotsmith.cli import main
+rc = main(sys.argv[1:])
+try:
+    with open("/proc/self/status") as status:
+        hwm = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+except OSError:
+    hwm = -1
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, hwm, file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+def run_pivot_measured(sp_path, pt_path, out_path, scratch, *extra_args):
+    """Run ``pivot --top-n 100`` plus ``extra_args`` in a child process.
+
+    Returns the wall seconds, the child's ``ru_maxrss`` and its ``VmHWM``
+    (-1 without ``/proc``), both in KB.  ``ru_maxrss`` also counts the
+    peak of the process that started the child, because it survives the
+    exec; ``VmHWM`` is the child's own.
+    """
+    env = dict(os.environ)
+    env["PIVOTSMITH_TMPDIR"] = str(scratch)
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD_MEASURE,
+         "pivot", "--sp", str(sp_path), "--pt", str(pt_path),
+         "-o", str(out_path), "--top-n", "100", *extra_args],
+        capture_output=True, text=True, env=env, timeout=600)
+    elapsed = time.perf_counter() - started
+    assert proc.returncode == 0, proc.stderr
+    maxrss_kb, hwm_kb = proc.stderr.strip().splitlines()[-1].split()
+    return elapsed, int(maxrss_kb), int(hwm_kb)
 
 
 def entry(src: str, tgt: str, scores=(1.0, 1.0, 1.0, 1.0), align=(),

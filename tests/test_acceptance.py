@@ -8,16 +8,13 @@ finishes so it survives output capturing.
 from __future__ import annotations
 
 import math
-import os
 import random
-import subprocess
-import sys
 import time
 from collections import defaultdict
 
 import pytest
 
-from conftest import entry, oracle_compose, random_pivot_pair, table
+from conftest import entry, oracle_compose, random_pivot_pair, run_pivot_measured, table
 from test_evalkit import all_segmentation_scores, random_decode_table
 from test_features import random_entry, random_lexicon, random_model, random_rules
 from pivotsmith.cli import main
@@ -408,30 +405,6 @@ def _write_scale_pair(dirpath, fanout):
     return sp_path, pt_path
 
 
-_CHILD_MEASURE = """
-import resource, sys
-from pivotsmith.cli import main
-rc = main(sys.argv[1:])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
-sys.exit(rc)
-"""
-
-
-def _run_pivot_measured(sp_path, pt_path, out_path, scratch):
-    env = dict(os.environ)
-    env["PIVOTSMITH_TMPDIR"] = str(scratch)
-    started = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-c", _CHILD_MEASURE,
-         "pivot", "--sp", str(sp_path), "--pt", str(pt_path),
-         "-o", str(out_path), "--top-n", "100"],
-        capture_output=True, text=True, env=env, timeout=600)
-    elapsed = time.perf_counter() - started
-    assert proc.returncode == 0, proc.stderr
-    peak_kb = int(proc.stderr.strip().splitlines()[-1])
-    return elapsed, peak_kb
-
-
 @pytest.mark.slow
 @pytest.mark.criterion(10, "streaming scale")
 def test_million_entry_pivot_bounded_time_and_memory(tmp_path):
@@ -440,7 +413,7 @@ def test_million_entry_pivot_bounded_time_and_memory(tmp_path):
 
     sp, pt = _write_scale_pair(tmp_path, 2)
     out_a = tmp_path / "out_f2.txt"
-    elapsed_a, peak_a = _run_pivot_measured(sp, pt, out_a, scratch)
+    elapsed_a, peak_a, _ = run_pivot_measured(sp, pt, out_a, scratch)
     with open(out_a, "rb") as stream:
         produced = sum(1 for _ in stream)
     assert produced == 2_000_000
@@ -453,7 +426,7 @@ def test_million_entry_pivot_bounded_time_and_memory(tmp_path):
     # the table sizes stay fixed; memory must not follow the cross product.
     sp, pt = _write_scale_pair(tmp_path, 4)
     out_b = tmp_path / "out_f4.txt"
-    _, peak_b = _run_pivot_measured(sp, pt, out_b, scratch)
+    _, peak_b, _ = run_pivot_measured(sp, pt, out_b, scratch)
     with open(out_b, "rb") as stream:
         produced = sum(1 for _ in stream)
     assert produced == 4_000_000

@@ -11,15 +11,19 @@ import pytest
 from conftest import entry, table
 from pivotsmith.tablecore import (
     CORE_FEATURES,
+    SEPARATOR,
     LogLinearWeights,
     PhraseTable,
     ReorderingEntry,
     ScoreSet,
     TableError,
+    format_reordering_row,
+    format_row,
     format_score,
     loglinear_score,
     parse_phrase_table,
     parse_reordering_table,
+    parse_row,
     read_rows,
     score_entry,
     validate_reordering,
@@ -284,3 +288,79 @@ class TestRows:
         s = ScoreSet(0.1, 0.2, 0.3, 0.4, extras=(("f", 0.5),))
         assert [name for name, _ in s.named()] == list(CORE_FEATURES) + ["f"]
         assert s.values() == (0.1, 0.2, 0.3, 0.4, 0.5)
+
+
+# Scores the writers must render like the plain formulation: both ends of
+# the unit range, the smallest normal doubles and a subnormal.
+_EDGE_SCORES = (0.0, 1.0, 1e-300, 2.2250738585072014e-308, 5e-324, 1e-310)
+
+
+def _plain_format_row(row) -> str:
+    src, tgt, scores, align = row
+    head = SEPARATOR.join(
+        [" ".join(src), " ".join(tgt), " ".join(format_score(v) for v in scores)])
+    if not align:
+        return head + " |||"
+    return head + SEPARATOR + " ".join(f"{i}-{j}" for i, j in align)
+
+
+def _random_score(rng: random.Random, high: float = 1.0) -> float:
+    if rng.random() < 0.3:
+        return rng.choice(_EDGE_SCORES)
+    return rng.uniform(0.0, high)
+
+
+def _random_phrase(rng: random.Random, prefix: str) -> tuple[str, ...]:
+    return tuple(f"{prefix}{rng.randrange(50)}" for _ in range(rng.randint(1, 4)))
+
+
+def _random_row(rng: random.Random, n_extras: int):
+    src, tgt = _random_phrase(rng, "s"), _random_phrase(rng, "t")
+    scores = tuple(_random_score(rng) for _ in range(4)) + tuple(
+        _random_score(rng, 1e4) for _ in range(n_extras))
+    links = sorted({(rng.randrange(len(src)), rng.randrange(len(tgt)))
+                    for _ in range(rng.choice((0, 0, 1, 3, 6)))})
+    return src, tgt, scores, tuple(links)
+
+
+class TestWriterProperties:
+    @pytest.mark.parametrize("n_extras", [0, 2, 5])
+    def test_format_then_parse_gives_the_row_back(self, n_extras):
+        rng = random.Random(90 + n_extras)
+        for lineno in range(1, 400):
+            row = _random_row(rng, n_extras)
+            line = format_row(row)
+            assert line == _plain_format_row(row)
+            src, tgt, scores, align = parse_row(line + "\n", lineno, n_extras)
+            assert (src, tgt, align) == (row[0], row[1], row[3])
+            assert scores == tuple(float("%.6g" % v) for v in row[2])
+
+    def test_edge_scores_and_empty_alignment(self):
+        for scores in [_EDGE_SCORES[:4], _EDGE_SCORES[2:], _EDGE_SCORES,
+                       _EDGE_SCORES + (1234.5678,)]:
+            row = (("a",), ("x", "y"), scores, ())
+            assert format_row(row) == _plain_format_row(row)
+            assert format_row(row).endswith(" |||")
+            assert parse_row(format_row(row), 1, len(scores) - 4)[2] == tuple(
+                float("%.6g" % v) for v in scores)
+
+    def test_reordering_row_is_repr_and_reparses_exactly(self):
+        rng = random.Random(97)
+        lines = []
+        rows = []
+        for i in range(300):
+            probs = []
+            for _ in range(2):
+                a = rng.choice(_EDGE_SCORES) if rng.random() < 0.5 else rng.random()
+                b = rng.uniform(0.0, 1.0 - a)
+                triple = [a, b, 1.0 - a - b]
+                rng.shuffle(triple)
+                probs += triple
+            src, tgt = (f"s{i}",), _random_phrase(rng, "t")
+            line = format_reordering_row(src, tgt, probs)
+            assert line == SEPARATOR.join(
+                [" ".join(src), " ".join(tgt), " ".join(repr(v) for v in probs)])
+            lines.append(line + "\n")
+            rows.append((src, tgt, tuple(probs)))
+        parsed = parse_reordering_table(lines)
+        assert [(e.src, e.tgt, e.probs) for e in parsed] == sorted(rows)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import logging
+import math
 import random
 
 import pytest
@@ -13,12 +14,14 @@ from conftest import (
     oracle_compose,
     oracle_reordering,
     random_pivot_pair,
+    run_pivot_measured,
     table,
 )
 from pivotsmith import triangulate
 from pivotsmith.cli import main
 from pivotsmith.extsort import ext_sorted
 from pivotsmith.tablecore import (
+    SCORE_OVERSHOOT_TOL,
     AlignmentLink,
     LogLinearWeights,
     PhraseEntry,
@@ -27,6 +30,7 @@ from pivotsmith.tablecore import (
     ScoreSet,
     TableError,
     entry_to_row,
+    format_row,
     parse_phrase_table,
     read_rows,
     write_phrase_table,
@@ -330,6 +334,96 @@ class TestStreaming:
         assert message.format(n=len(pt)) in caplog.messages
         assert (tmp_path / "verbose.txt").read_bytes() == \
             (tmp_path / "quiet.txt").read_bytes()
+
+
+
+def _row(src: str, tgt: str, scores, align=((0, 0),)):
+    return (tuple(src.split()), tuple(tgt.split()), tuple(scores), tuple(align))
+
+
+# Three pivot-target rows: the pair (a, x) composes through p1 and p2, the
+# pair (b, y) through p3 alone.
+_EDGE_PT = [_row("p1", "x", (1.0, 1.0, 1.0, 1.0)),
+            _row("p2", "x", (1.0, 1.0, 1.0, 1.0), ((0, 1),)),
+            _row("p3", "y", (1.0, 1.0, 1.0, 1.0))]
+
+
+def _edge_sp(a_p1, a_p2, b_p3):
+    return [_row("a", "p1", a_p1), _row("a", "p2", a_p2), _row("b", "p3", b_p3)]
+
+
+@pytest.mark.parametrize("chunk", [len(_EDGE_PT), len(_EDGE_PT) - 1], ids=["hash", "merge"])
+@pytest.mark.parametrize("reordering", [False, True], ids=["core", "reordering"])
+class TestReduceEdges:
+    """Sign, overshoot and min-links handling of pairs of one and of two
+    partials, on both join paths, with and without orientations."""
+
+    def compose(self, sp, chunk, reordering, min_links=0):
+        cfg = PivotConfig(chunk_size=chunk, min_alignment_links=min_links)
+        return {row[:2]: row for row in compose_rows(
+            sp, (), list(_EDGE_PT), (), cfg, pt_reo_rows=[] if reordering else None)}
+
+    def test_negative_zero_score_composes_to_zero(self, chunk, reordering):
+        rows = self.compose(_edge_sp((0.5, -0.0, 0.5, 0.5), (0.5, -0.0, 0.5, 0.5),
+                                     (1.0, -0.0, 1.0, 1.0)), chunk, reordering)
+        for pair in ((("a",), ("x",)), (("b",), ("y",))):
+            assert math.copysign(1.0, rows[pair][2][1]) == 1.0
+            assert format_row(rows[pair]).split(" ||| ")[2].split()[1] == "0"
+
+    def test_sum_inside_the_guard_band_is_one(self, chunk, reordering):
+        half = 0.5 + SCORE_OVERSHOOT_TOL / 2
+        assert 1.0 < half + half <= 1.0 + SCORE_OVERSHOOT_TOL
+        rows = self.compose(_edge_sp((0.5, 0.5, half, 0.5), (0.5, 0.5, half, 0.5),
+                                     (1.0, 1.0, 1.0, 1.0)), chunk, reordering)
+        assert rows[("a",), ("x",)][2][:4] == (1.0, 1.0, 1.0, 1.0)
+        assert rows[("b",), ("y",)][2][:4] == (1.0, 1.0, 1.0, 1.0)
+
+    def test_sum_beyond_the_guard_band_raises(self, chunk, reordering):
+        with pytest.raises(TableError, match="composed phi_bwd for 'a' -> 'x' is 1.2"):
+            self.compose(_edge_sp((0.5, 0.5, 0.6, 0.5), (0.5, 0.5, 0.6, 0.5),
+                                  (1.0, 1.0, 1.0, 1.0)), chunk, reordering)
+
+    def test_min_links_drops_a_short_pair_of_one_partial(self, chunk, reordering):
+        sp = _edge_sp((0.5,) * 4, (0.5,) * 4, (1.0,) * 4)
+        assert set(self.compose(sp, chunk, reordering, min_links=1)) == {
+            (("a",), ("x",)), (("b",), ("y",))}
+        # (a, x) unions 0-0 and 0-1; (b, y) keeps the single link of p3.
+        rows = self.compose(sp, chunk, reordering, min_links=2)
+        assert list(rows) == [(("a",), ("x",))]
+        assert rows[("a",), ("x",)][3] == ((0, 0), (0, 1))
+
+
+def _write_hub_pair(dirpath, sources):
+    """`sources` source phrases that all share the pivot `the`, and enough
+    other pivot-target rows that the join cannot be a hash join."""
+    sp_path = dirpath / f"sp_hub{sources}.txt"
+    pt_path = dirpath / f"pt_hub{sources}.txt"
+    share = f"{1 / sources:.6g}"
+    with open(sp_path, "w", encoding="utf-8") as stream:
+        stream.writelines(f"s{i} ||| the ||| 1 1 {share} {share} ||| 0-0\n"
+                          for i in range(sources))
+    with open(pt_path, "w", encoding="utf-8") as stream:
+        stream.write("the ||| der ||| 1 1 1 1 ||| 0-0\n")
+        stream.writelines(f"p{k} ||| u{k} ||| 1 1 1 1 ||| 0-0\n" for k in range(2000))
+    return sp_path, pt_path
+
+
+def test_hub_pivot_peak_rss_does_not_follow_the_hub_size(tmp_path):
+    # On the sort-merge join a pivot's source-pivot rows stream past its
+    # pivot-target rows, so a four times larger hub needs no more memory.
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    peaks = []
+    for sources in (20_000, 80_000):
+        sp, pt = _write_hub_pair(tmp_path, sources)
+        out = tmp_path / "out.txt"
+        _, _, peak_kb = run_pivot_measured(sp, pt, out, scratch, "--chunk-size", "1000")
+        if peak_kb < 0:
+            pytest.skip("VmHWM is read from /proc/self/status")
+        with open(out, "rb") as stream:
+            assert sum(1 for _ in stream) == sources
+        peaks.append(peak_kb)
+    assert abs(peaks[1] - peaks[0]) < 4 * 1024, f"peaks {peaks} KB"
 
 
 def shuffled_rows(rng: random.Random, tbl: PhraseTable) -> list:
