@@ -48,8 +48,18 @@ class DecodeConfig:
             raise ValueError("unknown_word_penalty must be finite")
 
 
+class PhraseIndex(dict):
+    """The decoder's index: best (score, target) option per source phrase.
+
+    ``longest_source`` is the token count of the longest source phrase in
+    it.  No wider span can match, so the decoder does not look one up.
+    """
+
+    longest_source = 0
+
+
 def phrase_index_rows(rows: Iterable[Row], extras_names: Sequence[str],
-                      cfg: DecodeConfig) -> dict[Phrase, tuple[float, Phrase]]:
+                      cfg: DecodeConfig) -> PhraseIndex:
     """Best translation option per source phrase of a table's rows.
 
     Highest log-linear score wins; ties keep the lexicographically
@@ -57,7 +67,7 @@ def phrase_index_rows(rows: Iterable[Row], extras_names: Sequence[str],
     depend on the order of the rows.
     """
     weight_vec = weight_vector(CORE_FEATURES + tuple(extras_names), cfg.weights)
-    index: dict[Phrase, tuple[float, Phrase]] = {}
+    index = PhraseIndex()
     for src, tgt, scores, _ in rows:
         if len(src) > cfg.max_phrase_len:
             continue
@@ -66,27 +76,27 @@ def phrase_index_rows(rows: Iterable[Row], extras_names: Sequence[str],
         if known is None or score > known[0] or (score == known[0]
                                                  and tgt < known[1]):
             index[src] = (score, tgt)
+    index.longest_source = max(map(len, index), default=0)
     return index
 
 
-def build_phrase_index(table: PhraseTable, cfg: DecodeConfig,
-                       ) -> dict[Phrase, tuple[float, Phrase]]:
+def build_phrase_index(table: PhraseTable, cfg: DecodeConfig) -> PhraseIndex:
     """``phrase_index_rows`` over a table's entries."""
     return phrase_index_rows(map(entry_to_row, table), table.extras_names, cfg)
 
 
-def _decode_indexed(sentence: Sequence[str],
-                    index: dict[Phrase, tuple[float, Phrase]],
+def _decode_indexed(sentence: Sequence[str], index: PhraseIndex,
                     cfg: DecodeConfig) -> tuple[str, ...]:
     return _decode_indexed_scored(sentence, index, cfg)[0]
 
 
-def _decode_indexed_scored(sentence: Sequence[str],
-                           index: dict[Phrase, tuple[float, Phrase]],
+def _decode_indexed_scored(sentence: Sequence[str], index: PhraseIndex,
                            cfg: DecodeConfig) -> tuple[tuple[str, ...], float]:
     n = len(sentence)
     if n == 0:
         return (), 0.0
+    # Single tokens are always tried: an unknown one passes through.
+    widest = max(1, min(cfg.max_phrase_len, index.longest_source))
     best: list[float] = [0.0] + [-math.inf] * n
     back: list[tuple[int, Phrase] | None] = [None] * (n + 1)
     for end in range(1, n + 1):
@@ -94,7 +104,7 @@ def _decode_indexed_scored(sentence: Sequence[str],
         best_span = 0
         best_tgt: Phrase = ()
         best_start = 0
-        for start in range(max(0, end - cfg.max_phrase_len), end):
+        for start in range(max(0, end - widest), end):
             span = tuple(sentence[start:end])
             option = index.get(span)
             if option is not None:
@@ -173,8 +183,7 @@ class BleuResult(NamedTuple):
 
 
 def _ngram_counts(tokens: Sequence[str], order: int) -> Counter:
-    return Counter(tuple(tokens[i:i + order])
-                   for i in range(len(tokens) - order + 1))
+    return Counter(zip(*[tokens[i:] for i in range(order)]))
 
 
 def _closest_ref_length(refs: Sequence[Sequence[str]], hyp_len: int) -> int:
@@ -209,14 +218,11 @@ def bleu4_report(hypotheses: Sequence[Sequence[str]],
             if total <= 0:
                 continue
             totals[order] += total
-            counts = _ngram_counts(hyp, order)
-            limits: Counter = Counter()
-            for ref in refs:
-                for gram, count in _ngram_counts(ref, order).items():
-                    if count > limits[gram]:
-                        limits[gram] = count
-            matched[order] += sum(min(count, limits[gram])
-                                  for gram, count in counts.items())
+            # A gram's clip limit is its largest count in any reference.
+            limits = _ngram_counts(refs[0], order)
+            for ref in refs[1:]:
+                limits |= _ngram_counts(ref, order)
+            matched[order] += sum((_ngram_counts(hyp, order) & limits).values())
     precisions = tuple(
         matched[order] / totals[order] if totals[order] else 0.0
         for order in range(1, 5))

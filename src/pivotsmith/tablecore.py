@@ -27,7 +27,8 @@ import re
 from contextlib import closing
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
+from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn,
+                    Sequence, TextIO)
 
 
 SEPARATOR = " ||| "
@@ -313,19 +314,70 @@ def read_header(lines: Iterable[str]) -> tuple[tuple[str, ...], Iterator[tuple[i
 
 def parse_row(line: str, lineno: int, n_extras: int,
               max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN) -> Row:
-    """Parse one data line into a raw row tuple."""
+    """Parse one data line into a raw row tuple.
+
+    An accepted line is split and checked in this one pass.  A line that
+    fails any check is parsed again by the per-field parsers, which name
+    the problem and raise it.
+    """
     text = line.rstrip("\n")
     if text.endswith(" |||"):
         text += " "
+    try:
+        src_text, tgt_text, score_text, align_text = text.split(SEPARATOR)
+        scores = tuple(map(float, score_text.split(" ")))
+    except ValueError:
+        _raise_row_error(text, lineno, n_extras, max_phrase_len)
+    # A field is well formed when it is its own tokens joined by single
+    # spaces: what _PHRASE_FIELD_RE matches, in fewer steps.
+    src = tuple(src_text.split())
+    tgt = tuple(tgt_text.split())
+    n_src = len(src)
+    n_tgt = len(tgt)
+    # Chained comparisons are false for NaN; ``< math.inf`` also rejects inf.
+    if (len(scores) != 4 + n_extras or not n_src or not n_tgt
+            or " ".join(src) != src_text or "|||" in src_text
+            or " ".join(tgt) != tgt_text or "|||" in tgt_text
+            or (max_phrase_len is not None
+                and (n_src > max_phrase_len or n_tgt > max_phrase_len))
+            or not (0.0 <= scores[0] <= 1.0 and 0.0 <= scores[1] <= 1.0
+                    and 0.0 <= scores[2] <= 1.0 and 0.0 <= scores[3] <= 1.0)
+            or (n_extras and not all([0.0 <= v < math.inf for v in scores[4:]]))):
+        _raise_row_error(text, lineno, n_extras, max_phrase_len)
+    if not align_text:
+        return src, tgt, scores, ()
+    links = []
+    for item in align_text.split(" "):
+        left, sep, right = item.partition("-")
+        if not (sep and left.isdigit() and right.isdigit()):
+            _raise_row_error(text, lineno, n_extras, max_phrase_len)
+        # A digit ``int`` cannot read, like "²", raises here what it raises
+        # in _parse_alignment_field: every earlier check has passed.
+        i = int(left)
+        j = int(right)
+        if i >= n_src or j >= n_tgt:
+            _raise_row_error(text, lineno, n_extras, max_phrase_len)
+        links.append((i, j))
+    if len(links) > 1:
+        links.sort()
+        if len(set(links)) != len(links):
+            _raise_row_error(text, lineno, n_extras, max_phrase_len)
+    return src, tgt, scores, tuple(links)
+
+
+def _raise_row_error(text: str, lineno: int, n_extras: int,
+                     max_phrase_len: int | None) -> NoReturn:
+    """Raise the error the field parsers give for a line ``parse_row`` rejected."""
     parts = text.split(SEPARATOR)
     if len(parts) != 4:
         raise TableError(
             f"expected 4 fields separated by '|||', got {len(parts)}", lineno)
     src = _parse_phrase_field(parts[0], "source", lineno, max_phrase_len)
     tgt = _parse_phrase_field(parts[1], "target", lineno, max_phrase_len)
-    scores = _parse_scores_field(parts[2], n_extras, lineno)
-    align = _parse_alignment_field(parts[3], len(src), len(tgt), lineno)
-    return src, tgt, scores, align
+    _parse_scores_field(parts[2], n_extras, lineno)
+    _parse_alignment_field(parts[3], len(src), len(tgt), lineno)
+    raise AssertionError(f"line {lineno}: parse_row rejected a line the field"
+                         " parsers accept")
 
 
 def _parse_phrase_field(text: str, side: str, lineno: int,
@@ -372,12 +424,13 @@ def read_rows(lines: Iterable[str],
               ) -> tuple[tuple[str, ...], Iterator[Row]]:
     """Stream raw rows out of phrase table text without materializing it."""
     extras, numbered = read_header(lines)
+    n_extras = len(extras)
 
     def gen() -> Iterator[Row]:
         for lineno, line in numbered:
-            if not line.strip():
+            if not line or line.isspace():
                 raise TableError("blank line in table", lineno)
-            yield parse_row(line, lineno, len(extras), max_phrase_len)
+            yield parse_row(line, lineno, n_extras, max_phrase_len)
 
     return extras, gen()
 

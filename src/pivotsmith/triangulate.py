@@ -36,7 +36,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import chain, groupby, islice
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .extsort import DEFAULT_CHUNK_SIZE, ext_sorted
@@ -111,16 +111,33 @@ def _project(a_sp: Sequence[tuple[int, int]],
              a_pt: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     if not a_sp or not a_pt:
         return ()
-    by_pivot: dict[int, list[int]] = {}
-    for j, k in a_pt:
-        by_pivot.setdefault(j, []).append(k)
-    out = set()
-    for i, j in a_sp:
-        targets = by_pivot.get(j)
-        if targets:
-            for k in targets:
-                out.add((i, k))
-    return tuple(sorted(out))
+    # A side with one link needs no position map: keep the other side's
+    # links through its pivot position, in their own order.
+    if len(a_pt) == 1:
+        j_pt, k = a_pt[0]
+        if len(a_sp) == 1:
+            i, j = a_sp[0]
+            return ((i, k),) if j == j_pt else ()
+        out = [(i, k) for i, j in a_sp if j == j_pt]
+    elif len(a_sp) == 1:
+        i, j_sp = a_sp[0]
+        out = [(i, k) for j, k in a_pt if j == j_sp]
+    else:
+        by_pivot: dict[int, list[int]] = {}
+        for j, k in a_pt:
+            by_pivot.setdefault(j, []).append(k)
+        links = set()
+        for i, j in a_sp:
+            targets = by_pivot.get(j)
+            if targets:
+                for k in targets:
+                    links.add((i, k))
+        return tuple(sorted(links))
+    # Sorted, unique input links give sorted, unique output links; library
+    # alignments need not be either.
+    if len(out) > 1 and not all(map(lt, out, out[1:])):
+        return tuple(sorted(set(out)))
+    return tuple(out)
 
 
 def _iter_top_n(rows: Iterable[Row], weight_vec: Sequence[float], n: int,

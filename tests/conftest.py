@@ -7,8 +7,10 @@ has something independent to be checked against.
 
 from __future__ import annotations
 
+import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -16,10 +18,13 @@ import time
 import pytest
 
 from pivotsmith.tablecore import (
+    CORE_FEATURES,
     AlignmentLink,
     PhraseEntry,
     PhraseTable,
     ScoreSet,
+    TableError,
+    read_header,
 )
 
 
@@ -199,3 +204,173 @@ def random_pivot_pair(rng: random.Random, n_src: int = 8, n_pivot: int = 6,
     sp = random_table(rng, sources, pivots, max_fanout)
     pt = random_table(rng, pivots, targets, max_fanout)
     return sp, pt
+
+
+# --- reference parser: each field of a table line parsed on its own -------
+
+_ORACLE_PHRASE_FIELD_RE = re.compile(r"\S+( \S+)*\Z")
+
+
+def oracle_parse_row(line, lineno, n_extras, max_phrase_len=8):
+    """One data line parsed field by field, each field by its own parser.
+
+    Its rows and its errors (type, message and ``.line``) are what
+    ``tablecore.parse_row`` must give, including which problem a line with
+    several of them reports.
+    """
+    text = line.rstrip("\n")
+    if text.endswith(" |||"):
+        text += " "
+    parts = text.split(" ||| ")
+    if len(parts) != 4:
+        raise TableError(
+            f"expected 4 fields separated by '|||', got {len(parts)}", lineno)
+    src = _oracle_phrase_field(parts[0], "source", lineno, max_phrase_len)
+    tgt = _oracle_phrase_field(parts[1], "target", lineno, max_phrase_len)
+    scores = _oracle_scores_field(parts[2], n_extras, lineno)
+    align = _oracle_alignment_field(parts[3], len(src), len(tgt), lineno)
+    return src, tgt, scores, align
+
+
+def _oracle_phrase_field(text, side, lineno, max_phrase_len):
+    if not _ORACLE_PHRASE_FIELD_RE.match(text) or "|||" in text:
+        raise TableError(f"malformed {side} phrase field {text!r}", lineno)
+    tokens = text.split(" ")
+    if max_phrase_len is not None and len(tokens) > max_phrase_len:
+        raise TableError(
+            f"{side} phrase has {len(tokens)} tokens, limit is {max_phrase_len}", lineno)
+    return tuple(tokens)
+
+
+def _oracle_scores_field(text, n_extras, lineno):
+    fields = text.split(" ")
+    expected = 4 + n_extras
+    if len(fields) != expected:
+        raise TableError(
+            f"expected {expected} score columns, got {len(fields)}", lineno)
+    try:
+        values = tuple(float(f) for f in fields)
+    except ValueError:
+        raise TableError(f"non-numeric score in {text!r}", lineno) from None
+    for name, value in zip(CORE_FEATURES, values[:4]):
+        if not math.isfinite(value) or value < 0.0 or value > 1.0:
+            raise TableError(f"score out of range: {name}={value!r} not in [0, 1]", lineno)
+    for value in values[4:]:
+        if not math.isfinite(value) or value < 0.0:
+            raise TableError(f"score out of range: extra value {value!r} is negative"
+                             " or not finite", lineno)
+    return values
+
+
+def _oracle_alignment_field(text, src_len, tgt_len, lineno):
+    if not text:
+        return ()
+    links = []
+    for item in text.split(" "):
+        left, sep, right = item.partition("-")
+        if not sep or not left.isdigit() or not right.isdigit():
+            raise TableError(f"malformed alignment point {item!r}", lineno)
+        links.append((int(left), int(right)))
+    seen = set()
+    for i, j in links:
+        if not (0 <= i < src_len and 0 <= j < tgt_len):
+            raise TableError(
+                f"alignment point {i}-{j} outside phrase bounds"
+                f" {src_len}x{tgt_len}", lineno)
+        if (i, j) in seen:
+            raise TableError(f"duplicate alignment point {i}-{j}", lineno)
+        seen.add((i, j))
+    return tuple(sorted(links))
+
+
+def oracle_read_rows(lines, max_phrase_len=8):
+    """``read_rows`` over ``oracle_parse_row``, rows listed."""
+    extras, numbered = read_header(lines)
+    rows = []
+    for lineno, line in numbered:
+        if not line.strip():
+            raise TableError("blank line in table", lineno)
+        rows.append(oracle_parse_row(line, lineno, len(extras), max_phrase_len))
+    return extras, rows
+
+
+def oracle_project(a_sp, a_pt):
+    """Every (i, k) linked through some shared middle position, sorted."""
+    return tuple(sorted({(i, k) for i, j in a_sp for j2, k in a_pt if j == j2}))
+
+
+def oracle_decode(sentence, index, cfg):
+    """Monotone Viterbi decoding that tries every span up to
+    ``cfg.max_phrase_len``, with the decoder's tie-breaks: higher score,
+    then the longer source span, then the smaller target."""
+    n = len(sentence)
+    if n == 0:
+        return (), 0.0
+    best = [0.0] + [-math.inf] * n
+    back = [None] * (n + 1)
+    for end in range(1, n + 1):
+        best_score, best_span, best_tgt, best_start = -math.inf, 0, (), 0
+        for start in range(max(0, end - cfg.max_phrase_len), end):
+            span = tuple(sentence[start:end])
+            option = index.get(span)
+            if option is not None:
+                score, tgt = best[start] + option[0], option[1]
+            elif end - start == 1:
+                score, tgt = best[start] + cfg.unknown_word_penalty, span
+            else:
+                continue
+            width = end - start
+            if (score > best_score
+                    or (score == best_score and width > best_span)
+                    or (score == best_score and width == best_span
+                        and tgt < best_tgt)):
+                best_score, best_span, best_tgt, best_start = score, width, tgt, start
+        best[end] = best_score
+        back[end] = (best_start, best_tgt)
+    pieces = []
+    end = n
+    while end > 0:
+        start, tgt = back[end]
+        pieces.append(tgt)
+        end = start
+    return tuple(tok for piece in reversed(pieces) for tok in piece), best[n]
+
+
+def oracle_bleu4(hypotheses, reference_sets):
+    """Corpus BLEU-4 from plain dict n-gram counts, clipped per gram by its
+    largest count in any one reference."""
+    matched = [0] * 5
+    totals = [0] * 5
+    hyp_len = ref_len = 0
+    for hyp, refs in zip(hypotheses, reference_sets):
+        hyp_len += len(hyp)
+        ref_len += min((len(r) for r in refs),
+                       key=lambda length: (abs(length - len(hyp)), length))
+        for order in range(1, 5):
+            grams = [tuple(hyp[i:i + order]) for i in range(len(hyp) - order + 1)]
+            if not grams:
+                continue
+            totals[order] += len(grams)
+            counts = {}
+            for gram in grams:
+                counts[gram] = counts.get(gram, 0) + 1
+            for gram, count in counts.items():
+                limit = 0
+                for ref in refs:
+                    in_ref = sum(1 for i in range(len(ref) - order + 1)
+                                 if tuple(ref[i:i + order]) == gram)
+                    limit = max(limit, in_ref)
+                matched[order] += min(count, limit)
+    precisions = tuple(matched[o] / totals[o] if totals[o] else 0.0
+                       for o in range(1, 5))
+    if hyp_len == 0:
+        bp = 0.0
+    elif hyp_len >= ref_len:
+        bp = 1.0
+    else:
+        bp = math.exp(1.0 - ref_len / hyp_len)
+    if min(precisions) == 0.0:
+        bleu = 0.0
+    else:
+        bleu = bp * math.exp(sum(math.log(p) for p in precisions) / 4.0)
+    return bleu, precisions, bp, hyp_len, ref_len

@@ -7,8 +7,9 @@ import random
 
 import pytest
 
-from conftest import entry, table
+from conftest import entry, oracle_bleu4, oracle_decode, table
 from pivotsmith.evalkit import (
+    BleuResult,
     DecodeConfig,
     bleu4,
     bleu4_report,
@@ -140,6 +141,21 @@ class TestDecoder:
         cfg = DecodeConfig(max_phrase_len=1)
         assert decode_monotone(("a", "b"), tbl, cfg) == ("A", "B")
 
+    @pytest.mark.parametrize("max_phrase_len", [1, 2, 8])
+    def test_matches_a_decoder_that_tries_every_span(self, max_phrase_len):
+        rng = random.Random(43 + max_phrase_len)
+        vocab = [f"w{i}" for i in range(6)]
+        cfg = DecodeConfig(max_phrase_len=max_phrase_len)
+        for _ in range(60):
+            tbl = random_decode_table(rng, vocab, max_len=rng.randint(1, 4),
+                                      n_entries=rng.randint(0, 40))
+            index = build_phrase_index(tbl, cfg)
+            for _ in range(10):
+                sentence = tuple(rng.choice(vocab + ["oov"])
+                                 for _ in range(rng.randint(0, 12)))
+                assert decode_scored(sentence, tbl, cfg) == oracle_decode(
+                    sentence, index, cfg)
+
     def test_corpus_decode_matches_single_and_any_thread_count(self):
         rng = random.Random(42)
         vocab = [f"w{i}" for i in range(8)]
@@ -239,6 +255,20 @@ class TestBleu:
         result = bleu4_report(hyps, refs)
         assert result.precisions[0] == pytest.approx(7 / 8)
         assert result.precisions[3] == pytest.approx(1 / 2)
+
+
+def test_bleu_equals_a_naive_count_on_random_corpora():
+    rng = random.Random(47)
+    vocab = ["a", "b", "c", "d"]
+
+    def sentence():
+        return tuple(rng.choice(vocab) for _ in range(rng.choice((0, 1, 2, 3, 5, 9))))
+
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        hyps = [sentence() for _ in range(n)]
+        refs = [[sentence() for _ in range(rng.randint(1, 3))] for _ in range(n)]
+        assert bleu4_report(hyps, refs) == BleuResult(*oracle_bleu4(hyps, refs))
 
 
 def test_read_sentences_keeps_empty_lines():

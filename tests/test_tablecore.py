@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from conftest import entry, table
+from conftest import entry, oracle_parse_row, oracle_read_rows, table
 from pivotsmith.tablecore import (
     CORE_FEATURES,
     SEPARATOR,
@@ -364,3 +364,164 @@ class TestWriterProperties:
             rows.append((src, tgt, tuple(probs)))
         parsed = parse_reordering_table(lines)
         assert [(e.src, e.tgt, e.probs) for e in parsed] == sorted(rows)
+
+
+# --- parse_row against the field-by-field reference parser ----------------
+
+_GOOD_SCORES = ("-0", "0", "1", "1.0", "0.5", "1e-300", "5e-324", "2.5e-310")
+_GOOD_EXTRAS = ("0", "-0", "1", "1234.5", "1e300", "5e-324")
+
+
+def _good_parts(rng: random.Random, n_extras: int, max_len: int | None):
+    """Token lists of the four fields of a line the parser must accept."""
+    longest = 12 if max_len is None else max_len
+
+    def phrase(prefix: str) -> list[str]:
+        n = longest if rng.random() < 0.2 else rng.randint(1, min(longest, 4))
+        return [f"{prefix}{rng.randrange(30)}" for _ in range(n)]
+
+    src, tgt = phrase("s"), phrase("t")
+    scores = [rng.choice(_GOOD_SCORES) if rng.random() < 0.5 else repr(rng.random())
+              for _ in range(4)]
+    scores += [rng.choice(_GOOD_EXTRAS) if rng.random() < 0.5
+               else repr(rng.uniform(0.0, 1e4)) for _ in range(n_extras)]
+    pairs = [(i, j) for i in range(len(src)) for j in range(len(tgt))]
+    links = rng.sample(pairs, min(rng.choice((0, 1, 1, 2, 2, 2, 3, 5)), len(pairs)))
+    if rng.random() < 0.4:
+        links.sort()
+    return [src, tgt, scores, [f"{i}-{j}" for i, j in links]]
+
+
+def _join_parts(rng: random.Random, parts) -> str:
+    line = SEPARATOR.join(" ".join(field) for field in parts[:3])
+    if parts[3]:
+        line += SEPARATOR + " ".join(parts[3])
+    else:
+        line += rng.choice((" |||", " ||| "))
+    return line + rng.choice(("\n", "\n", ""))
+
+
+def _break_phrase(rng, parts, n_extras, max_len):
+    side = parts[rng.randrange(2)]
+    kind = rng.choice(("empty", "double", "tab", "nbsp", "sep", "lead", "long"))
+    if kind == "empty":
+        side.clear()
+    elif kind in ("double", "lead"):
+        side.insert(0 if kind == "lead" else rng.randrange(len(side) + 1), "")
+    elif kind == "long":
+        if max_len is None:  # no limit to exceed: end on a space instead
+            side.append("")
+        else:
+            side.extend(["w"] * (max_len + 1 - len(side)))
+    else:
+        if not side:
+            side.append("w")
+        side[rng.randrange(len(side))] += {"tab": "\tz", "nbsp": "\u00a0z",
+                                           "sep": "|||z"}[kind]
+
+
+def _break_scores(rng, parts, n_extras, max_len):
+    scores = parts[2]
+    kind = rng.choice(("fewer", "more", "text", "core", "core", "extra"))
+    if kind == "fewer":
+        scores.pop()
+    elif kind == "more":
+        scores.append("0.5")
+    elif kind == "text":
+        scores[rng.randrange(len(scores))] = rng.choice(("x", "1,5", "", "0x1"))
+    elif kind == "core" or len(scores) <= 4:
+        scores[rng.randrange(min(4, len(scores)))] = rng.choice(
+            ("nan", "inf", "-inf", "-1", "1.0000001", "-1e-300"))
+    else:
+        scores[rng.randrange(4, len(scores))] = rng.choice(("-0.5", "inf", "nan", "-inf"))
+
+
+def _break_links(rng, parts, n_extras, max_len):
+    links = parts[3]
+    n_src, n_tgt = len(parts[0]), len(parts[1])
+    oob = rng.choice((f"{max(n_src, 1)}-0", f"0-{max(n_tgt, 1) + 2}"))
+    kind = rng.choice(("malformed", "oob", "dup", "dup-oob", "oob-dup"))
+    if kind == "malformed":
+        links.insert(rng.randrange(len(links) + 1),
+                     rng.choice(("1-", "-1", "a-b", "1--2", "\u00b2-0", "", "1_0-0")))
+    elif kind == "oob":
+        links.insert(rng.randrange(len(links) + 1), oob)
+    elif kind == "dup":
+        links.extend(["0-0", "0-0"])
+    else:
+        pair = ["0-0", "0-0"]
+        links[:] = pair + [oob] if kind == "dup-oob" else [oob] + pair
+
+
+def _break_line(rng: random.Random, n_extras: int, max_len: int | None) -> str:
+    """A line with one to three problems, any of which the parser may hit first."""
+    while True:
+        parts = _good_parts(rng, n_extras, max_len)
+        for _ in range(rng.randint(1, 3)):
+            rng.choice((_break_phrase, _break_scores, _break_links))(
+                rng, parts, n_extras, max_len)
+        line = _join_parts(rng, parts)
+        if rng.random() < 0.1:
+            cut = line.rstrip("\n")
+            line = (cut.rsplit(SEPARATOR, 1)[0] if rng.random() < 0.5
+                    else cut + SEPARATOR + "extra") + "\n"
+        try:
+            oracle_parse_row(line, 1, n_extras, max_len)
+        except ValueError:
+            return line
+        # Two problems can cancel out, as one score too few and one too many.
+
+
+def _outcome(parse, *args):
+    """The row with its repr (which tells -0.0 from 0.0), or the error."""
+    try:
+        row = parse(*args)
+    except Exception as exc:  # the error itself is what is compared
+        return "error", type(exc), str(exc), getattr(exc, "line", None)
+    return "row", row, repr(row)
+
+
+_PARSER_CASES = pytest.mark.parametrize(
+    "n_extras,max_len", [(0, 8), (0, 3), (2, 8), (3, None)])
+
+
+class TestParserMatchesFieldParsers:
+    @_PARSER_CASES
+    def test_accepted_lines_give_the_same_row(self, n_extras, max_len):
+        rng = random.Random(200 + n_extras * 10 + (max_len or 0))
+        for lineno in range(1, 600):
+            line = _join_parts(rng, _good_parts(rng, n_extras, max_len))
+            want = _outcome(oracle_parse_row, line, lineno, n_extras, max_len)
+            assert want[0] == "row", (line, want)
+            assert _outcome(parse_row, line, lineno, n_extras, max_len) == want, line
+
+    @_PARSER_CASES
+    def test_rejected_lines_give_the_same_error(self, n_extras, max_len):
+        rng = random.Random(300 + n_extras * 10 + (max_len or 0))
+        for lineno in range(1, 1500):
+            line = _break_line(rng, n_extras, max_len)
+            want = _outcome(oracle_parse_row, line, lineno, n_extras, max_len)
+            assert _outcome(parse_row, line, lineno, n_extras, max_len) == want, line
+
+    @pytest.mark.parametrize("blank", ["\n", "  \t\n", ""])
+    def test_read_rows_gives_the_same_rows_and_errors(self, blank):
+        rng = random.Random(400 + len(blank))
+        for _ in range(150):
+            n_extras = rng.choice((0, 2))
+            lines = [f"#features: {' '.join(f'f{k}' for k in range(n_extras))}\n"
+                     ] if n_extras else []
+            for _ in range(rng.randint(1, 12)):
+                parts = _good_parts(rng, n_extras, 8)
+                lines.append(_join_parts(rng, parts).rstrip("\n") + "\n")
+            fault = rng.random()
+            if fault < 0.3:
+                lines.insert(rng.randint(1, len(lines)), blank)
+            elif fault < 0.6:
+                lines.insert(rng.randint(1, len(lines)), _break_line(rng, n_extras, 8))
+
+            def parse_all(parse_lines):
+                extras, rows = parse_lines(list(lines))
+                return extras, list(rows)
+
+            assert (_outcome(parse_all, read_rows)
+                    == _outcome(parse_all, oracle_read_rows)), lines

@@ -12,6 +12,7 @@ import pytest
 from conftest import (
     entry,
     oracle_compose,
+    oracle_project,
     oracle_reordering,
     random_pivot_pair,
     run_pivot_measured,
@@ -174,6 +175,27 @@ class TestProjection:
     def test_duplicates_collapse(self):
         got = project_alignment([(0, 0), (0, 1)], [(0, 5), (1, 5)])
         assert [(l.src_pos, l.tgt_pos) for l in got] == [(0, 5)]
+
+    def test_matches_set_projection_on_random_alignments(self):
+        # Mostly one link on a side, the case projected without a position
+        # map; library alignments may be unsorted or hold duplicates.
+        rng = random.Random(71)
+
+        def links():
+            out = [(rng.randrange(3), rng.randrange(3))
+                   for _ in range(rng.choice((0, 1, 1, 1, 2, 3, 4)))]
+            shape = rng.random()
+            if shape < 0.4:
+                out = sorted(set(out))
+            elif shape < 0.6 and out:
+                out.append(rng.choice(out))
+            return tuple(out)
+
+        for _ in range(5000):
+            a_sp, a_pt = links(), links()
+            want = oracle_project(a_sp, a_pt)
+            assert triangulate._project(a_sp, a_pt) == want, (a_sp, a_pt)
+            assert project_alignment(a_sp, a_pt) == want
 
 
 class TestFilter:
