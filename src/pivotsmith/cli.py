@@ -12,13 +12,17 @@ Every command that reads a phrase table streams it as raw rows; none
 builds a ``PhraseTable``.  ``annotate``, ``combine`` and ``decode`` sort
 their rows into table order through the disk-backed sort, which also
 rejects duplicate pairs.
+
+Every command is a fresh process, so each one imports only the library
+modules it runs (``_LIBRARY``), and only ``pivot`` sets up logging.  A
+command whose output pipe is closed by its reader exits 141 quietly.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import logging
+import importlib
 import os
 import stat
 import sys
@@ -26,30 +30,12 @@ from contextlib import ExitStack, contextmanager, suppress
 from typing import Iterator, TextIO
 
 from . import __version__
-from .combine import combine_rows
-from .evalkit import DecodeConfig, bleu4_report, phrase_index_rows, read_sentences
-from .evalkit import _decode_indexed as _decode_one
-from .features import (
-    DEFAULT_RULE_FEATURES,
-    annotate_rows,
-    connectivity_scores,
-    induced_morph_scores,
-    rule_morph_scores,
-)
-from .morphmodel import (
-    DEFAULT_FC_FEATURES,
-    FcModel,
-    MorphLexicon,
-    NA_VALUE,
-    _feature_index,
-    build_lexicon,
-    default_rules,
-    load_rules,
-    train_fc_model,
-)
-from .parallel import ordered_map
 from .tablecore import (
     CORE_FEATURES,
+    DEFAULT_FC_FEATURES,
+    DEFAULT_RULE_FEATURES,
+    DEFAULT_TOP_N,
+    NA_VALUE,
     LogLinearWeights,
     TableError,
     parse_reordering_table,
@@ -57,24 +43,47 @@ from .tablecore import (
     sort_table_rows,
     write_rows,
 )
-from .triangulate import (
-    DEFAULT_TOP_N,
-    PivotConfig,
-    compose_rows,
-    estimate_pivot_size_rows,
-    filter_rows,
-    reorder_rows,
-    write_reordering_rows,
-)
 
-# Unused here since the commands stream rows.  perfbench/tracing.py still
-# wraps these names on this module, so they stay until it stops doing so.
-from .combine import combine_tables  # noqa: F401
-from .evalkit import build_phrase_index  # noqa: F401
-from .features import annotate_table  # noqa: F401
-from .tablecore import parse_phrase_table, write_phrase_table  # noqa: F401
+# Library names the commands call, by the module that defines them.  Each
+# command binds only its own modules (``_bind``), so start-up compiles no
+# other command's code.  perfbench/tracing.py reads and replaces these names
+# on this module before a command runs, which is why a name already set
+# here is kept, and why it also finds the names no command calls any more:
+# parse_phrase_table, write_phrase_table, annotate_table, combine_tables
+# and build_phrase_index.
+_LIBRARY = {
+    "combine": ("combine_rows", "combine_tables"),
+    "evalkit": ("DecodeConfig", "bleu4_report", "build_phrase_index",
+                "phrase_index_rows", "read_sentences", "_decode_one"),
+    "features": ("annotate_rows", "annotate_table", "connectivity_scores",
+                 "induced_morph_scores", "rule_morph_scores"),
+    "morphmodel": ("FcModel", "MorphLexicon", "_feature_index", "build_lexicon",
+                   "default_rules", "load_rules", "train_fc_model"),
+    "parallel": ("ordered_map",),
+    "tablecore": ("parse_phrase_table", "write_phrase_table"),
+    "triangulate": ("PivotConfig", "compose_rows", "estimate_pivot_size_rows",
+                    "filter_rows", "reorder_rows", "write_reordering_rows"),
+}
+_ALIASES = {"_decode_one": "_decode_indexed"}
+_MODULE_OF = {name: module for module, names in _LIBRARY.items() for name in names}
 
-logger = logging.getLogger("pivotsmith")
+
+def _bind(*modules: str) -> None:
+    """Import ``modules`` and set their ``_LIBRARY`` names here, unless set."""
+    namespace = globals()
+    for module in modules:
+        loaded = importlib.import_module(f".{module}", __package__)
+        for name in _LIBRARY[module]:
+            namespace.setdefault(name, getattr(loaded, _ALIASES.get(name, name)))
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(module)
+    return globals()[name]
+
 
 HIST_BINS = 10
 
@@ -161,6 +170,7 @@ def _feature_list(text: str) -> tuple[str, ...]:
     names = tuple(name.strip() for name in text.split(",") if name.strip())
     if not names:
         raise argparse.ArgumentTypeError("empty feature list")
+    _bind("morphmodel")
     for name in names:
         try:
             _feature_index(name)
@@ -190,6 +200,14 @@ def _name_pair(text: str) -> tuple[str, str]:
 # --- subcommands -------------------------------------------------------------
 
 def cmd_pivot(args: argparse.Namespace) -> int:
+    # Only the pivot path logs, so no other command loads logging.
+    import logging
+    logging.basicConfig(
+        stream=sys.stderr,
+        level=logging.INFO if args.verbose else logging.WARNING,
+        format="%(levelname)s %(name)s: %(message)s")
+    logger = logging.getLogger("pivotsmith")
+    _bind("triangulate")
     reordering = args.reordering_out is not None
     if reordering and args.reordering_pt is None:
         raise UsageError("--reordering-out requires --reordering-pt")
@@ -231,6 +249,7 @@ def cmd_pivot(args: argparse.Namespace) -> int:
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
+    _bind("triangulate")
     _check_stdin([args.input or "-", args.weights])
     weights = _load_weights(args.weights)
     with _open_in(args.input) as stream, _open_out(args.output) as out:
@@ -270,6 +289,7 @@ def _build_scorer(args: argparse.Namespace):
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
+    _bind("features", "morphmodel")
     inputs = [args.input or "-"]
     if args.kind == "rules":
         inputs += [args.src_lex, args.tgt_lex, args.rules]
@@ -287,6 +307,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def cmd_lexicon(args: argparse.Namespace) -> int:
+    _bind("morphmodel")
     paths = args.input if args.input else [None]
     _check_stdin([path or "-" for path in paths])
     streams = []
@@ -308,6 +329,7 @@ def cmd_lexicon(args: argparse.Namespace) -> int:
 
 
 def cmd_rules_check(args: argparse.Namespace) -> int:
+    _bind("morphmodel")
     if args.rules is None:
         rules = default_rules()
     else:
@@ -327,6 +349,7 @@ def cmd_rules_check(args: argparse.Namespace) -> int:
 
 
 def cmd_fc_train(args: argparse.Namespace) -> int:
+    _bind("morphmodel")
     _check_stdin([args.src_lex, args.tgt_lex, args.src, args.tgt, args.align])
     with _open_in(args.src_lex) as stream:
         src_lex = MorphLexicon.load(stream)
@@ -341,6 +364,7 @@ def cmd_fc_train(args: argparse.Namespace) -> int:
 
 
 def cmd_combine(args: argparse.Namespace) -> int:
+    _bind("combine")
     _check_stdin([path for _, path in args.input])
     with ExitStack() as stack:
         inputs = []
@@ -354,6 +378,7 @@ def cmd_combine(args: argparse.Namespace) -> int:
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
+    _bind("evalkit", "parallel")
     _check_stdin([args.weights, args.table, args.input or "-"])
     cfg = DecodeConfig(
         weights=_load_weights(args.weights),
@@ -373,6 +398,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 
 def cmd_bleu(args: argparse.Namespace) -> int:
+    _bind("evalkit")
     _check_stdin([args.hyp, *args.ref])
     with _open_in(args.hyp) as stream:
         hypotheses = read_sentences(stream)
@@ -431,6 +457,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate_size(args: argparse.Namespace) -> int:
+    _bind("triangulate")
     _check_stdin([args.sp, args.pt], "only one of --sp and --pt can read stdin")
     with _open_in(args.sp) as sp_f, _open_in(args.pt) as pt_f:
         _, sp_rows = read_rows(sp_f)
@@ -473,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Phrase table triangulation and evaluation toolkit.")
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--verbose", action="store_true",
-                        help="log progress details to stderr")
+                        help="log progress details to stderr (only pivot logs)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pivot", help="triangulate two tables through a pivot")
@@ -615,14 +642,18 @@ def _name_eq_path(text: str) -> tuple[str, str]:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s")
     if args.command == "combine" and len(args.input) < 2:
         parser.error("combine needs at least two -i NAME=FILE inputs")
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader went away: stop quietly with the status SIGPIPE gives.
+        # stdout now points at the null device, so that the interpreter's
+        # last flush of its buffer does not fail on the closed pipe again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE
     except UsageError as exc:
         parser.error(str(exc))
     except TableError as exc:

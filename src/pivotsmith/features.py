@@ -20,6 +20,7 @@ from .morphmodel import DEFAULT_FC_FEATURES, FcModel, MorphLexicon, RuleMapping
 from .parallel import ordered_map
 from .tablecore import (
     CORE_FEATURES,
+    DEFAULT_RULE_FEATURES,
     PhraseEntry,
     PhraseTable,
     Row,
@@ -30,8 +31,6 @@ from .tablecore import (
     sort_table_rows,
     table_from_rows,
 )
-
-DEFAULT_RULE_FEATURES = ("gen", "num", "det", "pos")
 
 Scorer = Callable[[PhraseEntry | RowView], tuple[float, float]]
 

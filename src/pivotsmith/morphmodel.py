@@ -25,11 +25,15 @@ from importlib import resources
 from itertools import zip_longest
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
-from .tablecore import TableError, _parse_alignment_field, format_score
+from .tablecore import (
+    DEFAULT_FC_FEATURES,
+    NA_VALUE,
+    TableError,
+    _parse_alignment_field,
+    format_score,
+)
 
 FEATURES = ("pos", "gen", "num", "det")
-DEFAULT_FC_FEATURES = ("gen", "num", "det")
-NA_VALUE = "NA"
 UNKNOWN_TAG = "[UNK]"
 EMPTY_TAG = "[NA]"
 

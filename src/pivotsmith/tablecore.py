@@ -35,6 +35,12 @@ SEPARATOR = " ||| "
 CORE_FEATURES = ("phi_fwd", "lex_fwd", "phi_bwd", "lex_bwd")
 DEFAULT_MAX_PHRASE_LEN = 8
 DEFAULT_LOG_FLOOR = 1e-9
+# Parser defaults of the commands, kept here so that building the CLI's
+# parser loads no other module.
+DEFAULT_TOP_N = 1000
+DEFAULT_RULE_FEATURES = ("gen", "num", "det", "pos")
+DEFAULT_FC_FEATURES = ("gen", "num", "det")
+NA_VALUE = "NA"
 ORIGIN_PREFIX = "origin_"
 
 # Sums of well-formed conditional probabilities may overshoot 1.0 by a few

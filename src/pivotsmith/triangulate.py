@@ -33,6 +33,7 @@ the same output to the bit.
 
 from __future__ import annotations
 
+import heapq
 import logging
 from dataclasses import dataclass
 from itertools import chain, groupby, islice
@@ -43,6 +44,7 @@ from .extsort import DEFAULT_CHUNK_SIZE, ext_sorted
 from .tablecore import (
     CORE_FEATURES,
     DEFAULT_LOG_FLOOR,
+    DEFAULT_TOP_N,
     SCORE_OVERSHOOT_TOL,
     AlignmentLink,
     LogLinearWeights,
@@ -60,8 +62,6 @@ from .tablecore import (
 )
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_TOP_N = 1000
 
 _BY_SRC_TGT = itemgetter(0, 1)
 _BY_PIVOT_SRC = itemgetter(1, 0)
@@ -145,21 +145,34 @@ def _iter_top_n(rows: Iterable[Row], weight_vec: Sequence[float], n: int,
     """Keep the n best rows per source from a (src, tgt) sorted stream.
 
     Ranking is by descending log-linear score; ties keep the smaller
-    target phrase.  Survivors come out still sorted by (src, tgt).
+    target phrase.  Survivors come out still sorted by (src, tgt).  A
+    source's rows are held at most ``n + 1`` at a time: a longer group
+    streams through a heap of its best ``n``.
     """
+    def rank(row: Row) -> tuple:
+        return -loglinear_score(row[2], weight_vec, floor), row[1]
+
     for _, grouped in groupby(rows, key=itemgetter(0)):
-        group = list(grouped)
-        for prev, cur in zip(group, group[1:]):
-            if prev[1] == cur[1]:
-                raise TableError(
-                    f"duplicate entry in {side} table for pair"
-                    f" {' '.join(prev[0])!r} -> {' '.join(prev[1])!r}")
-        if len(group) > n:
-            group.sort(key=lambda row: (-loglinear_score(row[2], weight_vec, floor),
-                                        row[1]))
-            del group[n:]
-            group.sort(key=itemgetter(1))
-        yield from group
+        group = _unique_targets(grouped, side)
+        kept = list(islice(group, n + 1))
+        if len(kept) > n:
+            # Targets are unique in a group, so ranks never tie and this
+            # keeps what sorting the whole group and cutting it would.
+            kept = heapq.nsmallest(n, chain(kept, group), key=rank)
+            kept.sort(key=itemgetter(1))
+        yield from kept
+
+
+def _unique_targets(group: Iterable[Row], side: str) -> Iterator[Row]:
+    """Pass one source's (tgt) sorted rows, raising on a repeated target."""
+    prev = None
+    for row in group:
+        if prev is not None and prev[1] == row[1]:
+            raise TableError(
+                f"duplicate entry in {side} table for pair"
+                f" {' '.join(prev[0])!r} -> {' '.join(prev[1])!r}")
+        prev = row
+        yield row
 
 
 def filter_rows(rows: Iterable[Row], extras: Sequence[str],

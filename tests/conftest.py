@@ -7,6 +7,7 @@ has something independent to be checked against.
 
 from __future__ import annotations
 
+import ast
 import math
 import os
 import random
@@ -50,8 +51,9 @@ sys.exit(rc)
 """
 
 
-def run_pivot_measured(sp_path, pt_path, out_path, scratch, *extra_args):
-    """Run ``pivot --top-n 100`` plus ``extra_args`` in a child process.
+def run_measured(scratch, *argv):
+    """Run the CLI on ``argv`` in a child process with ``scratch`` as its
+    ``PIVOTSMITH_TMPDIR``.
 
     Returns the wall seconds, the child's ``ru_maxrss`` and its ``VmHWM``
     (-1 without ``/proc``), both in KB.  ``ru_maxrss`` also counts the
@@ -62,14 +64,62 @@ def run_pivot_measured(sp_path, pt_path, out_path, scratch, *extra_args):
     env["PIVOTSMITH_TMPDIR"] = str(scratch)
     started = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD_MEASURE,
-         "pivot", "--sp", str(sp_path), "--pt", str(pt_path),
-         "-o", str(out_path), "--top-n", "100", *extra_args],
+        [sys.executable, "-c", _CHILD_MEASURE, *map(str, argv)],
         capture_output=True, text=True, env=env, timeout=600)
     elapsed = time.perf_counter() - started
     assert proc.returncode == 0, proc.stderr
     maxrss_kb, hwm_kb = proc.stderr.strip().splitlines()[-1].split()
     return elapsed, int(maxrss_kb), int(hwm_kb)
+
+
+def run_pivot_measured(sp_path, pt_path, out_path, scratch, *extra_args):
+    """``run_measured`` on ``pivot --top-n 100`` plus ``extra_args``."""
+    return run_measured(scratch, "pivot", "--sp", sp_path, "--pt", pt_path,
+                        "-o", out_path, "--top-n", "100", *extra_args)
+
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+
+_CHILD_MODULES = """
+import sys
+argv = sys.argv[1:]
+import pivotsmith.cli
+rc = None
+if argv:
+    try:
+        rc = pivotsmith.cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+ours = sorted(m for m in sys.modules if m.split(".")[0] == "pivotsmith")
+watched = [m for m in ("logging", "dataclasses", "concurrent.futures")
+           if m in sys.modules]
+print(repr((rc, ours, watched)), file=sys.stderr)
+"""
+
+
+def child_env(**extra):
+    """The environment for a child interpreter that imports this ``src``."""
+    env = {**os.environ, **extra}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
+    return env
+
+
+def child_modules(*argv):
+    """Run ``pivotsmith.cli.main(argv)`` in a fresh interpreter, or only
+    import ``pivotsmith.cli`` when ``argv`` is empty.
+
+    The repository's ``src`` comes first on the child's ``PYTHONPATH``.
+    Returns the exit code (None for a bare import), the sorted names of
+    the loaded ``pivotsmith`` modules, and which of ``logging``,
+    ``dataclasses`` and ``concurrent.futures`` were loaded.
+    """
+    proc = subprocess.run([sys.executable, "-c", _CHILD_MODULES, *map(str, argv)],
+                          capture_output=True, text=True, env=child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rc, ours, watched = ast.literal_eval(proc.stderr.strip().splitlines()[-1])
+    return rc, ours, watched
 
 
 def entry(src: str, tgt: str, scores=(1.0, 1.0, 1.0, 1.0), align=(),

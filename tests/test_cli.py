@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import io
 import os
 import random
@@ -13,6 +14,8 @@ import threading
 import pytest
 
 from conftest import (
+    child_env,
+    child_modules,
     entry,
     oracle_compose,
     oracle_reordering,
@@ -588,15 +591,121 @@ class TestSingleThread:
         assert out.read_text() == "X b\nb X X\n"
 
 
-def test_cli_import_loads_no_thread_pool():
-    src_dir = os.path.dirname(os.path.dirname(pivotsmith.__file__))
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, pivotsmith.cli;"
-            " sys.exit('concurrent.futures' in sys.modules)")
+# --- start-up: each command loads only its own modules ---------------------------
+
+_BASE = ["pivotsmith", "pivotsmith.cli", "pivotsmith.tablecore"]
+
+
+@pytest.fixture
+def startup_files(tmp_path):
+    paths = {name: tmp_path / f"{name}.txt" for name in ("sp", "pt", "in")}
+    paths["sp"].write_text("a ||| x ||| 0.5 0.5 0.5 0.5 ||| 0-0\n"
+                           "b ||| x ||| 0.5 0.5 0.5 0.5 ||| 0-0\n")
+    paths["pt"].write_text("x ||| u ||| 0.5 0.5 0.5 0.5 ||| 0-0\n")
+    paths["in"].write_text("a b\n")
+    paths["out"] = tmp_path / "out.txt"
+    return paths
+
+
+# command: (pivotsmith modules it loads beyond _BASE, whether it loads logging)
+_STARTUP = {
+    "import": ([], False),
+    "bleu": (["evalkit", "parallel"], False),
+    "decode": (["evalkit", "extsort", "parallel"], False),
+    "annotate": (["extsort", "features", "morphmodel", "parallel"], False),
+    "combine": (["combine", "extsort"], False),
+    "pivot": (["extsort", "triangulate"], True),
+    "stats": ([], False),
+}
+
+
+@pytest.mark.parametrize("command", list(_STARTUP))
+def test_each_command_loads_only_its_modules(startup_files, command):
+    extra_modules, logs = _STARTUP[command]
+    f = {name: str(path) for name, path in startup_files.items()}
+    argv = {
+        "import": [],
+        "bleu": ["bleu", "--hyp", f["in"], "--ref", f["in"]],
+        "decode": ["decode", "--table", f["sp"], "--input", f["in"]],
+        "annotate": ["annotate", "-i", f["sp"], "--kind", "connectivity"],
+        "combine": ["combine", "-i", f"a={f['sp']}", "-i", f"b={f['pt']}"],
+        "pivot": ["pivot", "--sp", f["sp"], "--pt", f["pt"]],
+        "stats": ["stats", "-i", f["sp"]],
+    }[command]
+    if argv:
+        argv += ["-o", f["out"]]
+    rc, modules, watched = child_modules(*argv)
+    assert rc == (None if command == "import" else 0)
+    assert modules == sorted(_BASE + [f"pivotsmith.{m}" for m in extra_modules])
+    assert ("logging" in watched) == logs
+    assert "dataclasses" in watched
+    assert "concurrent.futures" not in watched
+
+
+def test_package_import_loads_no_submodule():
+    code = ("import sys, pivotsmith;"
+            " print(sorted(m for m in sys.modules if m.startswith('pivotsmith')))")
+    env = child_env()
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+    assert done.stdout == "['pivotsmith']\n"
+
+
+def test_public_names_are_their_submodules_objects():
+    star: dict = {}
+    exec("from pivotsmith import *", star)
+    for name in pivotsmith.__all__:
+        value = getattr(pivotsmith, name)
+        assert value is getattr(importlib.import_module(value.__module__), name)
+        assert star[name] is value
+    assert set(pivotsmith.__all__) <= set(dir(pivotsmith))
+    assert "__all__" in dir(pivotsmith)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pivotsmith.no_such_name
+
+
+def test_names_set_on_cli_before_main_are_the_ones_called(startup_files):
+    # perfbench/tracing.py replaces these names on a freshly imported cli.
+    code = """
+import collections, sys
+from pivotsmith import cli
+calls = collections.Counter()
+def counting(name):
+    inner = getattr(cli, name)
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return inner(*args, **kwargs)
+    return wrapper
+for name in ("compose_rows", "_decode_one", "bleu4_report"):
+    setattr(cli, name, counting(name))
+sp, pt, inp, out = sys.argv[1:]
+assert cli.main(["pivot", "--sp", sp, "--pt", pt, "-o", out]) == 0
+assert cli.main(["decode", "--table", sp, "--input", inp, "-o", out]) == 0
+assert cli.main(["bleu", "--hyp", inp, "--ref", inp, "-o", out]) == 0
+print(sorted(calls.items()))
+"""
+    f = startup_files
+    env = child_env()
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(f["sp"]), str(f["pt"]), str(f["in"]),
+         str(f["out"])], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[('_decode_one', 1), ('bleu4_report', 1), ('compose_rows', 1)]\n"
+
+
+def test_run_as_module(startup_files, capsys):
+    env = child_env()
+    inp = str(startup_files["in"])
+    version = subprocess.run([sys.executable, "-m", "pivotsmith.cli", "--version"],
+                             env=env, capture_output=True, text=True, timeout=60)
+    assert (version.returncode, version.stdout) == (0, pivotsmith.__version__ + "\n")
+    bleu = subprocess.run([sys.executable, "-m", "pivotsmith.cli", "bleu",
+                           "--hyp", inp, "--ref", inp],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert main(["bleu", "--hyp", inp, "--ref", inp]) == 0
+    assert (bleu.returncode, bleu.stderr) == (0, "")
+    assert bleu.stdout == capsys.readouterr().out
 
 
 def test_unknown_command_exits_two():

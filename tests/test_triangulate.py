@@ -15,6 +15,7 @@ from conftest import (
     oracle_project,
     oracle_reordering,
     random_pivot_pair,
+    run_measured,
     run_pivot_measured,
     table,
 )
@@ -22,6 +23,7 @@ from pivotsmith import triangulate
 from pivotsmith.cli import main
 from pivotsmith.extsort import ext_sorted
 from pivotsmith.tablecore import (
+    CORE_FEATURES,
     SCORE_OVERSHOOT_TOL,
     AlignmentLink,
     LogLinearWeights,
@@ -32,8 +34,10 @@ from pivotsmith.tablecore import (
     TableError,
     entry_to_row,
     format_row,
+    loglinear_score,
     parse_phrase_table,
     read_rows,
+    weight_vector,
     write_phrase_table,
 )
 from pivotsmith.triangulate import (
@@ -41,6 +45,7 @@ from pivotsmith.triangulate import (
     _snap_score,
     compose_rows,
     estimate_pivot_size,
+    filter_rows,
     filter_top_n,
     pivot_compose,
     pivot_reordering,
@@ -248,6 +253,33 @@ class TestFilter:
         assert kept.manifest[-1] == "f"
         assert kept.entries[0].tgt == ("t1",)
 
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    @pytest.mark.parametrize("at", [0, 2, 6])
+    def test_duplicate_target_raises_wherever_it_falls(self, n, at):
+        rows = [(("a",), (f"x{k}",), (0.5,) * 4, ()) for k in range(8)]
+        rows.insert(at + 1, rows[at])
+        with pytest.raises(TableError, match=f"duplicate entry in input table"
+                                             f" for pair 'a' -> 'x{at}'"):
+            list(filter_rows(rows, (), None, n, inputs_sorted=True))
+
+    def test_matches_sorting_each_group_and_cutting_it(self):
+        rng = random.Random(41)
+        rows = []
+        for s in range(60):
+            targets = sorted(f"t{k}" for k in rng.sample(range(100), rng.randint(1, 30)))
+            rows += [((f"s{s:02d}",), (t,), tuple(rng.choice((0.125, 0.25, 0.5))
+                                                   for _ in range(4)), ())
+                     for t in targets]
+        weights = LogLinearWeights({"phi_fwd": 2.0, "lex_bwd": 0.5})
+        wv = weight_vector(CORE_FEATURES, weights)
+        for n in (1, 2, 5, 29, 30):
+            expected = []
+            for s in range(60):
+                group = [r for r in rows if r[0] == (f"s{s:02d}",)]
+                group.sort(key=lambda r: (-loglinear_score(r[2], wv), r[1]))
+                expected += sorted(group[:n], key=lambda r: r[1])
+            assert list(filter_rows(rows, (), weights, n, inputs_sorted=True)) == expected
+
     def test_filtering_applies_before_composition(self):
         sp = table([
             entry("a", "x", scores=(0.9, 0.9, 0.9, 0.9)),
@@ -444,6 +476,49 @@ def test_hub_pivot_peak_rss_does_not_follow_the_hub_size(tmp_path):
             pytest.skip("VmHWM is read from /proc/self/status")
         with open(out, "rb") as stream:
             assert sum(1 for _ in stream) == sources
+        peaks.append(peak_kb)
+    assert abs(peaks[1] - peaks[0]) < 4 * 1024, f"peaks {peaks} KB"
+
+
+def _write_wide_pivot(dirpath, targets):
+    """One pivot phrase `the` with `targets` translations, reached from 50
+    sources, and the same rows as a table whose one source is `the`."""
+    sp_path = dirpath / f"sp_wide{targets}.txt"
+    pt_path = dirpath / f"pt_wide{targets}.txt"
+    with open(sp_path, "w", encoding="utf-8") as stream:
+        stream.writelines(f"s{i} ||| the ||| 1 1 1 1 ||| 0-0\n" for i in range(50))
+    share = f"{1 / targets:.6g}"
+    with open(pt_path, "w", encoding="utf-8") as stream:
+        stream.writelines(f"the ||| u{k} ||| {share} {share} 1 1 ||| 0-0\n"
+                          for k in range(targets))
+    return sp_path, pt_path
+
+
+@pytest.mark.parametrize("command", ["pivot", "filter"])
+def test_top_n_peak_rss_does_not_follow_the_group_size(tmp_path, command):
+    # Top-n keeps at most n + 1 rows of a source group at a time, so a
+    # four times wider group needs no more memory.
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    peaks = []
+    for targets in (20_000, 80_000):
+        sp, pt = _write_wide_pivot(tmp_path, targets)
+        out = tmp_path / "out.txt"
+        if command == "pivot":
+            argv = ["pivot", "--sp", sp, "--pt", pt]
+        else:
+            argv = ["filter", "-i", pt]
+        _, _, peak_kb = run_measured(scratch, *argv, "-o", out, "--top-n", "5",
+                                     "--chunk-size", "1000")
+        if peak_kb < 0:
+            pytest.skip("VmHWM is read from /proc/self/status")
+        with open(out, encoding="utf-8") as stream:
+            lines = stream.readlines()
+        expected = 50 * 5 if command == "pivot" else 5
+        assert len(lines) == expected
+        # Equal scores rank by target phrase.
+        assert {line.split(" ||| ")[1] for line in lines} == {
+            "u0", "u1", "u10", "u100", "u1000"}
         peaks.append(peak_kb)
     assert abs(peaks[1] - peaks[0]) < 4 * 1024, f"peaks {peaks} KB"
 
