@@ -39,6 +39,7 @@ from .tablecore import (
     LogLinearWeights,
     TableError,
     parse_reordering_table,
+    read_reordering_rows,
     read_rows,
     sort_table_rows,
     write_rows,
@@ -49,8 +50,8 @@ from .tablecore import (
 # other command's code.  perfbench/tracing.py reads and replaces these names
 # on this module before a command runs, which is why a name already set
 # here is kept, and why it also finds the names no command calls any more:
-# parse_phrase_table, write_phrase_table, annotate_table, combine_tables
-# and build_phrase_index.
+# parse_phrase_table, write_phrase_table, annotate_table, combine_tables,
+# build_phrase_index and reorder_rows.
 _LIBRARY = {
     "combine": ("combine_rows", "combine_tables"),
     "evalkit": ("DecodeConfig", "bleu4_report", "build_phrase_index",
@@ -223,7 +224,6 @@ def cmd_pivot(args: argparse.Namespace) -> int:
         min_alignment_links=args.min_links,
         tmpdir=args.tmpdir,
         chunk_size=args.chunk_size)
-    pt_reo = None
     if reordering:
         if args.reordering_out == "-" and args.output in (None, "-"):
             raise UsageError("only one of -o and --reordering-out can write stdout")
@@ -232,12 +232,14 @@ def cmd_pivot(args: argparse.Namespace) -> int:
                 entries = parse_reordering_table(stream)
             logger.info("source-pivot reordering table (%d entries) is validated"
                         " but unused by the pivot mixture", len(entries))
-        with _open_in(args.reordering_pt) as stream:
-            pt_reo = reorder_rows(parse_reordering_table(stream))
-    with _open_in(args.sp) as sp_f, _open_in(args.pt) as pt_f, \
-            _open_out(args.output) as out:
-        sp_extras, sp_rows = read_rows(sp_f)
-        pt_extras, pt_rows = read_rows(pt_f)
+    with ExitStack() as stack:
+        pt_reo = None
+        if reordering:
+            pt_reo = read_reordering_rows(
+                stack.enter_context(_open_in(args.reordering_pt)))
+        sp_extras, sp_rows = read_rows(stack.enter_context(_open_in(args.sp)))
+        pt_extras, pt_rows = read_rows(stack.enter_context(_open_in(args.pt)))
+        out = stack.enter_context(_open_out(args.output))
         rows = compose_rows(sp_rows, sp_extras, pt_rows, pt_extras, cfg,
                             pt_reo_rows=pt_reo)
         if reordering:
@@ -310,19 +312,10 @@ def cmd_lexicon(args: argparse.Namespace) -> int:
     _bind("morphmodel")
     paths = args.input if args.input else [None]
     _check_stdin([path or "-" for path in paths])
-    streams = []
-    try:
-        for path in paths:
-            if path is None or path == "-":
-                streams.append(sys.stdin)
-            else:
-                streams.append(open(path, "r", encoding="utf-8"))
+    with ExitStack() as stack:
+        streams = [stack.enter_context(_open_in(path)) for path in paths]
         lexicon = build_lexicon(streams, fc_features=args.fc_features,
                                 na_value=args.na_value)
-    finally:
-        for stream in streams:
-            if stream is not sys.stdin:
-                stream.close()
     with _open_out(args.output) as out:
         lexicon.save(out)
     return 0

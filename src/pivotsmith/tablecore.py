@@ -203,17 +203,19 @@ def table_order(extras_names: Sequence[str]) -> Callable[[Row], tuple]:
     return key
 
 
-def check_unique(rows: Iterable[Row], key: Callable[[Row], tuple]) -> Iterator[Row]:
+def check_unique(rows: Iterable[Row], key: Callable[[Row], tuple],
+                 what: str) -> Iterator[Row]:
     """Pass rows sorted by ``key`` through, raising on a duplicate.
 
     ``key`` is a ``table_order`` key: two neighbouring rows are duplicates
     when their keys are equal, so only rows of the same pair are keyed.
+    ``what`` names the rows in the message: ``duplicate {what} for pair``.
     """
     prev = None
     for row in rows:
         if (prev is not None and row[1] == prev[1] and row[0] == prev[0]
                 and key(row) == key(prev)):
-            raise TableError("duplicate entry for pair"
+            raise TableError(f"duplicate {what} for pair"
                              f" {' '.join(row[0])!r} -> {' '.join(row[1])!r}")
         prev = row
         yield row
@@ -234,7 +236,7 @@ def sort_table_rows(rows: Iterable[Row],
 
     key = table_order(extras_names)
     with closing(extsort.ext_sorted(rows, key, extsort.DEFAULT_CHUNK_SIZE)) as ordered:
-        yield from check_unique(ordered, key)
+        yield from check_unique(ordered, key, "entry")
 
 
 @dataclass(frozen=True)
@@ -266,17 +268,16 @@ class PhraseTable:
     def build(cls, entries: Iterable[PhraseEntry],
               extras_names: Sequence[str] = (),
               max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN,
-              validate: bool = True) -> "PhraseTable":
+              ) -> "PhraseTable":
         manifest = _checked_manifest(extras_names)
         items = list(entries)
-        if validate:
-            for entry in items:
-                validate_entry(entry, max_phrase_len, extras_names)
+        for entry in items:
+            validate_entry(entry, max_phrase_len, extras_names)
         # Each entry rides in the alignment slot of a row of its sort fields.
         order = table_order(extras_names)
         rows = sorted(((e.src, e.tgt, e.scores.values(), e) for e in items), key=order)
         return cls(manifest=manifest,
-                   entries=tuple(row[3] for row in check_unique(rows, order)))
+                   entries=tuple(row[3] for row in check_unique(rows, order, "entry")))
 
 
 def _checked_manifest(extras_names: Sequence[str]) -> tuple[str, ...]:
@@ -466,8 +467,9 @@ def parse_phrase_table(lines: Iterable[str],
                        max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN,
                        ) -> PhraseTable:
     extras, rows = read_rows(lines, max_phrase_len)
-    entries = [row_to_entry(row, extras) for row in rows]
-    return PhraseTable.build(entries, extras, max_phrase_len, validate=False)
+    order = table_order(extras)
+    unique = check_unique(sorted(rows, key=order), order, "entry")
+    return table_from_rows(extras, unique)
 
 
 def format_score(value: float) -> str:
@@ -488,19 +490,16 @@ def format_row(row: Row) -> str:
     return line + " ".join(["%d-%d" % link for link in align])
 
 
-def write_phrase_table(table: PhraseTable, stream: TextIO) -> None:
-    if table.extras_names:
-        stream.write(_HEADER_PREFIX + " " + " ".join(table.extras_names) + "\n")
-    for entry in table.entries:
-        stream.write(format_row(entry_to_row(entry)) + "\n")
-
-
 def write_rows(rows: Iterable[Row], stream: TextIO,
                extras_names: Sequence[str] = ()) -> None:
     if extras_names:
         stream.write(_HEADER_PREFIX + " " + " ".join(extras_names) + "\n")
     for row in rows:
         stream.write(format_row(row) + "\n")
+
+
+def write_phrase_table(table: PhraseTable, stream: TextIO) -> None:
+    write_rows(map(entry_to_row, table), stream, table.extras_names)
 
 
 # --- log-linear scoring ----------------------------------------------------
@@ -611,10 +610,11 @@ def _check_orientation_probs(probs: Sequence[float], line: int | None) -> None:
                 f"orientation triple sums to {total!r}, expected 1", line)
 
 
-def parse_reordering_table(lines: Iterable[str],
-                           max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN,
-                           ) -> tuple[ReorderingEntry, ...]:
-    entries = []
+def read_reordering_rows(lines: Iterable[str],
+                         max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN,
+                         ) -> Iterator[Row]:
+    """Stream reordering table text as ``(src, tgt, probs, ())`` rows in
+    file order, each line checked as it is read."""
     for lineno, raw in enumerate(lines, start=1):
         text = raw.rstrip("\n")
         if not text.strip():
@@ -634,14 +634,15 @@ def parse_reordering_table(lines: Iterable[str],
             raise TableError(f"non-numeric probability in {parts[2]!r}", lineno) from None
         # The phrase fields were checked as they were split.
         _check_orientation_probs(probs, lineno)
-        entries.append(ReorderingEntry(src=src, tgt=tgt, probs=probs))
-    entries.sort(key=lambda e: (e.src, e.tgt))
-    for prev, cur in zip(entries, entries[1:]):
-        if prev.src == cur.src and prev.tgt == cur.tgt:
-            raise TableError(
-                "duplicate reordering entry for pair"
-                f" {' '.join(prev.src)!r} -> {' '.join(prev.tgt)!r}")
-    return tuple(entries)
+        yield src, tgt, probs, ()
+
+
+def parse_reordering_table(lines: Iterable[str],
+                           max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN,
+                           ) -> tuple[ReorderingEntry, ...]:
+    rows = sorted(read_reordering_rows(lines, max_phrase_len), key=_BY_SRC_TGT)
+    unique = check_unique(rows, _BY_SRC_TGT, "reordering entry")
+    return tuple(ReorderingEntry(src, tgt, probs) for src, tgt, probs, _ in unique)
 
 
 def format_reordering_row(src: Phrase, tgt: Phrase, probs: Sequence[float]) -> str:

@@ -53,11 +53,12 @@ from .tablecore import (
     ReorderingEntry,
     Row,
     TableError,
+    check_unique,
     entry_to_row,
     format_reordering_row,
     format_row,
     loglinear_score,
-    row_to_entry,
+    table_from_rows,
     weight_vector,
 )
 
@@ -152,8 +153,8 @@ def _iter_top_n(rows: Iterable[Row], weight_vec: Sequence[float], n: int,
     def rank(row: Row) -> tuple:
         return -loglinear_score(row[2], weight_vec, floor), row[1]
 
-    for _, grouped in groupby(rows, key=itemgetter(0)):
-        group = _unique_targets(grouped, side)
+    unique = check_unique(rows, _BY_SRC_TGT, f"entry in {side} table")
+    for _, group in groupby(unique, key=itemgetter(0)):
         kept = list(islice(group, n + 1))
         if len(kept) > n:
             # Targets are unique in a group, so ranks never tie and this
@@ -161,18 +162,6 @@ def _iter_top_n(rows: Iterable[Row], weight_vec: Sequence[float], n: int,
             kept = heapq.nsmallest(n, chain(kept, group), key=rank)
             kept.sort(key=itemgetter(1))
         yield from kept
-
-
-def _unique_targets(group: Iterable[Row], side: str) -> Iterator[Row]:
-    """Pass one source's (tgt) sorted rows, raising on a repeated target."""
-    prev = None
-    for row in group:
-        if prev is not None and prev[1] == row[1]:
-            raise TableError(
-                f"duplicate entry in {side} table for pair"
-                f" {' '.join(prev[0])!r} -> {' '.join(prev[1])!r}")
-        prev = row
-        yield row
 
 
 def filter_rows(rows: Iterable[Row], extras: Sequence[str],
@@ -193,11 +182,9 @@ def filter_top_n(table: PhraseTable, weights: LogLinearWeights | None,
                  n: int) -> PhraseTable:
     """Per-source top-n pruning of a table, extras preserved."""
     rows = (entry_to_row(entry) for entry in table)
-    kept = [row_to_entry(row, table.extras_names)
-            for row in filter_rows(rows, table.extras_names, weights, n,
-                                   inputs_sorted=True)]
-    return PhraseTable.build(kept, table.extras_names,
-                             max_phrase_len=None, validate=False)
+    return table_from_rows(table.extras_names,
+                           filter_rows(rows, table.extras_names, weights, n,
+                                       inputs_sorted=True))
 
 
 def _drop_extras(rows: Iterable[Row]) -> Iterator[Row]:
@@ -233,6 +220,10 @@ def _paired_pivot_groups(sp_rows: Iterable[Row], pt_rows: Iterable[Row],
             yield sp_group, list(pt_group)
             sp_item = next(sp_groups, None)
             pt_item = next(pt_groups, None)
+    # The pivot-target rows after the last shared pivot are read too, so
+    # that a duplicate among them raises as it does on the hash join.
+    for _ in pt_groups:
+        pass
 
 
 def _hashed_pivot_groups(sp_rows: Iterable[Row], pt_rows: Iterable[Row],
@@ -270,30 +261,15 @@ def _drain(rows: list[Row]) -> Iterator[Row]:
         yield rows.pop()
 
 
-def _strictly_sorted_reordering(rows: Iterable[Row]) -> Iterator[Row]:
-    """Pass rows through, raising ``TableError`` on a key out of order."""
-    prev = None
-    for row in rows:
-        key = _BY_SRC_TGT(row)
-        if prev is not None and key <= prev:
-            raise TableError(
-                "pivot-target reordering rows are not sorted by (pivot, target)"
-                f" with one row per pair: {' '.join(key[0])!r} -> {' '.join(key[1])!r}"
-                f" follows {' '.join(prev[0])!r} -> {' '.join(prev[1])!r}")
-        prev = key
-        yield row
-
-
 def _attach_orientations(pt_rows: Iterable[Row], reo_rows: Iterable[Row],
                          ) -> Iterator[Row]:
     """Append six orientation probabilities to each pivot-target row.
 
-    Both streams are sorted by (pivot, tgt), ``reo_rows`` strictly: a key
-    that is not greater than the one before it raises ``TableError``
-    rather than attaching the wrong probabilities.  A pair without a
-    reordering entry gets uniform probabilities.
+    Both streams are sorted by (pivot, tgt).  A pair repeated in
+    ``reo_rows`` raises ``TableError``; a pair without a reordering entry
+    gets uniform probabilities.
     """
-    reo = _strictly_sorted_reordering(reo_rows)
+    reo = check_unique(reo_rows, _BY_SRC_TGT, "reordering entry")
     cur = next(reo, None)
     for pivot, tgt, g, a_pt in pt_rows:
         key = (pivot, tgt)
@@ -303,7 +279,7 @@ def _attach_orientations(pt_rows: Iterable[Row], reo_rows: Iterable[Row],
                 probs = cur[2]
             cur = next(reo, None)
         yield pivot, tgt, g + probs, a_pt
-    for _ in reo:  # an unsorted tail would have hidden entries too
+    for _ in reo:  # a repeated pair past the last pivot-target row raises too
         pass
 
 
@@ -424,10 +400,13 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
     the same pass: each output row then has ten scores, the four core
     scores and the six orientation probabilities of its pair, mixed over
     shared pivots with the source-pivot forward scores as weights.
-    ``min_alignment_links`` drops a pair from both at once.  The
-    reordering rows must arrive sorted by (pivot, tgt), one per pair, as
-    ``parse_reordering_table`` returns them, whatever ``inputs_sorted``
-    says; they are not sorted here.
+    ``min_alignment_links`` drops a pair from both at once.
+
+    All three inputs may come in any order: each is sorted here through
+    the disk-backed sort.  ``inputs_sorted`` skips the sort of the two
+    phrase tables, which must then arrive sorted by (src, tgt); the
+    reordering rows are sorted whatever it says.  A pair repeated in any
+    of the three raises ``TableError``.
     """
     for side, extras in (("source-pivot", sp_extras), ("pivot-target", pt_extras)):
         if extras:
@@ -457,7 +436,7 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
     sp_kept = _drop_extras(_iter_top_n(sp_rows, wv_sp, cfg.top_n, "source-pivot"))
     pt_kept = _drop_extras(_iter_top_n(pt_rows, wv_pt, cfg.top_n, "pivot-target"))
     if pt_reo_rows is not None:
-        pt_kept = _attach_orientations(pt_kept, pt_reo_rows)
+        pt_kept = _attach_orientations(pt_kept, sort(pt_reo_rows, _BY_SRC_TGT))
     if hash_join:
         groups = _hashed_pivot_groups(sp_kept, pt_kept)
         partials = _by_target_per_source(_iter_join(groups))
@@ -477,8 +456,7 @@ def pivot_compose(sp: PhraseTable, pt: PhraseTable,
         (entry_to_row(e) for e in sp), sp.extras_names,
         (entry_to_row(e) for e in pt), pt.extras_names,
         cfg, inputs_sorted=True)
-    entries = [row_to_entry(row) for row in rows]
-    return PhraseTable.build(entries, max_phrase_len=None, validate=False)
+    return table_from_rows((), rows)
 
 
 def estimate_pivot_size_rows(sp_rows: Iterable[Row],
@@ -541,6 +519,6 @@ def pivot_reordering(sp_reo: Sequence[ReorderingEntry],
         (entry_to_row(e) for e in sp), sp.extras_names,
         (entry_to_row(e) for e in pt), pt.extras_names,
         cfg, inputs_sorted=True,
-        pt_reo_rows=reorder_rows(sorted(pt_reo, key=lambda e: (e.src, e.tgt))))
+        pt_reo_rows=reorder_rows(pt_reo))
     return tuple(ReorderingEntry(src=row[0], tgt=row[1], probs=row[2][4:])
                  for row in rows)

@@ -198,6 +198,35 @@ class TestPivotCommand:
                   "--reordering-out", str(tmp_path / "r.txt")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("chunk", [["--chunk-size", "1"], []],
+                             ids=["merge", "hash"])
+    @pytest.mark.parametrize("repeated,message", [
+        ("pt", "duplicate entry in pivot-target table for pair 'r' -> 'w'"),
+        ("reordering", "duplicate reordering entry for pair 'r' -> 'w'"),
+    ], ids=["pt", "reordering"])
+    def test_repeated_pair_after_the_last_shared_pivot_exits_one(
+            self, tmp_path, capsys, chunk, repeated, message):
+        # The repeated pair sorts after every pivot the source-pivot table
+        # reaches, so only a join that reads its inputs to the end sees it.
+        sp_path, pt_path, reo_path = (tmp_path / name
+                                      for name in ("sp.txt", "pt.txt", "reo.txt"))
+        sp_path.write_text("a ||| p ||| 1 1 1 1 |||\n")
+        pt_lines = ["p ||| u", "q ||| v", "r ||| w", "r ||| w"]
+        if repeated == "reordering":
+            pt_path.write_text("".join(f"{line} ||| 1 1 1 1 |||\n"
+                                       for line in pt_lines[:3]))
+            reo_path.write_text("".join(f"{line} ||| 0.5 0.25 0.25 0.5 0.25 0.25\n"
+                                        for line in pt_lines))
+        else:
+            pt_path.write_text("".join(f"{line} ||| 1 1 1 1 |||\n" for line in pt_lines))
+            reo_path.write_text("p ||| u ||| 0.5 0.25 0.25 0.5 0.25 0.25\n")
+        out, reo_out = tmp_path / "out.txt", tmp_path / "reo-out.txt"
+        assert main(["pivot", "--sp", str(sp_path), "--pt", str(pt_path),
+                     "-o", str(out), "--reordering-pt", str(reo_path),
+                     "--reordering-out", str(reo_out), *chunk]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists() and not reo_out.exists()
+
     def test_min_links_flag(self, tmp_path):
         sp = tmp_path / "sp.txt"
         sp.write_text("a ||| x ||| 1 1 1 1 ||| 0-0\nb ||| y ||| 1 1 1 1 |||\n")

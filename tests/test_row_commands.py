@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import phrase_pool, random_table
+from conftest import phrase_pool, random_pivot_pair, random_table
 from pivotsmith import cli, extsort
 from pivotsmith.cli import main
 from pivotsmith.combine import combine_tables
@@ -37,6 +37,7 @@ from pivotsmith.tablecore import (
     ORIGIN_PREFIX,
     PhraseEntry,
     PhraseTable,
+    ReorderingEntry,
     TableError,
     entry_to_row,
     parse_phrase_table,
@@ -332,20 +333,31 @@ def test_tiny_sort_chunks_give_the_same_bytes_and_clean_up(tmp_path, monkeypatch
     assert len(runs) >= 3 * 4
 
 
-# --- the CLI builds no PhraseTable and no PhraseEntry ---------------------------
+# --- the CLI builds no PhraseTable, PhraseEntry or ReorderingEntry -------------
 
 def test_row_commands_build_no_table_objects(tmp_path, monkeypatch, morph_model):
     a, b, _ = random_inputs(12)
     pa, pb = save(a, tmp_path / "a.txt"), save(b, tmp_path / "b.txt")
     sentences = tmp_path / "in.txt"
     sentences.write_text("s0x0 s1x0\n", encoding="utf-8")
+    sp, pt = random_pivot_pair(random.Random(12))
+    psp, ppt = save(sp, tmp_path / "sp.txt"), save(pt, tmp_path / "pt.txt")
+    reo = tmp_path / "reo.txt"
+    reo.write_text("".join(f"{' '.join(e.src)} ||| {' '.join(e.tgt)}"
+                           " ||| 0.5 0.25 0.25 0.5 0.25 0.25\n" for e in pt),
+                   encoding="utf-8")
 
     def refuse(*args, **kwargs):
         raise AssertionError("built a table object on the row path")
     monkeypatch.setattr(PhraseTable, "build", classmethod(refuse))
     monkeypatch.setattr(PhraseEntry, "__init__", refuse)
+    monkeypatch.setattr(ReorderingEntry, "__init__", refuse)
     with pytest.raises(AssertionError):
         PhraseTable.build([])
+    reo_out = tmp_path / "reo-out.txt"
+    assert main(["pivot", "--sp", psp, "--pt", ppt, "-o", str(tmp_path / "st.txt"),
+                 "--reordering-pt", str(reo), "--reordering-out", str(reo_out)]) == 0
+    assert reo_out.read_text(encoding="utf-8")
     scored = tmp_path / "scored.txt"
     assert main(["annotate", "-i", pb, "-o", str(scored), "--kind", "induced",
                  "--src-lex", morph_model["s"], "--tgt-lex", morph_model["t"],

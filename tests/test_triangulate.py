@@ -480,6 +480,35 @@ def test_hub_pivot_peak_rss_does_not_follow_the_hub_size(tmp_path):
     assert abs(peaks[1] - peaks[0]) < 4 * 1024, f"peaks {peaks} KB"
 
 
+def test_reordering_peak_rss_does_not_follow_the_table_size(tmp_path):
+    # The pivot-target reordering table streams through the disk-backed
+    # sort like the phrase tables, so a four times larger one needs no
+    # more memory.
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    peaks = []
+    for rows in (20_000, 80_000):
+        sp, pt, reo = (tmp_path / f"{name}{rows}.txt" for name in ("sp", "pt", "reo"))
+        sp.write_text("".join(f"s{i} ||| p{i} ||| 1 1 1 1 ||| 0-0\n"
+                              for i in range(rows)), encoding="utf-8")
+        pt.write_text("".join(f"p{i} ||| t{i} ||| 1 1 1 1 ||| 0-0\n"
+                              for i in range(rows)), encoding="utf-8")
+        reo.write_text("".join(f"p{i} ||| t{i} ||| 0.5 0.25 0.25 0.5 0.25 0.25\n"
+                               for i in range(rows)), encoding="utf-8")
+        out, reo_out = tmp_path / "out.txt", tmp_path / "reo-out.txt"
+        _, _, peak_kb = run_measured(scratch, "pivot", "--sp", sp, "--pt", pt,
+                                     "-o", out, "--reordering-pt", reo,
+                                     "--reordering-out", reo_out,
+                                     "--chunk-size", "1000")
+        if peak_kb < 0:
+            pytest.skip("VmHWM is read from /proc/self/status")
+        for path in (out, reo_out):
+            with open(path, "rb") as stream:
+                assert sum(1 for _ in stream) == rows
+        peaks.append(peak_kb)
+    assert abs(peaks[1] - peaks[0]) < 4 * 1024, f"peaks {peaks} KB"
+
+
 def _write_wide_pivot(dirpath, targets):
     """One pivot phrase `the` with `targets` translations, reached from 50
     sources, and the same rows as a table whose one source is `the`."""
@@ -609,17 +638,33 @@ class TestReorderingPivot:
         assert got[0].probs == pytest.approx((1.0 / 3.0,) * 6)
         assert any("unused" in m for m in caplog.messages)
 
-    @pytest.mark.parametrize("order,n_pt", [((1, 0), 2), ((0, 0), 2), ((1, 0), 1)],
-                             ids=["descending", "duplicate", "unsorted-tail"])
-    def test_orientation_rows_out_of_order_raise(self, order, n_pt):
+    @staticmethod
+    def compose_oriented(order, n_pt, chunk_size=PivotConfig.chunk_size):
         sp_rows = [(("a",), ("x",), (0.5,) * 4, ()), (("a",), ("y",), (0.5,) * 4, ())]
         pt_rows = [(("x",), ("u",), (0.5,) * 4, ()), (("y",), ("u",), (0.5,) * 4, ())]
         reo = [(("x",), ("u",), (0.8, 0.1, 0.1, 0.6, 0.2, 0.2), ()),
-               (("y",), ("u",), (0.2, 0.4, 0.4, 0.3, 0.3, 0.4), ())]
-        rows = compose_rows(sp_rows, (), pt_rows[:n_pt], (), PivotConfig(),
-                            pt_reo_rows=[reo[i] for i in order])
-        with pytest.raises(TableError, match="not sorted"):
-            list(rows)
+               (("y",), ("u",), (0.2, 0.4, 0.4, 0.3, 0.3, 0.4), ()),
+               (("z",), ("w",), (0.2, 0.4, 0.4, 0.3, 0.3, 0.4), ())]
+        return list(compose_rows(sp_rows, (), pt_rows[:n_pt], (),
+                                 PivotConfig(chunk_size=chunk_size),
+                                 pt_reo_rows=[reo[i] for i in order]))
+
+    @pytest.mark.parametrize("order,n_pt", [((1, 0), 2), ((1, 0), 1)],
+                             ids=["descending", "unsorted-tail"])
+    def test_orientation_rows_in_any_order_compose_alike(self, order, n_pt):
+        rows = self.compose_oriented(order, n_pt)
+        assert rows == self.compose_oriented((0, 1), n_pt)
+        assert [row[:2] for row in rows] == [(("a",), ("u",))]
+        assert rows[0][2][4:] != (1.0 / 3.0,) * 6
+
+    @pytest.mark.parametrize("chunk_size", [PivotConfig.chunk_size, 1],
+                             ids=["hash", "merge"])
+    @pytest.mark.parametrize("index,pair", [(0, "'x' -> 'u'"), (2, "'z' -> 'w'")],
+                             ids=["joined", "after-the-pivot-target-rows"])
+    def test_repeated_orientation_pair_raises(self, index, pair, chunk_size):
+        with pytest.raises(TableError,
+                           match=f"duplicate reordering entry for pair {pair}"):
+            self.compose_oriented((1, index, index), 2, chunk_size)
 
 
 class TestConfig:
