@@ -35,15 +35,15 @@ _EXPORTS = {
     "train_fc_model": "morphmodel",
     "AlignmentLink": "tablecore",
     "LogLinearWeights": "tablecore",
-    "PhraseEntry": "tablecore",
-    "PhraseTable": "tablecore",
-    "ReorderingEntry": "tablecore",
-    "ScoreSet": "tablecore",
+    "PhraseEntry": "tables",
+    "PhraseTable": "tables",
+    "ReorderingEntry": "tables",
+    "ScoreSet": "tables",
     "TableError": "tablecore",
-    "parse_phrase_table": "tablecore",
-    "parse_reordering_table": "tablecore",
-    "write_phrase_table": "tablecore",
-    "write_reordering_table": "tablecore",
+    "parse_phrase_table": "tables",
+    "parse_reordering_table": "tables",
+    "write_phrase_table": "tables",
+    "write_reordering_table": "tables",
     "PivotConfig": "triangulate",
     "estimate_pivot_size": "triangulate",
     "filter_top_n": "triangulate",

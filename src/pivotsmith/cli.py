@@ -9,13 +9,18 @@ for compatibility and has no effect.  A command may read stdin for at
 most one of its inputs.
 
 Every command that reads a phrase table streams it as raw rows; none
-builds a ``PhraseTable``.  ``annotate``, ``combine`` and ``decode`` sort
-their rows into table order through the disk-backed sort, which also
-rejects duplicate pairs.
+builds a ``PhraseTable`` or loads ``pivotsmith.tables``, the object model,
+so no command imports ``dataclasses``.  ``annotate``, ``combine`` and
+``decode`` sort their rows into table order through the disk-backed sort,
+which also rejects duplicate pairs.
 
 Every command is a fresh process, so each one imports only the library
 modules it runs (``_LIBRARY``), and only ``pivot`` sets up logging.  A
-command whose output pipe is closed by its reader exits 141 quietly.
+command whose output pipe is closed by its reader exits 141 quietly, and
+one interrupted by Ctrl-C exits 130 quietly.  Run as a program
+(``console_main`` or ``python -m``), SIGTERM and SIGHUP exit 128 plus the
+signal number the same way; each case first removes the scratch files
+and the unfinished output file.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from typing import Iterator, TextIO
 
 from . import __version__
 from .tablecore import (
+    _BY_SRC_TGT,
     CORE_FEATURES,
     DEFAULT_FC_FEATURES,
     DEFAULT_RULE_FEATURES,
@@ -38,7 +44,7 @@ from .tablecore import (
     NA_VALUE,
     LogLinearWeights,
     TableError,
-    parse_reordering_table,
+    check_unique,
     read_reordering_rows,
     read_rows,
     sort_table_rows,
@@ -50,8 +56,9 @@ from .tablecore import (
 # other command's code.  perfbench/tracing.py reads and replaces these names
 # on this module before a command runs, which is why a name already set
 # here is kept, and why it also finds the names no command calls any more:
-# parse_phrase_table, write_phrase_table, annotate_table, combine_tables,
-# build_phrase_index and reorder_rows.
+# parse_phrase_table, parse_reordering_table, write_phrase_table,
+# annotate_table, combine_tables, build_phrase_index and reorder_rows.  The
+# three tablecore names load the object model, ``tables``, when read.
 _LIBRARY = {
     "combine": ("combine_rows", "combine_tables"),
     "evalkit": ("DecodeConfig", "bleu4_report", "build_phrase_index",
@@ -61,7 +68,8 @@ _LIBRARY = {
     "morphmodel": ("FcModel", "MorphLexicon", "_feature_index", "build_lexicon",
                    "default_rules", "load_rules", "train_fc_model"),
     "parallel": ("ordered_map",),
-    "tablecore": ("parse_phrase_table", "write_phrase_table"),
+    "tablecore": ("parse_phrase_table", "parse_reordering_table",
+                  "write_phrase_table"),
     "triangulate": ("PivotConfig", "compose_rows", "estimate_pivot_size_rows",
                     "filter_rows", "reorder_rows", "write_reordering_rows"),
 }
@@ -229,7 +237,9 @@ def cmd_pivot(args: argparse.Namespace) -> int:
             raise UsageError("only one of -o and --reordering-out can write stdout")
         if args.reordering_sp is not None:
             with _open_in(args.reordering_sp) as stream:
-                entries = parse_reordering_table(stream)
+                entries = sorted(read_reordering_rows(stream), key=_BY_SRC_TGT)
+            for _ in check_unique(entries, _BY_SRC_TGT, "reordering entry"):
+                pass
             logger.info("source-pivot reordering table (%d entries) is validated"
                         " but unused by the pivot mixture", len(entries))
     with ExitStack() as stack:
@@ -647,6 +657,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141  # 128 + SIGPIPE
+    except KeyboardInterrupt:
+        # Ctrl-C: the clean-up has run on the way here, so stop quietly.
+        return 130  # 128 + SIGINT
     except UsageError as exc:
         parser.error(str(exc))
     except TableError as exc:
@@ -660,7 +673,28 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def _exit_on_signal(signum: int, frame) -> None:
+    import signal
+
+    # Ignoring the signal first keeps a second one from cutting short the
+    # clean-up that the exit runs: scratch directories and .tmp outputs.
+    signal.signal(signum, signal.SIG_IGN)
+    raise SystemExit(128 + signum)
+
+
 def console_main() -> None:
+    """The program's entry point: ``main`` with SIGTERM and SIGHUP handled.
+
+    Each signal exits as Ctrl-C does, after removing the scratch files and
+    the unfinished output file.  A signal ignored at start-up, as under
+    ``nohup``, stays ignored.  ``main`` leaves signals to its caller, and
+    so does not import ``signal``.
+    """
+    import signal
+
+    for signum in (signal.SIGTERM, signal.SIGHUP):
+        if signal.getsignal(signum) is not signal.SIG_IGN:
+            signal.signal(signum, _exit_on_signal)
     sys.exit(main())
 
 

@@ -15,18 +15,18 @@ duplicates.  ``combine_tables`` is its ``PhraseTable`` adapter.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .tablecore import (
     ORIGIN_PREFIX,
-    PhraseTable,
     Row,
     TableError,
     _checked_manifest,
-    entry_to_row,
     sort_table_rows,
-    table_from_rows,
 )
+
+if TYPE_CHECKING:
+    from .tables import PhraseTable
 
 
 def _onto_columns(rows: Iterable[Row], columns: Sequence[int | None],
@@ -77,6 +77,8 @@ def combine_rows(inputs: Sequence[tuple[Sequence[str], Iterable[Row], str]],
 
 def combine_tables(tables: Sequence[tuple[PhraseTable, str]]) -> PhraseTable:
     """``combine_rows`` over whole tables; entry count is the sum of theirs."""
+    from .tables import entry_to_row, table_from_rows
+
     extras, rows = combine_rows([(table.extras_names, map(entry_to_row, table), name)
                                  for table, name in tables])
     return table_from_rows(extras, rows)

@@ -17,35 +17,40 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .parallel import ordered_map
 from .tablecore import (
     CORE_FEATURES,
     DEFAULT_LOG_FLOOR,
     DEFAULT_MAX_PHRASE_LEN,
+    FrozenFields,
     LogLinearWeights,
     Phrase,
-    PhraseTable,
     Row,
-    entry_to_row,
     loglinear_score,
     weight_vector,
 )
 
+if TYPE_CHECKING:
+    from .tables import PhraseTable
 
-@dataclass(frozen=True)
-class DecodeConfig:
+
+class DecodeConfig(FrozenFields):
+    _fields = ("weights", "max_phrase_len", "unknown_word_penalty")
     weights: LogLinearWeights | None = None
     max_phrase_len: int = DEFAULT_MAX_PHRASE_LEN
     unknown_word_penalty: float = -10.0
 
-    def __post_init__(self) -> None:
-        if self.max_phrase_len < 1:
+    def __init__(self, weights: LogLinearWeights | None = None,
+                 max_phrase_len: int = DEFAULT_MAX_PHRASE_LEN,
+                 unknown_word_penalty: float = -10.0) -> None:
+        if max_phrase_len < 1:
             raise ValueError("max_phrase_len must be at least 1")
-        if not math.isfinite(self.unknown_word_penalty):
+        if not math.isfinite(unknown_word_penalty):
             raise ValueError("unknown_word_penalty must be finite")
+        self._set(weights=weights, max_phrase_len=max_phrase_len,
+                  unknown_word_penalty=unknown_word_penalty)
 
 
 class PhraseIndex(dict):
@@ -82,6 +87,8 @@ def phrase_index_rows(rows: Iterable[Row], extras_names: Sequence[str],
 
 def build_phrase_index(table: PhraseTable, cfg: DecodeConfig) -> PhraseIndex:
     """``phrase_index_rows`` over a table's entries."""
+    from .tables import entry_to_row
+
     return phrase_index_rows(map(entry_to_row, table), table.extras_names, cfg)
 
 

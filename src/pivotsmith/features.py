@@ -14,25 +14,24 @@ hand-written rule pairs or against a trained FC tag translation model.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .morphmodel import DEFAULT_FC_FEATURES, FcModel, MorphLexicon, RuleMapping
 from .parallel import ordered_map
 from .tablecore import (
     CORE_FEATURES,
     DEFAULT_RULE_FEATURES,
-    PhraseEntry,
-    PhraseTable,
     Row,
     RowView,
     TableError,
     _checked_manifest,
-    entry_to_row,
     sort_table_rows,
-    table_from_rows,
 )
 
-Scorer = Callable[[PhraseEntry | RowView], tuple[float, float]]
+if TYPE_CHECKING:
+    from .tables import PhraseEntry, PhraseTable
+
+Scorer = Callable[[RowView], tuple[float, float]]
 
 
 class FeatureScores(NamedTuple):
@@ -135,6 +134,8 @@ def annotate_rows(rows: Iterable[Row], extras_names: Sequence[str],
 def annotate_table(table: PhraseTable, scorer: Scorer,
                    names: tuple[str, str], threads: int = 1) -> PhraseTable:
     """``annotate_rows`` over a table's entries, collected into a table."""
+    from .tables import entry_to_row, table_from_rows
+
     extras, rows = annotate_rows(map(entry_to_row, table), table.extras_names,
                                  scorer, names, threads)
     return table_from_rows(extras, rows)

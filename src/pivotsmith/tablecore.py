@@ -1,4 +1,11 @@
-"""Phrase table data model and text formats.
+"""Phrase table rows and text formats.
+
+This is the row layer every command runs on: it reads, checks, sorts and
+writes tables as raw row tuples, and scores rows log-linearly.  The
+object model (``PhraseTable``, ``PhraseEntry``, ``ScoreSet``,
+``ReorderingEntry`` and their adapters) lives in ``pivotsmith.tables``,
+which only library callers load; its names are still importable from
+here.
 
 A phrase table is a plain text file with one entry per line:
 
@@ -25,7 +32,6 @@ from __future__ import annotations
 import math
 import re
 from contextlib import closing
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn,
                     Sequence, TextIO)
@@ -89,60 +95,6 @@ def check_phrase(tokens: Sequence[str], side: str = "phrase",
         if "|||" in tok:
             raise TableError(f"token {tok!r} in {side} phrase contains '|||'", line)
     return tuple(tokens)
-
-
-@dataclass(frozen=True)
-class ScoreSet:
-    """Core translation scores plus named extra feature values.
-
-    Core scores live in [0, 1].  Extras are nonnegative and keep the order
-    they were added in; they are not required to stay below 1.
-    """
-
-    phi_fwd: float
-    lex_fwd: float
-    phi_bwd: float
-    lex_bwd: float
-    extras: tuple[tuple[str, float], ...] = ()
-
-    def core(self) -> tuple[float, float, float, float]:
-        return (self.phi_fwd, self.lex_fwd, self.phi_bwd, self.lex_bwd)
-
-    def values(self) -> tuple[float, ...]:
-        return self.core() + tuple(v for _, v in self.extras)
-
-    def named(self) -> Iterator[tuple[str, float]]:
-        yield from zip(CORE_FEATURES, self.core())
-        yield from self.extras
-
-    def extra(self, name: str) -> float:
-        for key, value in self.extras:
-            if key == name:
-                return value
-        raise KeyError(name)
-
-
-@dataclass(frozen=True)
-class PhraseEntry:
-    src: Phrase
-    tgt: Phrase
-    scores: ScoreSet
-    alignment: tuple[AlignmentLink, ...] = ()
-
-
-def validate_entry(entry: PhraseEntry,
-                   max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN,
-                   extras_names: Sequence[str] = (),
-                   line: int | None = None) -> None:
-    check_phrase(entry.src, "source", max_phrase_len, line)
-    check_phrase(entry.tgt, "target", max_phrase_len, line)
-    _check_scores(entry.scores.core(),
-                  tuple(v for _, v in entry.scores.extras), line)
-    names = tuple(name for name, _ in entry.scores.extras)
-    if names != tuple(extras_names):
-        raise TableError(
-            f"entry extras {names} do not match table extras {tuple(extras_names)}", line)
-    _check_alignment(entry.alignment, len(entry.src), len(entry.tgt), line)
 
 
 def _check_scores(core: Sequence[float], extras: Sequence[float],
@@ -237,47 +189,6 @@ def sort_table_rows(rows: Iterable[Row],
     key = table_order(extras_names)
     with closing(extsort.ext_sorted(rows, key, extsort.DEFAULT_CHUNK_SIZE)) as ordered:
         yield from check_unique(ordered, key, "entry")
-
-
-@dataclass(frozen=True)
-class PhraseTable:
-    """Sorted, validated collection of phrase entries.
-
-    The manifest lists feature names in column order, always starting with
-    the four core names.  Entries are kept in ``table_order``: by source
-    then target tokens, then descending ``origin_*`` marks.  Duplicate
-    (src, tgt) pairs are rejected unless the entries carry ``origin_*``
-    extras that differ, which is how combined tables keep one option per
-    input table.
-    """
-
-    manifest: tuple[str, ...] = CORE_FEATURES
-    entries: tuple[PhraseEntry, ...] = ()
-
-    @property
-    def extras_names(self) -> tuple[str, ...]:
-        return self.manifest[4:]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[PhraseEntry]:
-        return iter(self.entries)
-
-    @classmethod
-    def build(cls, entries: Iterable[PhraseEntry],
-              extras_names: Sequence[str] = (),
-              max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN,
-              ) -> "PhraseTable":
-        manifest = _checked_manifest(extras_names)
-        items = list(entries)
-        for entry in items:
-            validate_entry(entry, max_phrase_len, extras_names)
-        # Each entry rides in the alignment slot of a row of its sort fields.
-        order = table_order(extras_names)
-        rows = sorted(((e.src, e.tgt, e.scores.values(), e) for e in items), key=order)
-        return cls(manifest=manifest,
-                   entries=tuple(row[3] for row in check_unique(rows, order, "entry")))
 
 
 def _checked_manifest(extras_names: Sequence[str]) -> tuple[str, ...]:
@@ -442,36 +353,6 @@ def read_rows(lines: Iterable[str],
     return extras, gen()
 
 
-def row_to_entry(row: Row, extras_names: Sequence[str] = ()) -> PhraseEntry:
-    src, tgt, scores, align = row
-    return PhraseEntry(
-        src=src, tgt=tgt,
-        scores=ScoreSet(*scores[:4], extras=tuple(zip(extras_names, scores[4:]))),
-        alignment=tuple(AlignmentLink(*pair) for pair in align))
-
-
-def table_from_rows(extras_names: Sequence[str],
-                    rows: Iterable[Row]) -> PhraseTable:
-    """A ``PhraseTable`` of rows already in table order and checked, as
-    ``sort_table_rows`` yields them."""
-    return PhraseTable(manifest=_checked_manifest(extras_names),
-                       entries=tuple(row_to_entry(row, extras_names) for row in rows))
-
-
-def entry_to_row(entry: PhraseEntry) -> Row:
-    return (entry.src, entry.tgt, entry.scores.values(),
-            tuple((link.src_pos, link.tgt_pos) for link in entry.alignment))
-
-
-def parse_phrase_table(lines: Iterable[str],
-                       max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN,
-                       ) -> PhraseTable:
-    extras, rows = read_rows(lines, max_phrase_len)
-    order = table_order(extras)
-    unique = check_unique(sorted(rows, key=order), order, "entry")
-    return table_from_rows(extras, unique)
-
-
 def format_score(value: float) -> str:
     return "%.6g" % value
 
@@ -498,14 +379,46 @@ def write_rows(rows: Iterable[Row], stream: TextIO,
         stream.write(format_row(row) + "\n")
 
 
-def write_phrase_table(table: PhraseTable, stream: TextIO) -> None:
-    write_rows(map(entry_to_row, table), stream, table.extras_names)
-
-
 # --- log-linear scoring ----------------------------------------------------
 
-@dataclass(frozen=True)
-class LogLinearWeights:
+class FrozenFields:
+    """What a frozen dataclass gives, for classes built without ``dataclasses``.
+
+    A subclass names its fields in ``_fields``, keeps their defaults as
+    class attributes and stores them in ``__init__`` through ``_set``.
+    Instances compare, hash and print by their fields, as a frozen
+    dataclass's do, and assigning or deleting an attribute raises
+    ``AttributeError``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **values) -> None:
+        self.__dict__.update(values)
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class LogLinearWeights(FrozenFields):
     """Per-feature weights for log-linear scoring.
 
     ``default`` fills in weights for features not listed in ``values``.
@@ -513,8 +426,12 @@ class LogLinearWeights:
     whose manifest names a feature missing from the file is an error.
     """
 
-    values: Mapping[str, float] = field(default_factory=dict)
+    _fields = ("values", "default")
     default: float | None = 1.0
+
+    def __init__(self, values: Mapping[str, float] | None = None,
+                 default: float | None = 1.0) -> None:
+        self._set(values={} if values is None else values, default=default)
 
     def weight(self, name: str) -> float:
         try:
@@ -568,35 +485,9 @@ def loglinear_score(values: Sequence[float], weight_vec: Sequence[float],
     return total
 
 
-def score_entry(entry: PhraseEntry, manifest: Sequence[str],
-                weights: LogLinearWeights | None = None,
-                floor: float = DEFAULT_LOG_FLOOR) -> float:
-    """Weighted sum of log feature values with a floor to keep logs finite."""
-    return loglinear_score(entry.scores.values(), weight_vector(manifest, weights), floor)
-
-
 # --- lexicalized reordering tables ------------------------------------------
 
 REORDERING_TRIPLE_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class ReorderingEntry:
-    """Six orientation probabilities, two direction triples summing to one."""
-
-    src: Phrase
-    tgt: Phrase
-    probs: tuple[float, float, float, float, float, float]
-
-
-def validate_reordering(entry: ReorderingEntry,
-                        max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN,
-                        line: int | None = None) -> None:
-    check_phrase(entry.src, "source", max_phrase_len, line)
-    check_phrase(entry.tgt, "target", max_phrase_len, line)
-    if len(entry.probs) != 6:
-        raise TableError(f"expected 6 probabilities, got {len(entry.probs)}", line)
-    _check_orientation_probs(entry.probs, line)
 
 
 def _check_orientation_probs(probs: Sequence[float], line: int | None) -> None:
@@ -637,21 +528,25 @@ def read_reordering_rows(lines: Iterable[str],
         yield src, tgt, probs, ()
 
 
-def parse_reordering_table(lines: Iterable[str],
-                           max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN,
-                           ) -> tuple[ReorderingEntry, ...]:
-    rows = sorted(read_reordering_rows(lines, max_phrase_len), key=_BY_SRC_TGT)
-    unique = check_unique(rows, _BY_SRC_TGT, "reordering entry")
-    return tuple(ReorderingEntry(src, tgt, probs) for src, tgt, probs, _ in unique)
-
-
 def format_reordering_row(src: Phrase, tgt: Phrase, probs: Sequence[float]) -> str:
     # repr keeps the triples summing to one after a round trip, which 6
     # significant digits would not.
     return SEPARATOR.join([" ".join(src), " ".join(tgt), " ".join(map(repr, probs))])
 
 
-def write_reordering_table(entries: Iterable[ReorderingEntry],
-                           stream: TextIO) -> None:
-    for entry in sorted(entries, key=lambda e: (e.src, e.tgt)):
-        stream.write(format_reordering_row(entry.src, entry.tgt, entry.probs) + "\n")
+# The object model moved to ``tables``; its names still resolve here, and
+# only a caller that names one loads it.
+_TABLES_NAMES = frozenset({
+    "PhraseEntry", "PhraseTable", "ReorderingEntry", "ScoreSet",
+    "entry_to_row", "parse_phrase_table", "parse_reordering_table",
+    "row_to_entry", "score_entry", "table_from_rows", "validate_entry",
+    "validate_reordering", "write_phrase_table", "write_reordering_table",
+})
+
+
+def __getattr__(name: str):
+    if name not in _TABLES_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import tables
+    value = globals()[name] = getattr(tables, name)
+    return value

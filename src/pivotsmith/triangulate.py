@@ -35,10 +35,9 @@ from __future__ import annotations
 
 import heapq
 import logging
-from dataclasses import dataclass
 from itertools import chain, groupby, islice
 from operator import itemgetter, lt
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TextIO
 
 from .extsort import DEFAULT_CHUNK_SIZE, ext_sorted
 from .tablecore import (
@@ -47,20 +46,19 @@ from .tablecore import (
     DEFAULT_TOP_N,
     SCORE_OVERSHOOT_TOL,
     AlignmentLink,
+    FrozenFields,
     LogLinearWeights,
-    PhraseEntry,
-    PhraseTable,
-    ReorderingEntry,
     Row,
     TableError,
     check_unique,
-    entry_to_row,
     format_reordering_row,
     format_row,
     loglinear_score,
-    table_from_rows,
     weight_vector,
 )
+
+if TYPE_CHECKING:
+    from .tables import PhraseTable, ReorderingEntry
 
 logger = logging.getLogger(__name__)
 
@@ -70,8 +68,7 @@ _THIRD = 1.0 / 3.0
 _UNIFORM_TRIPLE = (_THIRD,) * 6
 
 
-@dataclass(frozen=True)
-class PivotConfig:
+class PivotConfig(FrozenFields):
     """Knobs for one triangulation run.
 
     ``top_n`` caps entries kept per source phrase on each input table
@@ -81,6 +78,8 @@ class PivotConfig:
     dropped.
     """
 
+    _fields = ("top_n", "weights_sp", "weights_pt", "min_alignment_links",
+               "tmpdir", "chunk_size")
     top_n: int = DEFAULT_TOP_N
     weights_sp: LogLinearWeights | None = None
     weights_pt: LogLinearWeights | None = None
@@ -88,13 +87,20 @@ class PivotConfig:
     tmpdir: str | None = None
     chunk_size: int = DEFAULT_CHUNK_SIZE
 
-    def __post_init__(self) -> None:
-        if self.top_n < 1:
+    def __init__(self, top_n: int = DEFAULT_TOP_N,
+                 weights_sp: LogLinearWeights | None = None,
+                 weights_pt: LogLinearWeights | None = None,
+                 min_alignment_links: int = 0, tmpdir: str | None = None,
+                 chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
+        if top_n < 1:
             raise ValueError("top_n must be at least 1")
-        if self.min_alignment_links < 0:
+        if min_alignment_links < 0:
             raise ValueError("min_alignment_links must not be negative")
-        if self.chunk_size < 1:
+        if chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
+        self._set(top_n=top_n, weights_sp=weights_sp, weights_pt=weights_pt,
+                  min_alignment_links=min_alignment_links, tmpdir=tmpdir,
+                  chunk_size=chunk_size)
 
 
 def project_alignment(
@@ -181,6 +187,8 @@ def filter_rows(rows: Iterable[Row], extras: Sequence[str],
 def filter_top_n(table: PhraseTable, weights: LogLinearWeights | None,
                  n: int) -> PhraseTable:
     """Per-source top-n pruning of a table, extras preserved."""
+    from .tables import entry_to_row, table_from_rows
+
     rows = (entry_to_row(entry) for entry in table)
     return table_from_rows(table.extras_names,
                            filter_rows(rows, table.extras_names, weights, n,
@@ -450,6 +458,8 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
 def pivot_compose(sp: PhraseTable, pt: PhraseTable,
                   cfg: PivotConfig | None = None) -> PhraseTable:
     """Triangulate two in-memory tables into a source-target table."""
+    from .tables import entry_to_row, table_from_rows
+
     if cfg is None:
         cfg = PivotConfig()
     rows = compose_rows(
@@ -476,6 +486,8 @@ def estimate_pivot_size_rows(sp_rows: Iterable[Row],
 
 
 def estimate_pivot_size(sp: PhraseTable, pt: PhraseTable) -> int:
+    from .tables import entry_to_row
+
     return estimate_pivot_size_rows(
         (entry_to_row(e) for e in sp), (entry_to_row(e) for e in pt))
 
@@ -510,6 +522,8 @@ def pivot_reordering(sp_reo: Sequence[ReorderingEntry],
     the source-pivot boundary says nothing about source-target order once
     the pivot phrase drops out.
     """
+    from .tables import ReorderingEntry, entry_to_row
+
     if cfg is None:
         cfg = PivotConfig()
     if sp_reo:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import io
+import logging
 import os
 import random
 import stat
@@ -32,6 +33,9 @@ from pivotsmith.tablecore import (
     write_reordering_table,
 )
 from pivotsmith.triangulate import PivotConfig, pivot_compose, pivot_reordering
+
+
+REO_LINE = "x ||| u ||| 0.8 0.1 0.1 0.6 0.2 0.2\n"
 
 
 def write_table(tbl, path):
@@ -176,6 +180,32 @@ class TestPivotCommand:
         assert 0 < len(want) < len(oracle_compose(sp, pt))
         assert {(e.src, e.tgt): e.probs for e in got} == want
         assert [(e.src, e.tgt) for e in composed] == sorted(want)
+
+    @pytest.mark.parametrize("sp_reo, message", [
+        ("y ||| u ||| 0.2 0.4 0.4 0.3 0.3 0.4\n" + REO_LINE, None),
+        (REO_LINE * 2, "duplicate reordering entry for pair 'x' -> 'u'"),
+        ("x ||| u ||| 0.5 0.5\n", "line 1: expected 6 probabilities, got 2"),
+    ], ids=["valid", "duplicate", "malformed"])
+    def test_reordering_sp_is_validated_only(self, toy_files, caplog, capsys,
+                                             sp_reo, message):
+        _, _, sp_path, pt_path, tmp_path = toy_files
+        (tmp_path / "sp-reo.txt").write_text(sp_reo)
+        (tmp_path / "pt-reo.txt").write_text(REO_LINE)
+        out = tmp_path / "o.txt"
+        argv = ["pivot", "--sp", sp_path, "--pt", pt_path, "-o", str(out),
+                "--reordering-sp", str(tmp_path / "sp-reo.txt"),
+                "--reordering-pt", str(tmp_path / "pt-reo.txt"),
+                "--reordering-out", str(tmp_path / "r.txt")]
+        with caplog.at_level(logging.INFO, logger="pivotsmith"):
+            rc = main(argv)
+        if message is None:
+            assert rc == 0
+            assert ("source-pivot reordering table (2 entries) is validated"
+                    " but unused by the pivot mixture") in caplog.text
+        else:
+            assert rc == 1
+            assert capsys.readouterr().err == f"pivotsmith: error: {message}\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize("extra", [
         ["--sp", "-", "--reordering-pt", "-"],
@@ -627,12 +657,19 @@ _BASE = ["pivotsmith", "pivotsmith.cli", "pivotsmith.tablecore"]
 
 @pytest.fixture
 def startup_files(tmp_path):
-    paths = {name: tmp_path / f"{name}.txt" for name in ("sp", "pt", "in")}
+    paths = {name: tmp_path / f"{name}.txt"
+             for name in ("sp", "pt", "in", "reo", "align", "corpus")}
     paths["sp"].write_text("a ||| x ||| 0.5 0.5 0.5 0.5 ||| 0-0\n"
                            "b ||| x ||| 0.5 0.5 0.5 0.5 ||| 0-0\n")
     paths["pt"].write_text("x ||| u ||| 0.5 0.5 0.5 0.5 ||| 0-0\n")
     paths["in"].write_text("a b\n")
+    paths["reo"].write_text("x ||| u ||| 0.5 0.25 0.25 0.5 0.25 0.25\n")
+    paths["align"].write_text("0-0 1-1\n")
+    paths["corpus"].write_text(MORPH_SRC_CORPUS)
+    paths["lex"] = tmp_path / "src.lex"
+    assert main(["lexicon", "-i", str(paths["corpus"]), "-o", str(paths["lex"])]) == 0
     paths["out"] = tmp_path / "out.txt"
+    paths["reo_out"] = tmp_path / "reo-out.txt"
     return paths
 
 
@@ -644,6 +681,12 @@ _STARTUP = {
     "annotate": (["extsort", "features", "morphmodel", "parallel"], False),
     "combine": (["combine", "extsort"], False),
     "pivot": (["extsort", "triangulate"], True),
+    "pivot-reordering": (["extsort", "triangulate"], True),
+    "filter": (["extsort", "triangulate"], True),
+    "estimate-size": (["extsort", "triangulate"], True),
+    "lexicon": (["morphmodel"], False),
+    "rules-check": (["morphmodel"], False),
+    "fc-train": (["morphmodel"], False),
     "stats": ([], False),
 }
 
@@ -659,6 +702,16 @@ def test_each_command_loads_only_its_modules(startup_files, command):
         "annotate": ["annotate", "-i", f["sp"], "--kind", "connectivity"],
         "combine": ["combine", "-i", f"a={f['sp']}", "-i", f"b={f['pt']}"],
         "pivot": ["pivot", "--sp", f["sp"], "--pt", f["pt"]],
+        "pivot-reordering": ["pivot", "--sp", f["sp"], "--pt", f["pt"],
+                                 "--reordering-sp", f["reo"], "--reordering-pt",
+                                 f["reo"], "--reordering-out", f["reo_out"]],
+        "filter": ["filter", "-i", f["sp"]],
+        "estimate-size": ["estimate-size", "--sp", f["sp"], "--pt", f["pt"]],
+        "lexicon": ["lexicon", "-i", f["corpus"]],
+        "rules-check": ["rules-check"],
+        "fc-train": ["fc-train", "--src", f["in"], "--tgt", f["in"],
+                     "--align", f["align"], "--src-lex", f["lex"],
+                     "--tgt-lex", f["lex"]],
         "stats": ["stats", "-i", f["sp"]],
     }[command]
     if argv:
@@ -667,7 +720,9 @@ def test_each_command_loads_only_its_modules(startup_files, command):
     assert rc == (None if command == "import" else 0)
     assert modules == sorted(_BASE + [f"pivotsmith.{m}" for m in extra_modules])
     assert ("logging" in watched) == logs
-    assert "dataclasses" in watched
+    # The object model (pivotsmith.tables) is the only user of dataclasses.
+    assert "dataclasses" not in watched
+    assert "inspect" not in watched
     assert "concurrent.futures" not in watched
 
 

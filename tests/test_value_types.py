@@ -1,0 +1,153 @@
+"""The commands' value types and the object model's import paths.
+
+``LogLinearWeights``, ``DecodeConfig`` and ``PivotConfig`` are plain
+classes that behave as the frozen dataclasses they replace: the expected
+``repr`` strings and hashes below are what those dataclasses gave.  The
+object model lives in ``pivotsmith.tables`` and is still importable from
+``pivotsmith.tablecore``, whose bare import loads no ``dataclasses``.
+"""
+
+from __future__ import annotations
+
+import copy
+import pickle
+import subprocess
+import sys
+
+import pytest
+
+from conftest import child_env
+from pivotsmith import tablecore, tables
+from pivotsmith.evalkit import DecodeConfig
+from pivotsmith.extsort import DEFAULT_CHUNK_SIZE
+from pivotsmith.tablecore import LogLinearWeights
+from pivotsmith.triangulate import PivotConfig
+
+WEIGHTS = LogLinearWeights({"phi_fwd": 2.0}, default=None)
+
+# (value, its fields in order, its repr)
+VALUES = [
+    (LogLinearWeights(), ({}, 1.0), "LogLinearWeights(values={}, default=1.0)"),
+    (WEIGHTS, ({"phi_fwd": 2.0}, None),
+     "LogLinearWeights(values={'phi_fwd': 2.0}, default=None)"),
+    (DecodeConfig(), (None, 8, -10.0),
+     "DecodeConfig(weights=None, max_phrase_len=8, unknown_word_penalty=-10.0)"),
+    (DecodeConfig(WEIGHTS, 3, unknown_word_penalty=-1.5), (WEIGHTS, 3, -1.5),
+     "DecodeConfig(weights=LogLinearWeights(values={'phi_fwd': 2.0},"
+     " default=None), max_phrase_len=3, unknown_word_penalty=-1.5)"),
+    (PivotConfig(), (1000, None, None, 0, None, 250000),
+     "PivotConfig(top_n=1000, weights_sp=None, weights_pt=None,"
+     " min_alignment_links=0, tmpdir=None, chunk_size=250000)"),
+    (PivotConfig(5, weights_pt=WEIGHTS, min_alignment_links=2, tmpdir="/x",
+                 chunk_size=7), (5, None, WEIGHTS, 2, "/x", 7),
+     "PivotConfig(top_n=5, weights_sp=None, weights_pt=LogLinearWeights("
+     "values={'phi_fwd': 2.0}, default=None), min_alignment_links=2,"
+     " tmpdir='/x', chunk_size=7)"),
+]
+IDS = ["weights-default", "weights", "decode-default", "decode", "pivot-default",
+       "pivot"]
+
+
+@pytest.mark.parametrize("value, fields, text", VALUES, ids=IDS)
+def test_fields_repr_and_equality(value, fields, text):
+    assert repr(value) == text
+    assert tuple(getattr(value, name) for name in value._fields) == fields
+    twin = type(value)(*fields)
+    assert twin == value and not twin != value
+    assert copy.deepcopy(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert value != fields and value.__eq__(fields) is NotImplemented
+
+
+@pytest.mark.parametrize("value, fields, text", VALUES, ids=IDS)
+def test_hash_is_the_hash_of_the_fields(value, fields, text):
+    try:
+        expected = hash(fields)
+    except TypeError:
+        # A weights dict makes the value unhashable, as it made the dataclass.
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(value)
+    else:
+        assert hash(value) == expected
+
+
+@pytest.mark.parametrize("value, fields, text", VALUES, ids=IDS)
+def test_fields_cannot_be_assigned_or_deleted(value, fields, text):
+    name = value._fields[0]
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+        setattr(value, name, None)
+    with pytest.raises(AttributeError, match="cannot assign to field 'other'"):
+        value.other = 1
+    with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+        delattr(value, name)
+    assert getattr(value, name) == fields[0]
+
+
+def test_values_differing_in_one_field_differ():
+    assert PivotConfig(chunk_size=7) != PivotConfig()
+    assert DecodeConfig(max_phrase_len=3) != DecodeConfig()
+    assert LogLinearWeights(default=None) != LogLinearWeights()
+    assert LogLinearWeights() != DecodeConfig()
+
+
+def test_class_level_defaults():
+    # Callers read these off the class, for example as default arguments.
+    assert PivotConfig.top_n == 1000
+    assert PivotConfig.weights_sp is None and PivotConfig.weights_pt is None
+    assert PivotConfig.min_alignment_links == 0
+    assert PivotConfig.tmpdir is None
+    assert PivotConfig.chunk_size == DEFAULT_CHUNK_SIZE
+    assert DecodeConfig.weights is None
+    assert DecodeConfig.max_phrase_len == 8
+    assert DecodeConfig.unknown_word_penalty == -10.0
+    assert LogLinearWeights.default == 1.0
+    assert LogLinearWeights().values == {}
+    assert LogLinearWeights().values is not LogLinearWeights().values
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: PivotConfig(top_n=0), "top_n must be at least 1"),
+    (lambda: PivotConfig(min_alignment_links=-1),
+     "min_alignment_links must not be negative"),
+    (lambda: PivotConfig(chunk_size=0), "chunk_size must be at least 1"),
+    (lambda: DecodeConfig(max_phrase_len=0), "max_phrase_len must be at least 1"),
+    (lambda: DecodeConfig(unknown_word_penalty=float("-inf")),
+     "unknown_word_penalty must be finite"),
+    (lambda: DecodeConfig(unknown_word_penalty=float("nan")),
+     "unknown_word_penalty must be finite"),
+])
+def test_validation_messages(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+MOVED = ["PhraseEntry", "PhraseTable", "ReorderingEntry", "ScoreSet",
+         "entry_to_row", "parse_phrase_table", "parse_reordering_table",
+         "row_to_entry", "score_entry", "table_from_rows", "validate_entry",
+         "validate_reordering", "write_phrase_table", "write_reordering_table"]
+
+
+@pytest.mark.parametrize("name", MOVED)
+def test_moved_names_resolve_through_tablecore(name):
+    assert getattr(tablecore, name) is getattr(tables, name)
+    namespace: dict = {}
+    exec(f"from pivotsmith.tablecore import {name}", namespace)
+    assert namespace[name] is getattr(tables, name)
+
+
+def test_tablecore_forwards_no_other_name():
+    with pytest.raises(AttributeError, match="has no attribute 'dataclass'"):
+        tablecore.dataclass
+    with pytest.raises(ImportError):
+        exec("from pivotsmith.tablecore import no_such_name", {})
+
+
+def test_bare_tablecore_import_loads_no_dataclasses():
+    code = ("import sys, pivotsmith.tablecore;"
+            " print(sorted(m for m in ('dataclasses', 'inspect',"
+            " 'pivotsmith.tables') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -1,16 +1,20 @@
-"""Outputs that fail mid-stream: a full disk and a reader that goes away.
+"""Runs that fail mid-stream: a full disk, a reader that goes away, a signal.
 
-A failed write exits 1 with the system's message, leaves no output file
-and no scratch files.  A closed pipe on stdout or on a FIFO output exits
-quietly with 141, the status a process killed by SIGPIPE reports.
+A failed write, to the output or to the sort's scratch directory, exits 1
+with the system's message, leaves no output file and no scratch files.  A
+closed pipe on stdout or on a FIFO output exits quietly with 141, the
+status a process killed by SIGPIPE reports.  SIGTERM, SIGHUP and SIGINT
+exit 128 plus the signal number, and leave nothing behind either.
 """
 
 from __future__ import annotations
 
 import errno
+import glob
 import itertools
 import os
 import select
+import signal
 import subprocess
 import sys
 import time
@@ -84,6 +88,28 @@ def test_write_failing_after_3000_rows_leaves_no_output(tmp_path, scratch, capsy
     assert list(scratch.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_scratch_disk_full_after_3_runs_leaves_nothing(tmp_path, scratch, capsys,
+                                                       monkeypatch, command):
+    write_run = extsort._write_run
+    runs = []
+
+    def write_run_then_fail(path, rows):
+        runs.append(path)
+        if len(runs) > 3:
+            write_run(path, itertools.islice(rows, 1))
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        write_run(path, rows)
+    monkeypatch.setattr(extsort, "_write_run", write_run_then_fail)
+    work = tmp_path / "work"
+    work.mkdir()
+    assert main(_argv(command, tmp_path) + ["-o", str(work / "out.txt")]) == 1
+    assert "[Errno 28] No space left on device" in capsys.readouterr().err
+    assert len(runs) == 4
+    assert list(work.iterdir()) == []
+    assert list(scratch.iterdir()) == []
+
+
 def _start(scratch, *argv) -> subprocess.Popen:
     return subprocess.Popen(
         [sys.executable, "-m", "pivotsmith.cli", *argv],
@@ -144,3 +170,76 @@ def test_closed_fifo_output_exits_quietly_and_removes_scratch(tmp_path):
         os.close(reader)
     assert _finish(proc) == (141, b"")
     assert list(scratch.iterdir()) == []
+
+
+# The program's entry point, with extsort's default chunk set from argv[1]
+# so that annotate's sort spills early.
+_CHILD_CONSOLE = """
+import signal, sys
+from pivotsmith import cli, extsort
+extsort.DEFAULT_CHUNK_SIZE = int(sys.argv.pop(1))
+# An interactive shell leaves SIGINT at its default, which Python turns
+# into KeyboardInterrupt; a job started in the background inherits it
+# ignored.
+signal.signal(signal.SIGINT, signal.default_int_handler)
+cli.console_main()
+"""
+
+SIGNAL_ROWS = 100_000
+
+
+@pytest.mark.parametrize("signum, status", [
+    (signal.SIGTERM, 143), (signal.SIGHUP, 129), (signal.SIGINT, 130)],
+    ids=["SIGTERM", "SIGHUP", "SIGINT"])
+@pytest.mark.parametrize("command", ["pivot", "annotate"])
+def test_signal_mid_sort_exits_and_leaves_nothing(tmp_path, command, signum, status):
+    scratch = tmp_path / "scratch"
+    work = tmp_path / "work"
+    scratch.mkdir()
+    work.mkdir()
+    sp = tmp_path / "sp.txt"
+    sp.write_text("".join(f"s{i} ||| p{i} ||| 1 1 1 1 ||| 0-0\n"
+                          for i in range(SIGNAL_ROWS)))
+    if command == "pivot":
+        pt = tmp_path / "pt.txt"
+        pt.write_text("".join(f"p{i} ||| t{i} ||| 1 1 1 1 ||| 0-0\n"
+                              for i in range(SIGNAL_ROWS)))
+        argv = ["pivot", "--sp", str(sp), "--pt", str(pt), "--chunk-size", "500"]
+    else:
+        argv = ["annotate", "-i", str(sp), "--kind", "connectivity"]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _CHILD_CONSOLE, "500", *argv,
+         "-o", str(work / "out.txt")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=child_env(PIVOTSMITH_TMPDIR=str(scratch)))
+    try:
+        deadline = time.monotonic() + 60
+        pattern = str(scratch / "pivotsmith-sort-*" / "run0")
+        while not glob.glob(pattern):
+            assert proc.poll() is None, "the command ended before it spilled"
+            assert time.monotonic() < deadline, "no spill run within 60 s"
+            time.sleep(0.002)
+        proc.send_signal(signum)
+    finally:
+        rc, stderr = _finish(proc)
+    assert rc == status, stderr
+    assert len(stderr.splitlines()) <= 1, stderr
+    assert list(scratch.iterdir()) == []
+    assert list(work.iterdir()) == []
+
+
+def test_signal_ignored_at_start_stays_ignored():
+    # As under nohup: the program keeps ignoring SIGHUP and handles SIGTERM.
+    code = """
+import os, signal
+from pivotsmith import cli
+signal.signal(signal.SIGHUP, signal.SIG_IGN)
+try:
+    cli.console_main()
+except SystemExit as exc:
+    print(exc.code, signal.getsignal(signal.SIGHUP) is signal.SIG_IGN,
+          signal.getsignal(signal.SIGTERM) is cli._exit_on_signal)
+"""
+    done = subprocess.run([sys.executable, "-c", code, "rules-check", "-o", os.devnull],
+                          env=child_env(), capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0 True True\n", "")
