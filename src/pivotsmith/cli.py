@@ -31,7 +31,7 @@ import importlib
 import os
 import stat
 import sys
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import ExitStack, closing, contextmanager, suppress
 from typing import Iterator, TextIO
 
 from . import __version__
@@ -63,6 +63,7 @@ _LIBRARY = {
     "combine": ("combine_rows", "combine_tables"),
     "evalkit": ("DecodeConfig", "bleu4_report", "build_phrase_index",
                 "phrase_index_rows", "read_sentences", "_decode_one"),
+    "extsort": ("ext_sorted",),
     "features": ("annotate_rows", "annotate_table", "connectivity_scores",
                  "induced_morph_scores", "rule_morph_scores"),
     "morphmodel": ("FcModel", "MorphLexicon", "_feature_index", "build_lexicon",
@@ -73,7 +74,6 @@ _LIBRARY = {
     "triangulate": ("PivotConfig", "compose_rows", "estimate_pivot_size_rows",
                     "filter_rows", "reorder_rows", "write_reordering_rows"),
 }
-_ALIASES = {"_decode_one": "_decode_indexed"}
 _MODULE_OF = {name: module for module, names in _LIBRARY.items() for name in names}
 
 
@@ -83,7 +83,7 @@ def _bind(*modules: str) -> None:
     for module in modules:
         loaded = importlib.import_module(f".{module}", __package__)
         for name in _LIBRARY[module]:
-            namespace.setdefault(name, getattr(loaded, _ALIASES.get(name, name)))
+            namespace.setdefault(name, getattr(loaded, name))
 
 
 def __getattr__(name: str):
@@ -236,12 +236,14 @@ def cmd_pivot(args: argparse.Namespace) -> int:
         if args.reordering_out == "-" and args.output in (None, "-"):
             raise UsageError("only one of -o and --reordering-out can write stdout")
         if args.reordering_sp is not None:
-            with _open_in(args.reordering_sp) as stream:
-                entries = sorted(read_reordering_rows(stream), key=_BY_SRC_TGT)
-            for _ in check_unique(entries, _BY_SRC_TGT, "reordering entry"):
-                pass
+            _bind("extsort")
+            with _open_in(args.reordering_sp) as stream, closing(ext_sorted(
+                    read_reordering_rows(stream), _BY_SRC_TGT,
+                    cfg.chunk_size, cfg.tmpdir)) as ordered:
+                n_entries = sum(1 for _ in check_unique(ordered, _BY_SRC_TGT,
+                                                        "reordering entry"))
             logger.info("source-pivot reordering table (%d entries) is validated"
-                        " but unused by the pivot mixture", len(entries))
+                        " but unused by the pivot mixture", n_entries)
     with ExitStack() as stack:
         pt_reo = None
         if reordering:

@@ -19,7 +19,6 @@ import math
 from collections import Counter
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .parallel import ordered_map
 from .tablecore import (
     CORE_FEATURES,
     DEFAULT_LOG_FLOOR,
@@ -92,13 +91,13 @@ def build_phrase_index(table: PhraseTable, cfg: DecodeConfig) -> PhraseIndex:
     return phrase_index_rows(map(entry_to_row, table), table.extras_names, cfg)
 
 
-def _decode_indexed(sentence: Sequence[str], index: PhraseIndex,
-                    cfg: DecodeConfig) -> tuple[str, ...]:
-    return _decode_indexed_scored(sentence, index, cfg)[0]
+def _decode_one(sentence: Sequence[str], index: PhraseIndex,
+                cfg: DecodeConfig) -> tuple[str, ...]:
+    return _decode_one_scored(sentence, index, cfg)[0]
 
 
-def _decode_indexed_scored(sentence: Sequence[str], index: PhraseIndex,
-                           cfg: DecodeConfig) -> tuple[tuple[str, ...], float]:
+def _decode_one_scored(sentence: Sequence[str], index: PhraseIndex,
+                       cfg: DecodeConfig) -> tuple[tuple[str, ...], float]:
     n = len(sentence)
     if n == 0:
         return (), 0.0
@@ -151,7 +150,7 @@ def decode_monotone(sentence: Sequence[str], table: PhraseTable,
                     cfg: DecodeConfig | None = None) -> tuple[str, ...]:
     if cfg is None:
         cfg = DecodeConfig()
-    return _decode_indexed(sentence, build_phrase_index(table, cfg), cfg)
+    return _decode_one(sentence, build_phrase_index(table, cfg), cfg)
 
 
 def decode_scored(sentence: Sequence[str], table: PhraseTable,
@@ -160,7 +159,7 @@ def decode_scored(sentence: Sequence[str], table: PhraseTable,
     """Translation plus its summed log-linear path score."""
     if cfg is None:
         cfg = DecodeConfig()
-    return _decode_indexed_scored(sentence, build_phrase_index(table, cfg), cfg)
+    return _decode_one_scored(sentence, build_phrase_index(table, cfg), cfg)
 
 
 def decode_corpus(sentences: Sequence[Sequence[str]], table: PhraseTable,
@@ -171,11 +170,13 @@ def decode_corpus(sentences: Sequence[Sequence[str]], table: PhraseTable,
     Sentences are decoded in the calling thread; ``threads`` is ignored
     apart from being validated (at least 1).
     """
+    from .parallel import ordered_map
+
     if cfg is None:
         cfg = DecodeConfig()
     index = build_phrase_index(table, cfg)
     return list(ordered_map(
-        lambda sentence: _decode_indexed(sentence, index, cfg),
+        lambda sentence: _decode_one(sentence, index, cfg),
         sentences, threads))
 
 

@@ -33,8 +33,8 @@ import math
 import re
 from contextlib import closing
 from operator import itemgetter
-from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn,
-                    Sequence, TextIO)
+from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence,
+                    TextIO)
 
 
 SEPARATOR = " ||| "
@@ -54,7 +54,6 @@ ORIGIN_PREFIX = "origin_"
 SCORE_OVERSHOOT_TOL = 1e-9
 
 _HEADER_PREFIX = "#features:"
-_PHRASE_FIELD_RE = re.compile(r"\S+( \S+)*\Z")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.+-]*\Z")
 
 Phrase = tuple[str, ...]
@@ -234,93 +233,73 @@ def parse_row(line: str, lineno: int, n_extras: int,
               max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN) -> Row:
     """Parse one data line into a raw row tuple.
 
-    An accepted line is split and checked in this one pass.  A line that
-    fails any check is parsed again by the per-field parsers, which name
-    the problem and raise it.
+    Each field is checked once, in line order (source, target, scores,
+    alignment), and the first problem found is raised where it is found.
     """
     text = line.rstrip("\n")
     if text.endswith(" |||"):
         text += " "
-    try:
-        src_text, tgt_text, score_text, align_text = text.split(SEPARATOR)
-        scores = tuple(map(float, score_text.split(" ")))
-    except ValueError:
-        _raise_row_error(text, lineno, n_extras, max_phrase_len)
-    # A field is well formed when it is its own tokens joined by single
-    # spaces: what _PHRASE_FIELD_RE matches, in fewer steps.
+    fields = text.split(SEPARATOR)
+    if len(fields) != 4:
+        raise TableError(
+            f"expected 4 fields separated by '|||', got {len(fields)}", lineno)
+    src_text, tgt_text, score_text, align_text = fields
+    # _parse_phrase_field's test, inline to save a call per phrase; on a
+    # failure it is called to raise the error.
     src = tuple(src_text.split())
+    if (not src or " ".join(src) != src_text or "|||" in src_text
+            or (max_phrase_len is not None and len(src) > max_phrase_len)):
+        src = _parse_phrase_field(src_text, "source", lineno, max_phrase_len)
     tgt = tuple(tgt_text.split())
-    n_src = len(src)
-    n_tgt = len(tgt)
+    if (not tgt or " ".join(tgt) != tgt_text or "|||" in tgt_text
+            or (max_phrase_len is not None and len(tgt) > max_phrase_len)):
+        tgt = _parse_phrase_field(tgt_text, "target", lineno, max_phrase_len)
+    values = score_text.split(" ")
+    if len(values) != 4 + n_extras:
+        raise TableError(
+            f"expected {4 + n_extras} score columns, got {len(values)}", lineno)
+    try:
+        scores = tuple(map(float, values))
+    except ValueError:
+        raise TableError(f"non-numeric score in {score_text!r}", lineno) from None
     # Chained comparisons are false for NaN; ``< math.inf`` also rejects inf.
-    if (len(scores) != 4 + n_extras or not n_src or not n_tgt
-            or " ".join(src) != src_text or "|||" in src_text
-            or " ".join(tgt) != tgt_text or "|||" in tgt_text
-            or (max_phrase_len is not None
-                and (n_src > max_phrase_len or n_tgt > max_phrase_len))
-            or not (0.0 <= scores[0] <= 1.0 and 0.0 <= scores[1] <= 1.0
-                    and 0.0 <= scores[2] <= 1.0 and 0.0 <= scores[3] <= 1.0)
+    if (not (0.0 <= scores[0] <= 1.0 and 0.0 <= scores[1] <= 1.0
+             and 0.0 <= scores[2] <= 1.0 and 0.0 <= scores[3] <= 1.0)
             or (n_extras and not all([0.0 <= v < math.inf for v in scores[4:]]))):
-        _raise_row_error(text, lineno, n_extras, max_phrase_len)
+        _check_scores(scores[:4], scores[4:], lineno)
     if not align_text:
         return src, tgt, scores, ()
+    n_src = len(src)
+    n_tgt = len(tgt)
     links = []
+    outside = False
     for item in align_text.split(" "):
         left, sep, right = item.partition("-")
         if not (sep and left.isdigit() and right.isdigit()):
-            _raise_row_error(text, lineno, n_extras, max_phrase_len)
-        # A digit ``int`` cannot read, like "²", raises here what it raises
-        # in _parse_alignment_field: every earlier check has passed.
+            raise TableError(f"malformed alignment point {item!r}", lineno)
+        # A digit ``int`` cannot read, like "²", raises its ValueError here.
         i = int(left)
         j = int(right)
         if i >= n_src or j >= n_tgt:
-            _raise_row_error(text, lineno, n_extras, max_phrase_len)
+            outside = True
         links.append((i, j))
-    if len(links) > 1:
-        links.sort()
-        if len(set(links)) != len(links):
-            _raise_row_error(text, lineno, n_extras, max_phrase_len)
+    # Checked before the sort, so the first bad link in line order is named.
+    if outside or (len(links) > 1 and len(set(links)) != len(links)):
+        _check_alignment(links, n_src, n_tgt, lineno)
+    links.sort()
     return src, tgt, scores, tuple(links)
-
-
-def _raise_row_error(text: str, lineno: int, n_extras: int,
-                     max_phrase_len: int | None) -> NoReturn:
-    """Raise the error the field parsers give for a line ``parse_row`` rejected."""
-    parts = text.split(SEPARATOR)
-    if len(parts) != 4:
-        raise TableError(
-            f"expected 4 fields separated by '|||', got {len(parts)}", lineno)
-    src = _parse_phrase_field(parts[0], "source", lineno, max_phrase_len)
-    tgt = _parse_phrase_field(parts[1], "target", lineno, max_phrase_len)
-    _parse_scores_field(parts[2], n_extras, lineno)
-    _parse_alignment_field(parts[3], len(src), len(tgt), lineno)
-    raise AssertionError(f"line {lineno}: parse_row rejected a line the field"
-                         " parsers accept")
 
 
 def _parse_phrase_field(text: str, side: str, lineno: int,
                         max_phrase_len: int | None) -> Phrase:
-    if not _PHRASE_FIELD_RE.match(text) or "|||" in text:
+    # Well formed: its own tokens joined by single spaces, with no '|||'.
+    tokens = text.split()
+    if not tokens or " ".join(tokens) != text or "|||" in text:
         raise TableError(f"malformed {side} phrase field {text!r}", lineno)
-    tokens = text.split(" ")
     if max_phrase_len is not None and len(tokens) > max_phrase_len:
         raise TableError(
             f"{side} phrase has {len(tokens)} tokens, limit is {max_phrase_len}", lineno)
     return tuple(tokens)
-
-
-def _parse_scores_field(text: str, n_extras: int, lineno: int) -> tuple[float, ...]:
-    fields = text.split(" ")
-    expected = 4 + n_extras
-    if len(fields) != expected:
-        raise TableError(
-            f"expected {expected} score columns, got {len(fields)}", lineno)
-    try:
-        values = tuple(float(f) for f in fields)
-    except ValueError:
-        raise TableError(f"non-numeric score in {text!r}", lineno) from None
-    _check_scores(values[:4], values[4:], lineno)
-    return values
 
 
 def _parse_alignment_field(text: str, src_len: int, tgt_len: int,

@@ -34,13 +34,13 @@ the same output to the bit.
 from __future__ import annotations
 
 import heapq
-import logging
 from itertools import chain, groupby, islice
 from operator import itemgetter, lt
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TextIO
 
 from .extsort import DEFAULT_CHUNK_SIZE, ext_sorted
 from .tablecore import (
+    _BY_SRC_TGT,
     CORE_FEATURES,
     DEFAULT_LOG_FLOOR,
     DEFAULT_TOP_N,
@@ -60,9 +60,6 @@ from .tablecore import (
 if TYPE_CHECKING:
     from .tables import PhraseTable, ReorderingEntry
 
-logger = logging.getLogger(__name__)
-
-_BY_SRC_TGT = itemgetter(0, 1)
 _BY_PIVOT_SRC = itemgetter(1, 0)
 _THIRD = 1.0 / 3.0
 _UNIFORM_TRIPLE = (_THIRD,) * 6
@@ -416,6 +413,9 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
     reordering rows are sorted whatever it says.  A pair repeated in any
     of the three raises ``TableError``.
     """
+    # Imported here, so that filter and estimate-size do not load logging.
+    import logging
+    logger = logging.getLogger(__name__)
     for side, extras in (("source-pivot", sp_extras), ("pivot-target", pt_extras)):
         if extras:
             logger.warning("dropping %d extra feature column(s) from the %s table: %s",
@@ -527,8 +527,10 @@ def pivot_reordering(sp_reo: Sequence[ReorderingEntry],
     if cfg is None:
         cfg = PivotConfig()
     if sp_reo:
-        logger.info("source-pivot reordering table (%d entries) is unused"
-                    " by the pivot mixture", len(sp_reo))
+        import logging
+        logging.getLogger(__name__).info(
+            "source-pivot reordering table (%d entries) is unused"
+            " by the pivot mixture", len(sp_reo))
     rows = compose_rows(
         (entry_to_row(e) for e in sp), sp.extras_names,
         (entry_to_row(e) for e in pt), pt.extras_names,

@@ -344,6 +344,42 @@ def oracle_read_rows(lines, max_phrase_len=8):
     return extras, rows
 
 
+def oracle_read_reordering_rows(lines, max_phrase_len=8):
+    """Reordering table lines parsed field by field, rows listed.
+
+    Its rows and its errors (type, message and ``.line``) are what
+    ``tablecore.read_reordering_rows`` must give.
+    """
+    rows = []
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.rstrip("\n")
+        if not text.strip():
+            raise TableError("blank line in reordering table", lineno)
+        parts = text.split(" ||| ")
+        if len(parts) != 3:
+            raise TableError(
+                f"expected 3 fields separated by '|||', got {len(parts)}", lineno)
+        src = _oracle_phrase_field(parts[0], "source", lineno, max_phrase_len)
+        tgt = _oracle_phrase_field(parts[1], "target", lineno, max_phrase_len)
+        fields = parts[2].split(" ")
+        if len(fields) != 6:
+            raise TableError(f"expected 6 probabilities, got {len(fields)}", lineno)
+        try:
+            probs = tuple(float(f) for f in fields)
+        except ValueError:
+            raise TableError(f"non-numeric probability in {parts[2]!r}", lineno) from None
+        for value in probs:
+            if not math.isfinite(value) or value < 0.0 or value > 1.0:
+                raise TableError(f"probability {value!r} not in [0, 1]", lineno)
+        for lo in (0, 3):
+            total = probs[lo] + probs[lo + 1] + probs[lo + 2]
+            if abs(total - 1.0) > 1e-6:
+                raise TableError(
+                    f"orientation triple sums to {total!r}, expected 1", lineno)
+        rows.append((src, tgt, probs, ()))
+    return rows
+
+
 def oracle_project(a_sp, a_pt):
     """Every (i, k) linked through some shared middle position, sorted."""
     return tuple(sorted({(i, k) for i, j in a_sp for j2, k in a_pt if j == j2}))

@@ -207,6 +207,26 @@ class TestPivotCommand:
             assert capsys.readouterr().err == f"pivotsmith: error: {message}\n"
             assert not out.exists()
 
+    def test_reordering_sp_duplicate_leaves_scratch_empty(self, toy_files, capsys):
+        # At --chunk-size 2 the validation sort spills its runs to scratch.
+        _, _, sp_path, pt_path, tmp_path = toy_files
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        lines = [f"s{i} ||| u ||| 0.5 0.25 0.25 0.5 0.25 0.25\n" for i in range(9)]
+        (tmp_path / "sp-reo.txt").write_text("".join(lines + lines[4:5]))
+        (tmp_path / "pt-reo.txt").write_text(REO_LINE)
+        out = tmp_path / "o.txt"
+        rc = main(["pivot", "--sp", sp_path, "--pt", pt_path, "-o", str(out),
+                   "--reordering-sp", str(tmp_path / "sp-reo.txt"),
+                   "--reordering-pt", str(tmp_path / "pt-reo.txt"),
+                   "--reordering-out", str(tmp_path / "r.txt"),
+                   "--chunk-size", "2", "--tmpdir", str(scratch)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "pivotsmith: error: duplicate reordering entry for pair 's4' -> 'u'\n")
+        assert list(scratch.iterdir()) == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("extra", [
         ["--sp", "-", "--reordering-pt", "-"],
         ["--pt", "-", "--reordering-sp", "-", "--reordering-pt", "r.txt"],
@@ -676,14 +696,14 @@ def startup_files(tmp_path):
 # command: (pivotsmith modules it loads beyond _BASE, whether it loads logging)
 _STARTUP = {
     "import": ([], False),
-    "bleu": (["evalkit", "parallel"], False),
+    "bleu": (["evalkit"], False),
     "decode": (["evalkit", "extsort", "parallel"], False),
     "annotate": (["extsort", "features", "morphmodel", "parallel"], False),
     "combine": (["combine", "extsort"], False),
     "pivot": (["extsort", "triangulate"], True),
     "pivot-reordering": (["extsort", "triangulate"], True),
-    "filter": (["extsort", "triangulate"], True),
-    "estimate-size": (["extsort", "triangulate"], True),
+    "filter": (["extsort", "triangulate"], False),
+    "estimate-size": (["extsort", "triangulate"], False),
     "lexicon": (["morphmodel"], False),
     "rules-check": (["morphmodel"], False),
     "fc-train": (["morphmodel"], False),

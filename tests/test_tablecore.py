@@ -8,7 +8,13 @@ import random
 
 import pytest
 
-from conftest import entry, oracle_parse_row, oracle_read_rows, table
+from conftest import (
+    entry,
+    oracle_parse_row,
+    oracle_read_reordering_rows,
+    oracle_read_rows,
+    table,
+)
 from pivotsmith.tablecore import (
     CORE_FEATURES,
     SEPARATOR,
@@ -24,6 +30,7 @@ from pivotsmith.tablecore import (
     parse_phrase_table,
     parse_reordering_table,
     parse_row,
+    read_reordering_rows,
     read_rows,
     score_entry,
     validate_reordering,
@@ -525,3 +532,123 @@ class TestParserMatchesFieldParsers:
 
             assert (_outcome(parse_all, read_rows)
                     == _outcome(parse_all, oracle_read_rows)), lines
+
+
+# --- read_reordering_rows against the field-by-field reference parser -----
+
+_REO_EDGE = ("0", "-0", "1", "1.0", "0.5", "5e-324")
+
+
+def _good_reordering_parts(rng: random.Random, max_len: int | None):
+    """Token lists of the three fields of a line the reader must accept."""
+    longest = 12 if max_len is None else max_len
+
+    def phrase(prefix: str) -> list[str]:
+        n = longest if rng.random() < 0.2 else rng.randint(1, min(longest, 4))
+        return [f"{prefix}{rng.randrange(30)}" for _ in range(n)]
+
+    probs = []
+    for _ in range(2):
+        if rng.random() < 0.3:
+            triple = rng.choice((["1", "0", "-0"], ["0.5", "0.5", "0"],
+                                 ["0.25", "0.25", "0.5"], ["1.0", "5e-324", "0"]))
+        else:
+            a = rng.random()
+            b = rng.uniform(0.0, 1.0 - a)
+            triple = [repr(a), repr(b), repr(1.0 - a - b)]
+        rng.shuffle(triple)
+        probs += triple
+    return [phrase("s"), phrase("t"), probs]
+
+
+def _break_reordering_line(rng: random.Random, max_len: int | None) -> str:
+    """A line with one or two problems, any of which the reader may hit first."""
+    while True:
+        parts = _good_reordering_parts(rng, max_len)
+        fields = 3
+        for _ in range(rng.randint(1, 2)):
+            kind = rng.choice(("empty", "double", "lead", "trail", "long", "token",
+                               "count", "text", "range", "sum", "fields"))
+            side = parts[rng.randrange(2)]
+            probs = parts[2]
+            if kind == "empty":
+                side.clear()
+            elif kind in ("double", "lead", "trail"):
+                where = {"double": rng.randrange(len(side) + 1), "lead": 0,
+                         "trail": len(side)}[kind]
+                side.insert(where, "")
+            elif kind == "long":
+                if max_len is None:  # no limit to exceed: end on a space instead
+                    side.append("")
+                else:
+                    side.extend(["w"] * (max_len + 1 - len(side)))
+            elif kind == "token":
+                if not side:
+                    side.append("w")
+                side[rng.randrange(len(side))] += rng.choice(
+                    ("\tz", "\u00a0z", "|||z", "\x1fz", "\u2028z"))
+            elif kind == "count":
+                if rng.random() < 0.5:
+                    probs.pop()
+                else:
+                    probs.append("0")
+            elif kind == "text":
+                probs[rng.randrange(len(probs))] = rng.choice(("x", "1,5", "", "0x1"))
+            elif kind == "range":
+                probs[rng.randrange(len(probs))] = rng.choice(
+                    ("nan", "inf", "-inf", "-0.5", "1.5"))
+            elif kind == "sum":
+                probs[rng.randrange(len(probs))] = rng.choice(("0.9", "0.001", "1e-5"))
+            else:
+                fields = rng.choice((2, 4))
+        line = SEPARATOR.join(" ".join(field) for field in parts)
+        if fields == 2:
+            line = line.split(SEPARATOR, 1)[1]
+        elif fields == 4:
+            line += SEPARATOR + "x"
+        line += rng.choice(("\n", "\n", ""))
+        try:
+            oracle_read_reordering_rows([line], max_len)
+        except ValueError:
+            return line
+        # Two problems can cancel out, as one probability too few and one too many.
+
+
+def _read_reordering(lines, max_len):
+    return list(read_reordering_rows(lines, max_len))
+
+
+class TestReorderingReaderMatchesFieldParsers:
+    @pytest.mark.parametrize("max_len", [8, 3, None])
+    def test_accepted_lines_give_the_same_row(self, max_len):
+        rng = random.Random(500 + (max_len or 0))
+        for _ in range(600):
+            parts = _good_reordering_parts(rng, max_len)
+            line = SEPARATOR.join(" ".join(field) for field in parts) + "\n"
+            want = _outcome(oracle_read_reordering_rows, [line], max_len)
+            assert want[0] == "row", (line, want)
+            assert _outcome(_read_reordering, [line], max_len) == want, line
+
+    @pytest.mark.parametrize("max_len", [8, 3, None])
+    def test_rejected_lines_give_the_same_error(self, max_len):
+        rng = random.Random(600 + (max_len or 0))
+        for _ in range(1500):
+            line = _break_reordering_line(rng, max_len)
+            want = _outcome(oracle_read_reordering_rows, [line], max_len)
+            assert want[0] == "error", (line, want)
+            assert _outcome(_read_reordering, [line], max_len) == want, line
+
+    def test_tables_give_the_same_rows_and_errors(self):
+        rng = random.Random(700)
+        for _ in range(200):
+            lines = []
+            for _ in range(rng.randint(1, 10)):
+                parts = _good_reordering_parts(rng, 8)
+                lines.append(SEPARATOR.join(" ".join(field) for field in parts) + "\n")
+            fault = rng.random()
+            if fault < 0.3:
+                lines.insert(rng.randint(0, len(lines)), rng.choice(("\n", " \t\n", "")))
+            elif fault < 0.6:
+                lines.insert(rng.randint(0, len(lines)), _break_reordering_line(rng, 8))
+            assert (_outcome(_read_reordering, lines, 8)
+                    == _outcome(oracle_read_reordering_rows, lines, 8)), lines

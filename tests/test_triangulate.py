@@ -509,6 +509,34 @@ def test_reordering_peak_rss_does_not_follow_the_table_size(tmp_path):
     assert abs(peaks[1] - peaks[0]) < 4 * 1024, f"peaks {peaks} KB"
 
 
+def test_reordering_sp_peak_rss_does_not_follow_the_table_size(tmp_path):
+    # The source-pivot reordering table is only validated, through the
+    # disk-backed sort, so a four times larger one needs no more memory.
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    sp, pt, reo_pt = (tmp_path / f"{name}.txt" for name in ("sp", "pt", "reo-pt"))
+    sp.write_text("s ||| p ||| 1 1 1 1 ||| 0-0\n", encoding="utf-8")
+    pt.write_text("p ||| t ||| 1 1 1 1 ||| 0-0\n", encoding="utf-8")
+    reo_pt.write_text("p ||| t ||| 0.5 0.25 0.25 0.5 0.25 0.25\n", encoding="utf-8")
+    peaks = []
+    for rows in (20_000, 80_000):
+        reo_sp = tmp_path / f"reo-sp{rows}.txt"
+        reo_sp.write_text("".join(f"s{i} ||| p{i} ||| 0.5 0.25 0.25 0.5 0.25 0.25\n"
+                                  for i in range(rows)), encoding="utf-8")
+        out, reo_out = tmp_path / "out.txt", tmp_path / "reo-out.txt"
+        _, _, peak_kb = run_measured(scratch, "pivot", "--sp", sp, "--pt", pt,
+                                     "-o", out, "--reordering-sp", reo_sp,
+                                     "--reordering-pt", reo_pt,
+                                     "--reordering-out", reo_out,
+                                     "--chunk-size", "1000")
+        if peak_kb < 0:
+            pytest.skip("VmHWM is read from /proc/self/status")
+        assert out.read_text(encoding="utf-8") == "s ||| t ||| 1 1 1 1 ||| 0-0\n"
+        assert list(scratch.iterdir()) == []
+        peaks.append(peak_kb)
+    assert abs(peaks[1] - peaks[0]) < 4 * 1024, f"peaks {peaks} KB"
+
+
 def _write_wide_pivot(dirpath, targets):
     """One pivot phrase `the` with `targets` translations, reached from 50
     sources, and the same rows as a table whose one source is `the`."""
