@@ -6,13 +6,13 @@ errors with the offending line number in the message.  Nothing here uses
 randomness and every command runs its work in one thread, so reruns are
 byte-identical.  ``--threads`` on ``annotate`` and ``decode`` is accepted
 for compatibility and has no effect.  A command may read stdin for at
-most one of its inputs.
+most one input, and ``pivot``'s two outputs must be different files.
 
 Every command that reads a phrase table streams it as raw rows; none
 builds a ``PhraseTable`` or loads ``pivotsmith.tables``, the object model,
 so no command imports ``dataclasses``.  ``annotate``, ``combine`` and
-``decode`` sort their rows into table order through the disk-backed sort,
-which also rejects duplicate pairs.
+``decode`` sort rows through ``sort_table_rows`` and ``pivot --reordering-sp``
+through ``sort_reordering_rows``, which also reject duplicate pairs.
 
 Every command is a fresh process, so each one imports only the library
 modules it runs (``_LIBRARY``), and only ``pivot`` sets up logging.  A
@@ -36,17 +36,20 @@ from typing import Iterator, TextIO
 
 from . import __version__
 from .tablecore import (
-    _BY_SRC_TGT,
     CORE_FEATURES,
+    DEFAULT_CHUNK_SIZE,
     DEFAULT_FC_FEATURES,
+    DEFAULT_MAX_PHRASE_LEN,
     DEFAULT_RULE_FEATURES,
     DEFAULT_TOP_N,
+    DEFAULT_UNKNOWN_PENALTY,
     NA_VALUE,
     LogLinearWeights,
     TableError,
-    check_unique,
+    ordered_map,
     read_reordering_rows,
     read_rows,
+    sort_reordering_rows,
     sort_table_rows,
     write_rows,
 )
@@ -63,12 +66,10 @@ _LIBRARY = {
     "combine": ("combine_rows", "combine_tables"),
     "evalkit": ("DecodeConfig", "bleu4_report", "build_phrase_index",
                 "phrase_index_rows", "read_sentences", "_decode_one"),
-    "extsort": ("ext_sorted",),
     "features": ("annotate_rows", "annotate_table", "connectivity_scores",
                  "induced_morph_scores", "rule_morph_scores"),
     "morphmodel": ("FcModel", "MorphLexicon", "_feature_index", "build_lexicon",
                    "default_rules", "load_rules", "train_fc_model"),
-    "parallel": ("ordered_map",),
     "tablecore": ("parse_phrase_table", "parse_reordering_table",
                   "write_phrase_table"),
     "triangulate": ("PivotConfig", "compose_rows", "estimate_pivot_size_rows",
@@ -220,9 +221,18 @@ def cmd_pivot(args: argparse.Namespace) -> int:
     reordering = args.reordering_out is not None
     if reordering and args.reordering_pt is None:
         raise UsageError("--reordering-out requires --reordering-pt")
-    inputs = [args.sp, args.pt]
-    if reordering:
-        inputs += [args.reordering_sp, args.reordering_pt]
+    if not reordering:
+        for flag, path in (("--reordering-pt", args.reordering_pt),
+                           ("--reordering-sp", args.reordering_sp)):
+            if path is not None:
+                raise UsageError(f"{flag} requires --reordering-out")
+    elif args.reordering_out == "-":
+        if args.output in (None, "-"):
+            raise UsageError("only one of -o and --reordering-out can write stdout")
+    elif args.output not in (None, "-") and (
+            os.path.realpath(args.output) == os.path.realpath(args.reordering_out)):
+        raise UsageError("-o and --reordering-out must name different files")
+    inputs = [args.sp, args.pt, args.reordering_sp, args.reordering_pt]
     _check_stdin(inputs, "only one input table can read stdin")
     _check_stdin(inputs + [args.weights_sp, args.weights_pt])
     cfg = PivotConfig(
@@ -232,18 +242,14 @@ def cmd_pivot(args: argparse.Namespace) -> int:
         min_alignment_links=args.min_links,
         tmpdir=args.tmpdir,
         chunk_size=args.chunk_size)
-    if reordering:
-        if args.reordering_out == "-" and args.output in (None, "-"):
-            raise UsageError("only one of -o and --reordering-out can write stdout")
-        if args.reordering_sp is not None:
-            _bind("extsort")
-            with _open_in(args.reordering_sp) as stream, closing(ext_sorted(
-                    read_reordering_rows(stream), _BY_SRC_TGT,
-                    cfg.chunk_size, cfg.tmpdir)) as ordered:
-                n_entries = sum(1 for _ in check_unique(ordered, _BY_SRC_TGT,
-                                                        "reordering entry"))
-            logger.info("source-pivot reordering table (%d entries) is validated"
-                        " but unused by the pivot mixture", n_entries)
+    if args.reordering_sp is not None:
+        # closing() ends the sort, and removes its scratch files, even when
+        # a signal arrives outside it.
+        with _open_in(args.reordering_sp) as stream, closing(sort_reordering_rows(
+                read_reordering_rows(stream), cfg.chunk_size, cfg.tmpdir)) as ordered:
+            n_entries = sum(1 for _ in ordered)
+        logger.info("source-pivot reordering table (%d entries) is validated"
+                    " but unused by the pivot mixture", n_entries)
     with ExitStack() as stack:
         pt_reo = None
         if reordering:
@@ -383,7 +389,7 @@ def cmd_combine(args: argparse.Namespace) -> int:
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    _bind("evalkit", "parallel")
+    _bind("evalkit")
     _check_stdin([args.weights, args.table, args.input or "-"])
     cfg = DecodeConfig(
         weights=_load_weights(args.weights),
@@ -495,8 +501,9 @@ def _add_sort_opts(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tmpdir", default=None,
                         help="scratch directory for sort spills (default:"
                              " PIVOTSMITH_TMPDIR or the system tmpdir)")
-    parser.add_argument("--chunk-size", type=_positive_int, default=250_000,
-                        help="rows sorted per in-memory chunk (default 250000)")
+    parser.add_argument("--chunk-size", type=_positive_int, default=DEFAULT_CHUNK_SIZE,
+                        help="rows sorted per in-memory chunk"
+                             f" (default {DEFAULT_CHUNK_SIZE})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -606,11 +613,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tokenized input sentences (default stdin)")
     p.add_argument("-o", "--output", default=None,
                    help="translations (default stdout)")
-    p.add_argument("--max-phrase-len", type=_positive_int, default=8,
-                   help="longest source span matched (default 8)")
-    p.add_argument("--unknown-penalty", type=float, default=-10.0,
+    p.add_argument("--max-phrase-len", type=_positive_int, default=DEFAULT_MAX_PHRASE_LEN,
+                   help=f"longest source span matched (default {DEFAULT_MAX_PHRASE_LEN})")
+    p.add_argument("--unknown-penalty", type=float, default=DEFAULT_UNKNOWN_PENALTY,
                    help="log score for passing an unknown token through"
-                        " (default -10.0)")
+                        f" (default {DEFAULT_UNKNOWN_PENALTY})")
     _add_threads(p)
     p.set_defaults(func=cmd_decode)
 

@@ -23,11 +23,13 @@ from .tablecore import (
     CORE_FEATURES,
     DEFAULT_LOG_FLOOR,
     DEFAULT_MAX_PHRASE_LEN,
+    DEFAULT_UNKNOWN_PENALTY,
     FrozenFields,
     LogLinearWeights,
     Phrase,
     Row,
     loglinear_score,
+    ordered_map,
     weight_vector,
 )
 
@@ -39,11 +41,11 @@ class DecodeConfig(FrozenFields):
     _fields = ("weights", "max_phrase_len", "unknown_word_penalty")
     weights: LogLinearWeights | None = None
     max_phrase_len: int = DEFAULT_MAX_PHRASE_LEN
-    unknown_word_penalty: float = -10.0
+    unknown_word_penalty: float = DEFAULT_UNKNOWN_PENALTY
 
     def __init__(self, weights: LogLinearWeights | None = None,
                  max_phrase_len: int = DEFAULT_MAX_PHRASE_LEN,
-                 unknown_word_penalty: float = -10.0) -> None:
+                 unknown_word_penalty: float = DEFAULT_UNKNOWN_PENALTY) -> None:
         if max_phrase_len < 1:
             raise ValueError("max_phrase_len must be at least 1")
         if not math.isfinite(unknown_word_penalty):
@@ -170,8 +172,6 @@ def decode_corpus(sentences: Sequence[Sequence[str]], table: PhraseTable,
     Sentences are decoded in the calling thread; ``threads`` is ignored
     apart from being validated (at least 1).
     """
-    from .parallel import ordered_map
-
     if cfg is None:
         cfg = DecodeConfig()
     index = build_phrase_index(table, cfg)

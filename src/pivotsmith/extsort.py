@@ -34,9 +34,8 @@ import tempfile
 from contextlib import ExitStack
 from typing import BinaryIO, Callable, Iterable, Iterator
 
-from .tablecore import Row
+from .tablecore import DEFAULT_CHUNK_SIZE, Row
 
-DEFAULT_CHUNK_SIZE = 250_000
 # Runs read at once by one merge, to stay under the open-file limit.
 MERGE_FAN_IN = 128
 TMPDIR_ENV = "PIVOTSMITH_TMPDIR"

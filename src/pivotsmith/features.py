@@ -2,7 +2,8 @@
 
 Each scorer turns one entry into a source-side and a target-side score,
 and ``annotate_rows`` appends those as two named extra columns to a
-stream of raw rows, which it returns in table order with duplicates
+stream of raw rows, through ``tablecore.ordered_map``, and returns them
+through ``tablecore.sort_table_rows``, in table order with duplicates
 rejected; ``annotate_table`` is its ``PhraseTable`` adapter.  A scorer
 reads ``src``, ``tgt`` and ``alignment`` by name and unpacks each link as
 ``(i, j)``, so it takes a ``PhraseEntry`` or a ``RowView`` of a raw row
@@ -17,7 +18,6 @@ import math
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .morphmodel import DEFAULT_FC_FEATURES, FcModel, MorphLexicon, RuleMapping
-from .parallel import ordered_map
 from .tablecore import (
     CORE_FEATURES,
     DEFAULT_RULE_FEATURES,
@@ -25,6 +25,7 @@ from .tablecore import (
     RowView,
     TableError,
     _checked_manifest,
+    ordered_map,
     sort_table_rows,
 )
 

@@ -1,11 +1,12 @@
 """Phrase table rows and text formats.
 
 This is the row layer every command runs on: it reads, checks, sorts and
-writes tables as raw row tuples, and scores rows log-linearly.  The
-object model (``PhraseTable``, ``PhraseEntry``, ``ScoreSet``,
-``ReorderingEntry`` and their adapters) lives in ``pivotsmith.tables``,
-which only library callers load; its names are still importable from
-here.
+writes tables as raw row tuples, and scores rows log-linearly.  Each
+table format has one duplicate-checked sort, through the disk-backed
+sort: ``sort_table_rows`` and ``sort_reordering_rows``.  The object model
+(``PhraseTable``, ``PhraseEntry``, ``ScoreSet``, ``ReorderingEntry`` and
+their adapters) lives in ``pivotsmith.tables``, which only library
+callers load; its names are still importable from here.
 
 A phrase table is a plain text file with one entry per line:
 
@@ -44,6 +45,8 @@ DEFAULT_LOG_FLOOR = 1e-9
 # Parser defaults of the commands, kept here so that building the CLI's
 # parser loads no other module.
 DEFAULT_TOP_N = 1000
+DEFAULT_CHUNK_SIZE = 250_000
+DEFAULT_UNKNOWN_PENALTY = -10.0
 DEFAULT_RULE_FEATURES = ("gen", "num", "det", "pos")
 DEFAULT_FC_FEATURES = ("gen", "num", "det")
 NA_VALUE = "NA"
@@ -172,6 +175,18 @@ def check_unique(rows: Iterable[Row], key: Callable[[Row], tuple],
         yield row
 
 
+def _sorted_unique(rows: Iterable[Row], key: Callable[[Row], tuple], what: str,
+                   chunk_size: int | None, tmp_base: str | None) -> Iterator[Row]:
+    # extsort imports this module; importing it here at load time raised the
+    # pivot-spill benchmark's peak RSS by 0.2 MB.
+    from . import extsort
+
+    if chunk_size is None:
+        chunk_size = extsort.DEFAULT_CHUNK_SIZE
+    with closing(extsort.ext_sorted(rows, key, chunk_size, tmp_base)) as ordered:
+        yield from check_unique(ordered, key, what)
+
+
 def sort_table_rows(rows: Iterable[Row],
                     extras_names: Sequence[str]) -> Iterator[Row]:
     """Rows in table order, duplicates rejected, through the disk-backed sort.
@@ -180,14 +195,13 @@ def sort_table_rows(rows: Iterable[Row],
     under ``PIVOTSMITH_TMPDIR`` or the system default.  Its scratch files
     are removed as soon as this stream ends, fails or is closed.
     """
-    # extsort imports this module.  Importing it from here at load time
-    # would also reorder the package's imports, which raised the peak RSS
-    # of the pivot-spill benchmark workload by 0.2 MB.
-    from . import extsort
+    return _sorted_unique(rows, table_order(extras_names), "entry", None, None)
 
-    key = table_order(extras_names)
-    with closing(extsort.ext_sorted(rows, key, extsort.DEFAULT_CHUNK_SIZE)) as ordered:
-        yield from check_unique(ordered, key, "entry")
+
+def sort_reordering_rows(rows: Iterable[Row], chunk_size: int | None = None,
+                         tmp_base: str | None = None) -> Iterator[Row]:
+    """Reordering rows by pair, a repeated pair rejected, as ``sort_table_rows``."""
+    return _sorted_unique(rows, _BY_SRC_TGT, "reordering entry", chunk_size, tmp_base)
 
 
 def _checked_manifest(extras_names: Sequence[str]) -> tuple[str, ...]:
@@ -356,6 +370,14 @@ def write_rows(rows: Iterable[Row], stream: TextIO,
         stream.write(_HEADER_PREFIX + " " + " ".join(extras_names) + "\n")
     for row in rows:
         stream.write(format_row(row) + "\n")
+
+
+def ordered_map(fn: Callable, items: Iterable, threads: int = 1) -> Iterator:
+    """``map(fn, items)``; ``threads`` must be >= 1 and is otherwise ignored,
+    as the work holds the GIL.  The benchmark's tracer wraps this name."""
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+    return map(fn, items)
 
 
 # --- log-linear scoring ----------------------------------------------------

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .tablecore import (
-    _BY_SRC_TGT,
     CORE_FEATURES,
     DEFAULT_LOG_FLOOR,
     DEFAULT_MAX_PHRASE_LEN,
@@ -29,12 +28,12 @@ from .tablecore import (
     _check_scores,
     _checked_manifest,
     check_phrase,
-    check_unique,
     format_reordering_row,
     loglinear_score,
     read_reordering_rows,
     read_rows,
-    table_order,
+    sort_reordering_rows,
+    sort_table_rows,
     weight_vector,
     write_rows,
 )
@@ -129,10 +128,8 @@ class PhraseTable:
         for entry in items:
             validate_entry(entry, max_phrase_len, extras_names)
         # Each entry rides in the alignment slot of a row of its sort fields.
-        order = table_order(extras_names)
-        rows = sorted(((e.src, e.tgt, e.scores.values(), e) for e in items), key=order)
-        return cls(manifest=manifest,
-                   entries=tuple(row[3] for row in check_unique(rows, order, "entry")))
+        rows = ((e.src, e.tgt, e.scores.values(), e) for e in items)
+        return cls(manifest, tuple(row[3] for row in sort_table_rows(rows, extras_names)))
 
 
 def row_to_entry(row: Row, extras_names: Sequence[str] = ()) -> PhraseEntry:
@@ -160,9 +157,7 @@ def parse_phrase_table(lines: Iterable[str],
                        max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN,
                        ) -> PhraseTable:
     extras, rows = read_rows(lines, max_phrase_len)
-    order = table_order(extras)
-    unique = check_unique(sorted(rows, key=order), order, "entry")
-    return table_from_rows(extras, unique)
+    return table_from_rows(extras, sort_table_rows(rows, extras))
 
 
 def write_phrase_table(table: PhraseTable, stream: TextIO) -> None:
@@ -200,12 +195,13 @@ def validate_reordering(entry: ReorderingEntry,
 def parse_reordering_table(lines: Iterable[str],
                            max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN,
                            ) -> tuple[ReorderingEntry, ...]:
-    rows = sorted(read_reordering_rows(lines, max_phrase_len), key=_BY_SRC_TGT)
-    unique = check_unique(rows, _BY_SRC_TGT, "reordering entry")
-    return tuple(ReorderingEntry(src, tgt, probs) for src, tgt, probs, _ in unique)
+    rows = sort_reordering_rows(read_reordering_rows(lines, max_phrase_len))
+    return tuple(ReorderingEntry(src, tgt, probs) for src, tgt, probs, _ in rows)
 
 
 def write_reordering_table(entries: Iterable[ReorderingEntry],
                            stream: TextIO) -> None:
-    for entry in sorted(entries, key=lambda e: (e.src, e.tgt)):
-        stream.write(format_reordering_row(entry.src, entry.tgt, entry.probs) + "\n")
+    """Write ``entries`` sorted by pair; a repeated pair raises ``TableError``."""
+    rows = sort_reordering_rows((e.src, e.tgt, e.probs, ()) for e in entries)
+    for src, tgt, probs, _ in rows:
+        stream.write(format_reordering_row(src, tgt, probs) + "\n")

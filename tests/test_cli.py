@@ -24,7 +24,8 @@ from conftest import (
     table,
 )
 import pivotsmith
-from pivotsmith.cli import main
+from pivotsmith.cli import build_parser, main
+from pivotsmith.evalkit import DecodeConfig
 from pivotsmith.tablecore import (
     ReorderingEntry,
     parse_phrase_table,
@@ -247,6 +248,39 @@ class TestPivotCommand:
                   "-o", str(tmp_path / "o.txt"),
                   "--reordering-out", str(tmp_path / "r.txt")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--reordering-pt", "--reordering-sp"])
+    def test_reordering_input_needs_reordering_out(self, toy_files, capsys, flag):
+        # The table is refused before it is opened, so it need not exist.
+        _, _, sp_path, pt_path, tmp_path = toy_files
+        out = tmp_path / "o.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["pivot", "--sp", sp_path, "--pt", pt_path, "-o", str(out),
+                  flag, str(tmp_path / "missing.txt")])
+        assert exc.value.code == 2
+        assert f"{flag} requires --reordering-out" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spelling", ["same", "dot", "symlink"])
+    def test_output_and_reordering_out_must_differ(self, toy_files, capsys,
+                                                   spelling):
+        _, _, sp_path, pt_path, tmp_path = toy_files
+        (tmp_path / "pt-reo.txt").write_text(REO_LINE)
+        out = tmp_path / "o.txt"
+        reo_out = {"same": str(out), "dot": f"{tmp_path}/./o.txt",
+                   "symlink": str(tmp_path / "link.txt")}[spelling]
+        if spelling == "symlink":
+            os.symlink(out, reo_out)
+        # A missing weights file shows that no input is read first.
+        with pytest.raises(SystemExit) as exc:
+            main(["pivot", "--sp", sp_path, "--pt", pt_path, "-o", str(out),
+                  "--weights-sp", str(tmp_path / "missing.cfg"),
+                  "--reordering-pt", str(tmp_path / "pt-reo.txt"),
+                  "--reordering-out", reo_out])
+        assert exc.value.code == 2
+        assert ("-o and --reordering-out must name different files"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("chunk", [["--chunk-size", "1"], []],
                              ids=["merge", "hash"])
@@ -697,8 +731,8 @@ def startup_files(tmp_path):
 _STARTUP = {
     "import": ([], False),
     "bleu": (["evalkit"], False),
-    "decode": (["evalkit", "extsort", "parallel"], False),
-    "annotate": (["extsort", "features", "morphmodel", "parallel"], False),
+    "decode": (["evalkit", "extsort"], False),
+    "annotate": (["extsort", "features", "morphmodel"], False),
     "combine": (["combine", "extsort"], False),
     "pivot": (["extsort", "triangulate"], True),
     "pivot-reordering": (["extsort", "triangulate"], True),
@@ -744,6 +778,20 @@ def test_each_command_loads_only_its_modules(startup_files, command):
     assert "dataclasses" not in watched
     assert "inspect" not in watched
     assert "concurrent.futures" not in watched
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parser = build_parser()
+    pivot = parser.parse_args(["pivot", "--sp", "s", "--pt", "t"])
+    filtered = parser.parse_args(["filter"])
+    decode = parser.parse_args(["decode", "--table", "t"])
+    for args in (pivot, filtered):
+        assert args.top_n == PivotConfig.top_n
+        assert args.chunk_size == PivotConfig.chunk_size
+        assert args.tmpdir == PivotConfig.tmpdir
+    assert pivot.min_links == PivotConfig.min_alignment_links
+    assert decode.max_phrase_len == DecodeConfig.max_phrase_len
+    assert decode.unknown_penalty == DecodeConfig.unknown_word_penalty
 
 
 def test_package_import_loads_no_submodule():

@@ -15,8 +15,7 @@ from pivotsmith.features import (
     rule_morph_scores,
 )
 from pivotsmith.morphmodel import FcModel, MorphLexicon, RuleMapping, build_lexicon
-from pivotsmith.parallel import ordered_map
-from pivotsmith.tablecore import TableError
+from pivotsmith.tablecore import TableError, ordered_map
 
 
 # --- reference transcriptions -------------------------------------------------

@@ -15,6 +15,7 @@ from conftest import (
     oracle_read_rows,
     table,
 )
+from pivotsmith import extsort
 from pivotsmith.tablecore import (
     CORE_FEATURES,
     SEPARATOR,
@@ -274,12 +275,54 @@ class TestReordering:
         with pytest.raises(TableError, match=message):
             validate_reordering(bad)
 
+    def test_write_rejects_a_repeated_pair(self):
+        entry = ReorderingEntry(("a",), ("b",), (0.5, 0.25, 0.25, 0.1, 0.2, 0.7))
+        with pytest.raises(TableError) as exc:
+            write_reordering_table([entry, entry], io.StringIO())
+        assert str(exc.value) == "duplicate reordering entry for pair 'a' -> 'b'"
+
     def test_written_triples_survive_reparsing(self):
         third = 1.0 / 3.0
         entries = (ReorderingEntry(("a",), ("x",), (third,) * 6),)
         out = io.StringIO()
         write_reordering_table(entries, out)
         parse_reordering_table(out.getvalue().splitlines(keepends=True))
+
+
+def test_object_model_sorts_spill_alike_and_clean_up(tmp_path, monkeypatch):
+    # Two rows of one pair differ in their origin mark, as in a combined table.
+    rng = random.Random(3)
+    lines = [f"s{i % 5} ||| t{i} ||| 0.5 0.5 0.5 0.5 {i % 2} ||| 0-0\n"
+             for i in range(12)] + ["s0 ||| t0 ||| 0.5 0.5 0.5 0.5 1 ||| 0-0\n"]
+    rng.shuffle(lines)
+    lines.insert(0, "#features: origin_a\n")
+    reo_lines = [f"s{i} ||| t{i % 3} ||| 0.5 0.25 0.25 0.1 0.2 0.7\n"
+                 for i in range(11)]
+    rng.shuffle(reo_lines)
+
+    def run():
+        parsed = parse_phrase_table(lines)
+        built = PhraseTable.build(reversed(parsed.entries), parsed.extras_names)
+        reordering = parse_reordering_table(reo_lines)
+        written = io.StringIO()
+        write_reordering_table(reversed(reordering), written)
+        return parsed, built, reordering, written.getvalue()
+
+    default = run()
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    runs = []
+    write_run = extsort._write_run
+
+    def counted(path, rows):
+        runs.append(path)
+        return write_run(path, rows)
+    monkeypatch.setattr(extsort, "_write_run", counted)
+    monkeypatch.setattr(extsort, "DEFAULT_CHUNK_SIZE", 2)
+    monkeypatch.setenv(extsort.TMPDIR_ENV, str(scratch))
+    assert run() == default
+    assert runs and all(path.startswith(str(scratch)) for path in runs)
+    assert list(scratch.iterdir()) == []
 
 
 class TestRows:
