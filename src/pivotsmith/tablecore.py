@@ -3,7 +3,10 @@
 This is the row layer every command runs on: it reads, checks, sorts and
 writes tables as raw row tuples, and scores rows log-linearly.  Each
 table format has one duplicate-checked sort, through the disk-backed
-sort: ``sort_table_rows`` and ``sort_reordering_rows``.  The object model
+sort: ``sort_table_rows`` and ``sort_reordering_rows``.  Both formats
+have one writer, ``write_lines``, under ``write_rows`` and the reordering
+writers; it builds each piece of a line's text once, and keeps bounded
+memos of alignment and orientation probability text.  The object model
 (``PhraseTable``, ``PhraseEntry``, ``ScoreSet``, ``ReorderingEntry`` and
 their adapters) lives in ``pivotsmith.tables``, which only library
 callers load; its names are still importable from here.
@@ -366,10 +369,75 @@ def format_row(row: Row) -> str:
 
 def write_rows(rows: Iterable[Row], stream: TextIO,
                extras_names: Sequence[str] = ()) -> None:
+    """Write the ``#features`` header, when there are extras, and one
+    ``format_row`` line per row, through ``write_lines``."""
     if extras_names:
         stream.write(_HEADER_PREFIX + " " + " ".join(extras_names) + "\n")
-    for row in rows:
-        stream.write(format_row(row) + "\n")
+    write_lines(rows, stream, None, None)
+
+
+# Each memo of ``write_lines`` holds at most this many texts and is emptied
+# when full, so its memory does not follow the size of the table.
+FORMAT_MEMO_CAP = 4096
+
+
+def write_lines(rows: Iterable[Row], table_out: TextIO | None,
+                reordering_out: TextIO | None, n_table_scores: int | None) -> None:
+    """Write each row as a phrase table line, a reordering table line, or both.
+
+    The row's first ``n_table_scores`` scores (all of them when None) and
+    its alignment make its ``table_out`` line, as ``format_row`` gives it;
+    the scores after them make its ``reordering_out`` line, as
+    ``format_reordering_row`` gives it.  A stream that is None is skipped.
+    This is the one writer of both formats: every line is written as its
+    row arrives, and each piece of text is built once.
+
+    - ``"src ||| tgt"`` serves both lines, and the source text is reused
+      while consecutive rows have an equal source.
+    - Alignment text and orientation probability text (``repr``, which
+      costs more than a dict lookup) come from memos capped at
+      ``FORMAT_MEMO_CAP`` entries.  Only nonzero ``float`` values are
+      memoised, so ``-0.0`` and ``0.0``, or ``1`` and ``1.0``, which are
+      equal keys, never take each other's text.
+    """
+    score_formats: dict[int, str] = {}
+    align_memo: dict = {}
+    prob_memo: dict[float, str] = {}
+    table_write = None if table_out is None else table_out.write
+    reordering_write = None if reordering_out is None else reordering_out.write
+    prev_src = None
+    src_text = ""
+    for src, tgt, scores, align in rows:
+        if src != prev_src:
+            src_text = " ".join(src)
+            prev_src = src
+        pair = src_text + SEPARATOR + " ".join(tgt)
+        if table_write is not None:
+            core = scores if n_table_scores is None else scores[:n_table_scores]
+            score_format = score_formats.get(len(core))
+            if score_format is None:
+                score_format = score_formats[len(core)] = " ".join(["%.6g"] * len(core))
+            # " 0-0 1-1", or "" for no links: the line then ends with "|||".
+            align_text = align_memo.get(align)
+            if align_text is None:
+                align_text = "".join([" %d-%d" % link for link in align])
+                if len(align_memo) >= FORMAT_MEMO_CAP:
+                    align_memo.clear()
+                align_memo[align] = align_text
+            table_write(pair + SEPARATOR + score_format % core + " |||"
+                        + align_text + "\n")
+        if reordering_write is not None:
+            texts = []
+            for v in scores[n_table_scores:]:
+                text = prob_memo.get(v)
+                if text is None or v.__class__ is not float:
+                    text = repr(v)
+                    if v and v.__class__ is float:
+                        if len(prob_memo) >= FORMAT_MEMO_CAP:
+                            prob_memo.clear()
+                        prob_memo[v] = text
+                texts.append(text)
+            reordering_write(pair + SEPARATOR + " ".join(texts) + "\n")
 
 
 def ordered_map(fn: Callable, items: Iterable, threads: int = 1) -> Iterator:

@@ -28,13 +28,13 @@ from .tablecore import (
     _check_scores,
     _checked_manifest,
     check_phrase,
-    format_reordering_row,
     loglinear_score,
     read_reordering_rows,
     read_rows,
     sort_reordering_rows,
     sort_table_rows,
     weight_vector,
+    write_lines,
     write_rows,
 )
 
@@ -201,7 +201,9 @@ def parse_reordering_table(lines: Iterable[str],
 
 def write_reordering_table(entries: Iterable[ReorderingEntry],
                            stream: TextIO) -> None:
-    """Write ``entries`` sorted by pair; a repeated pair raises ``TableError``."""
-    rows = sort_reordering_rows((e.src, e.tgt, e.probs, ()) for e in entries)
-    for src, tgt, probs, _ in rows:
-        stream.write(format_reordering_row(src, tgt, probs) + "\n")
+    """Write ``entries`` sorted by pair.
+
+    A repeated pair raises ``TableError`` before the first line is written.
+    """
+    rows = list(sort_reordering_rows((e.src, e.tgt, e.probs, ()) for e in entries))
+    write_lines(rows, None, stream, 0)

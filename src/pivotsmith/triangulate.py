@@ -51,10 +51,9 @@ from .tablecore import (
     Row,
     TableError,
     check_unique,
-    format_reordering_row,
-    format_row,
     loglinear_score,
     weight_vector,
+    write_lines,
 )
 
 if TYPE_CHECKING:
@@ -502,10 +501,15 @@ def reorder_rows(entries: Iterable[ReorderingEntry]) -> Iterator[Row]:
 
 def write_reordering_rows(rows: Iterable[Row], table_out: TextIO,
                           reordering_out: TextIO) -> None:
-    """Split composed rows carrying orientations into both output files."""
-    for src, tgt, scores, align in rows:
-        table_out.write(format_row((src, tgt, scores[:4], align)) + "\n")
-        reordering_out.write(format_reordering_row(src, tgt, scores[4:]) + "\n")
+    """Split composed rows carrying orientations into both output files.
+
+    Each row gives one ``format_row`` line of its four core scores and its
+    alignment to ``table_out``, and one ``format_reordering_row`` line of
+    its six orientation probabilities to ``reordering_out``, as it
+    arrives.  ``tablecore.write_lines`` builds both lines: the pair text
+    once, and the probability text through a bounded memo.
+    """
+    write_lines(rows, table_out, reordering_out, 4)
 
 
 def pivot_reordering(sp_reo: Sequence[ReorderingEntry],

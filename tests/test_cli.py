@@ -28,12 +28,21 @@ from pivotsmith.cli import build_parser, main
 from pivotsmith.evalkit import DecodeConfig
 from pivotsmith.tablecore import (
     ReorderingEntry,
+    format_reordering_row,
+    format_row,
     parse_phrase_table,
     parse_reordering_table,
+    read_reordering_rows,
+    read_rows,
     write_phrase_table,
     write_reordering_table,
 )
-from pivotsmith.triangulate import PivotConfig, pivot_compose, pivot_reordering
+from pivotsmith.triangulate import (
+    PivotConfig,
+    compose_rows,
+    pivot_compose,
+    pivot_reordering,
+)
 
 
 REO_LINE = "x ||| u ||| 0.8 0.1 0.1 0.6 0.2 0.2\n"
@@ -181,6 +190,46 @@ class TestPivotCommand:
         assert 0 < len(want) < len(oracle_compose(sp, pt))
         assert {(e.src, e.tgt): e.probs for e in got} == want
         assert [(e.src, e.tgt) for e in composed] == sorted(want)
+
+    @pytest.mark.parametrize("chunk, join", [
+        (None, "hash join"), ("3", "sort-merge join"),
+    ], ids=["hash", "sort-merge"])
+    def test_reordering_out_bytes_are_the_single_row_formats(
+            self, tmp_path, caplog, chunk, join):
+        # Forty sources over four pivots: every pivot is a hub, so one
+        # source's rows arrive together and repeat orientation values.
+        rng = random.Random(2025)
+        sp, pt = random_pivot_pair(rng, n_src=40, n_pivot=4, n_tgt=30)
+        paths = {name: tmp_path / f"{name}.txt"
+                 for name in ("sp", "pt", "reo", "out", "reo-out")}
+        write_table(sp, paths["sp"])
+        write_table(pt, paths["pt"])
+        thirds = (0.33333333333333337, 1 / 3, 0.33333333333333326)
+        with open(paths["reo"], "w", encoding="utf-8") as stream:
+            write_reordering_table([ReorderingEntry(e.src, e.tgt, rng.choice(
+                [thirds * 2, (0.5, 0.25, 0.25, 1e-9, 0.5, 0.5 - 1e-9)]))
+                for e in pt.entries], stream)
+        argv = ["pivot", "--sp", str(paths["sp"]), "--pt", str(paths["pt"]),
+                "-o", str(paths["out"]), "--reordering-pt", str(paths["reo"]),
+                "--reordering-out", str(paths["reo-out"])]
+        with caplog.at_level(logging.INFO, logger="pivotsmith"):
+            assert main(argv + (["--chunk-size", chunk] if chunk else [])) == 0
+        assert join in caplog.text
+
+        with open(paths["sp"], encoding="utf-8") as sp_in, \
+                open(paths["pt"], encoding="utf-8") as pt_in, \
+                open(paths["reo"], encoding="utf-8") as reo_in:
+            sp_extras, sp_rows = read_rows(sp_in)
+            pt_extras, pt_rows = read_rows(pt_in)
+            rows = list(compose_rows(sp_rows, sp_extras, pt_rows, pt_extras,
+                                     PivotConfig(), pt_reo_rows=read_reordering_rows(reo_in)))
+        assert len({row[0] for row in rows}) == 40
+        assert paths["out"].read_text(encoding="utf-8") == "".join(
+            format_row((src, tgt, scores[:4], align)) + "\n"
+            for src, tgt, scores, align in rows)
+        assert paths["reo-out"].read_text(encoding="utf-8") == "".join(
+            format_reordering_row(src, tgt, scores[4:]) + "\n"
+            for src, tgt, scores, _ in rows)
 
     @pytest.mark.parametrize("sp_reo, message", [
         ("y ||| u ||| 0.2 0.4 0.4 0.3 0.3 0.4\n" + REO_LINE, None),

@@ -15,9 +15,10 @@ from conftest import (
     oracle_read_rows,
     table,
 )
-from pivotsmith import extsort
+from pivotsmith import extsort, tablecore
 from pivotsmith.tablecore import (
     CORE_FEATURES,
+    FORMAT_MEMO_CAP,
     SEPARATOR,
     LogLinearWeights,
     PhraseTable,
@@ -38,7 +39,9 @@ from pivotsmith.tablecore import (
     weight_vector,
     write_phrase_table,
     write_reordering_table,
+    write_rows,
 )
+from pivotsmith.triangulate import write_reordering_rows
 
 
 def render(tbl: PhraseTable) -> str:
@@ -276,10 +279,14 @@ class TestReordering:
             validate_reordering(bad)
 
     def test_write_rejects_a_repeated_pair(self):
-        entry = ReorderingEntry(("a",), ("b",), (0.5, 0.25, 0.25, 0.1, 0.2, 0.7))
+        probs = (0.5, 0.25, 0.25, 0.1, 0.2, 0.7)
+        first = ReorderingEntry(("a",), ("x",), probs)
+        repeated = ReorderingEntry(("b",), ("y",), probs)
+        out = io.StringIO()
         with pytest.raises(TableError) as exc:
-            write_reordering_table([entry, entry], io.StringIO())
-        assert str(exc.value) == "duplicate reordering entry for pair 'a' -> 'b'"
+            write_reordering_table([first, repeated, repeated], out)
+        assert str(exc.value) == "duplicate reordering entry for pair 'b' -> 'y'"
+        assert out.getvalue() == ""
 
     def test_written_triples_survive_reparsing(self):
         third = 1.0 / 3.0
@@ -414,6 +421,106 @@ class TestWriterProperties:
             rows.append((src, tgt, tuple(probs)))
         parsed = parse_reordering_table(lines)
         assert [(e.src, e.tgt, e.probs) for e in parsed] == sorted(rows)
+
+
+# --- the memoising writers against the plain single-row formulation -------
+
+# Orientation values whose repr text is easy to get wrong: the log floor, the
+# smallest subnormal, and a third one ulp above the nearest double.
+_TRICKY_PROBS = (1e-9, 5e-324, 0.33333333333333337, 1.0 / 3.0, 0.5, 1.0)
+
+
+def _plain_reordering_line(src, tgt, probs) -> str:
+    return SEPARATOR.join([" ".join(src), " ".join(tgt), " ".join(map(repr, probs))])
+
+
+def _oriented_rows(rng: random.Random, n_rows: int, pool_size: int):
+    """Composed rows in source order: a source repeats as an equal but new
+    tuple, about a third have no alignment, and the six orientation values
+    are drawn from ``pool_size`` distinct floats, so they repeat."""
+    pool = list(_TRICKY_PROBS) + [rng.random() for _ in range(pool_size)]
+    rows = []
+    src_tokens = ["s0"]
+    for _ in range(n_rows):
+        if rng.random() < 0.3:
+            src_tokens = list(_random_phrase(rng, "s"))
+        src, tgt = tuple(src_tokens), _random_phrase(rng, "t")
+        links = () if rng.random() < 0.35 else tuple(sorted(
+            {(rng.randrange(len(src)), rng.randrange(len(tgt))) for _ in range(3)}))
+        core = tuple(_random_score(rng) for _ in range(4))
+        rows.append((src, tgt, core + tuple(rng.choice(pool) for _ in range(6)), links))
+    rows.sort(key=lambda row: row[0])
+    return rows
+
+
+class TestWritersMatchThePlainFormat:
+    @pytest.mark.parametrize("n_extras", [0, 1, 2, 3])
+    def test_write_rows(self, n_extras):
+        rng = random.Random(300 + n_extras)
+        rows = [_random_row(rng, n_extras) for _ in range(500)]
+        rows += [(tuple(list(row[0])), row[1], row[2], ()) for row in rows[:50]]
+        rows.sort(key=lambda row: row[0])
+        names = tuple(f"f{i}" for i in range(n_extras))
+        out = io.StringIO()
+        write_rows(rows, out, names)
+        header = [f"#features: {' '.join(names)}"] if names else []
+        assert out.getvalue().splitlines() == header + [
+            _plain_format_row(row) for row in rows]
+
+    @pytest.mark.parametrize("cap", [None, 3], ids=["module-cap", "cap-3"])
+    def test_write_reordering_rows(self, monkeypatch, cap):
+        if cap is not None:
+            monkeypatch.setattr(tablecore, "FORMAT_MEMO_CAP", cap)
+        # More distinct orientation values than the memo holds.
+        rng = random.Random(301)
+        rows = _oriented_rows(rng, 2000, FORMAT_MEMO_CAP + 500)
+        assert len({v for row in rows for v in row[2][4:]}) > FORMAT_MEMO_CAP
+        assert any(a is not b and a == b for a, b in zip(
+            [row[0] for row in rows], [row[0] for row in rows[1:]]))
+        table_out, reordering_out = io.StringIO(), io.StringIO()
+        write_reordering_rows(rows, table_out, reordering_out)
+        assert table_out.getvalue().splitlines() == [
+            _plain_format_row((src, tgt, scores[:4], align))
+            for src, tgt, scores, align in rows]
+        assert reordering_out.getvalue().splitlines() == [
+            _plain_reordering_line(src, tgt, scores[4:])
+            for src, tgt, scores, _ in rows]
+
+    def test_write_reordering_table(self):
+        rng = random.Random(302)
+        rows = _oriented_rows(rng, 1500, FORMAT_MEMO_CAP)
+        entries = {(src, tgt): scores[4:] for src, tgt, scores, _ in rows}
+        out = io.StringIO()
+        write_reordering_table(
+            [ReorderingEntry(src, tgt, probs) for (src, tgt), probs in entries.items()],
+            out)
+        assert out.getvalue().splitlines() == [
+            _plain_reordering_line(src, tgt, probs)
+            for (src, tgt), probs in sorted(entries.items())]
+
+    @pytest.mark.parametrize("first, second", [
+        (0.0, -0.0), (-0.0, 0.0), (1.0, 1), (1, 1.0),
+    ], ids=["zero-then-negative-zero", "negative-zero-then-zero",
+            "float-then-int", "int-then-float"])
+    def test_equal_values_keep_their_own_text(self, first, second):
+        # Equal keys of a value-keyed memo; rows of the library may hold them.
+        probs = [(first,) * 6, (second,) * 6, (first, second) * 3]
+        rows = [((f"s{i}",), ("t",), (0.5, 0.5, 0.5, 0.5) + p, ())
+                for i, p in enumerate(probs)]
+        want = [_plain_reordering_line(src, tgt, scores[4:])
+                for src, tgt, scores, _ in rows]
+        assert len({line.split(SEPARATOR)[2] for line in want}) == 3
+        reordering_out = io.StringIO()
+        write_reordering_rows(rows, io.StringIO(), reordering_out)
+        assert reordering_out.getvalue().splitlines() == want
+        out = io.StringIO()
+        write_reordering_table(
+            [ReorderingEntry(src, tgt, scores[4:]) for src, tgt, scores, _ in rows], out)
+        assert out.getvalue().splitlines() == want
+        out = io.StringIO()
+        write_rows([(src, tgt, scores[4:8], ()) for src, tgt, scores, _ in rows], out)
+        assert out.getvalue().splitlines() == [
+            _plain_format_row((src, tgt, scores[4:8], ())) for src, tgt, scores, _ in rows]
 
 
 # --- parse_row against the field-by-field reference parser ----------------

@@ -509,6 +509,40 @@ def test_reordering_peak_rss_does_not_follow_the_table_size(tmp_path):
     assert abs(peaks[1] - peaks[0]) < 4 * 1024, f"peaks {peaks} KB"
 
 
+def test_orientation_text_memo_does_not_follow_the_table_size(tmp_path):
+    # Every composed orientation probability is a new value, so the writer's
+    # memo of their text misses on each one; its cap bounds its memory.
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    peaks = []
+    for rows in (20_000, 80_000):
+        sp, pt, reo = (tmp_path / f"{name}{rows}.txt" for name in ("sp", "pt", "reo"))
+        sp.write_text("".join(f"s{i} ||| p{i} ||| 1 1 1 1 ||| 0-0\n"
+                              for i in range(rows)), encoding="utf-8")
+        pt.write_text("".join(f"p{i} ||| t{i} ||| 1 1 1 1 ||| 0-0\n"
+                              for i in range(rows)), encoding="utf-8")
+        lines = []
+        for i in range(rows):
+            x = 0.05 + 0.9 * i / rows
+            a, b, d, e = x / 2, x / 3, (1 - x) / 2, (1 - x) / 5
+            lines.append(f"p{i} ||| t{i} ||| {a!r} {b!r} {1 - a - b!r}"
+                         f" {d!r} {e!r} {1 - d - e!r}\n")
+        reo.write_text("".join(lines), encoding="utf-8")
+        out, reo_out = tmp_path / "out.txt", tmp_path / "reo-out.txt"
+        _, _, peak_kb = run_measured(scratch, "pivot", "--sp", sp, "--pt", pt,
+                                     "-o", out, "--reordering-pt", reo,
+                                     "--reordering-out", reo_out,
+                                     "--chunk-size", "1000")
+        if peak_kb < 0:
+            pytest.skip("VmHWM is read from /proc/self/status")
+        with open(reo_out, encoding="utf-8") as stream:
+            written = [line.split(" ||| ")[2].split() for line in stream]
+        assert len(written) == rows
+        assert len({value for probs in written for value in probs}) > 5 * rows
+        peaks.append(peak_kb)
+    assert abs(peaks[1] - peaks[0]) < 4 * 1024, f"peaks {peaks} KB"
+
+
 def test_reordering_sp_peak_rss_does_not_follow_the_table_size(tmp_path):
     # The source-pivot reordering table is only validated, through the
     # disk-backed sort, so a four times larger one needs no more memory.
