@@ -227,10 +227,19 @@ def bleu4_report(hypotheses: Sequence[Sequence[str]],
                 continue
             totals[order] += total
             # A gram's clip limit is its largest count in any reference.
+            # Plain dict operations: Counter's ``|`` and ``&`` cost more.
             limits = _ngram_counts(refs[0], order)
             for ref in refs[1:]:
-                limits |= _ngram_counts(ref, order)
-            matched[order] += sum((_ngram_counts(hyp, order) & limits).values())
+                for gram, count in _ngram_counts(ref, order).items():
+                    if count > limits.get(gram, 0):
+                        limits[gram] = count
+            get = limits.get
+            hits = 0
+            for gram, count in _ngram_counts(hyp, order).items():
+                limit = get(gram)
+                if limit is not None:
+                    hits += count if count < limit else limit
+            matched[order] += hits
     precisions = tuple(
         matched[order] / totals[order] if totals[order] else 0.0
         for order in range(1, 5))

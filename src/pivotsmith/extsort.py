@@ -4,7 +4,9 @@ Rows are the raw tuples used across the pivot pipeline: source tokens,
 target tokens, a tuple of float scores, and a tuple of alignment pairs.
 Runs of ``chunk_size`` rows are sorted in memory and spilled to temp files,
 then merged lazily with ``heapq.merge``.  Inputs that fit in one chunk are
-sorted without touching the disk at all.
+sorted without touching the disk at all, and each row is dropped from the
+chunk as it is yielded: a row the consumer has let go of is freed, not
+held until the stream ends.
 
 A merge reads at most ``MERGE_FAN_IN`` runs at once.  A sort with more
 runs first merges consecutive groups of that many runs, in run order, into one
@@ -94,6 +96,13 @@ def _merge_runs(paths: list[str], key: Callable[[Row], object],
         os.remove(run)
 
 
+def drain(rows: list[Row]) -> Iterator[Row]:
+    """Yield a list's rows in order, dropping each from the list as it goes."""
+    rows.reverse()
+    while rows:
+        yield rows.pop()
+
+
 def ext_sorted(rows: Iterable[Row], key: Callable[[Row], object],
                chunk_size: int = DEFAULT_CHUNK_SIZE,
                tmp_base: str | None = None) -> Iterator[Row]:
@@ -125,7 +134,9 @@ def ext_sorted(rows: Iterable[Row], key: Callable[[Row], object],
                 chunk = []
         chunk.sort(key=key)
         if not runs:
-            yield from chunk
+            # The loop variable would keep the last input row alive.
+            row = None
+            yield from drain(chunk)
             return
         while len(runs) > MERGE_FAN_IN:
             groups = [runs[start:start + MERGE_FAN_IN]

@@ -6,7 +6,9 @@ table format has one duplicate-checked sort, through the disk-backed
 sort: ``sort_table_rows`` and ``sort_reordering_rows``.  Both formats
 have one writer, ``write_lines``, under ``write_rows`` and the reordering
 writers; it builds each piece of a line's text once, and keeps bounded
-memos of alignment and orientation probability text.  The object model
+memos of alignment and orientation probability text.  The readers share
+one object among rows with equal phrase or alignment text, through
+bounded memos of their own.  The object model
 (``PhraseTable``, ``PhraseEntry``, ``ScoreSet``, ``ReorderingEntry`` and
 their adapters) lives in ``pivotsmith.tables``, which only library
 callers load; its names are still importable from here.
@@ -246,12 +248,33 @@ def read_header(lines: Iterable[str]) -> tuple[tuple[str, ...], Iterator[tuple[i
     return (), chain()
 
 
+# Rows parsed from equal text share one object: phrase tuples by field
+# text, and sorted alignment link tuples by field text and phrase lengths.
+# Only text that passed its checks is stored.  Each memo holds at most
+# PARSE_MEMO_CAP entries and is emptied when full, so its memory does not
+# follow the size of the table, and when a reader reaches the end of its
+# table: the entries would then only hold memory, and keeping them raised
+# the benchmark's peaks.
+PARSE_MEMO_CAP = 4096
+_phrase_memo: dict[str, Phrase] = {}
+_alignment_memo: dict[tuple[str, int, int], tuple[tuple[int, int], ...]] = {}
+
+
+def _clear_parse_memos() -> None:
+    _phrase_memo.clear()
+    _alignment_memo.clear()
+
+
 def parse_row(line: str, lineno: int, n_extras: int,
               max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN) -> Row:
     """Parse one data line into a raw row tuple.
 
     Each field is checked once, in line order (source, target, scores,
     alignment), and the first problem found is raised where it is found.
+    A phrase or alignment field whose text an earlier line already gave
+    returns that line's tuple, from the memos above: the in-memory sort
+    and the pivot join then hold one copy of each repeated phrase and
+    alignment.
     """
     text = line.rstrip("\n")
     if text.endswith(" |||"):
@@ -261,16 +284,28 @@ def parse_row(line: str, lineno: int, n_extras: int,
         raise TableError(
             f"expected 4 fields separated by '|||', got {len(fields)}", lineno)
     src_text, tgt_text, score_text, align_text = fields
-    # _parse_phrase_field's test, inline to save a call per phrase; on a
-    # failure it is called to raise the error.
-    src = tuple(src_text.split())
-    if (not src or " ".join(src) != src_text or "|||" in src_text
-            or (max_phrase_len is not None and len(src) > max_phrase_len)):
-        src = _parse_phrase_field(src_text, "source", lineno, max_phrase_len)
-    tgt = tuple(tgt_text.split())
-    if (not tgt or " ".join(tgt) != tgt_text or "|||" in tgt_text
-            or (max_phrase_len is not None and len(tgt) > max_phrase_len)):
-        tgt = _parse_phrase_field(tgt_text, "target", lineno, max_phrase_len)
+    # A memoised phrase is well formed, so only its length is checked
+    # again.  Otherwise _parse_phrase_field's test runs inline, to save a
+    # call per phrase; on a failure it is called to raise the error.
+    phrases = _phrase_memo
+    src = phrases.get(src_text)
+    if src is None or (max_phrase_len is not None and len(src) > max_phrase_len):
+        src = tuple(src_text.split())
+        if (not src or " ".join(src) != src_text or "|||" in src_text
+                or (max_phrase_len is not None and len(src) > max_phrase_len)):
+            src = _parse_phrase_field(src_text, "source", lineno, max_phrase_len)
+        if len(phrases) >= PARSE_MEMO_CAP:
+            phrases.clear()
+        phrases[src_text] = src
+    tgt = phrases.get(tgt_text)
+    if tgt is None or (max_phrase_len is not None and len(tgt) > max_phrase_len):
+        tgt = tuple(tgt_text.split())
+        if (not tgt or " ".join(tgt) != tgt_text or "|||" in tgt_text
+                or (max_phrase_len is not None and len(tgt) > max_phrase_len)):
+            tgt = _parse_phrase_field(tgt_text, "target", lineno, max_phrase_len)
+        if len(phrases) >= PARSE_MEMO_CAP:
+            phrases.clear()
+        phrases[tgt_text] = tgt
     values = score_text.split(" ")
     if len(values) != 4 + n_extras:
         raise TableError(
@@ -288,6 +323,11 @@ def parse_row(line: str, lineno: int, n_extras: int,
         return src, tgt, scores, ()
     n_src = len(src)
     n_tgt = len(tgt)
+    # The phrase lengths are part of the key, as the bounds check needs them.
+    align_key = (align_text, n_src, n_tgt)
+    shared = _alignment_memo.get(align_key)
+    if shared is not None:
+        return src, tgt, scores, shared
     links = []
     outside = False
     for item in align_text.split(" "):
@@ -304,7 +344,11 @@ def parse_row(line: str, lineno: int, n_extras: int,
     if outside or (len(links) > 1 and len(set(links)) != len(links)):
         _check_alignment(links, n_src, n_tgt, lineno)
     links.sort()
-    return src, tgt, scores, tuple(links)
+    shared = tuple(links)
+    if len(_alignment_memo) >= PARSE_MEMO_CAP:
+        _alignment_memo.clear()
+    _alignment_memo[align_key] = shared
+    return src, tgt, scores, shared
 
 
 def _parse_phrase_field(text: str, side: str, lineno: int,
@@ -317,6 +361,18 @@ def _parse_phrase_field(text: str, side: str, lineno: int,
         raise TableError(
             f"{side} phrase has {len(tokens)} tokens, limit is {max_phrase_len}", lineno)
     return tuple(tokens)
+
+
+def _memoised_phrase(text: str, side: str, lineno: int,
+                     max_phrase_len: int | None) -> Phrase:
+    # parse_row's phrase memo lookup, for the reordering reader.
+    phrase = _phrase_memo.get(text)
+    if phrase is None or (max_phrase_len is not None and len(phrase) > max_phrase_len):
+        phrase = _parse_phrase_field(text, side, lineno, max_phrase_len)
+        if len(_phrase_memo) >= PARSE_MEMO_CAP:
+            _phrase_memo.clear()
+        _phrase_memo[text] = phrase
+    return phrase
 
 
 def _parse_alignment_field(text: str, src_len: int, tgt_len: int,
@@ -345,6 +401,7 @@ def read_rows(lines: Iterable[str],
             if not line or line.isspace():
                 raise TableError("blank line in table", lineno)
             yield parse_row(line, lineno, n_extras, max_phrase_len)
+        _clear_parse_memos()
 
     return extras, gen()
 
@@ -574,7 +631,8 @@ def read_reordering_rows(lines: Iterable[str],
                          max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN,
                          ) -> Iterator[Row]:
     """Stream reordering table text as ``(src, tgt, probs, ())`` rows in
-    file order, each line checked as it is read."""
+    file order, each line checked as it is read.  Phrases are shared
+    through ``parse_row``'s memo."""
     for lineno, raw in enumerate(lines, start=1):
         text = raw.rstrip("\n")
         if not text.strip():
@@ -583,8 +641,8 @@ def read_reordering_rows(lines: Iterable[str],
         if len(parts) != 3:
             raise TableError(
                 f"expected 3 fields separated by '|||', got {len(parts)}", lineno)
-        src = _parse_phrase_field(parts[0], "source", lineno, max_phrase_len)
-        tgt = _parse_phrase_field(parts[1], "target", lineno, max_phrase_len)
+        src = _memoised_phrase(parts[0], "source", lineno, max_phrase_len)
+        tgt = _memoised_phrase(parts[1], "target", lineno, max_phrase_len)
         fields = parts[2].split(" ")
         if len(fields) != 6:
             raise TableError(f"expected 6 probabilities, got {len(fields)}", lineno)
@@ -595,6 +653,7 @@ def read_reordering_rows(lines: Iterable[str],
         # The phrase fields were checked as they were split.
         _check_orientation_probs(probs, lineno)
         yield src, tgt, probs, ()
+    _clear_parse_memos()
 
 
 def format_reordering_row(src: Phrase, tgt: Phrase, probs: Sequence[float]) -> str:

@@ -38,7 +38,7 @@ from itertools import chain, groupby, islice
 from operator import itemgetter, lt
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TextIO
 
-from .extsort import DEFAULT_CHUNK_SIZE, ext_sorted
+from .extsort import DEFAULT_CHUNK_SIZE, drain, ext_sorted
 from .tablecore import (
     _BY_SRC_TGT,
     CORE_FEATURES,
@@ -258,13 +258,6 @@ def _by_target_per_source(partials: Iterable[Row]) -> Iterator[Row]:
         yield from group
 
 
-def _drain(rows: list[Row]) -> Iterator[Row]:
-    """Yield a list's rows in order, dropping each from the list as it goes."""
-    rows.reverse()
-    while rows:
-        yield rows.pop()
-
-
 def _attach_orientations(pt_rows: Iterable[Row], reo_rows: Iterable[Row],
                          ) -> Iterator[Row]:
     """Append six orientation probabilities to each pivot-target row.
@@ -436,7 +429,7 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
                     " sort-merge join", cfg.chunk_size)
     # Draining hands each probed row to the pivot-target sort, so the probe
     # buffer does not stay alive beside the sort's own chunk.
-    pt_rows = chain(_drain(probe), pt_rest)
+    pt_rows = chain(drain(probe), pt_rest)
     if not inputs_sorted:
         sp_rows = sort(sp_rows, _BY_SRC_TGT)
         pt_rows = sort(pt_rows, _BY_SRC_TGT)

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import weakref
 from operator import itemgetter
 
 import pytest
@@ -46,6 +47,21 @@ def test_in_memory_path_matches_sorted():
     rows = random_rows(rng, 500)
     key = itemgetter(0, 1)
     assert list(ext_sorted(rows, key, chunk_size=10_000)) == sorted(rows, key=key)
+
+
+class _Marker:
+    """A row element that a weak reference can watch."""
+
+
+def test_in_memory_rows_are_not_held_once_yielded():
+    # The hash join streams a whole table through one in-memory chunk, so a
+    # row its consumer lets go of must not stay alive in that chunk.
+    rows = ((f"k{i % 7}-{i}", _Marker()) for i in range(50))
+    stream = ext_sorted(rows, itemgetter(0), chunk_size=1000)
+    for _ in range(50):
+        held = weakref.ref(next(stream)[1])
+        assert held() is None
+    assert next(stream, None) is None
 
 
 def test_spill_path_matches_sorted(tmp_path):

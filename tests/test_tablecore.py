@@ -19,6 +19,7 @@ from pivotsmith import extsort, tablecore
 from pivotsmith.tablecore import (
     CORE_FEATURES,
     FORMAT_MEMO_CAP,
+    PARSE_MEMO_CAP,
     SEPARATOR,
     LogLinearWeights,
     PhraseTable,
@@ -682,6 +683,128 @@ class TestParserMatchesFieldParsers:
 
             assert (_outcome(parse_all, read_rows)
                     == _outcome(parse_all, oracle_read_rows)), lines
+
+
+# --- the parsers' phrase and alignment memos ------------------------------
+
+@pytest.fixture
+def fresh_memos(monkeypatch):
+    """Empty parse memos, so that a test does not see earlier tests' text."""
+    monkeypatch.setattr(tablecore, "_phrase_memo", {})
+    monkeypatch.setattr(tablecore, "_alignment_memo", {})
+
+
+class TestParsedRowsShareObjects:
+    def test_equal_text_gives_the_same_objects(self, fresh_memos):
+        first = parse_row("a b ||| x y ||| 1 1 1 1 ||| 1-0 0-1\n", 1, 0)
+        second = parse_row("c ||| a b ||| 1 1 1 1 ||| 0-0\n", 2, 0)
+        third = parse_row("a b ||| z ||| 0.5 1 1 1 ||| 0-0\n", 3, 0)
+        fourth = parse_row("c d ||| x y ||| 1 1 1 1 ||| 1-0 0-1", 4, 0)
+        assert second[1] is first[0] and third[0] is first[0]
+        assert fourth[1] is first[1]
+        assert fourth[3] is first[3] == ((0, 1), (1, 0))
+        (reo,) = read_reordering_rows(["x y ||| a b ||| 1 0 0 1 0 0\n"])
+        assert reo[0] is first[1] and reo[1] is first[0]
+
+    def test_memoised_alignment_is_checked_against_the_phrase_lengths(
+            self, fresh_memos):
+        parse_row("a b ||| x y ||| 1 1 1 1 ||| 1-0 0-1\n", 1, 0)
+        line = "a ||| x y ||| 1 1 1 1 ||| 1-0 0-1\n"
+        with pytest.raises(TableError, match="line 2: alignment point 1-0 outside"
+                           " phrase bounds 1x2"):
+            parse_row(line, 2, 0)
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    @pytest.mark.parametrize("reader", ["table", "reordering"])
+    def test_memoised_phrase_still_meets_a_smaller_limit(self, fresh_memos,
+                                                        side, reader):
+        phrases = ["a b c d", "x"] if side == "source" else ["x", "a b c d"]
+        table_line = SEPARATOR.join(phrases) + " ||| 1 1 1 1 ||| 0-0\n"
+        parse_row(table_line, 1, 0, None)
+        assert tablecore._phrase_memo["a b c d"] == ("a", "b", "c", "d")
+        if reader == "table":
+            def parse(max_len):
+                return parse_row(table_line, 3, 0, max_len)
+
+            def reference(max_len):
+                return oracle_parse_row(table_line, 3, 0, max_len)
+        else:
+            lines = ["u ||| v ||| 1 0 0 1 0 0\n"] * 2 + [
+                SEPARATOR.join(phrases) + " ||| 1 0 0 1 0 0\n"]
+
+            def parse(max_len):
+                return list(read_reordering_rows(lines, max_len))
+
+            def reference(max_len):
+                return oracle_read_reordering_rows(lines, max_len)
+        want = _outcome(reference, 3)
+        assert want == ("error", TableError,
+                        f"line 3: {side} phrase has 4 tokens, limit is 3", 3)
+        assert _outcome(parse, 3) == want
+        # The rejected line left the phrase memoised, and it is checked again.
+        assert "a b c d" in tablecore._phrase_memo
+        assert _outcome(parse, 3) == want
+        assert _outcome(parse, None) == _outcome(reference, None)
+
+    def test_a_table_read_to_its_end_empties_the_memos(self, fresh_memos):
+        _, rows = read_rows(["a ||| x ||| 1 1 1 1 ||| 0-0\n"] * 2)
+        next(rows)
+        assert tablecore._phrase_memo and tablecore._alignment_memo
+        next(rows)
+        assert next(rows, None) is None
+        assert not tablecore._phrase_memo and not tablecore._alignment_memo
+        reordering = read_reordering_rows(["a ||| x ||| 1 0 0 1 0 0\n"])
+        next(reordering)
+        assert tablecore._phrase_memo
+        assert next(reordering, None) is None
+        assert not tablecore._phrase_memo
+
+    def test_read_rows_past_the_memo_cap_matches_the_reference(self, fresh_memos):
+        # Phrases and alignments repeat, as in a real table, across more
+        # distinct phrase texts than one memo holds, and rejected lines
+        # come between accepted ones.
+        rng = random.Random(800)
+        lines, earlier = [], []
+        while len(lines) < 2 * PARSE_MEMO_CAP:
+            if rng.random() < 0.03:
+                lines.append(_break_line(rng, 0, 8).rstrip("\n") + "\n")
+                continue
+            parts = _good_parts(rng, 0, 8)
+            if earlier and rng.random() < 0.5:
+                src, tgt, _, links = rng.choice(earlier[-50:] if rng.random() < 0.5
+                                                else earlier)
+                if rng.random() < 0.5:
+                    parts[:2], parts[3] = [src, tgt], links
+                else:
+                    parts[0] = src if rng.random() < 0.5 else tgt
+                    parts[3] = [link for link in parts[3]
+                                if int(link.split("-")[0]) < len(parts[0])]
+            earlier.append(parts)
+            lines.append(_join_parts(rng, parts).rstrip("\n") + "\n")
+        outcomes = []
+        for lineno, line in enumerate(lines, start=1):
+            want = _outcome(oracle_parse_row, line, lineno, 0, 8)
+            assert _outcome(parse_row, line, lineno, 0, 8) == want, line
+            outcomes.append(want[0])
+        accepted = [line for line, got in zip(lines, outcomes) if got == "row"]
+        rejected = [k for k, got in enumerate(outcomes) if got == "error"]
+        assert len({line.split(SEPARATOR)[k] for line in accepted for k in (0, 1)}
+                   ) > PARSE_MEMO_CAP
+        assert len(rejected) > 100
+
+        def parse_all(parse_lines, stream):
+            extras, rows = parse_lines(stream)
+            return extras, list(rows)
+
+        assert (_outcome(parse_all, read_rows, accepted)
+                == _outcome(parse_all, oracle_read_rows, accepted))
+        # Each stream ends at a rejected line, after the accepted lines before it.
+        for k in rejected[::25]:
+            stream = [line for line, got in zip(lines[:k], outcomes) if got == "row"]
+            stream.append(lines[k])
+            want = _outcome(parse_all, oracle_read_rows, stream)
+            assert want[0] == "error" and want[3] == len(stream)
+            assert _outcome(parse_all, read_rows, stream) == want
 
 
 # --- read_reordering_rows against the field-by-field reference parser -----

@@ -571,6 +571,38 @@ def test_reordering_sp_peak_rss_does_not_follow_the_table_size(tmp_path):
     assert abs(peaks[1] - peaks[0]) < 4 * 1024, f"peaks {peaks} KB"
 
 
+def _bits_alignment(i, width):
+    """A distinct alignment text for each ``i`` below 2**18: bit ``b`` of
+    ``i`` links source ``b % width`` to target ``b // width``."""
+    return " ".join(f"{b % width}-{b // width}" for b in range(18) if i >> b & 1)
+
+
+def test_parse_memos_do_not_follow_the_table_size(tmp_path):
+    # Every phrase and alignment text is new, so the parser's memos miss on
+    # each one; their cap bounds their memory.
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    peaks = []
+    for rows in (20_000, 80_000):
+        sp, pt = (tmp_path / f"{name}{rows}.txt" for name in ("sp", "pt"))
+        sp.write_text("".join(
+            f"s{i} a{i} b{i} ||| p{i} q{i} r{i} u{i} v{i} w{i} ||| 1 1 1 1"
+            f" ||| {_bits_alignment(i + 1, 3)}\n" for i in range(rows)),
+            encoding="utf-8")
+        pt.write_text("".join(
+            f"p{i} q{i} r{i} u{i} v{i} w{i} ||| t{i} x{i} y{i} ||| 1 1 1 1"
+            f" ||| {_bits_alignment(i + 1, 6)}\n" for i in range(rows)),
+            encoding="utf-8")
+        out = tmp_path / "out.txt"
+        _, _, peak_kb = run_pivot_measured(sp, pt, out, scratch, "--chunk-size", "1000")
+        if peak_kb < 0:
+            pytest.skip("VmHWM is read from /proc/self/status")
+        with open(out, "rb") as stream:
+            assert sum(1 for _ in stream) == rows
+        peaks.append(peak_kb)
+    assert abs(peaks[1] - peaks[0]) < 4 * 1024, f"peaks {peaks} KB"
+
+
 def _write_wide_pivot(dirpath, targets):
     """One pivot phrase `the` with `targets` translations, reached from 50
     sources, and the same rows as a table whose one source is `the`."""
