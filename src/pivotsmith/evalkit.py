@@ -16,7 +16,6 @@ stream of raw rows, holding one entry per distinct source phrase;
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .tablecore import (
@@ -190,8 +189,12 @@ class BleuResult(NamedTuple):
     ref_length: int
 
 
-def _ngram_counts(tokens: Sequence[str], order: int) -> Counter:
-    return Counter(zip(*[tokens[i:] for i in range(order)]))
+def _ngram_counts(tokens: Sequence[str], order: int) -> dict[tuple[str, ...], int]:
+    counts: dict[tuple[str, ...], int] = {}
+    get = counts.get
+    for gram in zip(*[tokens[i:] for i in range(order)]):
+        counts[gram] = get(gram, 0) + 1
+    return counts
 
 
 def _closest_ref_length(refs: Sequence[Sequence[str]], hyp_len: int) -> int:
@@ -227,7 +230,8 @@ def bleu4_report(hypotheses: Sequence[Sequence[str]],
                 continue
             totals[order] += total
             # A gram's clip limit is its largest count in any reference.
-            # Plain dict operations: Counter's ``|`` and ``&`` cost more.
+            # Plain dicts throughout: building Counters and their ``|`` and
+            # ``&`` cost more.
             limits = _ngram_counts(refs[0], order)
             for ref in refs[1:]:
                 for gram, count in _ngram_counts(ref, order).items():

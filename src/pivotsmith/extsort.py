@@ -14,16 +14,32 @@ run each, and repeats until few enough are left; the final merge is lazy,
 with the in-memory tail last.  Groups keep run order, so rows with equal
 keys still come out in input order.
 
-Runs are binary: each row is one pickle (protocol 5) behind a 4-byte
-length prefix, so reading a run back parses no text and floats come back
-bit for bit.  Rows are encoded one at a time, so the merge holds one
-decoded row per run.  Only this process reads the runs back, from a
-directory that ``mkdtemp`` makes private to the user.  Binary runs take
-more scratch disk than text: 8 bytes per score plus pickle framing, about
-twice the text size when scores print short (6.44 MB against 3.08 MB for
-70k spilled rows of ``0.25`` scores).  The scratch directory is removed
-when the sorted stream ends, fails or is closed, after every run file is
-closed; a process killed by a signal it does not handle leaves it.
+Runs are binary: a run is one pickle (protocol 3) per row, in sorted
+order, then the end marker ``pickle.dumps(None, 3)``.  Reading a run parses
+no text, and floats come back bit for bit.  A run is written by ``map`` over
+``encode_row`` and read back by one ``pickle.Unpickler`` whose ``load`` is
+called until it returns the end marker, so no Python frame runs per row on
+the way back in, and the merge holds one decoded row per run.  A run cut
+short at a row boundary has no end marker, so reading it raises
+``EOFError`` instead of passing for a shorter run.
+
+The protocol must stay at 3 or below.  An Unpickler keeps its memo between
+``load`` calls.  Protocol 3 stores memo entries with ``BINPUT`` at explicit
+indices, and each row's pickle counts them from 0 again, so a row only ever
+reads entries it stored itself.  Protocol 4 and later store with
+``MEMOIZE`` at the memo's current length, which carries over from the rows
+before, so the second row of a run would read the wrong objects.  A memo
+entry holds its object until a later row of the same run stores at its
+index, so a reader may keep parts of rows it has already yielded alive: at
+most one object per memo index, however long the run.
+
+Only this process reads the runs back, from a directory that ``mkdtemp``
+makes private to the user.  Binary runs take more scratch disk than text: 8
+bytes per score plus pickle framing, about twice the text size when scores
+print short (6.51 MB against 3.08 MB for 70k spilled rows of ``0.25``
+scores).  The scratch directory is removed when the sorted stream ends,
+fails or is closed, after every run file is closed; a process killed by a
+signal it does not handle leaves it.
 """
 
 from __future__ import annotations
@@ -31,9 +47,9 @@ from __future__ import annotations
 import heapq
 import os
 import shutil
-import struct
 import tempfile
 from contextlib import ExitStack
+from itertools import islice
 from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .tablecore import DEFAULT_CHUNK_SIZE, Row
@@ -42,10 +58,12 @@ from .tablecore import DEFAULT_CHUNK_SIZE, Row
 MERGE_FAN_IN = 128
 TMPDIR_ENV = "PIVOTSMITH_TMPDIR"
 
-_LENGTH = struct.Struct("<I")
-# pickle.dumps and pickle.loads, bound on the first encode or decode: a
-# sort that never spills never imports pickle.
-_dumps = _loads = None
+# Runs are read back by one Unpickler each, which is only right for
+# protocols whose memo indices restart with every row (see above).
+_PROTOCOL = 3
+# pickle.dumps, bound on the first encode: a sort that never spills never
+# imports pickle.
+_dumps = None
 
 
 def scratch_base(override: str | None = None) -> str | None:
@@ -53,37 +71,32 @@ def scratch_base(override: str | None = None) -> str | None:
     return override or os.environ.get(TMPDIR_ENV) or None
 
 
-def _import_pickle() -> None:
-    global _dumps, _loads
-    import pickle
-    _dumps, _loads = pickle.dumps, pickle.loads
-
-
 def encode_row(row: Row) -> bytes:
-    """One row as a length-prefixed pickle; floats round-trip exactly."""
+    """One row as a pickle; floats round-trip exactly."""
+    global _dumps
     if _dumps is None:
-        _import_pickle()
-    payload = _dumps(row, 5)
-    return _LENGTH.pack(len(payload)) + payload
+        from pickle import dumps as _dumps
+    return _dumps(row, _PROTOCOL)
 
 
 def decode_row(data: bytes) -> Row:
     """The row that ``encode_row`` turned into ``data``."""
-    if _loads is None:
-        _import_pickle()
-    return _loads(data[_LENGTH.size:])
+    import pickle
+    return pickle.loads(data)
 
 
 def _read_run(stream: BinaryIO) -> Iterator[Row]:
-    read = stream.read
-    size = _LENGTH.size
-    while head := read(size):
-        yield decode_row(head + read(_LENGTH.unpack(head)[0]))
+    import pickle
+    return iter(pickle.Unpickler(stream).load, None)
 
 
 def _write_run(path: str, rows: Iterable[Row]) -> None:
+    import pickle
     with open(path, "wb") as out:
-        out.writelines(encode_row(r) for r in rows)
+        # encode_row is looked up here, not bound once, so that a wrapper
+        # set on the module sees every row.
+        out.writelines(map(encode_row, rows))
+        out.write(pickle.dumps(None, _PROTOCOL))
 
 
 def _merge_runs(paths: list[str], key: Callable[[Row], object],
@@ -119,23 +132,22 @@ def ext_sorted(rows: Iterable[Row], key: Callable[[Row], object],
     runs: list[str] = []
     written = 0
     readers: list[BinaryIO] = []
-    chunk: list[Row] = []
+    rows = iter(rows)
     try:
-        for row in rows:
-            chunk.append(row)
-            if len(chunk) >= chunk_size:
-                chunk.sort(key=key)
-                if tmpdir is None:
-                    tmpdir = tempfile.mkdtemp(prefix="pivotsmith-sort-",
-                                              dir=scratch_base(tmp_base))
-                runs.append(os.path.join(tmpdir, f"run{written}"))
-                written += 1
-                _write_run(runs[-1], chunk)
-                chunk = []
+        chunk = list(islice(rows, chunk_size))
+        while len(chunk) == chunk_size:
+            chunk.sort(key=key)
+            if tmpdir is None:
+                tmpdir = tempfile.mkdtemp(prefix="pivotsmith-sort-",
+                                          dir=scratch_base(tmp_base))
+            runs.append(os.path.join(tmpdir, f"run{written}"))
+            written += 1
+            _write_run(runs[-1], chunk)
+            # Free the spilled rows before the next chunk is read.
+            chunk = None
+            chunk = list(islice(rows, chunk_size))
         chunk.sort(key=key)
         if not runs:
-            # The loop variable would keep the last input row alive.
-            row = None
             yield from drain(chunk)
             return
         while len(runs) > MERGE_FAN_IN:

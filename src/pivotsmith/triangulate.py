@@ -191,9 +191,15 @@ def filter_top_n(table: PhraseTable, weights: LogLinearWeights | None,
                                        inputs_sorted=True))
 
 
-def _drop_extras(rows: Iterable[Row]) -> Iterator[Row]:
-    for src, tgt, scores, align in rows:
-        yield src, tgt, scores[:4], align
+def _drop_extras(rows: Iterable[Row], extras: Sequence[str]) -> Iterable[Row]:
+    """Cut each row's scores to the four core columns.
+
+    Rows of a table without extras pass as they are: their scores already
+    are the four core columns.
+    """
+    if not extras:
+        return rows
+    return ((src, tgt, scores[:4], align) for src, tgt, scores, align in rows)
 
 
 def _paired_pivot_groups(sp_rows: Iterable[Row], pt_rows: Iterable[Row],
@@ -433,8 +439,10 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
     if not inputs_sorted:
         sp_rows = sort(sp_rows, _BY_SRC_TGT)
         pt_rows = sort(pt_rows, _BY_SRC_TGT)
-    sp_kept = _drop_extras(_iter_top_n(sp_rows, wv_sp, cfg.top_n, "source-pivot"))
-    pt_kept = _drop_extras(_iter_top_n(pt_rows, wv_pt, cfg.top_n, "pivot-target"))
+    sp_kept = _drop_extras(_iter_top_n(sp_rows, wv_sp, cfg.top_n, "source-pivot"),
+                           sp_extras)
+    pt_kept = _drop_extras(_iter_top_n(pt_rows, wv_pt, cfg.top_n, "pivot-target"),
+                           pt_extras)
     if pt_reo_rows is not None:
         pt_kept = _attach_orientations(pt_kept, sort(pt_reo_rows, _BY_SRC_TGT))
     if hash_join:

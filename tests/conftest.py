@@ -92,7 +92,8 @@ if argv:
     except SystemExit as exc:
         rc = exc.code
 ours = sorted(m for m in sys.modules if m.split(".")[0] == "pivotsmith")
-watched = [m for m in ("logging", "dataclasses", "inspect", "concurrent.futures")
+watched = [m for m in ("logging", "dataclasses", "inspect", "concurrent.futures",
+                      "pickle")
            if m in sys.modules]
 print(repr((rc, ours, watched)), file=sys.stderr)
 """
@@ -113,7 +114,8 @@ def child_modules(*argv):
     The repository's ``src`` comes first on the child's ``PYTHONPATH``.
     Returns the exit code (None for a bare import), the sorted names of
     the loaded ``pivotsmith`` modules, and which of ``logging``,
-    ``dataclasses``, ``inspect`` and ``concurrent.futures`` were loaded.
+    ``dataclasses``, ``inspect``, ``concurrent.futures`` and ``pickle`` were
+    loaded.
     """
     proc = subprocess.run([sys.executable, "-c", _CHILD_MODULES, *map(str, argv)],
                           capture_output=True, text=True, env=child_env(), timeout=60)

@@ -827,6 +827,18 @@ def test_each_command_loads_only_its_modules(startup_files, command):
     assert "dataclasses" not in watched
     assert "inspect" not in watched
     assert "concurrent.futures" not in watched
+    # These inputs fit one sort chunk, and only a spill loads pickle.
+    assert "pickle" not in watched
+
+
+def test_a_sort_that_spills_loads_pickle(startup_files):
+    # The other half of the start-up test's pickle check: it would pass
+    # vacuously if the child could not see pickle being loaded.
+    f = {name: str(path) for name, path in startup_files.items()}
+    rc, _, watched = child_modules("pivot", "--sp", f["sp"], "--pt", f["pt"],
+                                   "-o", f["out"], "--chunk-size", "1")
+    assert rc == 0
+    assert "pickle" in watched
 
 
 def test_parser_defaults_are_the_library_defaults():

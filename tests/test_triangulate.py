@@ -318,6 +318,38 @@ class TestStreaming:
 
         assert out.getvalue() == expected.getvalue()
 
+    @pytest.mark.parametrize("chunk_size", [100_000, 3], ids=["hash", "merge"])
+    @pytest.mark.parametrize("reordering", [False, True], ids=["core", "reordering"])
+    @pytest.mark.parametrize("with_extras", ["sp", "pt", "both"])
+    def test_extras_columns_do_not_change_the_rows(self, chunk_size, reordering,
+                                                   with_extras):
+        # Extras of 1.0 add nothing to the log-linear rank, so the same rows
+        # with and without them compose to the same rows, whichever side
+        # has its extras cut.
+        rng = random.Random(79)
+        sp, pt, pt_reo = random_pivot_triple(rng)
+        sp_rows = [entry_to_row(e) for e in sp]
+        pt_rows = [entry_to_row(e) for e in pt]
+
+        def with_extra(rows):
+            return [(src, tgt, scores + (1.0,), align)
+                    for src, tgt, scores, align in rows]
+
+        def composed(sp_rows, sp_extras, pt_rows, pt_extras):
+            return list(compose_rows(
+                sp_rows, sp_extras, pt_rows, pt_extras,
+                PivotConfig(chunk_size=chunk_size),
+                pt_reo_rows=reorder_rows(pt_reo) if reordering else None))
+
+        plain = composed(sp_rows, (), pt_rows, ())
+        sp_extras = pt_extras = ()
+        if with_extras in ("sp", "both"):
+            sp_rows, sp_extras = with_extra(sp_rows), ("f",)
+        if with_extras in ("pt", "both"):
+            pt_rows, pt_extras = with_extra(pt_rows), ("g",)
+        assert plain
+        assert composed(sp_rows, sp_extras, pt_rows, pt_extras) == plain
+
     @pytest.mark.parametrize("chunk", ["pt-rows", "pt-rows-less-1", 3, 100_000],
                              ids=["hash", "merge", "chunk3", "chunk100000"])
     @pytest.mark.parametrize("reordering,min_links", [(False, 0), (True, 0), (True, 2)],
