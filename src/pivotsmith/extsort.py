@@ -21,7 +21,9 @@ no text, and floats come back bit for bit.  A run is written by ``map`` over
 called until it returns the end marker, so no Python frame runs per row on
 the way back in, and the merge holds one decoded row per run.  A run cut
 short at a row boundary has no end marker, so reading it raises
-``EOFError`` instead of passing for a shorter run.
+``EOFError`` instead of passing for a shorter run; ``ext_sorted`` turns
+that, or ``pickle.UnpicklingError`` from bad bytes, into an ``OSError``
+naming the scratch directory.
 
 The protocol must stay at 3 or below.  An Unpickler keeps its memo between
 ``load`` calls.  Protocol 3 stores memo entries with ``BINPUT`` at explicit
@@ -150,23 +152,28 @@ def ext_sorted(rows: Iterable[Row], key: Callable[[Row], object],
         if not runs:
             yield from drain(chunk)
             return
-        while len(runs) > MERGE_FAN_IN:
-            groups = [runs[start:start + MERGE_FAN_IN]
-                      for start in range(0, len(runs), MERGE_FAN_IN)]
-            runs = []
-            for group in groups:
-                if len(group) > 1:
-                    path = os.path.join(tmpdir, f"run{written}")
-                    written += 1
-                    _merge_runs(group, key, path)
-                    group = [path]
-                runs.extend(group)
-        for path in runs:
-            readers.append(open(path, "rb"))
-        streams = [_read_run(reader) for reader in readers]
-        if chunk:
-            streams.append(iter(chunk))
-        yield from heapq.merge(*streams, key=key)
+        import pickle
+        try:
+            while len(runs) > MERGE_FAN_IN:
+                groups = [runs[start:start + MERGE_FAN_IN]
+                          for start in range(0, len(runs), MERGE_FAN_IN)]
+                runs = []
+                for group in groups:
+                    if len(group) > 1:
+                        path = os.path.join(tmpdir, f"run{written}")
+                        written += 1
+                        _merge_runs(group, key, path)
+                        group = [path]
+                    runs.extend(group)
+            for path in runs:
+                readers.append(open(path, "rb"))
+            streams = [_read_run(reader) for reader in readers]
+            if chunk:
+                streams.append(iter(chunk))
+            yield from heapq.merge(*streams, key=key)
+        except (EOFError, pickle.UnpicklingError) as exc:
+            # A run damaged on disk, read by a fan-in pass or the final merge.
+            raise OSError(f"damaged spill run in {tmpdir}: {exc}") from exc
     finally:
         # Open run files would keep rmtree from opening the directory when
         # descriptors ran out, so close them first.

@@ -29,8 +29,8 @@ from .tablecore import (
     DEFAULT_FC_FEATURES,
     NA_VALUE,
     TableError,
-    _parse_alignment_field,
     format_score,
+    parse_links,
 )
 
 FEATURES = ("pos", "gen", "num", "det")
@@ -334,12 +334,12 @@ def train_fc_model(src_lines: Iterable[str], tgt_lines: Iterable[str],
     for lineno, (src_raw, tgt_raw, align_raw) in enumerate(rows, start=1):
         if filler in (src_raw, tgt_raw, align_raw):
             raise TableError("parallel files differ in sentence count", lineno)
+        align_text = align_raw.strip()
+        if not align_text:
+            continue
         src_tokens = src_raw.split()
         tgt_tokens = tgt_raw.split()
-        links = _parse_alignment_field(align_raw.strip(), len(src_tokens),
-                                       len(tgt_tokens), lineno)
-        if not links:
-            continue
+        links = parse_links(align_text, len(src_tokens), len(tgt_tokens), lineno)
         src_tags = [src_lex.fc_tag(tok) for tok in src_tokens]
         tgt_tags = [tgt_lex.fc_tag(tok) for tok in tgt_tokens]
         by_src: dict[int, list[int]] = {}

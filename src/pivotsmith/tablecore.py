@@ -6,7 +6,10 @@ table format has one duplicate-checked sort, through the disk-backed
 sort: ``sort_table_rows`` and ``sort_reordering_rows``.  Both formats
 have one writer, ``write_lines``, under ``write_rows`` and the reordering
 writers; it builds each piece of a line's text once, and keeps bounded
-memos of alignment and orientation probability text.  The readers share
+memos of alignment and orientation probability text.  Each field of the
+text has one parser: ``parse_phrase`` for a phrase field and
+``parse_links`` for an ``i-j`` alignment field, which the table and
+reordering readers and the FC model's trainer share.  The readers share
 one object among rows with equal phrase or alignment text, through
 bounded memos of their own.  The object model
 (``PhraseTable``, ``PhraseEntry``, ``ScoreSet``, ``ReorderingEntry`` and
@@ -250,11 +253,12 @@ def read_header(lines: Iterable[str]) -> tuple[tuple[str, ...], Iterator[tuple[i
 
 # Rows parsed from equal text share one object: phrase tuples by field
 # text, and sorted alignment link tuples by field text and phrase lengths.
-# Only text that passed its checks is stored.  Each memo holds at most
-# PARSE_MEMO_CAP entries and is emptied when full, so its memory does not
-# follow the size of the table, and when a reader reaches the end of its
-# table: the entries would then only hold memory, and keeping them raised
-# the benchmark's peaks.
+# Only text that passed its checks is stored; a phrase's length limit,
+# which each caller sets, is checked on every lookup instead.  Each memo
+# holds at most PARSE_MEMO_CAP entries and is emptied when full, so its
+# memory does not follow the size of the table, and when a reader reaches
+# the end of its table: the entries would then only hold memory, and
+# keeping them raised the benchmark's peaks.
 PARSE_MEMO_CAP = 4096
 _phrase_memo: dict[str, Phrase] = {}
 _alignment_memo: dict[tuple[str, int, int], tuple[tuple[int, int], ...]] = {}
@@ -265,16 +269,62 @@ def _clear_parse_memos() -> None:
     _alignment_memo.clear()
 
 
+def parse_phrase(text: str, side: str, lineno: int,
+                 max_phrase_len: int | None) -> Phrase:
+    """The phrase tuple of one ``side`` phrase field, through the phrase memo.
+
+    A well-formed field is its own tokens joined by single spaces, with no
+    '|||'.  The memo holds well-formed phrases of any length, as callers
+    pass different limits, so the length is checked on every call.
+    """
+    phrase = _phrase_memo.get(text)
+    if phrase is None:
+        phrase = tuple(text.split())
+        if not phrase or " ".join(phrase) != text or "|||" in text:
+            raise TableError(f"malformed {side} phrase field {text!r}", lineno)
+        if len(_phrase_memo) >= PARSE_MEMO_CAP:
+            _phrase_memo.clear()
+        _phrase_memo[text] = phrase
+    if max_phrase_len is not None and len(phrase) > max_phrase_len:
+        raise TableError(f"{side} phrase has {len(phrase)} tokens,"
+                         f" limit is {max_phrase_len}", lineno)
+    return phrase
+
+
+def parse_links(text: str, n_src: int, n_tgt: int,
+                lineno: int) -> tuple[tuple[int, int], ...]:
+    """The sorted ``(i, j)`` links of a non-empty ``i-j i-j ...`` field,
+    each checked against an ``n_src`` by ``n_tgt`` phrase pair."""
+    links = []
+    outside = False
+    for item in text.split(" "):
+        left, sep, right = item.partition("-")
+        if not (sep and left.isdigit() and right.isdigit()):
+            raise TableError(f"malformed alignment point {item!r}", lineno)
+        # A digit ``int`` cannot read, like "²", raises its ValueError here.
+        i = int(left)
+        j = int(right)
+        if i >= n_src or j >= n_tgt:
+            outside = True
+        links.append((i, j))
+    # Checked before the sort, so the first bad link in line order is named.
+    if outside or (len(links) > 1 and len(set(links)) != len(links)):
+        _check_alignment(links, n_src, n_tgt, lineno)
+    links.sort()
+    return tuple(links)
+
+
 def parse_row(line: str, lineno: int, n_extras: int,
               max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN) -> Row:
     """Parse one data line into a raw row tuple.
 
     Each field is checked once, in line order (source, target, scores,
     alignment), and the first problem found is raised where it is found.
-    A phrase or alignment field whose text an earlier line already gave
-    returns that line's tuple, from the memos above: the in-memory sort
-    and the pivot join then hold one copy of each repeated phrase and
-    alignment.
+    The phrase fields go through ``parse_phrase`` and the alignment field
+    through ``parse_links``.  A phrase or alignment field whose text an
+    earlier line already gave returns that line's tuple, from the memos
+    above: the in-memory sort and the pivot join then hold one copy of
+    each repeated phrase and alignment.
     """
     text = line.rstrip("\n")
     if text.endswith(" |||"):
@@ -284,28 +334,8 @@ def parse_row(line: str, lineno: int, n_extras: int,
         raise TableError(
             f"expected 4 fields separated by '|||', got {len(fields)}", lineno)
     src_text, tgt_text, score_text, align_text = fields
-    # A memoised phrase is well formed, so only its length is checked
-    # again.  Otherwise _parse_phrase_field's test runs inline, to save a
-    # call per phrase; on a failure it is called to raise the error.
-    phrases = _phrase_memo
-    src = phrases.get(src_text)
-    if src is None or (max_phrase_len is not None and len(src) > max_phrase_len):
-        src = tuple(src_text.split())
-        if (not src or " ".join(src) != src_text or "|||" in src_text
-                or (max_phrase_len is not None and len(src) > max_phrase_len)):
-            src = _parse_phrase_field(src_text, "source", lineno, max_phrase_len)
-        if len(phrases) >= PARSE_MEMO_CAP:
-            phrases.clear()
-        phrases[src_text] = src
-    tgt = phrases.get(tgt_text)
-    if tgt is None or (max_phrase_len is not None and len(tgt) > max_phrase_len):
-        tgt = tuple(tgt_text.split())
-        if (not tgt or " ".join(tgt) != tgt_text or "|||" in tgt_text
-                or (max_phrase_len is not None and len(tgt) > max_phrase_len)):
-            tgt = _parse_phrase_field(tgt_text, "target", lineno, max_phrase_len)
-        if len(phrases) >= PARSE_MEMO_CAP:
-            phrases.clear()
-        phrases[tgt_text] = tgt
+    src = parse_phrase(src_text, "source", lineno, max_phrase_len)
+    tgt = parse_phrase(tgt_text, "target", lineno, max_phrase_len)
     values = score_text.split(" ")
     if len(values) != 4 + n_extras:
         raise TableError(
@@ -321,72 +351,15 @@ def parse_row(line: str, lineno: int, n_extras: int,
         _check_scores(scores[:4], scores[4:], lineno)
     if not align_text:
         return src, tgt, scores, ()
-    n_src = len(src)
-    n_tgt = len(tgt)
     # The phrase lengths are part of the key, as the bounds check needs them.
-    align_key = (align_text, n_src, n_tgt)
-    shared = _alignment_memo.get(align_key)
-    if shared is not None:
-        return src, tgt, scores, shared
-    links = []
-    outside = False
-    for item in align_text.split(" "):
-        left, sep, right = item.partition("-")
-        if not (sep and left.isdigit() and right.isdigit()):
-            raise TableError(f"malformed alignment point {item!r}", lineno)
-        # A digit ``int`` cannot read, like "²", raises its ValueError here.
-        i = int(left)
-        j = int(right)
-        if i >= n_src or j >= n_tgt:
-            outside = True
-        links.append((i, j))
-    # Checked before the sort, so the first bad link in line order is named.
-    if outside or (len(links) > 1 and len(set(links)) != len(links)):
-        _check_alignment(links, n_src, n_tgt, lineno)
-    links.sort()
-    shared = tuple(links)
-    if len(_alignment_memo) >= PARSE_MEMO_CAP:
-        _alignment_memo.clear()
-    _alignment_memo[align_key] = shared
-    return src, tgt, scores, shared
-
-
-def _parse_phrase_field(text: str, side: str, lineno: int,
-                        max_phrase_len: int | None) -> Phrase:
-    # Well formed: its own tokens joined by single spaces, with no '|||'.
-    tokens = text.split()
-    if not tokens or " ".join(tokens) != text or "|||" in text:
-        raise TableError(f"malformed {side} phrase field {text!r}", lineno)
-    if max_phrase_len is not None and len(tokens) > max_phrase_len:
-        raise TableError(
-            f"{side} phrase has {len(tokens)} tokens, limit is {max_phrase_len}", lineno)
-    return tuple(tokens)
-
-
-def _memoised_phrase(text: str, side: str, lineno: int,
-                     max_phrase_len: int | None) -> Phrase:
-    # parse_row's phrase memo lookup, for the reordering reader.
-    phrase = _phrase_memo.get(text)
-    if phrase is None or (max_phrase_len is not None and len(phrase) > max_phrase_len):
-        phrase = _parse_phrase_field(text, side, lineno, max_phrase_len)
-        if len(_phrase_memo) >= PARSE_MEMO_CAP:
-            _phrase_memo.clear()
-        _phrase_memo[text] = phrase
-    return phrase
-
-
-def _parse_alignment_field(text: str, src_len: int, tgt_len: int,
-                           lineno: int) -> tuple[tuple[int, int], ...]:
-    if not text:
-        return ()
-    links = []
-    for item in text.split(" "):
-        left, sep, right = item.partition("-")
-        if not sep or not left.isdigit() or not right.isdigit():
-            raise TableError(f"malformed alignment point {item!r}", lineno)
-        links.append((int(left), int(right)))
-    _check_alignment(links, src_len, tgt_len, lineno)
-    return tuple(sorted(links))
+    align_key = (align_text, len(src), len(tgt))
+    links = _alignment_memo.get(align_key)
+    if links is None:
+        links = parse_links(align_text, len(src), len(tgt), lineno)
+        if len(_alignment_memo) >= PARSE_MEMO_CAP:
+            _alignment_memo.clear()
+        _alignment_memo[align_key] = links
+    return src, tgt, scores, links
 
 
 def read_rows(lines: Iterable[str],
@@ -631,8 +604,8 @@ def read_reordering_rows(lines: Iterable[str],
                          max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN,
                          ) -> Iterator[Row]:
     """Stream reordering table text as ``(src, tgt, probs, ())`` rows in
-    file order, each line checked as it is read.  Phrases are shared
-    through ``parse_row``'s memo."""
+    file order, each line checked as it is read.  The phrase fields go
+    through ``parse_phrase``, as ``parse_row``'s do, and share its memo."""
     for lineno, raw in enumerate(lines, start=1):
         text = raw.rstrip("\n")
         if not text.strip():
@@ -641,8 +614,8 @@ def read_reordering_rows(lines: Iterable[str],
         if len(parts) != 3:
             raise TableError(
                 f"expected 3 fields separated by '|||', got {len(parts)}", lineno)
-        src = _memoised_phrase(parts[0], "source", lineno, max_phrase_len)
-        tgt = _memoised_phrase(parts[1], "target", lineno, max_phrase_len)
+        src = parse_phrase(parts[0], "source", lineno, max_phrase_len)
+        tgt = parse_phrase(parts[1], "target", lineno, max_phrase_len)
         fields = parts[2].split(" ")
         if len(fields) != 6:
             raise TableError(f"expected 6 probabilities, got {len(fields)}", lineno)

@@ -654,7 +654,8 @@ class TestDecodeAndBleu:
         ref = tmp_path / "ref.txt"
         ref.write_text("a\n")
         assert main(["bleu", "--hyp", str(hyp), "--ref", str(ref)]) == 1
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "pivotsmith: error: 2 hypotheses against 1 reference sets\n")
 
 
 class TestStatsAndEstimate:

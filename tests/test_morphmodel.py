@@ -18,7 +18,8 @@ from pivotsmith.morphmodel import (
     render_fc_tag,
     train_fc_model,
 )
-from pivotsmith.tablecore import TableError
+from pivotsmith import tablecore
+from pivotsmith.tablecore import TableError, parse_row
 
 
 def tagged(*rows):
@@ -281,10 +282,28 @@ class TestFcTraining:
             train_fc_model(["sa\n", "sa\n"], ["ta\n"], ["0-0\n", "0-0\n"],
                            src_lex, src_lex)
 
-    def test_alignment_out_of_range_error(self):
+    @pytest.mark.parametrize("links, message", [
+        ("0-1", "alignment point 0-1 outside phrase bounds 1x1"),
+        ("0-0 0-0", "duplicate alignment point 0-0"),
+        ("0:0", "malformed alignment point '0:0'"),
+    ])
+    def test_alignment_out_of_range_error(self, monkeypatch, links, message):
+        # The table reader gives the same message for the same field.
+        monkeypatch.setattr(tablecore, "_phrase_memo", {})
+        monkeypatch.setattr(tablecore, "_alignment_memo", {})
+        with pytest.raises(TableError) as from_table:
+            parse_row(f"sa ||| ta ||| 1 1 1 1 ||| {links}\n", 1, 0)
+        assert str(from_table.value) == f"line 1: {message}"
         src_lex = lexicon_for({"sa": ("N", "F", "NA", "NA")})
-        with pytest.raises(TableError, match="outside phrase bounds"):
-            train_fc_model(["sa\n"], ["ta\n"], ["0-1\n"], src_lex, src_lex)
+        with pytest.raises(TableError) as from_corpus:
+            train_fc_model(["sa\n"], ["ta\n"], [links + "\n"], src_lex, src_lex)
+        assert str(from_corpus.value) == f"line 1: {message}"
+
+    def test_sentence_alignments_do_not_fill_the_table_memo(self, monkeypatch):
+        monkeypatch.setattr(tablecore, "_alignment_memo", {})
+        src_lex = lexicon_for({"sa": ("N", "F", "NA", "NA")})
+        train_fc_model(["sa sa\n"], ["ta\n"], ["0-0 1-0\n"], src_lex, src_lex)
+        assert tablecore._alignment_memo == {}
 
 
 class TestFcModelIo:

@@ -110,6 +110,40 @@ def test_scratch_disk_full_after_3_runs_leaves_nothing(tmp_path, scratch, capsys
     assert list(scratch.iterdir()) == []
 
 
+def _write_run_without_end_marker(path, rows):
+    with open(path, "wb") as out:
+        out.writelines(map(extsort.encode_row, rows))
+
+
+def _write_run_of_bad_bytes(path, rows):
+    with open(path, "wb") as out:
+        out.write(b"\xff")
+
+
+@pytest.mark.parametrize("write_run", [_write_run_without_end_marker,
+                                       _write_run_of_bad_bytes])
+@pytest.mark.parametrize("n_rows", [12, 400])
+def test_damaged_spill_run_exits_one_and_cleans_up(tmp_path, scratch, capsys,
+                                                   monkeypatch, write_run, n_rows):
+    # 12 rows make 4 runs of 3, read by the final merge; 400 rows make more
+    # runs than one merge reads, so a fan-in pass reads them first.
+    monkeypatch.setattr(extsort, "_write_run", write_run)
+    sp, pt = tmp_path / "sp.txt", tmp_path / "pt.txt"
+    sp.write_text("".join(f"s{i} ||| p{i} ||| 1 1 1 1 ||| 0-0\n"
+                          for i in range(n_rows)))
+    pt.write_text("".join(f"p{i} ||| t{i} ||| 1 1 1 1 ||| 0-0\n"
+                          for i in range(n_rows)))
+    work = tmp_path / "work"
+    work.mkdir()
+    assert main(["pivot", "--sp", str(sp), "--pt", str(pt), "--chunk-size", "3",
+                 "-o", str(work / "out.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"pivotsmith: error: damaged spill run in {scratch}")
+    assert err.count("\n") == 1
+    assert list(work.iterdir()) == []
+    assert list(scratch.iterdir()) == []
+
+
 def _start(scratch, *argv) -> subprocess.Popen:
     return subprocess.Popen(
         [sys.executable, "-m", "pivotsmith.cli", *argv],
