@@ -13,15 +13,11 @@ __version__ = "0.1.0"
 # Public name -> submodule that defines it.  Submodules load on first use,
 # so ``import pivotsmith`` (and every CLI command) pays only for what runs.
 _EXPORTS = {
-    "combine_tables": "combine",
     "BleuResult": "evalkit",
     "DecodeConfig": "evalkit",
     "bleu4": "evalkit",
     "bleu4_report": "evalkit",
-    "decode_corpus": "evalkit",
-    "decode_monotone": "evalkit",
     "FeatureScores": "features",
-    "annotate_table": "features",
     "connectivity_scores": "features",
     "induced_morph_scores": "features",
     "rule_morph_scores": "features",
@@ -35,20 +31,24 @@ _EXPORTS = {
     "train_fc_model": "morphmodel",
     "AlignmentLink": "tablecore",
     "LogLinearWeights": "tablecore",
+    "TableError": "tablecore",
     "PhraseEntry": "tables",
     "PhraseTable": "tables",
     "ReorderingEntry": "tables",
     "ScoreSet": "tables",
-    "TableError": "tablecore",
+    "annotate_table": "tables",
+    "combine_tables": "tables",
+    "decode_corpus": "tables",
+    "decode_monotone": "tables",
+    "estimate_pivot_size": "tables",
+    "filter_top_n": "tables",
     "parse_phrase_table": "tables",
     "parse_reordering_table": "tables",
+    "pivot_compose": "tables",
+    "pivot_reordering": "tables",
     "write_phrase_table": "tables",
     "write_reordering_table": "tables",
     "PivotConfig": "triangulate",
-    "estimate_pivot_size": "triangulate",
-    "filter_top_n": "triangulate",
-    "pivot_compose": "triangulate",
-    "pivot_reordering": "triangulate",
     "project_alignment": "triangulate",
 }
 

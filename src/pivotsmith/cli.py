@@ -9,10 +9,11 @@ for compatibility and has no effect.  A command may read stdin for at
 most one input, and ``pivot``'s two outputs must be different files.
 
 Every command that reads a phrase table streams it as raw rows; none
-builds a ``PhraseTable`` or loads ``pivotsmith.tables``, the object model,
-so no command imports ``dataclasses``.  ``annotate``, ``combine`` and
-``decode`` sort rows through ``sort_table_rows`` and ``pivot --reordering-sp``
-through ``sort_reordering_rows``, which also reject duplicate pairs.
+builds a ``PhraseTable`` or loads ``pivotsmith.tables``, the object model
+and its adapters, so no command imports ``dataclasses``.  ``annotate``,
+``combine`` and ``decode`` sort rows through ``sort_table_rows`` and
+``pivot --reordering-sp`` through ``sort_reordering_rows``, which also
+reject duplicate pairs.
 
 Every command is a fresh process, so each one imports only the library
 modules it runs (``_LIBRARY``), and only ``pivot`` sets up logging.  A
@@ -58,22 +59,21 @@ from .tablecore import (
 # command binds only its own modules (``_bind``), so start-up compiles no
 # other command's code.  perfbench/tracing.py reads and replaces these names
 # on this module before a command runs, which is why a name already set
-# here is kept, and why it also finds the names no command calls any more:
-# parse_phrase_table, parse_reordering_table, write_phrase_table,
-# annotate_table, combine_tables, build_phrase_index and reorder_rows.  The
-# three tablecore names load the object model, ``tables``, when read.
+# here is kept.  It also reads the ``tables`` names, which no command
+# calls; reading one loads the object model.
 _LIBRARY = {
-    "combine": ("combine_rows", "combine_tables"),
-    "evalkit": ("DecodeConfig", "bleu4_report", "build_phrase_index",
-                "phrase_index_rows", "read_sentences", "_decode_one"),
-    "features": ("annotate_rows", "annotate_table", "connectivity_scores",
-                 "induced_morph_scores", "rule_morph_scores"),
+    "combine": ("combine_rows",),
+    "evalkit": ("DecodeConfig", "bleu4_report", "phrase_index_rows",
+                "read_sentences", "_decode_one"),
+    "features": ("annotate_rows", "connectivity_scores", "induced_morph_scores",
+                 "rule_morph_scores"),
     "morphmodel": ("FcModel", "MorphLexicon", "_feature_index", "build_lexicon",
                    "default_rules", "load_rules", "train_fc_model"),
-    "tablecore": ("parse_phrase_table", "parse_reordering_table",
-                  "write_phrase_table"),
+    "tables": ("annotate_table", "build_phrase_index", "combine_tables",
+               "parse_phrase_table", "parse_reordering_table", "reorder_rows",
+               "write_phrase_table"),
     "triangulate": ("PivotConfig", "compose_rows", "estimate_pivot_size_rows",
-                    "filter_rows", "reorder_rows", "write_reordering_rows"),
+                    "filter_rows", "write_reordering_rows"),
 }
 _MODULE_OF = {name: module for module, names in _LIBRARY.items() for name in names}
 
@@ -174,6 +174,22 @@ def _load_weights(path: str | None) -> LogLinearWeights | None:
         return None
     with _open_in(path) as stream:
         return LogLinearWeights.from_config(stream)
+
+
+def _load_lexicons(src: str, tgt: str) -> tuple:
+    """The source and the target ``MorphLexicon``, in that order."""
+    with _open_in(src) as stream:
+        src_lex = MorphLexicon.load(stream)
+    with _open_in(tgt) as stream:
+        return src_lex, MorphLexicon.load(stream)
+
+
+def _load_rules(path: str | None):
+    """The rules file at ``path``, or the bundled rules for None."""
+    if path is None:
+        return default_rules()
+    with _open_in(path) as stream:
+        return load_rules(stream)
 
 
 def _feature_list(text: str) -> tuple[str, ...]:
@@ -285,18 +301,10 @@ def _build_scorer(args: argparse.Namespace):
         return connectivity_scores, ("conn_s", "conn_t")
     if args.src_lex is None or args.tgt_lex is None:
         raise UsageError(f"--kind {args.kind} requires --src-lex and --tgt-lex")
-    with _open_in(args.src_lex) as stream:
-        src_lex = MorphLexicon.load(stream)
-    with _open_in(args.tgt_lex) as stream:
-        tgt_lex = MorphLexicon.load(stream)
+    src_lex, tgt_lex = _load_lexicons(args.src_lex, args.tgt_lex)
     if args.kind == "rules":
-        if args.rules is None:
-            rules = default_rules()
-        else:
-            with _open_in(args.rules) as stream:
-                rules = load_rules(stream)
         scorer = functools.partial(rule_morph_scores, src_lex=src_lex,
-                                   tgt_lex=tgt_lex, rules=rules,
+                                   tgt_lex=tgt_lex, rules=_load_rules(args.rules),
                                    features=args.features)
         return scorer, ("morph_rule_s", "morph_rule_t")
     if args.fc_model is None:
@@ -341,11 +349,7 @@ def cmd_lexicon(args: argparse.Namespace) -> int:
 
 def cmd_rules_check(args: argparse.Namespace) -> int:
     _bind("morphmodel")
-    if args.rules is None:
-        rules = default_rules()
-    else:
-        with _open_in(args.rules) as stream:
-            rules = load_rules(stream)
+    rules = _load_rules(args.rules)
     with _open_out(args.output) as out:
         if not args.pair:
             for feature in rules.features():
@@ -362,10 +366,7 @@ def cmd_rules_check(args: argparse.Namespace) -> int:
 def cmd_fc_train(args: argparse.Namespace) -> int:
     _bind("morphmodel")
     _check_stdin([args.src_lex, args.tgt_lex, args.src, args.tgt, args.align])
-    with _open_in(args.src_lex) as stream:
-        src_lex = MorphLexicon.load(stream)
-    with _open_in(args.tgt_lex) as stream:
-        tgt_lex = MorphLexicon.load(stream)
+    src_lex, tgt_lex = _load_lexicons(args.src_lex, args.tgt_lex)
     with _open_in(args.src) as src_f, _open_in(args.tgt) as tgt_f, \
             _open_in(args.align) as align_f:
         model = train_fc_model(src_f, tgt_f, align_f, src_lex, tgt_lex)

@@ -9,13 +9,14 @@ extra carry 0 for it.
 ``combine_rows`` does this on streams of raw rows: each input's rows are
 mapped onto the output columns as they are read, and all of them go
 through one disk-backed sort into table order, which also rejects
-duplicates.  ``combine_tables`` is its ``PhraseTable`` adapter.
+duplicates.  ``pivotsmith.tables.combine_tables`` runs it over
+``PhraseTable`` objects.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .tablecore import (
     ORIGIN_PREFIX,
@@ -24,9 +25,6 @@ from .tablecore import (
     _checked_manifest,
     sort_table_rows,
 )
-
-if TYPE_CHECKING:
-    from .tables import PhraseTable
 
 
 def _onto_columns(rows: Iterable[Row], columns: Sequence[int | None],
@@ -73,12 +71,3 @@ def combine_rows(inputs: Sequence[tuple[Sequence[str], Iterable[Row], str]],
         marks = tuple(1.0 if i == index else 0.0 for i in range(len(inputs)))
         mapped.append(_onto_columns(rows, columns, marks))
     return out_extras, sort_table_rows(chain(*mapped), out_extras)
-
-
-def combine_tables(tables: Sequence[tuple[PhraseTable, str]]) -> PhraseTable:
-    """``combine_rows`` over whole tables; entry count is the sum of theirs."""
-    from .tables import entry_to_row, table_from_rows
-
-    extras, rows = combine_rows([(table.extras_names, map(entry_to_row, table), name)
-                                 for table, name in tables])
-    return table_from_rows(extras, rows)

@@ -9,14 +9,16 @@ four, their geometric mean, and a brevity penalty against the closest
 reference length.
 
 ``phrase_index_rows`` builds the decoder's best-option index from a
-stream of raw rows, holding one entry per distinct source phrase;
-``build_phrase_index`` is its ``PhraseTable`` adapter.
+stream of raw rows, holding one entry per distinct source phrase, and
+``_decode_one`` decodes a sentence against it.  ``pivotsmith.tables``
+runs both over ``PhraseTable`` objects: ``build_phrase_index`` and the
+``decode_*`` functions.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .tablecore import (
     CORE_FEATURES,
@@ -28,12 +30,8 @@ from .tablecore import (
     Phrase,
     Row,
     loglinear_score,
-    ordered_map,
     weight_vector,
 )
-
-if TYPE_CHECKING:
-    from .tables import PhraseTable
 
 
 class DecodeConfig(FrozenFields):
@@ -83,13 +81,6 @@ def phrase_index_rows(rows: Iterable[Row], extras_names: Sequence[str],
             index[src] = (score, tgt)
     index.longest_source = max(map(len, index), default=0)
     return index
-
-
-def build_phrase_index(table: PhraseTable, cfg: DecodeConfig) -> PhraseIndex:
-    """``phrase_index_rows`` over a table's entries."""
-    from .tables import entry_to_row
-
-    return phrase_index_rows(map(entry_to_row, table), table.extras_names, cfg)
 
 
 def _decode_one(sentence: Sequence[str], index: PhraseIndex,
@@ -145,38 +136,6 @@ def _decode_one_scored(sentence: Sequence[str], index: PhraseIndex,
     for piece in reversed(pieces):
         out.extend(piece)
     return tuple(out), best[n]
-
-
-def decode_monotone(sentence: Sequence[str], table: PhraseTable,
-                    cfg: DecodeConfig | None = None) -> tuple[str, ...]:
-    if cfg is None:
-        cfg = DecodeConfig()
-    return _decode_one(sentence, build_phrase_index(table, cfg), cfg)
-
-
-def decode_scored(sentence: Sequence[str], table: PhraseTable,
-                  cfg: DecodeConfig | None = None,
-                  ) -> tuple[tuple[str, ...], float]:
-    """Translation plus its summed log-linear path score."""
-    if cfg is None:
-        cfg = DecodeConfig()
-    return _decode_one_scored(sentence, build_phrase_index(table, cfg), cfg)
-
-
-def decode_corpus(sentences: Sequence[Sequence[str]], table: PhraseTable,
-                  cfg: DecodeConfig | None = None,
-                  threads: int = 1) -> list[tuple[str, ...]]:
-    """Decode many sentences against one shared phrase index.
-
-    Sentences are decoded in the calling thread; ``threads`` is ignored
-    apart from being validated (at least 1).
-    """
-    if cfg is None:
-        cfg = DecodeConfig()
-    index = build_phrase_index(table, cfg)
-    return list(ordered_map(
-        lambda sentence: _decode_one(sentence, index, cfg),
-        sentences, threads))
 
 
 # --- BLEU --------------------------------------------------------------------

@@ -4,18 +4,19 @@ Each scorer turns one entry into a source-side and a target-side score,
 and ``annotate_rows`` appends those as two named extra columns to a
 stream of raw rows, through ``tablecore.ordered_map``, and returns them
 through ``tablecore.sort_table_rows``, in table order with duplicates
-rejected; ``annotate_table`` is its ``PhraseTable`` adapter.  A scorer
-reads ``src``, ``tgt`` and ``alignment`` by name and unpacks each link as
-``(i, j)``, so it takes a ``PhraseEntry`` or a ``RowView`` of a raw row
-alike.  The connectivity scores measure alignment coverage.  The
-morphology scores check agreement between aligned words, either against
-hand-written rule pairs or against a trained FC tag translation model.
+rejected; ``pivotsmith.tables.annotate_table`` runs it over a
+``PhraseTable``.  A scorer takes a ``RowView`` of a raw row: it reads
+``src``, ``tgt`` and ``alignment`` by name and unpacks each link as
+``(i, j)``, so a ``PhraseEntry`` serves as well.  The connectivity
+scores measure alignment coverage.  The morphology scores check agreement
+between aligned words, either against hand-written rule pairs or against
+a trained FC tag translation model.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .morphmodel import DEFAULT_FC_FEATURES, FcModel, MorphLexicon, RuleMapping
 from .tablecore import (
@@ -29,9 +30,6 @@ from .tablecore import (
     sort_table_rows,
 )
 
-if TYPE_CHECKING:
-    from .tables import PhraseEntry, PhraseTable
-
 Scorer = Callable[[RowView], tuple[float, float]]
 
 
@@ -40,7 +38,7 @@ class FeatureScores(NamedTuple):
     w_t: float
 
 
-def connectivity_scores(entry: PhraseEntry) -> FeatureScores:
+def connectivity_scores(entry: RowView) -> FeatureScores:
     """Fraction of source and of target positions covered by the alignment."""
     if not entry.alignment:
         return FeatureScores(0.0, 0.0)
@@ -49,7 +47,7 @@ def connectivity_scores(entry: PhraseEntry) -> FeatureScores:
     return FeatureScores(src_covered / len(entry.src), tgt_covered / len(entry.tgt))
 
 
-def rule_morph_scores(entry: PhraseEntry, src_lex: MorphLexicon,
+def rule_morph_scores(entry: RowView, src_lex: MorphLexicon,
                       tgt_lex: MorphLexicon, rules: RuleMapping,
                       features: Sequence[str] = DEFAULT_RULE_FEATURES,
                       ) -> FeatureScores:
@@ -82,7 +80,7 @@ def rule_morph_scores(entry: PhraseEntry, src_lex: MorphLexicon,
     return FeatureScores(w_s / k, w_t / k)
 
 
-def induced_morph_scores(entry: PhraseEntry, src_lex: MorphLexicon,
+def induced_morph_scores(entry: RowView, src_lex: MorphLexicon,
                          tgt_lex: MorphLexicon, model: FcModel) -> FeatureScores:
     """Average FC tag translation probability over alignment links.
 
@@ -130,13 +128,3 @@ def annotate_rows(rows: Iterable[Row], extras_names: Sequence[str],
         return src, tgt, scores + (w_s, w_t), align
 
     return out_extras, sort_table_rows(ordered_map(score, rows, threads), out_extras)
-
-
-def annotate_table(table: PhraseTable, scorer: Scorer,
-                   names: tuple[str, str], threads: int = 1) -> PhraseTable:
-    """``annotate_rows`` over a table's entries, collected into a table."""
-    from .tables import entry_to_row, table_from_rows
-
-    extras, rows = annotate_rows(map(entry_to_row, table), table.extras_names,
-                                 scorer, names, threads)
-    return table_from_rows(extras, rows)

@@ -13,8 +13,9 @@ reordering readers and the FC model's trainer share.  The readers share
 one object among rows with equal phrase or alignment text, through
 bounded memos of their own.  The object model
 (``PhraseTable``, ``PhraseEntry``, ``ScoreSet``, ``ReorderingEntry`` and
-their adapters) lives in ``pivotsmith.tables``, which only library
-callers load; its names are still importable from here.
+every table-level adapter) lives in ``pivotsmith.tables``, which imports
+this module and the other row modules, and which only library callers
+load.
 
 A phrase table is a plain text file with one entry per line:
 
@@ -133,7 +134,7 @@ def _check_alignment(links: Sequence[tuple[int, int]], src_len: int,
 
 
 class RowView(NamedTuple):
-    """A raw row read by field name, as the feature scorers read a ``PhraseEntry``.
+    """A raw row with named fields, the argument of every feature scorer.
 
     ``scores`` is the flat tuple of core then extra values and each
     alignment link a plain ``(i, j)`` pair.
@@ -634,20 +635,3 @@ def format_reordering_row(src: Phrase, tgt: Phrase, probs: Sequence[float]) -> s
     # significant digits would not.
     return SEPARATOR.join([" ".join(src), " ".join(tgt), " ".join(map(repr, probs))])
 
-
-# The object model moved to ``tables``; its names still resolve here, and
-# only a caller that names one loads it.
-_TABLES_NAMES = frozenset({
-    "PhraseEntry", "PhraseTable", "ReorderingEntry", "ScoreSet",
-    "entry_to_row", "parse_phrase_table", "parse_reordering_table",
-    "row_to_entry", "score_entry", "table_from_rows", "validate_entry",
-    "validate_reordering", "write_phrase_table", "write_reordering_table",
-})
-
-
-def __getattr__(name: str):
-    if name not in _TABLES_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import tables
-    value = globals()[name] = getattr(tables, name)
-    return value

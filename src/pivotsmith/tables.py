@@ -2,18 +2,31 @@
 
 A ``PhraseTable`` holds validated ``PhraseEntry`` objects in table order
 and a ``ReorderingEntry`` one line of a lexicalized reordering table.
-They are frozen dataclasses, and the functions here convert them to and
-from the raw rows of ``tablecore``, which reads, checks and writes the
-text formats.  The commands run on raw rows alone and never import this
-module, so a command's start-up loads no ``dataclasses``.  The names here
-stay importable from ``pivotsmith.tablecore`` as well.
+They are frozen dataclasses.  This module is the one place that maps them
+onto the raw rows of the other modules: ``entry_to_row`` and
+``row_to_entry`` convert one entry, and every table-level function here
+(parse, write, filter, pivot, annotate, combine, index and decode) is an
+adapter that runs the row function of ``tablecore``, ``triangulate``,
+``features``, ``combine`` or ``evalkit`` over a table's rows.  The
+commands run on raw rows alone and never import this module, so a
+command's start-up loads no ``dataclasses``.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TextIO
 
+from .combine import combine_rows
+from .evalkit import (
+    DecodeConfig,
+    PhraseIndex,
+    _decode_one,
+    _decode_one_scored,
+    phrase_index_rows,
+)
+from .features import Scorer, annotate_rows
 from .tablecore import (
     CORE_FEATURES,
     DEFAULT_LOG_FLOOR,
@@ -29,6 +42,7 @@ from .tablecore import (
     _checked_manifest,
     check_phrase,
     loglinear_score,
+    ordered_map,
     read_reordering_rows,
     read_rows,
     sort_reordering_rows,
@@ -36,6 +50,12 @@ from .tablecore import (
     weight_vector,
     write_lines,
     write_rows,
+)
+from .triangulate import (
+    PivotConfig,
+    compose_rows,
+    estimate_pivot_size_rows,
+    filter_rows,
 )
 
 
@@ -199,11 +219,123 @@ def parse_reordering_table(lines: Iterable[str],
     return tuple(ReorderingEntry(src, tgt, probs) for src, tgt, probs, _ in rows)
 
 
+def reorder_rows(entries: Iterable[ReorderingEntry]) -> Iterator[Row]:
+    """Reordering entries as rows whose scores are the six probabilities."""
+    for entry in entries:
+        yield (entry.src, entry.tgt, entry.probs, ())
+
+
 def write_reordering_table(entries: Iterable[ReorderingEntry],
                            stream: TextIO) -> None:
     """Write ``entries`` sorted by pair.
 
     A repeated pair raises ``TableError`` before the first line is written.
     """
-    rows = list(sort_reordering_rows((e.src, e.tgt, e.probs, ()) for e in entries))
+    rows = list(sort_reordering_rows(reorder_rows(entries)))
     write_lines(rows, None, stream, 0)
+
+
+# --- triangulation ----------------------------------------------------------
+
+def filter_top_n(table: PhraseTable, weights: LogLinearWeights | None,
+                 n: int) -> PhraseTable:
+    """Per-source top-n pruning of a table, extras preserved."""
+    rows = filter_rows(map(entry_to_row, table), table.extras_names, weights, n,
+                       inputs_sorted=True)
+    return table_from_rows(table.extras_names, rows)
+
+
+def _compose_tables(sp: PhraseTable, pt: PhraseTable, cfg: PivotConfig | None,
+                    pt_reo_rows: Iterable[Row] | None = None) -> Iterator[Row]:
+    return compose_rows(map(entry_to_row, sp), sp.extras_names,
+                        map(entry_to_row, pt), pt.extras_names,
+                        PivotConfig() if cfg is None else cfg, inputs_sorted=True,
+                        pt_reo_rows=pt_reo_rows)
+
+
+def pivot_compose(sp: PhraseTable, pt: PhraseTable,
+                  cfg: PivotConfig | None = None) -> PhraseTable:
+    """Triangulate two in-memory tables into a source-target table."""
+    return table_from_rows((), _compose_tables(sp, pt, cfg))
+
+
+def pivot_reordering(sp_reo: Sequence[ReorderingEntry],
+                     pt_reo: Sequence[ReorderingEntry],
+                     sp: PhraseTable, pt: PhraseTable,
+                     cfg: PivotConfig | None = None,
+                     ) -> tuple[ReorderingEntry, ...]:
+    """Reordering table for the composed pairs of ``pivot_compose(sp, pt)``.
+
+    Orientation probabilities come from the pivot-target side, mixed per
+    composed pair with the source-pivot forward phrase scores as weights.
+    The source-pivot reordering table is accepted and validated for
+    interface symmetry but does not enter the mixture; phrase order around
+    the source-pivot boundary says nothing about source-target order once
+    the pivot phrase drops out.
+    """
+    if sp_reo:
+        logging.getLogger(__name__).info(
+            "source-pivot reordering table (%d entries) is unused"
+            " by the pivot mixture", len(sp_reo))
+    rows = _compose_tables(sp, pt, cfg, reorder_rows(pt_reo))
+    return tuple(ReorderingEntry(src, tgt, scores[4:])
+                 for src, tgt, scores, _ in rows)
+
+
+def estimate_pivot_size(sp: PhraseTable, pt: PhraseTable) -> int:
+    """Pair combinations the unfiltered join of two tables would enumerate."""
+    return estimate_pivot_size_rows(map(entry_to_row, sp), map(entry_to_row, pt))
+
+
+# --- features and combining -------------------------------------------------
+
+def annotate_table(table: PhraseTable, scorer: Scorer,
+                   names: tuple[str, str], threads: int = 1) -> PhraseTable:
+    """``annotate_rows`` over a table's entries, collected into a table."""
+    extras, rows = annotate_rows(map(entry_to_row, table), table.extras_names,
+                                 scorer, names, threads)
+    return table_from_rows(extras, rows)
+
+
+def combine_tables(tables: Sequence[tuple[PhraseTable, str]]) -> PhraseTable:
+    """``combine_rows`` over whole tables; entry count is the sum of theirs."""
+    extras, rows = combine_rows([(table.extras_names, map(entry_to_row, table), name)
+                                 for table, name in tables])
+    return table_from_rows(extras, rows)
+
+
+# --- decoding ---------------------------------------------------------------
+
+def build_phrase_index(table: PhraseTable, cfg: DecodeConfig) -> PhraseIndex:
+    """``phrase_index_rows`` over a table's entries."""
+    return phrase_index_rows(map(entry_to_row, table), table.extras_names, cfg)
+
+
+def decode_monotone(sentence: Sequence[str], table: PhraseTable,
+                    cfg: DecodeConfig | None = None) -> tuple[str, ...]:
+    return decode_scored(sentence, table, cfg)[0]
+
+
+def decode_scored(sentence: Sequence[str], table: PhraseTable,
+                  cfg: DecodeConfig | None = None,
+                  ) -> tuple[tuple[str, ...], float]:
+    """Translation plus its summed log-linear path score."""
+    if cfg is None:
+        cfg = DecodeConfig()
+    return _decode_one_scored(sentence, build_phrase_index(table, cfg), cfg)
+
+
+def decode_corpus(sentences: Sequence[Sequence[str]], table: PhraseTable,
+                  cfg: DecodeConfig | None = None,
+                  threads: int = 1) -> list[tuple[str, ...]]:
+    """Decode many sentences against one shared phrase index.
+
+    Sentences are decoded in the calling thread; ``threads`` is ignored
+    apart from being validated (at least 1).
+    """
+    if cfg is None:
+        cfg = DecodeConfig()
+    index = build_phrase_index(table, cfg)
+    return list(ordered_map(
+        lambda sentence: _decode_one(sentence, index, cfg),
+        sentences, threads))

@@ -29,6 +29,9 @@ by the size of the pivot-target table:
 
 Both paths sum each pair's products in ascending pivot order, so they give
 the same output to the bit.
+
+Everything here runs on raw rows; ``pivotsmith.tables`` runs it over
+``PhraseTable`` objects.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 import heapq
 from itertools import chain, groupby, islice
 from operator import itemgetter, lt
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .extsort import DEFAULT_CHUNK_SIZE, drain, ext_sorted
 from .tablecore import (
@@ -55,9 +58,6 @@ from .tablecore import (
     weight_vector,
     write_lines,
 )
-
-if TYPE_CHECKING:
-    from .tables import PhraseTable, ReorderingEntry
 
 _BY_PIVOT_SRC = itemgetter(1, 0)
 _THIRD = 1.0 / 3.0
@@ -178,17 +178,6 @@ def filter_rows(rows: Iterable[Row], extras: Sequence[str],
     if not inputs_sorted:
         rows = ext_sorted(rows, _BY_SRC_TGT, chunk_size=chunk_size, tmp_base=tmpdir)
     return _iter_top_n(rows, weight_vec, n, "input")
-
-
-def filter_top_n(table: PhraseTable, weights: LogLinearWeights | None,
-                 n: int) -> PhraseTable:
-    """Per-source top-n pruning of a table, extras preserved."""
-    from .tables import entry_to_row, table_from_rows
-
-    rows = (entry_to_row(entry) for entry in table)
-    return table_from_rows(table.extras_names,
-                           filter_rows(rows, table.extras_names, weights, n,
-                                       inputs_sorted=True))
 
 
 def _drop_extras(rows: Iterable[Row], extras: Sequence[str]) -> Iterable[Row]:
@@ -399,8 +388,8 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
     pivot-target input is read to the end before the first source-pivot
     row, unless ``inputs_sorted`` lets the sort-merge join stream both.
 
-    ``pt_reo_rows`` (see ``reorder_rows``) composes a reordering table in
-    the same pass: each output row then has ten scores, the four core
+    ``pt_reo_rows``, reordering rows whose scores are the six orientation
+    probabilities, composes a reordering table in the same pass: each output row then has ten scores, the four core
     scores and the six orientation probabilities of its pair, mixed over
     shared pivots with the source-pivot forward scores as weights.
     ``min_alignment_links`` drops a pair from both at once.
@@ -455,20 +444,6 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
                         reordering=pt_reo_rows is not None)
 
 
-def pivot_compose(sp: PhraseTable, pt: PhraseTable,
-                  cfg: PivotConfig | None = None) -> PhraseTable:
-    """Triangulate two in-memory tables into a source-target table."""
-    from .tables import entry_to_row, table_from_rows
-
-    if cfg is None:
-        cfg = PivotConfig()
-    rows = compose_rows(
-        (entry_to_row(e) for e in sp), sp.extras_names,
-        (entry_to_row(e) for e in pt), pt.extras_names,
-        cfg, inputs_sorted=True)
-    return table_from_rows((), rows)
-
-
 def estimate_pivot_size_rows(sp_rows: Iterable[Row],
                              pt_rows: Iterable[Row]) -> int:
     """Pair combinations the unfiltered join would enumerate.
@@ -485,20 +460,7 @@ def estimate_pivot_size_rows(sp_rows: Iterable[Row],
     return total
 
 
-def estimate_pivot_size(sp: PhraseTable, pt: PhraseTable) -> int:
-    from .tables import entry_to_row
-
-    return estimate_pivot_size_rows(
-        (entry_to_row(e) for e in sp), (entry_to_row(e) for e in pt))
-
-
 # --- lexicalized reordering through the pivot --------------------------------
-
-def reorder_rows(entries: Iterable[ReorderingEntry]) -> Iterator[Row]:
-    """Reordering entries as rows whose scores are the six probabilities."""
-    for entry in entries:
-        yield (entry.src, entry.tgt, entry.probs, ())
-
 
 def write_reordering_rows(rows: Iterable[Row], table_out: TextIO,
                           reordering_out: TextIO) -> None:
@@ -511,35 +473,3 @@ def write_reordering_rows(rows: Iterable[Row], table_out: TextIO,
     once, and the probability text through a bounded memo.
     """
     write_lines(rows, table_out, reordering_out, 4)
-
-
-def pivot_reordering(sp_reo: Sequence[ReorderingEntry],
-                     pt_reo: Sequence[ReorderingEntry],
-                     sp: PhraseTable, pt: PhraseTable,
-                     cfg: PivotConfig | None = None,
-                     ) -> tuple[ReorderingEntry, ...]:
-    """Reordering table for the composed pairs of ``pivot_compose(sp, pt)``.
-
-    Orientation probabilities come from the pivot-target side, mixed per
-    composed pair with the source-pivot forward phrase scores as weights.
-    The source-pivot reordering table is accepted and validated for
-    interface symmetry but does not enter the mixture; phrase order around
-    the source-pivot boundary says nothing about source-target order once
-    the pivot phrase drops out.
-    """
-    from .tables import ReorderingEntry, entry_to_row
-
-    if cfg is None:
-        cfg = PivotConfig()
-    if sp_reo:
-        import logging
-        logging.getLogger(__name__).info(
-            "source-pivot reordering table (%d entries) is unused"
-            " by the pivot mixture", len(sp_reo))
-    rows = compose_rows(
-        (entry_to_row(e) for e in sp), sp.extras_names,
-        (entry_to_row(e) for e in pt), pt.extras_names,
-        cfg, inputs_sorted=True,
-        pt_reo_rows=reorder_rows(pt_reo))
-    return tuple(ReorderingEntry(src=row[0], tgt=row[1], probs=row[2][4:])
-                 for row in rows)

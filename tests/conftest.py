@@ -21,12 +21,10 @@ import pytest
 from pivotsmith.tablecore import (
     CORE_FEATURES,
     AlignmentLink,
-    PhraseEntry,
-    PhraseTable,
-    ScoreSet,
     TableError,
     read_header,
 )
+from pivotsmith.tables import PhraseEntry, PhraseTable, ScoreSet
 
 
 @pytest.hookimpl(tryfirst=True, hookwrapper=True)

@@ -18,30 +18,26 @@ from conftest import entry, oracle_compose, random_pivot_pair, run_pivot_measure
 from test_evalkit import all_segmentation_scores, random_decode_table
 from test_features import random_entry, random_lexicon, random_model, random_rules
 from pivotsmith.cli import main
-from pivotsmith.evalkit import (
-    DecodeConfig,
-    bleu4_report,
-    build_phrase_index,
-    decode_scored,
-)
+from pivotsmith.evalkit import DecodeConfig, bleu4_report
 from pivotsmith.features import (
     connectivity_scores,
     induced_morph_scores,
     rule_morph_scores,
 )
-from pivotsmith.combine import combine_tables
 from pivotsmith.morphmodel import (
     FcModel,
     build_lexicon,
     default_rules,
     train_fc_model,
 )
-from pivotsmith.triangulate import (
-    DEFAULT_TOP_N,
-    PivotConfig,
+from pivotsmith.tables import (
+    build_phrase_index,
+    combine_tables,
+    decode_scored,
     filter_top_n,
     pivot_compose,
 )
+from pivotsmith.triangulate import DEFAULT_TOP_N, PivotConfig
 
 CRITERIA = {
     1: "pivot output matches brute-force oracle on random tables",
@@ -454,7 +450,7 @@ def test_cli_pipelines_are_deterministic(tmp_path):
     pt_path = tmp_path / "pt.txt"
     for tbl, path in ((sp, sp_path), (pt, pt_path)):
         with open(path, "w", encoding="utf-8") as stream:
-            from pivotsmith.tablecore import write_phrase_table
+            from pivotsmith.tables import write_phrase_table
             write_phrase_table(tbl, stream)
     reo_path = tmp_path / "reo.txt"
     with open(reo_path, "w", encoding="utf-8") as stream:

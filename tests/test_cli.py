@@ -27,22 +27,21 @@ import pivotsmith
 from pivotsmith.cli import build_parser, main
 from pivotsmith.evalkit import DecodeConfig
 from pivotsmith.tablecore import (
-    ReorderingEntry,
     format_reordering_row,
     format_row,
-    parse_phrase_table,
-    parse_reordering_table,
     read_reordering_rows,
     read_rows,
+)
+from pivotsmith.tables import (
+    ReorderingEntry,
+    parse_phrase_table,
+    parse_reordering_table,
+    pivot_compose,
+    pivot_reordering,
     write_phrase_table,
     write_reordering_table,
 )
-from pivotsmith.triangulate import (
-    PivotConfig,
-    compose_rows,
-    pivot_compose,
-    pivot_reordering,
-)
+from pivotsmith.triangulate import PivotConfig, compose_rows
 
 
 REO_LINE = "x ||| u ||| 0.8 0.1 0.1 0.6 0.2 0.2\n"
@@ -906,6 +905,35 @@ print(sorted(calls.items()))
          str(f["out"])], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[('_decode_one', 1), ('bleu4_report', 1), ('compose_rows', 1)]\n"
+
+
+_LIBRARY_CHILD = """
+import importlib, sys
+from pivotsmith import cli
+first = sys.argv[1]
+others = [name for name, module in cli._MODULE_OF.items() if module != "tables"]
+for name in others:
+    getattr(cli, name)
+before = "pivotsmith.tables" in sys.modules
+getattr(cli, first)
+after = "pivotsmith.tables" in sys.modules
+wrong = [name for name, module in cli._MODULE_OF.items()
+         if getattr(cli, name)
+         is not getattr(importlib.import_module("pivotsmith." + module), name)]
+print(before, after, wrong)
+"""
+
+
+@pytest.mark.parametrize("name", sorted(pivotsmith.cli._LIBRARY["tables"]))
+def test_library_names_resolve_on_cli_as_the_tracer_reads_them(name):
+    # perfbench/tracing.py reads each _LIBRARY name off a fresh cli.  Each
+    # resolves to its module's object, and only a "tables" name loads the
+    # object model.
+    done = subprocess.run([sys.executable, "-c", _LIBRARY_CHILD, name],
+                          env=child_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False True []\n"
 
 
 def test_run_as_module(startup_files, capsys):

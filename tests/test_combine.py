@@ -8,12 +8,8 @@ import random
 import pytest
 
 from conftest import entry, phrase_pool, random_table, table
-from pivotsmith.combine import combine_tables
-from pivotsmith.tablecore import (
-    TableError,
-    parse_phrase_table,
-    write_phrase_table,
-)
+from pivotsmith.tablecore import TableError
+from pivotsmith.tables import combine_tables, parse_phrase_table, write_phrase_table
 
 
 def pair_multiset(tbl):

@@ -13,13 +13,15 @@ from pivotsmith.evalkit import (
     DecodeConfig,
     bleu4,
     bleu4_report,
+    read_sentences,
+)
+from pivotsmith.tablecore import LogLinearWeights, TableError
+from pivotsmith.tables import (
     build_phrase_index,
     decode_corpus,
     decode_monotone,
     decode_scored,
-    read_sentences,
 )
-from pivotsmith.tablecore import LogLinearWeights, TableError
 
 
 def all_segmentation_scores(sentence, index, cfg):

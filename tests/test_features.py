@@ -9,13 +9,13 @@ import pytest
 
 from conftest import entry, table
 from pivotsmith.features import (
-    annotate_table,
     connectivity_scores,
     induced_morph_scores,
     rule_morph_scores,
 )
 from pivotsmith.morphmodel import FcModel, MorphLexicon, RuleMapping, build_lexicon
 from pivotsmith.tablecore import TableError, ordered_map
+from pivotsmith.tables import annotate_table
 
 
 # --- reference transcriptions -------------------------------------------------

@@ -19,26 +19,22 @@ import pytest
 from conftest import phrase_pool, random_pivot_pair, random_table
 from pivotsmith import cli, extsort
 from pivotsmith.cli import main
-from pivotsmith.combine import combine_tables
 from pivotsmith.evalkit import (
     DecodeConfig,
-    build_phrase_index,
-    decode_corpus,
     phrase_index_rows,
     read_sentences,
 )
-from pivotsmith.features import (
-    annotate_table,
-    connectivity_scores,
-    induced_morph_scores,
-)
+from pivotsmith.features import connectivity_scores, induced_morph_scores
 from pivotsmith.morphmodel import FcModel, MorphLexicon
-from pivotsmith.tablecore import (
-    ORIGIN_PREFIX,
+from pivotsmith.tablecore import ORIGIN_PREFIX, TableError
+from pivotsmith.tables import (
     PhraseEntry,
     PhraseTable,
     ReorderingEntry,
-    TableError,
+    annotate_table,
+    build_phrase_index,
+    combine_tables,
+    decode_corpus,
     entry_to_row,
     parse_phrase_table,
     score_entry,

@@ -22,25 +22,27 @@ from pivotsmith.tablecore import (
     PARSE_MEMO_CAP,
     SEPARATOR,
     LogLinearWeights,
-    PhraseTable,
-    ReorderingEntry,
-    ScoreSet,
     TableError,
     format_reordering_row,
     format_row,
     format_score,
     loglinear_score,
-    parse_phrase_table,
-    parse_reordering_table,
     parse_row,
     read_reordering_rows,
     read_rows,
+    weight_vector,
+    write_rows,
+)
+from pivotsmith.tables import (
+    PhraseTable,
+    ReorderingEntry,
+    ScoreSet,
+    parse_phrase_table,
+    parse_reordering_table,
     score_entry,
     validate_reordering,
-    weight_vector,
     write_phrase_table,
     write_reordering_table,
-    write_rows,
 )
 from pivotsmith.triangulate import write_reordering_rows
 

@@ -27,30 +27,32 @@ from pivotsmith.tablecore import (
     SCORE_OVERSHOOT_TOL,
     AlignmentLink,
     LogLinearWeights,
+    TableError,
+    format_row,
+    loglinear_score,
+    read_rows,
+    weight_vector,
+)
+from pivotsmith.tables import (
     PhraseEntry,
     PhraseTable,
     ReorderingEntry,
     ScoreSet,
-    TableError,
     entry_to_row,
-    format_row,
-    loglinear_score,
+    estimate_pivot_size,
+    filter_top_n,
     parse_phrase_table,
-    read_rows,
-    weight_vector,
+    pivot_compose,
+    pivot_reordering,
+    reorder_rows,
     write_phrase_table,
 )
 from pivotsmith.triangulate import (
     PivotConfig,
     _snap_score,
     compose_rows,
-    estimate_pivot_size,
     filter_rows,
-    filter_top_n,
-    pivot_compose,
-    pivot_reordering,
     project_alignment,
-    reorder_rows,
 )
 
 
@@ -759,7 +761,7 @@ class TestReorderingPivot:
         sp = table([entry("a", "x")])
         pt = table([entry("x", "u")])
         sp_reo = (ReorderingEntry(("a",), ("x",), (0.9, 0.05, 0.05, 0.9, 0.05, 0.05)),)
-        with caplog.at_level(logging.INFO, logger="pivotsmith.triangulate"):
+        with caplog.at_level(logging.INFO, logger="pivotsmith"):
             got = pivot_reordering(sp_reo, (), sp, pt)
         assert got[0].probs == pytest.approx((1.0 / 3.0,) * 6)
         assert any("unused" in m for m in caplog.messages)

@@ -2,21 +2,29 @@
 
 ``LogLinearWeights``, ``DecodeConfig`` and ``PivotConfig`` are plain
 classes that behave as the frozen dataclasses they replace: the expected
-``repr`` strings and hashes below are what those dataclasses gave.  The
-object model lives in ``pivotsmith.tables`` and is still importable from
-``pivotsmith.tablecore``, whose bare import loads no ``dataclasses``.
+``repr`` strings and hashes below are what those dataclasses gave.
+
+The object model and every ``PhraseTable`` adapter live in
+``pivotsmith.tables`` alone, which imports the row modules.  No row module
+imports it back, keeps a ``TYPE_CHECKING`` import or forwards names
+through a module ``__getattr__``, and a bare ``pivotsmith.tablecore``
+import loads no ``dataclasses``.
 """
 
 from __future__ import annotations
 
+import ast
 import copy
+import importlib
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import child_env
+import pivotsmith
 from pivotsmith import tablecore, tables
 from pivotsmith.evalkit import DecodeConfig
 from pivotsmith.extsort import DEFAULT_CHUNK_SIZE
@@ -122,20 +130,6 @@ def test_validation_messages(build, message):
     assert str(exc.value) == message
 
 
-MOVED = ["PhraseEntry", "PhraseTable", "ReorderingEntry", "ScoreSet",
-         "entry_to_row", "parse_phrase_table", "parse_reordering_table",
-         "row_to_entry", "score_entry", "table_from_rows", "validate_entry",
-         "validate_reordering", "write_phrase_table", "write_reordering_table"]
-
-
-@pytest.mark.parametrize("name", MOVED)
-def test_moved_names_resolve_through_tablecore(name):
-    assert getattr(tablecore, name) is getattr(tables, name)
-    namespace: dict = {}
-    exec(f"from pivotsmith.tablecore import {name}", namespace)
-    assert namespace[name] is getattr(tables, name)
-
-
 def test_tablecore_forwards_no_other_name():
     with pytest.raises(AttributeError, match="has no attribute 'dataclass'"):
         tablecore.dataclass
@@ -151,3 +145,44 @@ def test_bare_tablecore_import_loads_no_dataclasses():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+# The modules below ``tables``: it imports them, and none of them knows it.
+ROW_MODULES = ["tablecore", "extsort", "triangulate", "features", "combine",
+               "evalkit", "morphmodel"]
+ADAPTERS = ["filter_top_n", "pivot_compose", "pivot_reordering",
+            "estimate_pivot_size", "reorder_rows", "annotate_table",
+            "combine_tables", "build_phrase_index", "decode_monotone",
+            "decode_scored", "decode_corpus"]
+
+
+def _imports_tables(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name == "pivotsmith.tables" for alias in node.names)
+    if not isinstance(node, ast.ImportFrom):
+        return False
+    module = "." * node.level + (node.module or "")
+    return module in (".tables", "pivotsmith.tables") or (
+        module in (".", "pivotsmith")
+        and any(alias.name == "tables" for alias in node.names))
+
+
+@pytest.mark.parametrize("module", ROW_MODULES)
+def test_row_modules_do_not_know_the_object_model(module):
+    path = Path(importlib.import_module(f"pivotsmith.{module}").__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree) if _imports_tables(node)]
+    # Names, attributes, imported aliases and definitions alike.
+    identifiers = {getattr(node, field, None) for node in ast.walk(tree)
+                   for field in ("id", "attr", "name")}
+    assert "TYPE_CHECKING" not in identifiers
+    assert "__getattr__" not in {node.name for node in tree.body
+                                 if isinstance(node, ast.FunctionDef)}
+
+
+@pytest.mark.parametrize("name", ADAPTERS)
+def test_table_adapters_live_in_tables(name):
+    adapter = getattr(tables, name)
+    assert adapter.__module__ == "pivotsmith.tables"
+    if name in pivotsmith.__all__:
+        assert getattr(pivotsmith, name) is adapter
