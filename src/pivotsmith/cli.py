@@ -397,7 +397,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
         max_phrase_len=args.max_phrase_len,
         unknown_word_penalty=args.unknown_penalty)
     with _open_in(args.table) as stream:
-        extras, rows = read_rows(stream)
+        # The reader's default limit holds unless --max-phrase-len is larger;
+        # the index skips phrases longer than --max-phrase-len.
+        extras, rows = read_rows(stream, max(DEFAULT_MAX_PHRASE_LEN, args.max_phrase_len))
         index = phrase_index_rows(sort_table_rows(rows, extras), extras, cfg)
     with _open_in(args.input) as stream:
         sentences = read_sentences(stream)
@@ -668,10 +670,7 @@ def main(argv: list[str] | None = None) -> int:
         return 130  # 128 + SIGINT
     except UsageError as exc:
         parser.error(str(exc))
-    except ValueError as exc:
-        print(f"pivotsmith: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"pivotsmith: error: {exc}", file=sys.stderr)
         return 1
 

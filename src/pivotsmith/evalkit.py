@@ -22,7 +22,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .tablecore import (
     CORE_FEATURES,
-    DEFAULT_LOG_FLOOR,
     DEFAULT_MAX_PHRASE_LEN,
     DEFAULT_UNKNOWN_PENALTY,
     FrozenFields,
@@ -74,7 +73,7 @@ def phrase_index_rows(rows: Iterable[Row], extras_names: Sequence[str],
     for src, tgt, scores, _ in rows:
         if len(src) > cfg.max_phrase_len:
             continue
-        score = loglinear_score(scores, weight_vec, DEFAULT_LOG_FLOOR)
+        score = loglinear_score(scores, weight_vec)
         known = index.get(src)
         if known is None or score > known[0] or (score == known[0]
                                                  and tgt < known[1]):

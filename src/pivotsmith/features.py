@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .morphmodel import DEFAULT_FC_FEATURES, FcModel, MorphLexicon, RuleMapping
+from .morphmodel import FcModel, MorphLexicon, RuleMapping
 from .tablecore import (
     CORE_FEATURES,
     DEFAULT_RULE_FEATURES,

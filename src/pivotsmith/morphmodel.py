@@ -29,7 +29,6 @@ from .tablecore import (
     DEFAULT_FC_FEATURES,
     NA_VALUE,
     TableError,
-    format_score,
     parse_links,
 )
 
@@ -283,8 +282,7 @@ class FcModel:
 
     def save(self, stream: TextIO) -> None:
         for (src_fc, tgt_fc), (p_ts, p_st) in self.pairs():
-            stream.write("\t".join((src_fc, tgt_fc,
-                                    format_score(p_ts), format_score(p_st))) + "\n")
+            stream.write("%s\t%s\t%.6g\t%.6g\n" % (src_fc, tgt_fc, p_ts, p_st))
 
     @classmethod
     def load(cls, lines: Iterable[str]) -> "FcModel":

@@ -4,18 +4,18 @@ This is the row layer every command runs on: it reads, checks, sorts and
 writes tables as raw row tuples, and scores rows log-linearly.  Each
 table format has one duplicate-checked sort, through the disk-backed
 sort: ``sort_table_rows`` and ``sort_reordering_rows``.  Both formats
-have one writer, ``write_lines``, under ``write_rows`` and the reordering
-writers; it builds each piece of a line's text once, and keeps bounded
-memos of alignment and orientation probability text.  Each field of the
-text has one parser: ``parse_phrase`` for a phrase field and
-``parse_links`` for an ``i-j`` alignment field, which the table and
-reordering readers and the FC model's trainer share.  The readers share
-one object among rows with equal phrase or alignment text, through
-bounded memos of their own.  The object model
-(``PhraseTable``, ``PhraseEntry``, ``ScoreSet``, ``ReorderingEntry`` and
-every table-level adapter) lives in ``pivotsmith.tables``, which imports
-this module and the other row modules, and which only library callers
-load.
+have one writer, ``write_lines``, the only code that formats their lines:
+``write_rows`` and the reordering writers call it.  It builds each piece
+of a line's text once, and keeps bounded memos of alignment and
+orientation probability text.  Each field of the text has one parser:
+``parse_phrase`` for a phrase field and ``parse_links`` for an ``i-j``
+alignment field, which the table and reordering readers and the FC
+model's trainer share.  The readers share one object among rows with
+equal phrase or alignment text, through bounded memos of their own.  The
+object model (``PhraseTable``, ``PhraseEntry``, ``ScoreSet``,
+``ReorderingEntry`` and every table-level adapter) lives in
+``pivotsmith.tables``, which imports this module and the other row
+modules, and which only library callers load.
 
 A phrase table is a plain text file with one entry per line:
 
@@ -34,7 +34,8 @@ by ``" ||| "`` and tokens may not contain whitespace or the separator.
 
 Weights config files hold one ``name = value`` pair per line with ``#``
 comments.  Lexicalized reordering tables use the same ``|||`` layout with
-six probabilities per line, two direction triples that each sum to one.
+six probabilities per line, two direction triples that each sum to one,
+written as ``repr`` gives them so that each triple reparses exactly.
 """
 
 from __future__ import annotations
@@ -92,19 +93,18 @@ class AlignmentLink(NamedTuple):
 
 
 def check_phrase(tokens: Sequence[str], side: str = "phrase",
-                 max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN,
-                 line: int | None = None) -> Phrase:
+                 max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN) -> Phrase:
     """Validate tokens for one side of an entry and return them as a tuple."""
     if not tokens:
-        raise TableError(f"empty {side} phrase", line)
+        raise TableError(f"empty {side} phrase")
     if max_phrase_len is not None and len(tokens) > max_phrase_len:
         raise TableError(
-            f"{side} phrase has {len(tokens)} tokens, limit is {max_phrase_len}", line)
+            f"{side} phrase has {len(tokens)} tokens, limit is {max_phrase_len}")
     for tok in tokens:
         if not tok or any(ch.isspace() for ch in tok):
-            raise TableError(f"bad token {tok!r} in {side} phrase", line)
+            raise TableError(f"bad token {tok!r} in {side} phrase")
         if "|||" in tok:
-            raise TableError(f"token {tok!r} in {side} phrase contains '|||'", line)
+            raise TableError(f"token {tok!r} in {side} phrase contains '|||'")
     return tuple(tokens)
 
 
@@ -380,28 +380,11 @@ def read_rows(lines: Iterable[str],
     return extras, gen()
 
 
-def format_score(value: float) -> str:
-    return "%.6g" % value
-
-
-def format_row(row: Row) -> str:
-    """One table line, without its newline; scores as ``format_score`` gives them."""
-    src, tgt, scores, align = row
-    if len(scores) == 4:
-        line = "%s ||| %s ||| %.6g %.6g %.6g %.6g ||| " % (
-            " ".join(src), " ".join(tgt), *scores)
-    else:
-        line = "%s ||| %s ||| %s ||| " % (
-            " ".join(src), " ".join(tgt), " ".join(["%.6g" % v for v in scores]))
-    if not align:
-        return line[:-1]
-    return line + " ".join(["%d-%d" % link for link in align])
-
-
 def write_rows(rows: Iterable[Row], stream: TextIO,
                extras_names: Sequence[str] = ()) -> None:
-    """Write the ``#features`` header, when there are extras, and one
-    ``format_row`` line per row, through ``write_lines``."""
+    """Write the ``#features`` header, when there are extras, and one line
+    per row through ``write_lines``: every score as ``%.6g``, then the
+    ``i-j`` links, with a trailing ``|||`` when a row has none."""
     if extras_names:
         stream.write(_HEADER_PREFIX + " " + " ".join(extras_names) + "\n")
     write_lines(rows, stream, None, None)
@@ -416,12 +399,15 @@ def write_lines(rows: Iterable[Row], table_out: TextIO | None,
                 reordering_out: TextIO | None, n_table_scores: int | None) -> None:
     """Write each row as a phrase table line, a reordering table line, or both.
 
-    The row's first ``n_table_scores`` scores (all of them when None) and
-    its alignment make its ``table_out`` line, as ``format_row`` gives it;
-    the scores after them make its ``reordering_out`` line, as
-    ``format_reordering_row`` gives it.  A stream that is None is skipped.
-    This is the one writer of both formats: every line is written as its
-    row arrives, and each piece of text is built once.
+    This is the one writer of both formats.  A row's ``table_out`` line is
+    ``src ||| tgt ||| scores ||| i-j i-j ...``: its first ``n_table_scores``
+    scores (all of them when None) as ``%.6g``, then its alignment links;
+    with no links the line ends with ``|||``.  Its ``reordering_out`` line
+    is ``src ||| tgt ||| probs``: the scores after those, as ``repr``, which
+    keeps each orientation triple summing to one after a round trip, as 6
+    significant digits would not.  A stream that is None is skipped.
+    Every line is written as its row arrives, and each piece of text is
+    built once.
 
     - ``"src ||| tgt"`` serves both lines, and the source text is reused
       while consecutive rows have an equal source.
@@ -575,10 +561,10 @@ def weight_vector(manifest: Sequence[str],
     return tuple(weights.weight(name) for name in manifest)
 
 
-def loglinear_score(values: Sequence[float], weight_vec: Sequence[float],
-                    floor: float = DEFAULT_LOG_FLOOR) -> float:
-    if floor <= 0.0:
-        raise ValueError("log floor must be positive")
+def loglinear_score(values: Sequence[float], weight_vec: Sequence[float]) -> float:
+    """Weighted sum of log feature values, each raised to at least
+    ``DEFAULT_LOG_FLOOR`` so that the logs stay finite."""
+    floor = DEFAULT_LOG_FLOOR
     total = 0.0
     for weight, value in zip(weight_vec, values):
         total += weight * math.log(value if value > floor else floor)
@@ -628,10 +614,4 @@ def read_reordering_rows(lines: Iterable[str],
         _check_orientation_probs(probs, lineno)
         yield src, tgt, probs, ()
     _clear_parse_memos()
-
-
-def format_reordering_row(src: Phrase, tgt: Phrase, probs: Sequence[float]) -> str:
-    # repr keeps the triples summing to one after a round trip, which 6
-    # significant digits would not.
-    return SEPARATOR.join([" ".join(src), " ".join(tgt), " ".join(map(repr, probs))])
 

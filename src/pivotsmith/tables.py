@@ -29,7 +29,6 @@ from .evalkit import (
 from .features import Scorer, annotate_rows
 from .tablecore import (
     CORE_FEATURES,
-    DEFAULT_LOG_FLOOR,
     DEFAULT_MAX_PHRASE_LEN,
     AlignmentLink,
     LogLinearWeights,
@@ -100,17 +99,16 @@ class PhraseEntry:
 
 def validate_entry(entry: PhraseEntry,
                    max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN,
-                   extras_names: Sequence[str] = (),
-                   line: int | None = None) -> None:
-    check_phrase(entry.src, "source", max_phrase_len, line)
-    check_phrase(entry.tgt, "target", max_phrase_len, line)
+                   extras_names: Sequence[str] = ()) -> None:
+    check_phrase(entry.src, "source", max_phrase_len)
+    check_phrase(entry.tgt, "target", max_phrase_len)
     _check_scores(entry.scores.core(),
-                  tuple(v for _, v in entry.scores.extras), line)
+                  tuple(v for _, v in entry.scores.extras), None)
     names = tuple(name for name, _ in entry.scores.extras)
     if names != tuple(extras_names):
         raise TableError(
-            f"entry extras {names} do not match table extras {tuple(extras_names)}", line)
-    _check_alignment(entry.alignment, len(entry.src), len(entry.tgt), line)
+            f"entry extras {names} do not match table extras {tuple(extras_names)}")
+    _check_alignment(entry.alignment, len(entry.src), len(entry.tgt), None)
 
 
 @dataclass(frozen=True)
@@ -185,10 +183,9 @@ def write_phrase_table(table: PhraseTable, stream: TextIO) -> None:
 
 
 def score_entry(entry: PhraseEntry, manifest: Sequence[str],
-                weights: LogLinearWeights | None = None,
-                floor: float = DEFAULT_LOG_FLOOR) -> float:
+                weights: LogLinearWeights | None = None) -> float:
     """Weighted sum of log feature values with a floor to keep logs finite."""
-    return loglinear_score(entry.scores.values(), weight_vector(manifest, weights), floor)
+    return loglinear_score(entry.scores.values(), weight_vector(manifest, weights))
 
 
 # --- lexicalized reordering tables ------------------------------------------
@@ -203,13 +200,12 @@ class ReorderingEntry:
 
 
 def validate_reordering(entry: ReorderingEntry,
-                        max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN,
-                        line: int | None = None) -> None:
-    check_phrase(entry.src, "source", max_phrase_len, line)
-    check_phrase(entry.tgt, "target", max_phrase_len, line)
+                        max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN) -> None:
+    check_phrase(entry.src, "source", max_phrase_len)
+    check_phrase(entry.tgt, "target", max_phrase_len)
     if len(entry.probs) != 6:
-        raise TableError(f"expected 6 probabilities, got {len(entry.probs)}", line)
-    _check_orientation_probs(entry.probs, line)
+        raise TableError(f"expected 6 probabilities, got {len(entry.probs)}")
+    _check_orientation_probs(entry.probs, None)
 
 
 def parse_reordering_table(lines: Iterable[str],
@@ -220,8 +216,13 @@ def parse_reordering_table(lines: Iterable[str],
 
 
 def reorder_rows(entries: Iterable[ReorderingEntry]) -> Iterator[Row]:
-    """Reordering entries as rows whose scores are the six probabilities."""
+    """Reordering entries as rows whose scores are the six probabilities.
+
+    Each entry is checked by ``validate_reordering`` as it passes, with no
+    length limit: that limit is for whoever parsed or built the entries.
+    """
     for entry in entries:
+        validate_reordering(entry, None)
         yield (entry.src, entry.tgt, entry.probs, ())
 
 
@@ -229,7 +230,8 @@ def write_reordering_table(entries: Iterable[ReorderingEntry],
                            stream: TextIO) -> None:
     """Write ``entries`` sorted by pair.
 
-    A repeated pair raises ``TableError`` before the first line is written.
+    A repeated pair or an entry ``validate_reordering`` rejects raises
+    ``TableError`` before the first line is written.
     """
     rows = list(sort_reordering_rows(reorder_rows(entries)))
     write_lines(rows, None, stream, 0)
@@ -271,8 +273,11 @@ def pivot_reordering(sp_reo: Sequence[ReorderingEntry],
     The source-pivot reordering table is accepted and validated for
     interface symmetry but does not enter the mixture; phrase order around
     the source-pivot boundary says nothing about source-target order once
-    the pivot phrase drops out.
+    the pivot phrase drops out.  Every entry of both tables is checked as
+    ``reorder_rows`` checks it.
     """
+    for entry in sp_reo:
+        validate_reordering(entry, None)
     if sp_reo:
         logging.getLogger(__name__).info(
             "source-pivot reordering table (%d entries) is unused"

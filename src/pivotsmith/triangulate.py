@@ -45,7 +45,6 @@ from .extsort import DEFAULT_CHUNK_SIZE, drain, ext_sorted
 from .tablecore import (
     _BY_SRC_TGT,
     CORE_FEATURES,
-    DEFAULT_LOG_FLOOR,
     DEFAULT_TOP_N,
     SCORE_OVERSHOOT_TOL,
     AlignmentLink,
@@ -144,7 +143,7 @@ def _project(a_sp: Sequence[tuple[int, int]],
 
 
 def _iter_top_n(rows: Iterable[Row], weight_vec: Sequence[float], n: int,
-                side: str, floor: float = DEFAULT_LOG_FLOOR) -> Iterator[Row]:
+                side: str) -> Iterator[Row]:
     """Keep the n best rows per source from a (src, tgt) sorted stream.
 
     Ranking is by descending log-linear score; ties keep the smaller
@@ -153,7 +152,7 @@ def _iter_top_n(rows: Iterable[Row], weight_vec: Sequence[float], n: int,
     streams through a heap of its best ``n``.
     """
     def rank(row: Row) -> tuple:
-        return -loglinear_score(row[2], weight_vec, floor), row[1]
+        return -loglinear_score(row[2], weight_vec), row[1]
 
     unique = check_unique(rows, _BY_SRC_TGT, f"entry in {side} table")
     for _, group in groupby(unique, key=itemgetter(0)):
@@ -466,10 +465,11 @@ def write_reordering_rows(rows: Iterable[Row], table_out: TextIO,
                           reordering_out: TextIO) -> None:
     """Split composed rows carrying orientations into both output files.
 
-    Each row gives one ``format_row`` line of its four core scores and its
-    alignment to ``table_out``, and one ``format_reordering_row`` line of
-    its six orientation probabilities to ``reordering_out``, as it
-    arrives.  ``tablecore.write_lines`` builds both lines: the pair text
-    once, and the probability text through a bounded memo.
+    Each row gives ``table_out`` one line of its four core scores as
+    ``%.6g`` and its ``i-j`` alignment links, ending with ``|||`` when it
+    has none, and ``reordering_out`` one line of its six orientation
+    probabilities as ``repr`` gives them, as it arrives.
+    ``tablecore.write_lines`` builds both lines: the pair text once, and
+    the probability text through a bounded memo.
     """
     write_lines(rows, table_out, reordering_out, 4)

@@ -380,6 +380,26 @@ def oracle_read_reordering_rows(lines, max_phrase_len=8):
     return rows
 
 
+# --- reference formatters: one line of each table format, on its own -----
+
+def oracle_format_row(row) -> str:
+    """One phrase table line, without its newline: every score as
+    ``%.6g``, then the ``i-j`` links, or a trailing ``|||`` when there are
+    none.  It is what ``tablecore.write_lines`` must write for ``row``."""
+    src, tgt, scores, align = row
+    head = " ||| ".join(
+        [" ".join(src), " ".join(tgt), " ".join("%.6g" % v for v in scores)])
+    if not align:
+        return head + " |||"
+    return head + " ||| " + " ".join(f"{i}-{j}" for i, j in align)
+
+
+def oracle_format_reordering_row(src, tgt, probs) -> str:
+    """One reordering table line, without its newline: every probability
+    as ``repr`` gives it, so that each triple reparses exactly."""
+    return " ||| ".join([" ".join(src), " ".join(tgt), " ".join(map(repr, probs))])
+
+
 def oracle_project(a_sp, a_pt):
     """Every (i, k) linked through some shared middle position, sorted."""
     return tuple(sorted({(i, k) for i, j in a_sp for j2, k in a_pt if j == j2}))

@@ -19,6 +19,8 @@ from conftest import (
     child_modules,
     entry,
     oracle_compose,
+    oracle_format_reordering_row,
+    oracle_format_row,
     oracle_reordering,
     random_pivot_pair,
     table,
@@ -26,12 +28,7 @@ from conftest import (
 import pivotsmith
 from pivotsmith.cli import build_parser, main
 from pivotsmith.evalkit import DecodeConfig
-from pivotsmith.tablecore import (
-    format_reordering_row,
-    format_row,
-    read_reordering_rows,
-    read_rows,
-)
+from pivotsmith.tablecore import read_reordering_rows, read_rows
 from pivotsmith.tables import (
     ReorderingEntry,
     parse_phrase_table,
@@ -224,10 +221,10 @@ class TestPivotCommand:
                                      PivotConfig(), pt_reo_rows=read_reordering_rows(reo_in)))
         assert len({row[0] for row in rows}) == 40
         assert paths["out"].read_text(encoding="utf-8") == "".join(
-            format_row((src, tgt, scores[:4], align)) + "\n"
+            oracle_format_row((src, tgt, scores[:4], align)) + "\n"
             for src, tgt, scores, align in rows)
         assert paths["reo-out"].read_text(encoding="utf-8") == "".join(
-            format_reordering_row(src, tgt, scores[4:]) + "\n"
+            oracle_format_reordering_row(src, tgt, scores[4:]) + "\n"
             for src, tgt, scores, _ in rows)
 
     @pytest.mark.parametrize("sp_reo, message", [
@@ -596,6 +593,22 @@ class TestDecodeAndBleu:
         assert main(["decode", "--table", str(tbl), "--input", str(inp),
                      "-o", str(out)]) == 0
         assert out.read_text() == "A BC\nzzz A\n\n"
+
+    def test_decode_reads_phrases_up_to_max_phrase_len(self, tmp_path, capsys):
+        nine = " ".join(f"w{i}" for i in range(9))
+        tbl = tmp_path / "t.txt"
+        tbl.write_text(f"{nine} ||| NINE ||| 1 1 1 1 |||\n"
+                       "w0 ||| W0 ||| 0.5 0.5 0.5 0.5 |||\n")
+        inp = tmp_path / "in.txt"
+        inp.write_text(nine + "\n")
+        out = tmp_path / "out.txt"
+        argv = ["decode", "--table", str(tbl), "--input", str(inp), "-o", str(out)]
+        assert main(argv + ["--max-phrase-len", "10"]) == 0
+        assert out.read_text() == "NINE\n"
+        # Without the option the reader's limit of 8 holds.
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "pivotsmith: error: line 1: source phrase has 9 tokens, limit is 8\n")
 
     def test_decode_threads_identical(self, tmp_path):
         rng = random.Random(72)

@@ -13,7 +13,7 @@ from pivotsmith.features import (
     induced_morph_scores,
     rule_morph_scores,
 )
-from pivotsmith.morphmodel import FcModel, MorphLexicon, RuleMapping, build_lexicon
+from pivotsmith.morphmodel import FcModel, RuleMapping, build_lexicon
 from pivotsmith.tablecore import TableError, ordered_map
 from pivotsmith.tables import annotate_table
 

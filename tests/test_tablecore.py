@@ -10,6 +10,8 @@ import pytest
 
 from conftest import (
     entry,
+    oracle_format_reordering_row,
+    oracle_format_row,
     oracle_parse_row,
     oracle_read_reordering_rows,
     oracle_read_rows,
@@ -23,14 +25,12 @@ from pivotsmith.tablecore import (
     SEPARATOR,
     LogLinearWeights,
     TableError,
-    format_reordering_row,
-    format_row,
-    format_score,
     loglinear_score,
     parse_row,
     read_reordering_rows,
     read_rows,
     weight_vector,
+    write_lines,
     write_rows,
 )
 from pivotsmith.tables import (
@@ -173,11 +173,8 @@ class TestWriting:
         assert render(tbl).startswith("#features: f\n")
 
     def test_six_significant_digits(self):
-        assert format_score(0.123456789) == "0.123457"
-        assert format_score(1.0) == "1"
-        assert format_score(1e-9) == "1e-09"
-        tbl = table([entry("a", "x", scores=(0.123456789, 1, 1, 1))])
-        assert "0.123457" in render(tbl)
+        tbl = table([entry("a", "x", scores=(0.123456789, 1.0, 1e-9, 1))])
+        assert render(tbl) == "a ||| x ||| 0.123457 1 1e-09 1 |||\n"
 
     def test_entries_sorted_on_build(self):
         tbl = table([entry("b", "x"), entry("a", "y"), entry("a", "x")])
@@ -291,6 +288,21 @@ class TestReordering:
         assert str(exc.value) == "duplicate reordering entry for pair 'b' -> 'y'"
         assert out.getvalue() == ""
 
+    @pytest.mark.parametrize("src,probs,message", [
+        (("b",), (0.9, 0.9, 0.9, 0.2, 0.3, 0.5), "orientation triple sums to 2.7"),
+        (("b",), (0.5, 0.25, 0.25, 0.1, 0.2), "expected 6 probabilities, got 5"),
+        (("b",), (1.5, -0.25, -0.25, 0.1, 0.2, 0.7), r"probability 1.5 not in \[0, 1\]"),
+        (("b c",), (0.5, 0.25, 0.25, 0.1, 0.2, 0.7), "bad token 'b c' in source phrase"),
+    ], ids=["sum", "five", "range", "space"])
+    def test_write_checks_every_entry_before_writing(self, src, probs, message):
+        # A nine-token phrase passes: the writer sets no phrase length limit.
+        good = ReorderingEntry(tuple(f"a{i}" for i in range(9)), ("x",),
+                               (0.5, 0.25, 0.25, 0.1, 0.2, 0.7))
+        out = io.StringIO()
+        with pytest.raises(TableError, match=message):
+            write_reordering_table([good, ReorderingEntry(src, ("y",), probs)], out)
+        assert out.getvalue() == ""
+
     def test_written_triples_survive_reparsing(self):
         third = 1.0 / 3.0
         entries = (ReorderingEntry(("a",), ("x",), (third,) * 6),)
@@ -350,18 +362,9 @@ class TestRows:
         assert s.values() == (0.1, 0.2, 0.3, 0.4, 0.5)
 
 
-# Scores the writers must render like the plain formulation: both ends of
+# Scores the writers must render as ``oracle_format_row`` does: both ends of
 # the unit range, the smallest normal doubles and a subnormal.
 _EDGE_SCORES = (0.0, 1.0, 1e-300, 2.2250738585072014e-308, 5e-324, 1e-310)
-
-
-def _plain_format_row(row) -> str:
-    src, tgt, scores, align = row
-    head = SEPARATOR.join(
-        [" ".join(src), " ".join(tgt), " ".join(format_score(v) for v in scores)])
-    if not align:
-        return head + " |||"
-    return head + SEPARATOR + " ".join(f"{i}-{j}" for i, j in align)
 
 
 def _random_score(rng: random.Random, high: float = 1.0) -> float:
@@ -387,11 +390,13 @@ class TestWriterProperties:
     @pytest.mark.parametrize("n_extras", [0, 2, 5])
     def test_format_then_parse_gives_the_row_back(self, n_extras):
         rng = random.Random(90 + n_extras)
-        for lineno in range(1, 400):
-            row = _random_row(rng, n_extras)
-            line = format_row(row)
-            assert line == _plain_format_row(row)
-            src, tgt, scores, align = parse_row(line + "\n", lineno, n_extras)
+        rows = [_random_row(rng, n_extras) for _ in range(399)]
+        out = io.StringIO()
+        write_rows(rows, out)
+        lines = out.getvalue().splitlines(keepends=True)
+        assert [line[:-1] for line in lines] == list(map(oracle_format_row, rows))
+        for lineno, (line, row) in enumerate(zip(lines, rows), start=1):
+            src, tgt, scores, align = parse_row(line, lineno, n_extras)
             assert (src, tgt, align) == (row[0], row[1], row[3])
             assert scores == tuple(float("%.6g" % v) for v in row[2])
 
@@ -399,14 +404,16 @@ class TestWriterProperties:
         for scores in [_EDGE_SCORES[:4], _EDGE_SCORES[2:], _EDGE_SCORES,
                        _EDGE_SCORES + (1234.5678,)]:
             row = (("a",), ("x", "y"), scores, ())
-            assert format_row(row) == _plain_format_row(row)
-            assert format_row(row).endswith(" |||")
-            assert parse_row(format_row(row), 1, len(scores) - 4)[2] == tuple(
+            out = io.StringIO()
+            write_rows([row], out)
+            line = out.getvalue()
+            assert line == oracle_format_row(row) + "\n"
+            assert line.endswith(" |||\n")
+            assert parse_row(line, 1, len(scores) - 4)[2] == tuple(
                 float("%.6g" % v) for v in scores)
 
     def test_reordering_row_is_repr_and_reparses_exactly(self):
         rng = random.Random(97)
-        lines = []
         rows = []
         for i in range(300):
             probs = []
@@ -417,24 +424,21 @@ class TestWriterProperties:
                 rng.shuffle(triple)
                 probs += triple
             src, tgt = (f"s{i}",), _random_phrase(rng, "t")
-            line = format_reordering_row(src, tgt, probs)
-            assert line == SEPARATOR.join(
-                [" ".join(src), " ".join(tgt), " ".join(repr(v) for v in probs)])
-            lines.append(line + "\n")
             rows.append((src, tgt, tuple(probs)))
+        out = io.StringIO()
+        write_lines([(src, tgt, probs, ()) for src, tgt, probs in rows], None, out, 0)
+        lines = out.getvalue().splitlines(keepends=True)
+        assert [line[:-1] for line in lines] == [
+            oracle_format_reordering_row(*row) for row in rows]
         parsed = parse_reordering_table(lines)
         assert [(e.src, e.tgt, e.probs) for e in parsed] == sorted(rows)
 
 
-# --- the memoising writers against the plain single-row formulation -------
+# --- the memoising writers against the reference formatters of conftest ---
 
 # Orientation values whose repr text is easy to get wrong: the log floor, the
 # smallest subnormal, and a third one ulp above the nearest double.
 _TRICKY_PROBS = (1e-9, 5e-324, 0.33333333333333337, 1.0 / 3.0, 0.5, 1.0)
-
-
-def _plain_reordering_line(src, tgt, probs) -> str:
-    return SEPARATOR.join([" ".join(src), " ".join(tgt), " ".join(map(repr, probs))])
 
 
 def _oriented_rows(rng: random.Random, n_rows: int, pool_size: int):
@@ -468,7 +472,7 @@ class TestWritersMatchThePlainFormat:
         write_rows(rows, out, names)
         header = [f"#features: {' '.join(names)}"] if names else []
         assert out.getvalue().splitlines() == header + [
-            _plain_format_row(row) for row in rows]
+            oracle_format_row(row) for row in rows]
 
     @pytest.mark.parametrize("cap", [None, 3], ids=["module-cap", "cap-3"])
     def test_write_reordering_rows(self, monkeypatch, cap):
@@ -483,22 +487,24 @@ class TestWritersMatchThePlainFormat:
         table_out, reordering_out = io.StringIO(), io.StringIO()
         write_reordering_rows(rows, table_out, reordering_out)
         assert table_out.getvalue().splitlines() == [
-            _plain_format_row((src, tgt, scores[:4], align))
+            oracle_format_row((src, tgt, scores[:4], align))
             for src, tgt, scores, align in rows]
         assert reordering_out.getvalue().splitlines() == [
-            _plain_reordering_line(src, tgt, scores[4:])
+            oracle_format_reordering_row(src, tgt, scores[4:])
             for src, tgt, scores, _ in rows]
 
     def test_write_reordering_table(self):
         rng = random.Random(302)
         rows = _oriented_rows(rng, 1500, FORMAT_MEMO_CAP)
-        entries = {(src, tgt): scores[4:] for src, tgt, scores, _ in rows}
+        # Triples (p, 1 - p, 0) sum to one, as write_reordering_table checks.
+        entries = {(src, tgt): (s[4], 1.0 - s[4], 0.0, 0.0, s[7], 1.0 - s[7])
+                   for src, tgt, s, _ in rows}
         out = io.StringIO()
         write_reordering_table(
             [ReorderingEntry(src, tgt, probs) for (src, tgt), probs in entries.items()],
             out)
         assert out.getvalue().splitlines() == [
-            _plain_reordering_line(src, tgt, probs)
+            oracle_format_reordering_row(src, tgt, probs)
             for (src, tgt), probs in sorted(entries.items())]
 
     @pytest.mark.parametrize("first, second", [
@@ -507,10 +513,12 @@ class TestWritersMatchThePlainFormat:
             "float-then-int", "int-then-float"])
     def test_equal_values_keep_their_own_text(self, first, second):
         # Equal keys of a value-keyed memo; rows of the library may hold them.
-        probs = [(first,) * 6, (second,) * 6, (first, second) * 3]
+        # Triples (v, 1 - v, 0) sum to one, as write_reordering_table checks.
+        probs = [(first, 1.0 - first, 0.0) * 2, (second, 1.0 - second, 0.0) * 2,
+                 (first, 1.0 - first, 0.0, second, 1.0 - second, 0.0)]
         rows = [((f"s{i}",), ("t",), (0.5, 0.5, 0.5, 0.5) + p, ())
                 for i, p in enumerate(probs)]
-        want = [_plain_reordering_line(src, tgt, scores[4:])
+        want = [oracle_format_reordering_row(src, tgt, scores[4:])
                 for src, tgt, scores, _ in rows]
         assert len({line.split(SEPARATOR)[2] for line in want}) == 3
         reordering_out = io.StringIO()
@@ -523,7 +531,7 @@ class TestWritersMatchThePlainFormat:
         out = io.StringIO()
         write_rows([(src, tgt, scores[4:8], ()) for src, tgt, scores, _ in rows], out)
         assert out.getvalue().splitlines() == [
-            _plain_format_row((src, tgt, scores[4:8], ())) for src, tgt, scores, _ in rows]
+            oracle_format_row((src, tgt, scores[4:8], ())) for src, tgt, scores, _ in rows]
 
 
 # --- parse_row against the field-by-field reference parser ----------------

@@ -28,10 +28,10 @@ from pivotsmith.tablecore import (
     AlignmentLink,
     LogLinearWeights,
     TableError,
-    format_row,
     loglinear_score,
     read_rows,
     weight_vector,
+    write_rows,
 )
 from pivotsmith.tables import (
     PhraseEntry,
@@ -315,7 +315,6 @@ class TestStreaming:
         sp_extras, sp_rows = read_rows(sp_text.getvalue().splitlines())
         pt_extras, pt_rows = read_rows(pt_text.getvalue().splitlines())
         out = io.StringIO()
-        from pivotsmith.tablecore import write_rows
         write_rows(compose_rows(sp_rows, sp_extras, pt_rows, pt_extras, cfg), out)
 
         assert out.getvalue() == expected.getvalue()
@@ -456,7 +455,9 @@ class TestReduceEdges:
                                      (1.0, -0.0, 1.0, 1.0)), chunk, reordering)
         for pair in ((("a",), ("x",)), (("b",), ("y",))):
             assert math.copysign(1.0, rows[pair][2][1]) == 1.0
-            assert format_row(rows[pair]).split(" ||| ")[2].split()[1] == "0"
+            out = io.StringIO()
+            write_rows([rows[pair]], out)
+            assert out.getvalue().split(" ||| ")[2].split()[1] == "0"
 
     def test_sum_inside_the_guard_band_is_one(self, chunk, reordering):
         half = 0.5 + SCORE_OVERSHOOT_TOL / 2
@@ -765,6 +766,18 @@ class TestReorderingPivot:
             got = pivot_reordering(sp_reo, (), sp, pt)
         assert got[0].probs == pytest.approx((1.0 / 3.0,) * 6)
         assert any("unused" in m for m in caplog.messages)
+
+    @pytest.mark.parametrize("side", ["source-pivot", "pivot-target"])
+    def test_entries_of_both_tables_are_checked(self, side):
+        sp = table([entry("a", "x")])
+        pt = table([entry("x", "u")])
+        bad = (0.9, 0.9, 0.9, 0.2, 0.3, 0.5)
+        if side == "source-pivot":
+            reo_tables = ((ReorderingEntry(("a",), ("x",), bad),), ())
+        else:
+            reo_tables = ((), (ReorderingEntry(("x",), ("u",), bad),))
+        with pytest.raises(TableError, match="orientation triple sums to 2.7"):
+            pivot_reordering(*reo_tables, sp, pt)
 
     @staticmethod
     def compose_oriented(order, n_pt, chunk_size=PivotConfig.chunk_size):

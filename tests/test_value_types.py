@@ -8,7 +8,8 @@ The object model and every ``PhraseTable`` adapter live in
 ``pivotsmith.tables`` alone, which imports the row modules.  No row module
 imports it back, keeps a ``TYPE_CHECKING`` import or forwards names
 through a module ``__getattr__``, and a bare ``pivotsmith.tablecore``
-import loads no ``dataclasses``.
+import loads no ``dataclasses``.  Every module of the package and of the
+tests reads each name its top-level imports bind.
 """
 
 from __future__ import annotations
@@ -178,6 +179,36 @@ def test_row_modules_do_not_know_the_object_model(module):
     assert "TYPE_CHECKING" not in identifiers
     assert "__getattr__" not in {node.name for node in tree.body
                                  if isinstance(node, ast.FunctionDef)}
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a top-level import of ``path`` binds that the module never
+    reads, ``__future__`` imports aside, each with its line number."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    # Annotations are expressions in the tree, so the names they read count.
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{name} (line {lineno})" for name, lineno in bound.items()
+            if name not in read]
+
+
+_PACKAGE_DIR = Path(pivotsmith.__file__).parent
+_TESTS_DIR = Path(__file__).parent
+
+
+@pytest.mark.parametrize("path", sorted(_PACKAGE_DIR.glob("*.py"))
+                         + sorted(_TESTS_DIR.glob("*.py")),
+                         ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_every_top_level_import_is_read(path):
+    assert _unused_imports(path) == []
 
 
 @pytest.mark.parametrize("name", ADAPTERS)
