@@ -274,10 +274,14 @@ def pivot_reordering(sp_reo: Sequence[ReorderingEntry],
     interface symmetry but does not enter the mixture; phrase order around
     the source-pivot boundary says nothing about source-target order once
     the pivot phrase drops out.  Every entry of both tables is checked as
-    ``reorder_rows`` checks it.
+    ``reorder_rows`` checks it, and a pair repeated in either raises
+    ``TableError``, as ``pivot --reordering-sp`` does.
     """
-    for entry in sp_reo:
-        validate_reordering(entry, None)
+    if cfg is None:
+        cfg = PivotConfig()
+    for _ in sort_reordering_rows(reorder_rows(sp_reo), cfg.chunk_size,
+                                  cfg.tmpdir):
+        pass
     if sp_reo:
         logging.getLogger(__name__).info(
             "source-pivot reordering table (%d entries) is unused"

@@ -259,10 +259,16 @@ def _attach_orientations(pt_rows: Iterable[Row], reo_rows: Iterable[Row],
     Both streams are sorted by (pivot, tgt).  A pair repeated in
     ``reo_rows`` raises ``TableError``; a pair without a reordering entry
     gets uniform probabilities.
+
+    The first pivot-target row is pulled before the first reordering row:
+    the pivot-target sort then reads its input, and the join's probe list
+    with it, before the reordering sort fills a chunk of its own.
     """
+    pt_rows = iter(pt_rows)
+    head = list(islice(pt_rows, 1))
     reo = check_unique(reo_rows, _BY_SRC_TGT, "reordering entry")
     cur = next(reo, None)
-    for pivot, tgt, g, a_pt in pt_rows:
+    for pivot, tgt, g, a_pt in chain(drain(head), pt_rows):
         key = (pivot, tgt)
         probs = _UNIFORM_TRIPLE
         while cur is not None and _BY_SRC_TGT(cur) <= key:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -238,35 +240,68 @@ def test_run_round_trips_mixed_rows(tmp_path):
     assert got[2][0] is got[2][1]
 
 
-def test_run_without_its_end_marker_raises(tmp_path):
-    # Cut at every row boundary, from no rows to all of them: a run that
-    # lost its tail must not pass for a shorter run.
-    rows = _mixed_run_rows()
-    encoded = [encode_row(row) for row in rows]
+def _records(rows):
+    return [rows[start:start + extsort.RECORD_ROWS]
+            for start in range(0, len(rows), extsort.RECORD_ROWS)]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 15, 16, 17, 33])
+def test_run_is_records_of_up_to_record_rows(tmp_path, n_rows):
+    rows = (_mixed_run_rows() * 6)[:n_rows]
     path = tmp_path / "run"
     extsort._write_run(str(path), rows)
-    assert path.read_bytes().startswith(b"".join(encoded))
-    for kept in range(len(rows) + 1):
-        path.write_bytes(b"".join(encoded[:kept]))
+    assert path.read_bytes() == b"".join(
+        [encode_row(record) for record in _records(rows)] + [pickle.dumps(None, 3)])
+    assert _read_back(path) == rows
+
+
+def test_run_without_its_end_marker_raises(tmp_path):
+    # Cut at every record boundary, from no records to all of them, and at
+    # every byte inside a record: a run that lost its tail must not pass
+    # for a shorter run.
+    rows = (_mixed_run_rows() * 7)[:40]
+    encoded = [encode_row(record) for record in _records(rows)]
+    assert len(encoded) == 3
+    path = tmp_path / "run"
+    extsort._write_run(str(path), rows)
+    data = b"".join(encoded)
+    assert path.read_bytes() == data + pickle.dumps(None, 3)
+    boundaries = [sum(map(len, encoded[:kept])) for kept in range(len(encoded) + 1)]
+    for end in boundaries:
         with pytest.raises(EOFError):
-            _read_back(path)
+            list(extsort._read_run(io.BytesIO(data[:end])))
+    for end in sorted(set(range(len(data))) - set(boundaries)):
+        with pytest.raises((EOFError, pickle.UnpicklingError)):
+            list(extsort._read_run(io.BytesIO(data[:end])))
+
+
+@pytest.mark.parametrize("fan_in", [extsort.MERGE_FAN_IN, 3])
+@pytest.mark.parametrize("run_rows", [0, 1, 15, 16, 17, 33])
+def test_runs_across_record_boundaries_sort_stably(tmp_path, monkeypatch,
+                                                   fan_in, run_rows):
+    # Five keys over 200 rows: every record holds equal keys, and so do its
+    # neighbours, so a record that came back out of order would show.  Run
+    # length 0 is the empty input, which spills nothing.
+    monkeypatch.setattr(extsort, "MERGE_FAN_IN", fan_in)
+    rng = random.Random(13)
+    rows = [((f"s{rng.randint(0, 4)}",), (f"t{i}",), (float(i),), ())
+            for i in range(200 if run_rows else 0)]
+    key = itemgetter(0)
+    got = list(ext_sorted(rows, key, chunk_size=max(run_rows, 1),
+                          tmp_base=str(tmp_path)))
+    assert got == sorted(rows, key=key)
+    assert os.listdir(tmp_path) == []
 
 
 class Held:
     """A picklable row element that a weak reference can watch."""
 
 
-def test_spilled_rows_are_not_held_once_yielded():
-    # Each run's Unpickler keeps its memo between rows.  An entry holds an
-    # object until a later row of the run stores at its index, so a reader
-    # may hold a few yielded objects, one per memo index it has used, but
-    # that number must not grow with the run.  Rows here come in three
-    # shapes, so each of the 10 runs holds at most three of its 200
-    # yielded elements, and the merge itself one more.
+def _most_held_while_merging(n_rows, chunk_size):
     rows = [(f"k{i:05d}", tuple(f"t{j}" for j in range(i % 3 + 1)), Held())
-            for i in range(2000)]
+            for i in range(n_rows)]
     random.Random(12).shuffle(rows)
-    stream = ext_sorted(rows, itemgetter(0), chunk_size=200)
+    stream = ext_sorted(rows, itemgetter(0), chunk_size=chunk_size)
     del rows
     yielded = []
     most = 0
@@ -274,5 +309,18 @@ def test_spilled_rows_are_not_held_once_yielded():
         yielded.append(weakref.ref(row[2]))
         del row
         most = max(most, sum(ref() is not None for ref in yielded))
-    assert most <= 3 * 10 + 2
     assert not any(ref() for ref in yielded)
+    return most
+
+
+def test_spilled_rows_are_not_held_once_yielded():
+    # The merge reads each run a record at a time, and a record's list keeps
+    # its rows until the last of them is yielded.  Each run's Unpickler also
+    # keeps its memo between records, so a record may leave a few objects
+    # stored past the current record's last index.  So each of the 10 runs
+    # holds at most about one record of yielded rows, and the merge itself
+    # one more, whether a run has 200 rows or 800: they measured 167 and 153.
+    bound = 10 * (extsort.RECORD_ROWS + 2) + 2
+    assert bound < 2000 / 5  # far below a run's rows, or it shows nothing
+    assert _most_held_while_merging(2000, 200) <= bound
+    assert _most_held_while_merging(8000, 800) <= bound

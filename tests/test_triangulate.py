@@ -779,6 +779,17 @@ class TestReorderingPivot:
         with pytest.raises(TableError, match="orientation triple sums to 2.7"):
             pivot_reordering(*reo_tables, sp, pt)
 
+    @pytest.mark.parametrize("side", ["source-pivot", "pivot-target"])
+    def test_repeated_pair_in_either_table_raises(self, side):
+        sp = table([entry("x", "x")])
+        pt = table([entry("x", "u")])
+        e = ReorderingEntry(("x",), ("x",) if side == "source-pivot" else ("u",),
+                            (0.8, 0.1, 0.1, 0.6, 0.2, 0.2))
+        reo_tables = ((e, e), ()) if side == "source-pivot" else ((), (e, e))
+        with pytest.raises(TableError, match="duplicate reordering entry for pair"
+                                             f" 'x' -> '{e.tgt[0]}'"):
+            pivot_reordering(*reo_tables, sp, pt)
+
     @staticmethod
     def compose_oriented(order, n_pt, chunk_size=PivotConfig.chunk_size):
         sp_rows = [(("a",), ("x",), (0.5,) * 4, ()), (("a",), ("y",), (0.5,) * 4, ())]
@@ -806,6 +817,29 @@ class TestReorderingPivot:
         with pytest.raises(TableError,
                            match=f"duplicate reordering entry for pair {pair}"):
             self.compose_oriented((1, index, index), 2, chunk_size)
+
+    @pytest.mark.parametrize("chunk_size", [100, 4], ids=["hash", "merge"])
+    def test_pivot_target_rows_are_read_before_the_reordering_rows(self, chunk_size):
+        # On the sort-merge join the probe list, chunk_size + 1 pivot-target
+        # rows, lives until the pivot-target sort has read its input, so the
+        # reordering sort must not fill its chunk before that.
+        pulls = []
+
+        def logged(side, rows):
+            for row in rows:
+                pulls.append(side)
+                yield row
+        n = 12
+        sp_rows = [((f"a{i}",), (f"x{i}",), (0.5,) * 4, ()) for i in range(n)]
+        pt_rows = [((f"x{i}",), ("u",), (0.5,) * 4, ()) for i in range(n)]
+        reo = [((f"x{i}",), ("u",), (0.8, 0.1, 0.1, 0.6, 0.2, 0.2), ())
+               for i in range(n)]
+        rows = compose_rows(logged("sp", sp_rows), (), logged("pt", pt_rows), (),
+                            PivotConfig(chunk_size=chunk_size),
+                            pt_reo_rows=logged("reo", reo))
+        assert pulls == ["pt"] * min(chunk_size + 1, n)
+        next(rows)
+        assert pulls == ["pt"] * n + ["reo"] * n + ["sp"] * n
 
 
 class TestConfig:

@@ -111,8 +111,10 @@ def test_scratch_disk_full_after_3_runs_leaves_nothing(tmp_path, scratch, capsys
 
 
 def _write_run_without_end_marker(path, rows):
+    rows = iter(rows)
+    records = iter(lambda: list(itertools.islice(rows, extsort.RECORD_ROWS)), [])
     with open(path, "wb") as out:
-        out.writelines(map(extsort.encode_row, rows))
+        out.writelines(map(extsort.encode_row, records))
 
 
 def _write_run_of_bad_bytes(path, rows):
