@@ -1,8 +1,9 @@
 """Command line front end.
 
 One subcommand per pipeline stage.  Commands read stdin and write stdout
-when file flags are omitted, exit 2 on usage errors, and exit 1 on data
-errors with the offending line number in the message.  Nothing here uses
+when file flags are omitted, and ``-`` names either on any file flag.
+They exit 2 on usage errors, and 1 on data errors with the offending line
+number in the message.  Nothing here uses
 randomness and every command runs its work in one thread, so reruns are
 byte-identical.  ``--threads`` on ``annotate`` and ``decode`` is accepted
 for compatibility and has no effect.  A command may read stdin for at
@@ -99,8 +100,8 @@ HIST_BINS = 10
 
 
 @contextmanager
-def _open_in(path: str | None) -> Iterator[TextIO]:
-    if path is None or path == "-":
+def _open_in(path: str) -> Iterator[TextIO]:
+    if path == "-":
         yield sys.stdin
         return
     with open(path, "r", encoding="utf-8") as stream:
@@ -108,14 +109,14 @@ def _open_in(path: str | None) -> Iterator[TextIO]:
 
 
 @contextmanager
-def _open_out(path: str | None) -> Iterator[TextIO]:
+def _open_out(path: str) -> Iterator[TextIO]:
     """Write a file whole or not at all: a failed command leaves no output.
 
     A regular file is written under a temporary name in its directory and
     renamed over ``path`` on success.  A symlink, device or FIFO at
     ``path`` is written in place, since renaming would replace it.
     """
-    if path is None or path == "-":
+    if path == "-":
         yield sys.stdout
         sys.stdout.flush()
         return
@@ -169,27 +170,14 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _load(path: str, loader):
+    """``loader`` run on the file at ``path``, stdin for ``-``."""
+    with _open_in(path) as stream:
+        return loader(stream)
+
+
 def _load_weights(path: str | None) -> LogLinearWeights | None:
-    if path is None:
-        return None
-    with _open_in(path) as stream:
-        return LogLinearWeights.from_config(stream)
-
-
-def _load_lexicons(src: str, tgt: str) -> tuple:
-    """The source and the target ``MorphLexicon``, in that order."""
-    with _open_in(src) as stream:
-        src_lex = MorphLexicon.load(stream)
-    with _open_in(tgt) as stream:
-        return src_lex, MorphLexicon.load(stream)
-
-
-def _load_rules(path: str | None):
-    """The rules file at ``path``, or the bundled rules for None."""
-    if path is None:
-        return default_rules()
-    with _open_in(path) as stream:
-        return load_rules(stream)
+    return None if path is None else _load(path, LogLinearWeights.from_config)
 
 
 def _feature_list(text: str) -> tuple[str, ...]:
@@ -210,7 +198,6 @@ def _check_stdin(paths: list[str | None],
     """Usage error when more than one of ``paths`` is ``-``.
 
     Two readers of stdin would leave the second one an empty stream.
-    Callers pass ``-`` for an input that defaults to stdin.
     """
     if paths.count("-") > 1:
         raise UsageError(message)
@@ -243,9 +230,9 @@ def cmd_pivot(args: argparse.Namespace) -> int:
             if path is not None:
                 raise UsageError(f"{flag} requires --reordering-out")
     elif args.reordering_out == "-":
-        if args.output in (None, "-"):
+        if args.output == "-":
             raise UsageError("only one of -o and --reordering-out can write stdout")
-    elif args.output not in (None, "-") and (
+    elif args.output != "-" and (
             os.path.realpath(args.output) == os.path.realpath(args.reordering_out)):
         raise UsageError("-o and --reordering-out must name different files")
     inputs = [args.sp, args.pt, args.reordering_sp, args.reordering_pt]
@@ -286,7 +273,7 @@ def cmd_pivot(args: argparse.Namespace) -> int:
 
 def cmd_filter(args: argparse.Namespace) -> int:
     _bind("triangulate")
-    _check_stdin([args.input or "-", args.weights])
+    _check_stdin([args.input, args.weights])
     weights = _load_weights(args.weights)
     with _open_in(args.input) as stream, _open_out(args.output) as out:
         extras, rows = read_rows(stream)
@@ -301,24 +288,24 @@ def _build_scorer(args: argparse.Namespace):
         return connectivity_scores, ("conn_s", "conn_t")
     if args.src_lex is None or args.tgt_lex is None:
         raise UsageError(f"--kind {args.kind} requires --src-lex and --tgt-lex")
-    src_lex, tgt_lex = _load_lexicons(args.src_lex, args.tgt_lex)
+    # Looked up per call: perfbench/tracing.py wraps ``load`` on the class.
+    src_lex = _load(args.src_lex, MorphLexicon.load)
+    tgt_lex = _load(args.tgt_lex, MorphLexicon.load)
     if args.kind == "rules":
-        scorer = functools.partial(rule_morph_scores, src_lex=src_lex,
-                                   tgt_lex=tgt_lex, rules=_load_rules(args.rules),
-                                   features=args.features)
+        rules = default_rules() if args.rules is None else _load(args.rules, load_rules)
+        scorer = functools.partial(rule_morph_scores, src_lex=src_lex, tgt_lex=tgt_lex,
+                                   rules=rules, features=args.features)
         return scorer, ("morph_rule_s", "morph_rule_t")
     if args.fc_model is None:
         raise UsageError("--kind induced requires --fc-model")
-    with _open_in(args.fc_model) as stream:
-        model = FcModel.load(stream)
-    scorer = functools.partial(induced_morph_scores, src_lex=src_lex,
-                               tgt_lex=tgt_lex, model=model)
+    scorer = functools.partial(induced_morph_scores, src_lex=src_lex, tgt_lex=tgt_lex,
+                               model=_load(args.fc_model, FcModel.load))
     return scorer, ("morph_fc_s", "morph_fc_t")
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
     _bind("features", "morphmodel")
-    inputs = [args.input or "-"]
+    inputs = [args.input]
     if args.kind == "rules":
         inputs += [args.src_lex, args.tgt_lex, args.rules]
     elif args.kind == "induced":
@@ -336,8 +323,8 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 def cmd_lexicon(args: argparse.Namespace) -> int:
     _bind("morphmodel")
-    paths = args.input if args.input else [None]
-    _check_stdin([path or "-" for path in paths])
+    paths = args.input or ["-"]
+    _check_stdin(paths)
     with ExitStack() as stack:
         streams = [stack.enter_context(_open_in(path)) for path in paths]
         lexicon = build_lexicon(streams, fc_features=args.fc_features,
@@ -349,7 +336,7 @@ def cmd_lexicon(args: argparse.Namespace) -> int:
 
 def cmd_rules_check(args: argparse.Namespace) -> int:
     _bind("morphmodel")
-    rules = _load_rules(args.rules)
+    rules = default_rules() if args.rules is None else _load(args.rules, load_rules)
     with _open_out(args.output) as out:
         if not args.pair:
             for feature in rules.features():
@@ -366,7 +353,8 @@ def cmd_rules_check(args: argparse.Namespace) -> int:
 def cmd_fc_train(args: argparse.Namespace) -> int:
     _bind("morphmodel")
     _check_stdin([args.src_lex, args.tgt_lex, args.src, args.tgt, args.align])
-    src_lex, tgt_lex = _load_lexicons(args.src_lex, args.tgt_lex)
+    src_lex = _load(args.src_lex, MorphLexicon.load)
+    tgt_lex = _load(args.tgt_lex, MorphLexicon.load)
     with _open_in(args.src) as src_f, _open_in(args.tgt) as tgt_f, \
             _open_in(args.align) as align_f:
         model = train_fc_model(src_f, tgt_f, align_f, src_lex, tgt_lex)
@@ -376,6 +364,8 @@ def cmd_fc_train(args: argparse.Namespace) -> int:
 
 
 def cmd_combine(args: argparse.Namespace) -> int:
+    if len(args.input) < 2:
+        raise UsageError("combine needs at least two -i NAME=FILE inputs")
     _bind("combine")
     _check_stdin([path for _, path in args.input])
     with ExitStack() as stack:
@@ -391,7 +381,7 @@ def cmd_combine(args: argparse.Namespace) -> int:
 
 def cmd_decode(args: argparse.Namespace) -> int:
     _bind("evalkit")
-    _check_stdin([args.weights, args.table, args.input or "-"])
+    _check_stdin([args.weights, args.table, args.input])
     cfg = DecodeConfig(
         weights=_load_weights(args.weights),
         max_phrase_len=args.max_phrase_len,
@@ -401,8 +391,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
         # the index skips phrases longer than --max-phrase-len.
         extras, rows = read_rows(stream, max(DEFAULT_MAX_PHRASE_LEN, args.max_phrase_len))
         index = phrase_index_rows(sort_table_rows(rows, extras), extras, cfg)
-    with _open_in(args.input) as stream:
-        sentences = read_sentences(stream)
+    sentences = _load(args.input, read_sentences)
     with _open_out(args.output) as out:
         for tokens in ordered_map(
                 lambda sentence: _decode_one(sentence, index, cfg),
@@ -414,22 +403,15 @@ def cmd_decode(args: argparse.Namespace) -> int:
 def cmd_bleu(args: argparse.Namespace) -> int:
     _bind("evalkit")
     _check_stdin([args.hyp, *args.ref])
-    with _open_in(args.hyp) as stream:
-        hypotheses = read_sentences(stream)
-    reference_sets = None
+    hypotheses = _load(args.hyp, read_sentences)
+    columns = []
     for path in args.ref:
-        with _open_in(path) as stream:
-            column = read_sentences(stream)
-        if reference_sets is None:
-            reference_sets = [[ref] for ref in column]
-        else:
-            if len(column) != len(reference_sets):
-                raise TableError(
-                    f"reference file {path!r} has {len(column)} sentences,"
-                    f" expected {len(reference_sets)}")
-            for refs, ref in zip(reference_sets, column):
-                refs.append(ref)
-    result = bleu4_report(hypotheses, reference_sets)
+        columns.append(_load(path, read_sentences))
+        if len(columns[-1]) != len(columns[0]):
+            raise TableError(
+                f"reference file {path!r} has {len(columns[-1])} sentences,"
+                f" expected {len(columns[0])}")
+    result = bleu4_report(hypotheses, list(zip(*columns)))
     with _open_out(args.output) as out:
         out.write(f"BLEU = {result.bleu:.6f}\n")
         out.write(" ".join(f"p{i} = {p:.6f}"
@@ -484,10 +466,13 @@ class UsageError(Exception):
     """Bad flag combinations that argparse cannot express."""
 
 
+def _add_output(parser: argparse.ArgumentParser, what: str = "output file") -> None:
+    parser.add_argument("-o", "--output", default="-", help=f"{what} (default stdout)")
+
+
 def _add_io(parser: argparse.ArgumentParser, input_help: str) -> None:
-    parser.add_argument("-i", "--input", default=None, help=input_help)
-    parser.add_argument("-o", "--output", default=None,
-                        help="output file (default stdout)")
+    parser.add_argument("-i", "--input", default="-", help=input_help)
+    _add_output(parser)
 
 
 def _add_threads(parser: argparse.ArgumentParser) -> None:
@@ -517,8 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pivot", help="triangulate two tables through a pivot")
     p.add_argument("--sp", required=True, help="source-pivot phrase table")
     p.add_argument("--pt", required=True, help="pivot-target phrase table")
-    p.add_argument("-o", "--output", default=None,
-                   help="composed table (default stdout)")
+    _add_output(p, "composed table")
     p.add_argument("--top-n", type=_positive_int, default=DEFAULT_TOP_N,
                    help=f"entries kept per source phrase (default {DEFAULT_TOP_N})")
     p.add_argument("--weights-sp", default=None,
@@ -566,8 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lexicon", help="build a morphological lexicon")
     p.add_argument("-i", "--input", action="append", default=None,
                    help="tagged corpus, repeatable (default stdin)")
-    p.add_argument("-o", "--output", default=None,
-                   help="lexicon file (default stdout)")
+    _add_output(p, "lexicon file")
     p.add_argument("--fc-features", type=_feature_list,
                    default=DEFAULT_FC_FEATURES,
                    help="features joined into the FC tag (default gen,num,det)")
@@ -582,8 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("FEATURE", "SRC", "TGT"),
                    help="value pair to check, repeatable; without pairs a"
                         " summary is printed")
-    p.add_argument("-o", "--output", default=None,
-                   help="output file (default stdout)")
+    _add_output(p)
     p.set_defaults(func=cmd_rules_check)
 
     p = sub.add_parser("fc-train", help="train an FC tag translation model")
@@ -593,25 +575,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="word alignments, one i-j list per line")
     p.add_argument("--src-lex", required=True, help="source morphological lexicon")
     p.add_argument("--tgt-lex", required=True, help="target morphological lexicon")
-    p.add_argument("-o", "--output", default=None,
-                   help="model file (default stdout)")
+    _add_output(p, "model file")
     p.set_defaults(func=cmd_fc_train)
 
     p = sub.add_parser("combine", help="merge tables with origin indicators")
     p.add_argument("-i", "--input", action="append", required=True,
                    type=_name_eq_path, metavar="NAME=FILE",
                    help="named input table, repeat at least twice")
-    p.add_argument("-o", "--output", default=None,
-                   help="combined table (default stdout)")
+    _add_output(p, "combined table")
     p.set_defaults(func=cmd_combine)
 
     p = sub.add_parser("decode", help="monotone segment-and-translate decoding")
     p.add_argument("--table", required=True, help="phrase table")
     p.add_argument("--weights", default=None, help="log-linear weights config")
-    p.add_argument("--input", default=None,
+    p.add_argument("--input", default="-",
                    help="tokenized input sentences (default stdin)")
-    p.add_argument("-o", "--output", default=None,
-                   help="translations (default stdout)")
+    _add_output(p, "translations")
     p.add_argument("--max-phrase-len", type=_positive_int, default=DEFAULT_MAX_PHRASE_LEN,
                    help=f"longest source span matched (default {DEFAULT_MAX_PHRASE_LEN})")
     p.add_argument("--unknown-penalty", type=float, default=DEFAULT_UNKNOWN_PENALTY,
@@ -624,8 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hyp", required=True, help="hypothesis sentences")
     p.add_argument("--ref", action="append", required=True,
                    help="reference sentences, repeatable for multiple references")
-    p.add_argument("-o", "--output", default=None,
-                   help="output file (default stdout)")
+    _add_output(p)
     p.set_defaults(func=cmd_bleu)
 
     p = sub.add_parser("stats", help="entry counts and score histograms")
@@ -636,8 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
                                              " would enumerate")
     p.add_argument("--sp", required=True, help="source-pivot phrase table")
     p.add_argument("--pt", required=True, help="pivot-target phrase table")
-    p.add_argument("-o", "--output", default=None,
-                   help="output file (default stdout)")
+    _add_output(p)
     p.set_defaults(func=cmd_estimate_size)
 
     return parser
@@ -653,8 +630,6 @@ def _name_eq_path(text: str) -> tuple[str, str]:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "combine" and len(args.input) < 2:
-        parser.error("combine needs at least two -i NAME=FILE inputs")
     try:
         return args.func(args)
     except BrokenPipeError:

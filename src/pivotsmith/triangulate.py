@@ -39,7 +39,7 @@ from __future__ import annotations
 import heapq
 from itertools import chain, groupby, islice
 from operator import itemgetter, lt
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .extsort import DEFAULT_CHUNK_SIZE, drain, ext_sorted
 from .tablecore import (
@@ -54,6 +54,7 @@ from .tablecore import (
     TableError,
     check_unique,
     loglinear_score,
+    table_order,
     weight_vector,
     write_lines,
 )
@@ -143,25 +144,29 @@ def _project(a_sp: Sequence[tuple[int, int]],
 
 
 def _iter_top_n(rows: Iterable[Row], weight_vec: Sequence[float], n: int,
-                side: str) -> Iterator[Row]:
-    """Keep the n best rows per source from a (src, tgt) sorted stream.
+                side: str, key: Callable[[Row], tuple] = _BY_SRC_TGT,
+                ) -> Iterator[Row]:
+    """Keep the n best rows per source from a stream sorted by ``key``.
 
-    Ranking is by descending log-linear score; ties keep the smaller
-    target phrase.  Survivors come out still sorted by (src, tgt).  A
-    source's rows are held at most ``n + 1`` at a time: a longer group
-    streams through a heap of its best ``n``.
+    ``key`` is a ``table_order`` key, and rows equal under it are rejected
+    as duplicates.  Ranking is by descending log-linear score; ties keep
+    the smaller target phrase, then the row first in ``key`` order.
+    Survivors come out still sorted by ``key``.  A source's rows are held
+    at most ``n + 1`` at a time: a longer group streams through a heap of
+    its best ``n``.
     """
     def rank(row: Row) -> tuple:
         return -loglinear_score(row[2], weight_vec), row[1]
 
-    unique = check_unique(rows, _BY_SRC_TGT, f"entry in {side} table")
+    unique = check_unique(rows, key, f"entry in {side} table")
     for _, group in groupby(unique, key=itemgetter(0)):
         kept = list(islice(group, n + 1))
         if len(kept) > n:
-            # Targets are unique in a group, so ranks never tie and this
-            # keeps what sorting the whole group and cutting it would.
+            # Ranks tie only between rows of one pair that differ in their
+            # origin marks.  nsmallest is stable, so the row first in key
+            # order wins, as it would in a stable sort of the whole group.
             kept = heapq.nsmallest(n, chain(kept, group), key=rank)
-            kept.sort(key=itemgetter(1))
+            kept.sort(key=key)
         yield from kept
 
 
@@ -170,13 +175,20 @@ def filter_rows(rows: Iterable[Row], extras: Sequence[str],
                 tmpdir: str | None = None,
                 chunk_size: int = DEFAULT_CHUNK_SIZE,
                 inputs_sorted: bool = False) -> Iterator[Row]:
-    """Streaming per-source top-n pruning, extras preserved."""
+    """Streaming per-source top-n pruning, extras preserved.
+
+    Rows come out in ``table_order``, and only rows equal under it are
+    duplicates: a pair may repeat with different ``origin_*`` marks, as
+    ``combine`` writes it.  ``inputs_sorted`` rows must already be in that
+    order.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     weight_vec = weight_vector(CORE_FEATURES + tuple(extras), weights)
+    key = table_order(extras)
     if not inputs_sorted:
-        rows = ext_sorted(rows, _BY_SRC_TGT, chunk_size=chunk_size, tmp_base=tmpdir)
-    return _iter_top_n(rows, weight_vec, n, "input")
+        rows = ext_sorted(rows, key, chunk_size=chunk_size, tmp_base=tmpdir)
+    return _iter_top_n(rows, weight_vec, n, "input", key)
 
 
 def _drop_extras(rows: Iterable[Row], extras: Sequence[str]) -> Iterable[Row]:

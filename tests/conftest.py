@@ -8,6 +8,8 @@ has something independent to be checked against.
 from __future__ import annotations
 
 import ast
+import hashlib
+import io
 import math
 import os
 import random
@@ -24,7 +26,8 @@ from pivotsmith.tablecore import (
     TableError,
     read_header,
 )
-from pivotsmith.tables import PhraseEntry, PhraseTable, ScoreSet
+from pivotsmith.cli import main
+from pivotsmith.tables import PhraseEntry, PhraseTable, ScoreSet, write_phrase_table
 
 
 @pytest.hookimpl(tryfirst=True, hookwrapper=True)
@@ -480,3 +483,172 @@ def oracle_bleu4(hypotheses, reference_sets):
     else:
         bleu = bp * math.exp(sum(math.log(p) for p in precisions) / 4.0)
     return bleu, precisions, bp, hyp_len, ref_len
+
+
+# --- golden bytes: every subcommand on small seeded inputs ------------------
+
+GOLDEN_SEEDS = (1, 2, 3)
+
+# (name, argv): each argv writes the file ``name`` through ``-o``, and a
+# ``--reordering-out {reo_out}`` writes ``name.reo``.  ``{key}`` is an input of
+# ``write_golden_inputs`` or the output of an earlier case.
+GOLDEN_CASES = (
+    ("pivot", ["pivot", "--sp", "{sp}", "--pt", "{pt}"]),
+    ("pivot_chunk3", ["pivot", "--sp", "{sp}", "--pt", "{pt}", "--chunk-size", "3"]),
+    ("pivot_reo", ["pivot", "--sp", "{sp}", "--pt", "{pt}",
+                   "--reordering-sp", "{reo_sp}", "--reordering-pt", "{reo_pt}",
+                   "--reordering-out", "{reo_out}"]),
+    ("pivot_reo_chunk3", ["pivot", "--sp", "{sp}", "--pt", "{pt}",
+                          "--reordering-pt", "{reo_pt}",
+                          "--reordering-out", "{reo_out}", "--chunk-size", "3"]),
+    ("pivot_min_links2", ["pivot", "--sp", "{sp}", "--pt", "{pt}", "--min-links", "2",
+                          "--top-n", "3", "--weights-sp", "{weights}"]),
+    ("filter", ["filter", "-i", "{pt}", "--top-n", "2", "--chunk-size", "3"]),
+    ("lexicon_src", ["lexicon", "-i", "{src_tagged}", "-i", "{src_tagged2}"]),
+    ("lexicon_tgt", ["lexicon", "-i", "{tgt_tagged}", "--fc-features", "gen,num"]),
+    ("fc_train", ["fc-train", "--src", "{par_src}", "--tgt", "{par_tgt}",
+                  "--align", "{par_align}", "--src-lex", "{lexicon_src}",
+                  "--tgt-lex", "{lexicon_tgt}"]),
+    ("rules_check", ["rules-check"]),
+    ("rules_check_pairs", ["rules-check", "--rules", "{rules}",
+                           "--pair", "gen", "Feminine", "Both",
+                           "--pair", "NUM", "Plural", "Singular"]),
+    ("annotate_connectivity", ["annotate", "-i", "{pivot}", "--kind", "connectivity"]),
+    ("annotate_rules", ["annotate", "-i", "{pivot}", "--kind", "rules",
+                        "--src-lex", "{lexicon_src}", "--tgt-lex", "{lexicon_tgt}",
+                        "--rules", "{rules}", "--features", "gen,num"]),
+    ("annotate_induced", ["annotate", "-i", "{annotate_connectivity}",
+                          "--kind", "induced", "--src-lex", "{lexicon_src}",
+                          "--tgt-lex", "{lexicon_tgt}", "--fc-model", "{fc_train}",
+                          "--names", "fc_a,fc_b"]),
+    ("combine", ["combine", "-i", "pivot={annotate_induced}",
+                 "-i", "rules={annotate_rules}", "-i", "direct={direct}"]),
+    # Pairs repeat across origins here: every pivot pair is in two inputs.
+    ("filter_combined", ["filter", "-i", "{combine}", "--top-n", "2"]),
+    ("decode", ["decode", "--table", "{combine}", "--input", "{test_src}",
+                "--max-phrase-len", "2"]),
+    ("bleu", ["bleu", "--hyp", "{decode}", "--ref", "{ref1}"]),
+    ("bleu_refs", ["bleu", "--hyp", "{ref1}", "--ref", "{ref2}", "--ref", "{ref3}"]),
+    ("stats", ["stats", "-i", "{combine}"]),
+    ("estimate_size", ["estimate-size", "--sp", "{sp}", "--pt", "{pt}"]),
+)
+
+
+def _shuffled_table_text(rng: random.Random, tbl) -> str:
+    text = io.StringIO()
+    write_phrase_table(tbl, text)
+    lines = text.getvalue().splitlines(keepends=True)
+    rng.shuffle(lines)
+    return "".join(lines)
+
+
+def _orientation_lines(rng: random.Random, tbl) -> list[str]:
+    lines = []
+    for e in tbl:
+        if rng.random() < 0.8:
+            probs = []
+            for _ in range(2):
+                raw = [rng.random() + 0.05 for _ in range(3)]
+                probs += [value / sum(raw) for value in raw]
+            lines.append(f"{' '.join(e.src)} ||| {' '.join(e.tgt)} ||| "
+                         + " ".join(map(repr, probs)) + "\n")
+    rng.shuffle(lines)
+    return lines
+
+
+def _tagged_corpus(rng: random.Random, words, sentences: int) -> str:
+    out = []
+    for _ in range(sentences):
+        for word in rng.sample(words, min(len(words), 5)):
+            out.append("\t".join([word, rng.choice(("NOUN", "ADJ", "VERB")),
+                                  rng.choice(("Feminine", "Masculine", "NA")),
+                                  rng.choice(("Singular", "Plural", "NA")),
+                                  rng.choice(("Determiner", "No Determiner"))]) + "\n")
+        out.append("\n")
+    return "".join(out)
+
+
+def write_golden_inputs(directory, seed: int) -> dict[str, str]:
+    """Write the input files of ``GOLDEN_CASES`` for ``seed`` into ``directory``.
+
+    Returns their paths by the names the cases use.
+    """
+    rng = random.Random(seed)
+    sources = phrase_pool(rng, "s", 12)
+    pivots = phrase_pool(rng, "p", 8)
+    targets = phrase_pool(rng, "t", 12)
+    sp = random_table(rng, sources, pivots)
+    pt = random_table(rng, pivots, targets)
+    direct = random_table(rng, sources, targets, max_fanout=3)
+    src_words = sorted({w for phrase in sources for w in phrase})
+    tgt_words = sorted({w for phrase in targets for w in phrase})
+    texts = {
+        "sp": _shuffled_table_text(rng, sp),
+        "pt": _shuffled_table_text(rng, pt),
+        "direct": _shuffled_table_text(rng, direct),
+        "reo_sp": "".join(_orientation_lines(rng, sp)),
+        "reo_pt": "".join(_orientation_lines(rng, pt)),
+        "weights": "phi_fwd = 1\nlex_fwd = 0.5\nphi_bwd = 0.25\nlex_bwd = 0\n",
+        "rules": "gen\tFeminine\tFeminine\ngen\tMasculine\tMasculine\n"
+                 "num\tSingular\tSingular\nnum\tPlural\tPlural\n",
+        # Some words are left out of each corpus, so that they tag as unknown.
+        "src_tagged": _tagged_corpus(rng, src_words[2:], 6),
+        "src_tagged2": _tagged_corpus(rng, src_words[2:], 3),
+        "tgt_tagged": _tagged_corpus(rng, tgt_words[:-2], 6),
+    }
+    par_src, par_tgt, par_align = [], [], []
+    for _ in range(12):
+        src = rng.sample(src_words, 4)
+        tgt = rng.sample(tgt_words, 3)
+        links = sorted({(rng.randrange(4), rng.randrange(3)) for _ in range(3)})
+        par_src.append(" ".join(src) + "\n")
+        par_tgt.append(" ".join(tgt) + "\n")
+        par_align.append(" ".join(f"{i}-{j}" for i, j in links) + "\n")
+    texts.update(par_src="".join(par_src), par_tgt="".join(par_tgt),
+                 par_align="".join(par_align))
+    texts["test_src"] = "".join(
+        " ".join(rng.choice(src_words + ["oov"]) for _ in range(rng.randint(1, 6))) + "\n"
+        for _ in range(10))
+    # ref2 and ref3 each change one token of a ref1 line, so that scoring
+    # ref1 against them finds n-grams of every order.
+    refs = {"ref1": [], "ref2": [], "ref3": []}
+    for _ in range(10):
+        tokens = [rng.choice(tgt_words) for _ in range(rng.randint(4, 8))]
+        refs["ref1"].append(tokens)
+        k = rng.randrange(len(tokens))
+        refs["ref2"].append(tokens[:k] + [rng.choice(tgt_words)] + tokens[k + 1:])
+        refs["ref3"].append(tokens[:k] + tokens[k + 1:])
+    for ref, lines in refs.items():
+        texts[ref] = "".join(" ".join(tokens) + "\n" for tokens in lines)
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = os.path.join(directory, f"{name}.txt")
+        with open(paths[name], "w", encoding="utf-8") as stream:
+            stream.write(text)
+    return paths
+
+
+def run_golden_cases(directory, seed: int) -> dict[str, str | int]:
+    """Run ``GOLDEN_CASES`` on seed ``seed``'s inputs in ``directory``.
+
+    Returns the sha256 of each output file by ``case`` (``case.reo`` for a
+    reordering output), or the exit code of a case that failed.
+    """
+    paths = write_golden_inputs(directory, seed)
+    hashes: dict[str, str | int] = {}
+    for name, argv in GOLDEN_CASES:
+        # A case reading the output of one that failed fails too.
+        out = paths[name] = os.path.join(directory, name)
+        paths["reo_out"] = out + ".reo"
+        try:
+            code = main([arg.format(**paths) for arg in argv] + ["-o", out])
+        except SystemExit as exc:
+            code = exc.code
+        if code != 0:
+            hashes[name] = code
+            continue
+        for key, path in ((name, out), (name + ".reo", out + ".reo")):
+            if os.path.exists(path):
+                with open(path, "rb") as stream:
+                    hashes[key] = hashlib.sha256(stream.read()).hexdigest()
+    return hashes

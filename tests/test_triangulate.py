@@ -38,6 +38,7 @@ from pivotsmith.tables import (
     PhraseTable,
     ReorderingEntry,
     ScoreSet,
+    combine_tables,
     entry_to_row,
     estimate_pivot_size,
     filter_top_n,
@@ -281,6 +282,45 @@ class TestFilter:
                 group.sort(key=lambda r: (-loglinear_score(r[2], wv), r[1]))
                 expected += sorted(group[:n], key=lambda r: r[1])
             assert list(filter_rows(rows, (), weights, n, inputs_sorted=True)) == expected
+
+    def combined(self):
+        """``a -> x`` from two tables, ranked above their other rows."""
+        one = table([entry("a", "x", scores=(0.5, 0.5, 0.5, 0.5)),
+                     entry("a", "y", scores=(0.25, 0.25, 0.25, 0.25))])
+        two = table([entry("a", "x", scores=(0.9, 0.9, 0.9, 0.9)),
+                     entry("b", "z", scores=(0.5, 0.5, 0.5, 0.5))])
+        return combine_tables([(one, "one"), (two, "two")])
+
+    def test_rows_differing_only_in_origin_are_kept_in_table_order(self):
+        both = self.combined()
+        x_one, x_two, y_one, z_two = both.entries
+        assert (x_one.tgt, x_two.tgt) == (("x",), ("x",))
+        # x_two ranks first, yet the output stays in table order.
+        assert filter_top_n(both, None, 2).entries == (x_one, x_two, z_two)
+        assert filter_top_n(both, None, 3).entries == both.entries
+        rows = list(map(entry_to_row, both))
+        random.Random(3).shuffle(rows)
+        assert list(filter_rows(rows, both.extras_names, None, 2, chunk_size=1)) == [
+            entry_to_row(e) for e in (x_one, x_two, z_two)]
+
+    def test_top_1_keeps_one_row_per_source_of_a_combined_table(self):
+        both = self.combined()
+        _, x_two, _, z_two = both.entries
+        assert filter_top_n(both, None, 1).entries == (x_two, z_two)
+
+    def test_equal_ranks_of_one_pair_keep_the_row_first_in_table_order(self):
+        same = table([entry("a", "x"), entry("a", "y")])
+        both = combine_tables([(same, "one"), (same, "two")])
+        kept = filter_top_n(both, None, 1).entries
+        assert [(e.tgt, e.scores.extra("origin_one")) for e in kept] == [(("x",), 1.0)]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_row_repeated_with_equal_origin_marks_raises(self, n):
+        row = (("a",), ("x",), (0.5, 0.5, 0.5, 0.5, 1.0, 0.0), ())
+        other = (("a",), ("x",), (0.5, 0.5, 0.5, 0.5, 0.0, 1.0), ())
+        with pytest.raises(TableError, match="duplicate entry in input table"
+                                             " for pair 'a' -> 'x'"):
+            list(filter_rows([row, other, row], ("origin_one", "origin_two"), None, n))
 
     def test_filtering_applies_before_composition(self):
         sp = table([
