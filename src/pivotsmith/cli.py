@@ -185,11 +185,12 @@ def _feature_list(text: str) -> tuple[str, ...]:
     if not names:
         raise argparse.ArgumentTypeError("empty feature list")
     _bind("morphmodel")
-    for name in names:
-        try:
-            _feature_index(name)
-        except TableError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
+    try:
+        indexes = [_feature_index(name) for name in names]
+    except TableError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if len(set(indexes)) != len(indexes):
+        raise argparse.ArgumentTypeError(f"repeated feature in {text!r}")
     return names
 
 
@@ -207,6 +208,8 @@ def _name_pair(text: str) -> tuple[str, str]:
     names = tuple(name.strip() for name in text.split(","))
     if len(names) != 2 or not all(names):
         raise argparse.ArgumentTypeError("expected two comma-separated names")
+    if names[0] == names[1]:
+        raise argparse.ArgumentTypeError("the two names must differ")
     return names
 
 
@@ -336,6 +339,11 @@ def cmd_lexicon(args: argparse.Namespace) -> int:
 
 def cmd_rules_check(args: argparse.Namespace) -> int:
     _bind("morphmodel")
+    for feature, _, _ in args.pair or ():
+        try:
+            _feature_index(feature)
+        except TableError as exc:
+            raise UsageError(str(exc)) from None
     rules = default_rules() if args.rules is None else _load(args.rules, load_rules)
     with _open_out(args.output) as out:
         if not args.pair:
@@ -387,9 +395,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
         max_phrase_len=args.max_phrase_len,
         unknown_word_penalty=args.unknown_penalty)
     with _open_in(args.table) as stream:
-        # The reader's default limit holds unless --max-phrase-len is larger;
-        # the index skips phrases longer than --max-phrase-len.
-        extras, rows = read_rows(stream, max(DEFAULT_MAX_PHRASE_LEN, args.max_phrase_len))
+        # The index skips phrases longer than --max-phrase-len.
+        extras, rows = read_rows(stream)
         index = phrase_index_rows(sort_table_rows(rows, extras), extras, cfg)
     sentences = _load(args.input, read_sentences)
     with _open_out(args.output) as out:

@@ -50,10 +50,10 @@ from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence,
 
 SEPARATOR = " ||| "
 CORE_FEATURES = ("phi_fwd", "lex_fwd", "phi_bwd", "lex_bwd")
-DEFAULT_MAX_PHRASE_LEN = 8
 DEFAULT_LOG_FLOOR = 1e-9
 # Parser defaults of the commands, kept here so that building the CLI's
 # parser loads no other module.
+DEFAULT_MAX_PHRASE_LEN = 8
 DEFAULT_TOP_N = 1000
 DEFAULT_CHUNK_SIZE = 250_000
 DEFAULT_UNKNOWN_PENALTY = -10.0
@@ -92,14 +92,10 @@ class AlignmentLink(NamedTuple):
         return f"{self.src_pos}-{self.tgt_pos}"
 
 
-def check_phrase(tokens: Sequence[str], side: str = "phrase",
-                 max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN) -> Phrase:
+def check_phrase(tokens: Sequence[str], side: str = "phrase") -> Phrase:
     """Validate tokens for one side of an entry and return them as a tuple."""
     if not tokens:
         raise TableError(f"empty {side} phrase")
-    if max_phrase_len is not None and len(tokens) > max_phrase_len:
-        raise TableError(
-            f"{side} phrase has {len(tokens)} tokens, limit is {max_phrase_len}")
     for tok in tokens:
         if not tok or any(ch.isspace() for ch in tok):
             raise TableError(f"bad token {tok!r} in {side} phrase")
@@ -254,12 +250,11 @@ def read_header(lines: Iterable[str]) -> tuple[tuple[str, ...], Iterator[tuple[i
 
 # Rows parsed from equal text share one object: phrase tuples by field
 # text, and sorted alignment link tuples by field text and phrase lengths.
-# Only text that passed its checks is stored; a phrase's length limit,
-# which each caller sets, is checked on every lookup instead.  Each memo
-# holds at most PARSE_MEMO_CAP entries and is emptied when full, so its
-# memory does not follow the size of the table, and when a reader reaches
-# the end of its table: the entries would then only hold memory, and
-# keeping them raised the benchmark's peaks.
+# Only text that passed its checks is stored, so a hit is returned as it
+# is.  Each memo holds at most PARSE_MEMO_CAP entries and is emptied when
+# full, so its memory does not follow the size of the table, and when a
+# reader reaches the end of its table: the entries would then only hold
+# memory, and keeping them raised the benchmark's peaks.
 PARSE_MEMO_CAP = 4096
 _phrase_memo: dict[str, Phrase] = {}
 _alignment_memo: dict[tuple[str, int, int], tuple[tuple[int, int], ...]] = {}
@@ -270,13 +265,11 @@ def _clear_parse_memos() -> None:
     _alignment_memo.clear()
 
 
-def parse_phrase(text: str, side: str, lineno: int,
-                 max_phrase_len: int | None) -> Phrase:
+def parse_phrase(text: str, side: str, lineno: int) -> Phrase:
     """The phrase tuple of one ``side`` phrase field, through the phrase memo.
 
     A well-formed field is its own tokens joined by single spaces, with no
-    '|||'.  The memo holds well-formed phrases of any length, as callers
-    pass different limits, so the length is checked on every call.
+    '|||', and may have any number of tokens.
     """
     phrase = _phrase_memo.get(text)
     if phrase is None:
@@ -286,9 +279,6 @@ def parse_phrase(text: str, side: str, lineno: int,
         if len(_phrase_memo) >= PARSE_MEMO_CAP:
             _phrase_memo.clear()
         _phrase_memo[text] = phrase
-    if max_phrase_len is not None and len(phrase) > max_phrase_len:
-        raise TableError(f"{side} phrase has {len(phrase)} tokens,"
-                         f" limit is {max_phrase_len}", lineno)
     return phrase
 
 
@@ -315,8 +305,7 @@ def parse_links(text: str, n_src: int, n_tgt: int,
     return tuple(links)
 
 
-def parse_row(line: str, lineno: int, n_extras: int,
-              max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN) -> Row:
+def parse_row(line: str, lineno: int, n_extras: int) -> Row:
     """Parse one data line into a raw row tuple.
 
     Each field is checked once, in line order (source, target, scores,
@@ -335,8 +324,8 @@ def parse_row(line: str, lineno: int, n_extras: int,
         raise TableError(
             f"expected 4 fields separated by '|||', got {len(fields)}", lineno)
     src_text, tgt_text, score_text, align_text = fields
-    src = parse_phrase(src_text, "source", lineno, max_phrase_len)
-    tgt = parse_phrase(tgt_text, "target", lineno, max_phrase_len)
+    src = parse_phrase(src_text, "source", lineno)
+    tgt = parse_phrase(tgt_text, "target", lineno)
     values = score_text.split(" ")
     if len(values) != 4 + n_extras:
         raise TableError(
@@ -363,9 +352,7 @@ def parse_row(line: str, lineno: int, n_extras: int,
     return src, tgt, scores, links
 
 
-def read_rows(lines: Iterable[str],
-              max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN,
-              ) -> tuple[tuple[str, ...], Iterator[Row]]:
+def read_rows(lines: Iterable[str]) -> tuple[tuple[str, ...], Iterator[Row]]:
     """Stream raw rows out of phrase table text without materializing it."""
     extras, numbered = read_header(lines)
     n_extras = len(extras)
@@ -374,7 +361,7 @@ def read_rows(lines: Iterable[str],
         for lineno, line in numbered:
             if not line or line.isspace():
                 raise TableError("blank line in table", lineno)
-            yield parse_row(line, lineno, n_extras, max_phrase_len)
+            yield parse_row(line, lineno, n_extras)
         _clear_parse_memos()
 
     return extras, gen()
@@ -587,9 +574,7 @@ def _check_orientation_probs(probs: Sequence[float], line: int | None) -> None:
                 f"orientation triple sums to {total!r}, expected 1", line)
 
 
-def read_reordering_rows(lines: Iterable[str],
-                         max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN,
-                         ) -> Iterator[Row]:
+def read_reordering_rows(lines: Iterable[str]) -> Iterator[Row]:
     """Stream reordering table text as ``(src, tgt, probs, ())`` rows in
     file order, each line checked as it is read.  The phrase fields go
     through ``parse_phrase``, as ``parse_row``'s do, and share its memo."""
@@ -601,8 +586,8 @@ def read_reordering_rows(lines: Iterable[str],
         if len(parts) != 3:
             raise TableError(
                 f"expected 3 fields separated by '|||', got {len(parts)}", lineno)
-        src = parse_phrase(parts[0], "source", lineno, max_phrase_len)
-        tgt = parse_phrase(parts[1], "target", lineno, max_phrase_len)
+        src = parse_phrase(parts[0], "source", lineno)
+        tgt = parse_phrase(parts[1], "target", lineno)
         fields = parts[2].split(" ")
         if len(fields) != 6:
             raise TableError(f"expected 6 probabilities, got {len(fields)}", lineno)

@@ -29,7 +29,6 @@ from .evalkit import (
 from .features import Scorer, annotate_rows
 from .tablecore import (
     CORE_FEATURES,
-    DEFAULT_MAX_PHRASE_LEN,
     AlignmentLink,
     LogLinearWeights,
     Phrase,
@@ -97,11 +96,9 @@ class PhraseEntry:
     alignment: tuple[AlignmentLink, ...] = ()
 
 
-def validate_entry(entry: PhraseEntry,
-                   max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN,
-                   extras_names: Sequence[str] = ()) -> None:
-    check_phrase(entry.src, "source", max_phrase_len)
-    check_phrase(entry.tgt, "target", max_phrase_len)
+def validate_entry(entry: PhraseEntry, extras_names: Sequence[str] = ()) -> None:
+    check_phrase(entry.src, "source")
+    check_phrase(entry.tgt, "target")
     _check_scores(entry.scores.core(),
                   tuple(v for _, v in entry.scores.extras), None)
     names = tuple(name for name, _ in entry.scores.extras)
@@ -138,13 +135,11 @@ class PhraseTable:
 
     @classmethod
     def build(cls, entries: Iterable[PhraseEntry],
-              extras_names: Sequence[str] = (),
-              max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN,
-              ) -> "PhraseTable":
+              extras_names: Sequence[str] = ()) -> "PhraseTable":
         manifest = _checked_manifest(extras_names)
         items = list(entries)
         for entry in items:
-            validate_entry(entry, max_phrase_len, extras_names)
+            validate_entry(entry, extras_names)
         # Each entry rides in the alignment slot of a row of its sort fields.
         rows = ((e.src, e.tgt, e.scores.values(), e) for e in items)
         return cls(manifest, tuple(row[3] for row in sort_table_rows(rows, extras_names)))
@@ -171,10 +166,8 @@ def entry_to_row(entry: PhraseEntry) -> Row:
             tuple((link.src_pos, link.tgt_pos) for link in entry.alignment))
 
 
-def parse_phrase_table(lines: Iterable[str],
-                       max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN,
-                       ) -> PhraseTable:
-    extras, rows = read_rows(lines, max_phrase_len)
+def parse_phrase_table(lines: Iterable[str]) -> PhraseTable:
+    extras, rows = read_rows(lines)
     return table_from_rows(extras, sort_table_rows(rows, extras))
 
 
@@ -199,30 +192,24 @@ class ReorderingEntry:
     probs: tuple[float, float, float, float, float, float]
 
 
-def validate_reordering(entry: ReorderingEntry,
-                        max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN) -> None:
-    check_phrase(entry.src, "source", max_phrase_len)
-    check_phrase(entry.tgt, "target", max_phrase_len)
+def validate_reordering(entry: ReorderingEntry) -> None:
+    check_phrase(entry.src, "source")
+    check_phrase(entry.tgt, "target")
     if len(entry.probs) != 6:
         raise TableError(f"expected 6 probabilities, got {len(entry.probs)}")
     _check_orientation_probs(entry.probs, None)
 
 
-def parse_reordering_table(lines: Iterable[str],
-                           max_phrase_len: int | None = DEFAULT_MAX_PHRASE_LEN,
-                           ) -> tuple[ReorderingEntry, ...]:
-    rows = sort_reordering_rows(read_reordering_rows(lines, max_phrase_len))
+def parse_reordering_table(lines: Iterable[str]) -> tuple[ReorderingEntry, ...]:
+    rows = sort_reordering_rows(read_reordering_rows(lines))
     return tuple(ReorderingEntry(src, tgt, probs) for src, tgt, probs, _ in rows)
 
 
 def reorder_rows(entries: Iterable[ReorderingEntry]) -> Iterator[Row]:
-    """Reordering entries as rows whose scores are the six probabilities.
-
-    Each entry is checked by ``validate_reordering`` as it passes, with no
-    length limit: that limit is for whoever parsed or built the entries.
-    """
+    """Reordering entries as rows whose scores are the six probabilities,
+    each checked by ``validate_reordering`` as it passes."""
     for entry in entries:
-        validate_reordering(entry, None)
+        validate_reordering(entry)
         yield (entry.src, entry.tgt, entry.probs, ())
 
 

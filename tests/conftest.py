@@ -245,7 +245,7 @@ def random_table(rng: random.Random, lefts, rights, max_fanout: int = 4,
             scores=ScoreSet(phi_fwd[edge], lex_fwd[edge],
                             phi_bwd[edge], lex_bwd[edge]),
             alignment=links))
-    return PhraseTable.build(entries, max_phrase_len=None)
+    return PhraseTable.build(entries)
 
 
 def random_pivot_pair(rng: random.Random, n_src: int = 8, n_pivot: int = 6,
@@ -264,7 +264,7 @@ def random_pivot_pair(rng: random.Random, n_src: int = 8, n_pivot: int = 6,
 _ORACLE_PHRASE_FIELD_RE = re.compile(r"\S+( \S+)*\Z")
 
 
-def oracle_parse_row(line, lineno, n_extras, max_phrase_len=8):
+def oracle_parse_row(line, lineno, n_extras):
     """One data line parsed field by field, each field by its own parser.
 
     Its rows and its errors (type, message and ``.line``) are what
@@ -278,21 +278,17 @@ def oracle_parse_row(line, lineno, n_extras, max_phrase_len=8):
     if len(parts) != 4:
         raise TableError(
             f"expected 4 fields separated by '|||', got {len(parts)}", lineno)
-    src = _oracle_phrase_field(parts[0], "source", lineno, max_phrase_len)
-    tgt = _oracle_phrase_field(parts[1], "target", lineno, max_phrase_len)
+    src = _oracle_phrase_field(parts[0], "source", lineno)
+    tgt = _oracle_phrase_field(parts[1], "target", lineno)
     scores = _oracle_scores_field(parts[2], n_extras, lineno)
     align = _oracle_alignment_field(parts[3], len(src), len(tgt), lineno)
     return src, tgt, scores, align
 
 
-def _oracle_phrase_field(text, side, lineno, max_phrase_len):
+def _oracle_phrase_field(text, side, lineno):
     if not _ORACLE_PHRASE_FIELD_RE.match(text) or "|||" in text:
         raise TableError(f"malformed {side} phrase field {text!r}", lineno)
-    tokens = text.split(" ")
-    if max_phrase_len is not None and len(tokens) > max_phrase_len:
-        raise TableError(
-            f"{side} phrase has {len(tokens)} tokens, limit is {max_phrase_len}", lineno)
-    return tuple(tokens)
+    return tuple(text.split(" "))
 
 
 def _oracle_scores_field(text, n_extras, lineno):
@@ -336,18 +332,18 @@ def _oracle_alignment_field(text, src_len, tgt_len, lineno):
     return tuple(sorted(links))
 
 
-def oracle_read_rows(lines, max_phrase_len=8):
+def oracle_read_rows(lines):
     """``read_rows`` over ``oracle_parse_row``, rows listed."""
     extras, numbered = read_header(lines)
     rows = []
     for lineno, line in numbered:
         if not line.strip():
             raise TableError("blank line in table", lineno)
-        rows.append(oracle_parse_row(line, lineno, len(extras), max_phrase_len))
+        rows.append(oracle_parse_row(line, lineno, len(extras)))
     return extras, rows
 
 
-def oracle_read_reordering_rows(lines, max_phrase_len=8):
+def oracle_read_reordering_rows(lines):
     """Reordering table lines parsed field by field, rows listed.
 
     Its rows and its errors (type, message and ``.line``) are what
@@ -362,8 +358,8 @@ def oracle_read_reordering_rows(lines, max_phrase_len=8):
         if len(parts) != 3:
             raise TableError(
                 f"expected 3 fields separated by '|||', got {len(parts)}", lineno)
-        src = _oracle_phrase_field(parts[0], "source", lineno, max_phrase_len)
-        tgt = _oracle_phrase_field(parts[1], "target", lineno, max_phrase_len)
+        src = _oracle_phrase_field(parts[0], "source", lineno)
+        tgt = _oracle_phrase_field(parts[1], "target", lineno)
         fields = parts[2].split(" ")
         if len(fields) != 6:
             raise TableError(f"expected 6 probabilities, got {len(fields)}", lineno)

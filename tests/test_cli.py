@@ -562,6 +562,29 @@ class TestMorphCommands:
         out = capsys.readouterr().out
         assert "total: 13 pairs" in out
 
+    def test_rules_check_unknown_feature_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rules-check", "--pair", "gen", "Feminine", "Both",
+                  "--pair", "gender", "Feminine", "Both"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown feature 'gender', expected one of" in captured.err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["lexicon", "--fc-features", "gen,gen"],
+         "argument --fc-features: repeated feature in 'gen,gen'"),
+        (["annotate", "--kind", "rules", "--features", "gen,num,GEN"],
+         "argument --features: repeated feature in 'gen,num,GEN'"),
+        (["annotate", "--kind", "connectivity", "--names", "a,a"],
+         "argument --names: the two names must differ"),
+    ], ids=["fc-features", "features", "names"])
+    def test_flag_value_wrong_on_its_own_is_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestCombineCommand:
     def test_merges_with_origins(self, tmp_path, capsys):
@@ -594,7 +617,7 @@ class TestDecodeAndBleu:
                      "-o", str(out)]) == 0
         assert out.read_text() == "A BC\nzzz A\n\n"
 
-    def test_decode_reads_phrases_up_to_max_phrase_len(self, tmp_path, capsys):
+    def test_decode_reads_phrases_up_to_max_phrase_len(self, tmp_path):
         nine = " ".join(f"w{i}" for i in range(9))
         tbl = tmp_path / "t.txt"
         tbl.write_text(f"{nine} ||| NINE ||| 1 1 1 1 |||\n"
@@ -603,12 +626,39 @@ class TestDecodeAndBleu:
         inp.write_text(nine + "\n")
         out = tmp_path / "out.txt"
         argv = ["decode", "--table", str(tbl), "--input", str(inp), "-o", str(out)]
+        # Under the default of 8 the index skips the nine-token phrase.
+        assert main(argv) == 0
+        assert out.read_text() == "W0 w1 w2 w3 w4 w5 w6 w7 w8\n"
         assert main(argv + ["--max-phrase-len", "10"]) == 0
         assert out.read_text() == "NINE\n"
-        # Without the option the reader's limit of 8 holds.
-        assert main(argv) == 1
-        assert capsys.readouterr().err == (
-            "pivotsmith: error: line 1: source phrase has 9 tokens, limit is 8\n")
+
+    def test_a_nine_token_phrase_goes_through_every_table_command(self, tmp_path):
+        nine = " ".join(f"w{i}" for i in range(9))
+        sp = tmp_path / "sp.txt"
+        sp.write_text(f"{nine} ||| x ||| 0.5 0.5 0.5 0.5 ||| 0-0\n")
+        pt = tmp_path / "pt.txt"
+        pt.write_text("x ||| NINE ||| 0.5 0.5 0.5 0.5 ||| 0-0\n")
+        inp = tmp_path / "in.txt"
+        inp.write_text(nine + "\n")
+
+        def run(name, *argv):
+            out = tmp_path / name
+            assert main([*argv, "-o", str(out)]) == 0, argv
+            return out
+
+        pivoted = run("pivoted.txt", "pivot", "--sp", str(sp), "--pt", str(pt))
+        filtered = run("filtered.txt", "filter", "-i", str(pivoted))
+        annotated = run("annotated.txt", "annotate", "-i", str(filtered),
+                        "--kind", "connectivity")
+        combined = run("combined.txt", "combine", "-i", f"direct={sp}",
+                       "-i", f"pivoted={filtered}")
+        run("stats.txt", "stats", "-i", str(annotated))
+        run("size.txt", "estimate-size", "--sp", str(sp), "--pt", str(pt))
+        decoded = run("out.txt", "decode", "--table", str(combined),
+                      "--input", str(inp), "--max-phrase-len", "9")
+        assert pivoted.read_text() == f"{nine} ||| NINE ||| 0.25 0.25 0.25 0.25 ||| 0-0\n"
+        # The direct entry's scores of 0.5 beat the pivoted entry's 0.25.
+        assert decoded.read_text() == "x\n"
 
     def test_decode_threads_identical(self, tmp_path):
         rng = random.Random(72)

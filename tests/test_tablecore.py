@@ -127,13 +127,12 @@ class TestParsing:
         with pytest.raises(TableError, match="duplicate alignment point"):
             parse_phrase_table(["a b ||| x ||| 1 1 1 1 ||| 0-0 0-0\n"])
 
-    def test_phrase_length_limit(self):
-        long_src = " ".join(f"w{i}" for i in range(9))
-        with pytest.raises(TableError, match="9 tokens, limit is 8"):
-            parse_phrase_table([f"{long_src} ||| x ||| 1 1 1 1 |||\n"])
-        tbl = parse_phrase_table([f"{long_src} ||| x ||| 1 1 1 1 |||\n"],
-                                 max_phrase_len=None)
-        assert len(tbl.entries[0].src) == 9
+    def test_phrase_of_any_length_is_read(self):
+        long_phrase = " ".join(f"w{i}" for i in range(40))
+        tbl = parse_phrase_table([f"{long_phrase} ||| x ||| 1 1 1 1 ||| 39-0\n"])
+        assert len(tbl.entries[0].src) == 40
+        (entry,) = parse_reordering_table([f"x ||| {long_phrase} ||| 1 0 0 1 0 0\n"])
+        assert len(entry.tgt) == 40
 
     def test_blank_line_rejected(self):
         with pytest.raises(TableError, match="line 2: blank line"):
@@ -260,12 +259,11 @@ class TestReordering:
         (" ||| x", "malformed source phrase field"),
         ("a  b ||| x", "malformed source phrase field"),
         ("a ||| x\ty", "malformed target phrase field"),
-        ("a ||| " + " ".join(["y"] * 8), "target phrase has 8 tokens, limit is 7"),
-    ], ids=["empty", "double-space", "tab", "too-long"])
+    ], ids=["empty", "double-space", "tab"])
     def test_phrase_fields_rejected_while_parsing(self, phrases, message):
         line = f"{phrases} ||| 0.5 0.25 0.25 0.1 0.2 0.7\n"
         with pytest.raises(TableError, match=message):
-            parse_reordering_table([line], max_phrase_len=7)
+            parse_reordering_table([line])
 
     @pytest.mark.parametrize("tgt,probs,message", [
         (("x y",), (0.5, 0.25, 0.25, 0.1, 0.2, 0.7), "bad token"),
@@ -540,9 +538,9 @@ _GOOD_SCORES = ("-0", "0", "1", "1.0", "0.5", "1e-300", "5e-324", "2.5e-310")
 _GOOD_EXTRAS = ("0", "-0", "1", "1234.5", "1e300", "5e-324")
 
 
-def _good_parts(rng: random.Random, n_extras: int, max_len: int | None):
-    """Token lists of the four fields of a line the parser must accept."""
-    longest = 12 if max_len is None else max_len
+def _good_parts(rng: random.Random, n_extras: int, longest: int):
+    """Token lists of the four fields of a line the parser must accept, with
+    phrases of at most ``longest`` tokens."""
 
     def phrase(prefix: str) -> list[str]:
         n = longest if rng.random() < 0.2 else rng.randint(1, min(longest, 4))
@@ -569,18 +567,15 @@ def _join_parts(rng: random.Random, parts) -> str:
     return line + rng.choice(("\n", "\n", ""))
 
 
-def _break_phrase(rng, parts, n_extras, max_len):
+def _break_phrase(rng, parts, n_extras):
     side = parts[rng.randrange(2)]
-    kind = rng.choice(("empty", "double", "tab", "nbsp", "sep", "lead", "long"))
+    kind = rng.choice(("empty", "double", "tab", "nbsp", "sep", "lead", "trail"))
     if kind == "empty":
         side.clear()
     elif kind in ("double", "lead"):
         side.insert(0 if kind == "lead" else rng.randrange(len(side) + 1), "")
-    elif kind == "long":
-        if max_len is None:  # no limit to exceed: end on a space instead
-            side.append("")
-        else:
-            side.extend(["w"] * (max_len + 1 - len(side)))
+    elif kind == "trail":
+        side.append("")
     else:
         if not side:
             side.append("w")
@@ -588,7 +583,7 @@ def _break_phrase(rng, parts, n_extras, max_len):
                                            "sep": "|||z"}[kind]
 
 
-def _break_scores(rng, parts, n_extras, max_len):
+def _break_scores(rng, parts, n_extras):
     scores = parts[2]
     kind = rng.choice(("fewer", "more", "text", "core", "core", "extra"))
     if kind == "fewer":
@@ -604,7 +599,7 @@ def _break_scores(rng, parts, n_extras, max_len):
         scores[rng.randrange(4, len(scores))] = rng.choice(("-0.5", "inf", "nan", "-inf"))
 
 
-def _break_links(rng, parts, n_extras, max_len):
+def _break_links(rng, parts, n_extras):
     links = parts[3]
     n_src, n_tgt = len(parts[0]), len(parts[1])
     oob = rng.choice((f"{max(n_src, 1)}-0", f"0-{max(n_tgt, 1) + 2}"))
@@ -621,20 +616,20 @@ def _break_links(rng, parts, n_extras, max_len):
         links[:] = pair + [oob] if kind == "dup-oob" else [oob] + pair
 
 
-def _break_line(rng: random.Random, n_extras: int, max_len: int | None) -> str:
+def _break_line(rng: random.Random, n_extras: int, longest: int) -> str:
     """A line with one to three problems, any of which the parser may hit first."""
     while True:
-        parts = _good_parts(rng, n_extras, max_len)
+        parts = _good_parts(rng, n_extras, longest)
         for _ in range(rng.randint(1, 3)):
             rng.choice((_break_phrase, _break_scores, _break_links))(
-                rng, parts, n_extras, max_len)
+                rng, parts, n_extras)
         line = _join_parts(rng, parts)
         if rng.random() < 0.1:
             cut = line.rstrip("\n")
             line = (cut.rsplit(SEPARATOR, 1)[0] if rng.random() < 0.5
                     else cut + SEPARATOR + "extra") + "\n"
         try:
-            oracle_parse_row(line, 1, n_extras, max_len)
+            oracle_parse_row(line, 1, n_extras)
         except ValueError:
             return line
         # Two problems can cancel out, as one score too few and one too many.
@@ -649,27 +644,29 @@ def _outcome(parse, *args):
     return "row", row, repr(row)
 
 
+# Short phrases repeat more often, and so hit the memos more; long ones
+# pass the decoder's default span limit, which no reader applies.
 _PARSER_CASES = pytest.mark.parametrize(
-    "n_extras,max_len", [(0, 8), (0, 3), (2, 8), (3, None)])
+    "n_extras,longest", [(0, 8), (0, 3), (2, 8), (3, 12)])
 
 
 class TestParserMatchesFieldParsers:
     @_PARSER_CASES
-    def test_accepted_lines_give_the_same_row(self, n_extras, max_len):
-        rng = random.Random(200 + n_extras * 10 + (max_len or 0))
+    def test_accepted_lines_give_the_same_row(self, n_extras, longest):
+        rng = random.Random(200 + n_extras * 10 + longest)
         for lineno in range(1, 600):
-            line = _join_parts(rng, _good_parts(rng, n_extras, max_len))
-            want = _outcome(oracle_parse_row, line, lineno, n_extras, max_len)
+            line = _join_parts(rng, _good_parts(rng, n_extras, longest))
+            want = _outcome(oracle_parse_row, line, lineno, n_extras)
             assert want[0] == "row", (line, want)
-            assert _outcome(parse_row, line, lineno, n_extras, max_len) == want, line
+            assert _outcome(parse_row, line, lineno, n_extras) == want, line
 
     @_PARSER_CASES
-    def test_rejected_lines_give_the_same_error(self, n_extras, max_len):
-        rng = random.Random(300 + n_extras * 10 + (max_len or 0))
+    def test_rejected_lines_give_the_same_error(self, n_extras, longest):
+        rng = random.Random(300 + n_extras * 10 + longest)
         for lineno in range(1, 1500):
-            line = _break_line(rng, n_extras, max_len)
-            want = _outcome(oracle_parse_row, line, lineno, n_extras, max_len)
-            assert _outcome(parse_row, line, lineno, n_extras, max_len) == want, line
+            line = _break_line(rng, n_extras, longest)
+            want = _outcome(oracle_parse_row, line, lineno, n_extras)
+            assert _outcome(parse_row, line, lineno, n_extras) == want, line
 
     @pytest.mark.parametrize("blank", ["\n", "  \t\n", ""])
     def test_read_rows_gives_the_same_rows_and_errors(self, blank):
@@ -679,13 +676,13 @@ class TestParserMatchesFieldParsers:
             lines = [f"#features: {' '.join(f'f{k}' for k in range(n_extras))}\n"
                      ] if n_extras else []
             for _ in range(rng.randint(1, 12)):
-                parts = _good_parts(rng, n_extras, 8)
+                parts = _good_parts(rng, n_extras, 12)
                 lines.append(_join_parts(rng, parts).rstrip("\n") + "\n")
             fault = rng.random()
             if fault < 0.3:
                 lines.insert(rng.randint(1, len(lines)), blank)
             elif fault < 0.6:
-                lines.insert(rng.randint(1, len(lines)), _break_line(rng, n_extras, 8))
+                lines.insert(rng.randint(1, len(lines)), _break_line(rng, n_extras, 12))
 
             def parse_all(parse_lines):
                 extras, rows = parse_lines(list(lines))
@@ -724,38 +721,6 @@ class TestParsedRowsShareObjects:
                            " phrase bounds 1x2"):
             parse_row(line, 2, 0)
 
-    @pytest.mark.parametrize("side", ["source", "target"])
-    @pytest.mark.parametrize("reader", ["table", "reordering"])
-    def test_memoised_phrase_still_meets_a_smaller_limit(self, fresh_memos,
-                                                        side, reader):
-        phrases = ["a b c d", "x"] if side == "source" else ["x", "a b c d"]
-        table_line = SEPARATOR.join(phrases) + " ||| 1 1 1 1 ||| 0-0\n"
-        parse_row(table_line, 1, 0, None)
-        assert tablecore._phrase_memo["a b c d"] == ("a", "b", "c", "d")
-        if reader == "table":
-            def parse(max_len):
-                return parse_row(table_line, 3, 0, max_len)
-
-            def reference(max_len):
-                return oracle_parse_row(table_line, 3, 0, max_len)
-        else:
-            lines = ["u ||| v ||| 1 0 0 1 0 0\n"] * 2 + [
-                SEPARATOR.join(phrases) + " ||| 1 0 0 1 0 0\n"]
-
-            def parse(max_len):
-                return list(read_reordering_rows(lines, max_len))
-
-            def reference(max_len):
-                return oracle_read_reordering_rows(lines, max_len)
-        want = _outcome(reference, 3)
-        assert want == ("error", TableError,
-                        f"line 3: {side} phrase has 4 tokens, limit is 3", 3)
-        assert _outcome(parse, 3) == want
-        # The rejected line left the phrase memoised, and it is checked again.
-        assert "a b c d" in tablecore._phrase_memo
-        assert _outcome(parse, 3) == want
-        assert _outcome(parse, None) == _outcome(reference, None)
-
     def test_a_table_read_to_its_end_empties_the_memos(self, fresh_memos):
         _, rows = read_rows(["a ||| x ||| 1 1 1 1 ||| 0-0\n"] * 2)
         next(rows)
@@ -777,9 +742,9 @@ class TestParsedRowsShareObjects:
         lines, earlier = [], []
         while len(lines) < 2 * PARSE_MEMO_CAP:
             if rng.random() < 0.03:
-                lines.append(_break_line(rng, 0, 8).rstrip("\n") + "\n")
+                lines.append(_break_line(rng, 0, 12).rstrip("\n") + "\n")
                 continue
-            parts = _good_parts(rng, 0, 8)
+            parts = _good_parts(rng, 0, 12)
             if earlier and rng.random() < 0.5:
                 src, tgt, _, links = rng.choice(earlier[-50:] if rng.random() < 0.5
                                                 else earlier)
@@ -793,8 +758,8 @@ class TestParsedRowsShareObjects:
             lines.append(_join_parts(rng, parts).rstrip("\n") + "\n")
         outcomes = []
         for lineno, line in enumerate(lines, start=1):
-            want = _outcome(oracle_parse_row, line, lineno, 0, 8)
-            assert _outcome(parse_row, line, lineno, 0, 8) == want, line
+            want = _outcome(oracle_parse_row, line, lineno, 0)
+            assert _outcome(parse_row, line, lineno, 0) == want, line
             outcomes.append(want[0])
         accepted = [line for line, got in zip(lines, outcomes) if got == "row"]
         rejected = [k for k, got in enumerate(outcomes) if got == "error"]
@@ -822,9 +787,9 @@ class TestParsedRowsShareObjects:
 _REO_EDGE = ("0", "-0", "1", "1.0", "0.5", "5e-324")
 
 
-def _good_reordering_parts(rng: random.Random, max_len: int | None):
-    """Token lists of the three fields of a line the reader must accept."""
-    longest = 12 if max_len is None else max_len
+def _good_reordering_parts(rng: random.Random, longest: int):
+    """Token lists of the three fields of a line the reader must accept, with
+    phrases of at most ``longest`` tokens."""
 
     def phrase(prefix: str) -> list[str]:
         n = longest if rng.random() < 0.2 else rng.randint(1, min(longest, 4))
@@ -844,13 +809,13 @@ def _good_reordering_parts(rng: random.Random, max_len: int | None):
     return [phrase("s"), phrase("t"), probs]
 
 
-def _break_reordering_line(rng: random.Random, max_len: int | None) -> str:
+def _break_reordering_line(rng: random.Random, longest: int) -> str:
     """A line with one or two problems, any of which the reader may hit first."""
     while True:
-        parts = _good_reordering_parts(rng, max_len)
+        parts = _good_reordering_parts(rng, longest)
         fields = 3
         for _ in range(rng.randint(1, 2)):
-            kind = rng.choice(("empty", "double", "lead", "trail", "long", "token",
+            kind = rng.choice(("empty", "double", "lead", "trail", "token",
                                "count", "text", "range", "sum", "fields"))
             side = parts[rng.randrange(2)]
             probs = parts[2]
@@ -860,11 +825,6 @@ def _break_reordering_line(rng: random.Random, max_len: int | None) -> str:
                 where = {"double": rng.randrange(len(side) + 1), "lead": 0,
                          "trail": len(side)}[kind]
                 side.insert(where, "")
-            elif kind == "long":
-                if max_len is None:  # no limit to exceed: end on a space instead
-                    side.append("")
-                else:
-                    side.extend(["w"] * (max_len + 1 - len(side)))
             elif kind == "token":
                 if not side:
                     side.append("w")
@@ -891,47 +851,47 @@ def _break_reordering_line(rng: random.Random, max_len: int | None) -> str:
             line += SEPARATOR + "x"
         line += rng.choice(("\n", "\n", ""))
         try:
-            oracle_read_reordering_rows([line], max_len)
+            oracle_read_reordering_rows([line])
         except ValueError:
             return line
         # Two problems can cancel out, as one probability too few and one too many.
 
 
-def _read_reordering(lines, max_len):
-    return list(read_reordering_rows(lines, max_len))
+def _read_reordering(lines):
+    return list(read_reordering_rows(lines))
 
 
 class TestReorderingReaderMatchesFieldParsers:
-    @pytest.mark.parametrize("max_len", [8, 3, None])
-    def test_accepted_lines_give_the_same_row(self, max_len):
-        rng = random.Random(500 + (max_len or 0))
+    @pytest.mark.parametrize("longest", [8, 3, 12])
+    def test_accepted_lines_give_the_same_row(self, longest):
+        rng = random.Random(500 + longest)
         for _ in range(600):
-            parts = _good_reordering_parts(rng, max_len)
+            parts = _good_reordering_parts(rng, longest)
             line = SEPARATOR.join(" ".join(field) for field in parts) + "\n"
-            want = _outcome(oracle_read_reordering_rows, [line], max_len)
+            want = _outcome(oracle_read_reordering_rows, [line])
             assert want[0] == "row", (line, want)
-            assert _outcome(_read_reordering, [line], max_len) == want, line
+            assert _outcome(_read_reordering, [line]) == want, line
 
-    @pytest.mark.parametrize("max_len", [8, 3, None])
-    def test_rejected_lines_give_the_same_error(self, max_len):
-        rng = random.Random(600 + (max_len or 0))
+    @pytest.mark.parametrize("longest", [8, 3, 12])
+    def test_rejected_lines_give_the_same_error(self, longest):
+        rng = random.Random(600 + longest)
         for _ in range(1500):
-            line = _break_reordering_line(rng, max_len)
-            want = _outcome(oracle_read_reordering_rows, [line], max_len)
+            line = _break_reordering_line(rng, longest)
+            want = _outcome(oracle_read_reordering_rows, [line])
             assert want[0] == "error", (line, want)
-            assert _outcome(_read_reordering, [line], max_len) == want, line
+            assert _outcome(_read_reordering, [line]) == want, line
 
     def test_tables_give_the_same_rows_and_errors(self):
         rng = random.Random(700)
         for _ in range(200):
             lines = []
             for _ in range(rng.randint(1, 10)):
-                parts = _good_reordering_parts(rng, 8)
+                parts = _good_reordering_parts(rng, 12)
                 lines.append(SEPARATOR.join(" ".join(field) for field in parts) + "\n")
             fault = rng.random()
             if fault < 0.3:
                 lines.insert(rng.randint(0, len(lines)), rng.choice(("\n", " \t\n", "")))
             elif fault < 0.6:
-                lines.insert(rng.randint(0, len(lines)), _break_reordering_line(rng, 8))
-            assert (_outcome(_read_reordering, lines, 8)
-                    == _outcome(oracle_read_reordering_rows, lines, 8)), lines
+                lines.insert(rng.randint(0, len(lines)), _break_reordering_line(rng, 12))
+            assert (_outcome(_read_reordering, lines)
+                    == _outcome(oracle_read_reordering_rows, lines)), lines

@@ -164,7 +164,7 @@ def mirror(tbl: PhraseTable) -> PhraseTable:
                             e.scores.phi_fwd, e.scores.lex_fwd),
             alignment=tuple(sorted(AlignmentLink(l.tgt_pos, l.src_pos)
                                    for l in e.alignment))))
-    return PhraseTable.build(flipped, max_phrase_len=None)
+    return PhraseTable.build(flipped)
 
 
 class TestProjection:
