@@ -12,9 +12,9 @@ most one input, and ``pivot``'s two outputs must be different files.
 Every command that reads a phrase table streams it as raw rows; none
 builds a ``PhraseTable`` or loads ``pivotsmith.tables``, the object model
 and its adapters, so no command imports ``dataclasses``.  ``annotate``,
-``combine`` and ``decode`` sort rows through ``sort_table_rows`` and
-``pivot --reordering-sp`` through ``sort_reordering_rows``, which also
-reject duplicate pairs.
+``combine`` and ``decode`` sort rows through ``sort_table_rows``, which
+also rejects duplicate pairs, and ``pivot`` passes every table it reads,
+``--reordering-sp`` included, to ``compose_rows``.
 
 Every command is a fresh process, so each one imports only the library
 modules it runs (``_LIBRARY``), and only ``pivot`` sets up logging.  A
@@ -33,7 +33,7 @@ import importlib
 import os
 import stat
 import sys
-from contextlib import ExitStack, closing, contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from typing import Iterator, TextIO
 
 from . import __version__
@@ -51,7 +51,6 @@ from .tablecore import (
     ordered_map,
     read_reordering_rows,
     read_rows,
-    sort_reordering_rows,
     sort_table_rows,
     write_rows,
 )
@@ -222,7 +221,6 @@ def cmd_pivot(args: argparse.Namespace) -> int:
         stream=sys.stderr,
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")
-    logger = logging.getLogger("pivotsmith")
     _bind("triangulate")
     reordering = args.reordering_out is not None
     if reordering and args.reordering_pt is None:
@@ -248,24 +246,15 @@ def cmd_pivot(args: argparse.Namespace) -> int:
         min_alignment_links=args.min_links,
         tmpdir=args.tmpdir,
         chunk_size=args.chunk_size)
-    if args.reordering_sp is not None:
-        # closing() ends the sort, and removes its scratch files, even when
-        # a signal arrives outside it.
-        with _open_in(args.reordering_sp) as stream, closing(sort_reordering_rows(
-                read_reordering_rows(stream), cfg.chunk_size, cfg.tmpdir)) as ordered:
-            n_entries = sum(1 for _ in ordered)
-        logger.info("source-pivot reordering table (%d entries) is validated"
-                    " but unused by the pivot mixture", n_entries)
     with ExitStack() as stack:
-        pt_reo = None
-        if reordering:
-            pt_reo = read_reordering_rows(
-                stack.enter_context(_open_in(args.reordering_pt)))
+        pt_reo, sp_reo = (None if path is None else
+                          read_reordering_rows(stack.enter_context(_open_in(path)))
+                          for path in (args.reordering_pt, args.reordering_sp))
         sp_extras, sp_rows = read_rows(stack.enter_context(_open_in(args.sp)))
         pt_extras, pt_rows = read_rows(stack.enter_context(_open_in(args.pt)))
         out = stack.enter_context(_open_out(args.output))
         rows = compose_rows(sp_rows, sp_extras, pt_rows, pt_extras, cfg,
-                            pt_reo_rows=pt_reo)
+                            pt_reo_rows=pt_reo, sp_reo_rows=sp_reo)
         if reordering:
             with _open_out(args.reordering_out) as reo_out:
                 write_reordering_rows(rows, out, reo_out)
@@ -286,21 +275,28 @@ def cmd_filter(args: argparse.Namespace) -> int:
     return 0
 
 
+# The ``annotate`` kinds that read each flag, and whether each requires it.
+_ANNOTATE_FLAGS = {
+    "--src-lex": {"rules": True, "induced": True},
+    "--tgt-lex": {"rules": True, "induced": True},
+    "--rules": {"rules": False},
+    "--features": {"rules": False},
+    "--fc-model": {"induced": True},
+}
+
+
 def _build_scorer(args: argparse.Namespace):
     if args.kind == "connectivity":
         return connectivity_scores, ("conn_s", "conn_t")
-    if args.src_lex is None or args.tgt_lex is None:
-        raise UsageError(f"--kind {args.kind} requires --src-lex and --tgt-lex")
     # Looked up per call: perfbench/tracing.py wraps ``load`` on the class.
     src_lex = _load(args.src_lex, MorphLexicon.load)
     tgt_lex = _load(args.tgt_lex, MorphLexicon.load)
     if args.kind == "rules":
         rules = default_rules() if args.rules is None else _load(args.rules, load_rules)
+        features = DEFAULT_RULE_FEATURES if args.features is None else args.features
         scorer = functools.partial(rule_morph_scores, src_lex=src_lex, tgt_lex=tgt_lex,
-                                   rules=rules, features=args.features)
+                                   rules=rules, features=features)
         return scorer, ("morph_rule_s", "morph_rule_t")
-    if args.fc_model is None:
-        raise UsageError("--kind induced requires --fc-model")
     scorer = functools.partial(induced_morph_scores, src_lex=src_lex, tgt_lex=tgt_lex,
                                model=_load(args.fc_model, FcModel.load))
     return scorer, ("morph_fc_s", "morph_fc_t")
@@ -309,10 +305,15 @@ def _build_scorer(args: argparse.Namespace):
 def cmd_annotate(args: argparse.Namespace) -> int:
     _bind("features", "morphmodel")
     inputs = [args.input]
-    if args.kind == "rules":
-        inputs += [args.src_lex, args.tgt_lex, args.rules]
-    elif args.kind == "induced":
-        inputs += [args.src_lex, args.tgt_lex, args.fc_model]
+    for flag, kinds in _ANNOTATE_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if args.kind not in kinds:
+            if value is not None:
+                raise UsageError(f"--kind {args.kind} does not read {flag}")
+        elif value is None and kinds[args.kind]:
+            raise UsageError(f"--kind {args.kind} requires {flag}")
+        elif flag != "--features":  # a list of features, not a file
+            inputs.append(value)
     _check_stdin(inputs)
     scorer, default_names = _build_scorer(args)
     names = args.names if args.names is not None else default_names
@@ -374,6 +375,9 @@ def cmd_fc_train(args: argparse.Namespace) -> int:
 def cmd_combine(args: argparse.Namespace) -> int:
     if len(args.input) < 2:
         raise UsageError("combine needs at least two -i NAME=FILE inputs")
+    names = [name for name, _ in args.input]
+    if len(set(names)) < len(names):
+        raise UsageError(f"the -i names must differ, got {', '.join(names)}")
     _bind("combine")
     _check_stdin([path for _, path in args.input])
     with ExitStack() as stack:
@@ -543,8 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tgt-lex", default=None, help="target morphological lexicon")
     p.add_argument("--rules", default=None,
                    help="agreement rules file (default: bundled rules)")
-    p.add_argument("--features", type=_feature_list,
-                   default=DEFAULT_RULE_FEATURES,
+    p.add_argument("--features", type=_feature_list, default=None,
                    help="comma-separated features for --kind rules"
                         " (default gen,num,det,pos)")
     p.add_argument("--fc-model", default=None,

@@ -39,20 +39,31 @@ EMPTY_TAG = "[NA]"
 TaggedToken = tuple[str, tuple[str, str, str, str]]
 
 
+def _tab_fields(lines: Iterable[str], n: int, comments: bool = False,
+               ) -> Iterator[tuple[int, list[str] | None]]:
+    """Each line's number and its ``n`` tab-separated fields, None for a
+    blank line, or with ``comments`` a ``#`` line; other counts raise."""
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.rstrip("\n")
+        if not text.strip() or (comments and text.lstrip().startswith("#")):
+            yield lineno, None
+            continue
+        fields = text.split("\t")
+        if len(fields) != n:
+            raise TableError(
+                f"expected {n} tab-separated fields, got {len(fields)}", lineno)
+        yield lineno, fields
+
+
 def parse_tagged_corpus(lines: Iterable[str]) -> Iterator[list[TaggedToken]]:
     """Yield sentences as lists of (token, feature values) tuples."""
     sentence: list[TaggedToken] = []
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.rstrip("\n")
-        if not text.strip():
+    for lineno, fields in _tab_fields(lines, 5):
+        if fields is None:
             if sentence:
                 yield sentence
                 sentence = []
             continue
-        fields = text.split("\t")
-        if len(fields) != 5:
-            raise TableError(
-                f"expected 5 tab-separated fields, got {len(fields)}", lineno)
         token = fields[0]
         if not token or any(ch.isspace() for ch in token):
             raise TableError(f"bad token {token!r}", lineno)
@@ -120,14 +131,9 @@ class MorphLexicon:
     @classmethod
     def load(cls, lines: Iterable[str]) -> "MorphLexicon":
         words: dict[str, tuple[tuple[str, str, str, str], str, int]] = {}
-        for lineno, raw in enumerate(lines, start=1):
-            text = raw.rstrip("\n")
-            if not text.strip():
+        for lineno, fields in _tab_fields(lines, 7):
+            if fields is None:
                 raise TableError("blank line in lexicon", lineno)
-            fields = text.split("\t")
-            if len(fields) != 7:
-                raise TableError(
-                    f"expected 7 tab-separated fields, got {len(fields)}", lineno)
             word = fields[0]
             if not word or any(ch.isspace() for ch in word):
                 raise TableError(f"bad word {word!r}", lineno)
@@ -217,14 +223,9 @@ class RuleMapping:
 
 def load_rules(lines: Iterable[str]) -> RuleMapping:
     pairs: dict[str, set[tuple[str, str]]] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.rstrip("\n")
-        if not text.strip() or text.lstrip().startswith("#"):
+    for lineno, fields in _tab_fields(lines, 3, comments=True):
+        if fields is None:
             continue
-        fields = text.split("\t")
-        if len(fields) != 3:
-            raise TableError(
-                f"expected 3 tab-separated fields, got {len(fields)}", lineno)
         feature = fields[0].strip().lower()
         _feature_index(feature)
         src_value, tgt_value = fields[1].strip(), fields[2].strip()
@@ -287,14 +288,9 @@ class FcModel:
     @classmethod
     def load(cls, lines: Iterable[str]) -> "FcModel":
         probs: dict[tuple[str, str], tuple[float, float]] = {}
-        for lineno, raw in enumerate(lines, start=1):
-            text = raw.rstrip("\n")
-            if not text.strip():
+        for lineno, fields in _tab_fields(lines, 4):
+            if fields is None:
                 raise TableError("blank line in FC model", lineno)
-            fields = text.split("\t")
-            if len(fields) != 4:
-                raise TableError(
-                    f"expected 4 tab-separated fields, got {len(fields)}", lineno)
             src_fc, tgt_fc = fields[0], fields[1]
             if not src_fc or not tgt_fc:
                 raise TableError("empty FC tag", lineno)

@@ -180,15 +180,13 @@ def check_unique(rows: Iterable[Row], key: Callable[[Row], tuple],
         yield row
 
 
-def _sorted_unique(rows: Iterable[Row], key: Callable[[Row], tuple], what: str,
-                   chunk_size: int | None, tmp_base: str | None) -> Iterator[Row]:
+def _sorted_unique(rows: Iterable[Row], key: Callable[[Row], tuple],
+                   what: str) -> Iterator[Row]:
     # extsort imports this module; importing it here at load time raised the
     # pivot-spill benchmark's peak RSS by 0.2 MB.
     from . import extsort
 
-    if chunk_size is None:
-        chunk_size = extsort.DEFAULT_CHUNK_SIZE
-    with closing(extsort.ext_sorted(rows, key, chunk_size, tmp_base)) as ordered:
+    with closing(extsort.ext_sorted(rows, key, extsort.DEFAULT_CHUNK_SIZE)) as ordered:
         yield from check_unique(ordered, key, what)
 
 
@@ -200,13 +198,12 @@ def sort_table_rows(rows: Iterable[Row],
     under ``PIVOTSMITH_TMPDIR`` or the system default.  Its scratch files
     are removed as soon as this stream ends, fails or is closed.
     """
-    return _sorted_unique(rows, table_order(extras_names), "entry", None, None)
+    return _sorted_unique(rows, table_order(extras_names), "entry")
 
 
-def sort_reordering_rows(rows: Iterable[Row], chunk_size: int | None = None,
-                         tmp_base: str | None = None) -> Iterator[Row]:
+def sort_reordering_rows(rows: Iterable[Row]) -> Iterator[Row]:
     """Reordering rows by pair, a repeated pair rejected, as ``sort_table_rows``."""
-    return _sorted_unique(rows, _BY_SRC_TGT, "reordering entry", chunk_size, tmp_base)
+    return _sorted_unique(rows, _BY_SRC_TGT, "reordering entry")
 
 
 def _checked_manifest(extras_names: Sequence[str]) -> tuple[str, ...]:

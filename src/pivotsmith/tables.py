@@ -14,7 +14,6 @@ command's start-up loads no ``dataclasses``.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -235,11 +234,12 @@ def filter_top_n(table: PhraseTable, weights: LogLinearWeights | None,
 
 
 def _compose_tables(sp: PhraseTable, pt: PhraseTable, cfg: PivotConfig | None,
-                    pt_reo_rows: Iterable[Row] | None = None) -> Iterator[Row]:
+                    pt_reo_rows: Iterable[Row] | None = None,
+                    sp_reo_rows: Iterable[Row] | None = None) -> Iterator[Row]:
     return compose_rows(map(entry_to_row, sp), sp.extras_names,
                         map(entry_to_row, pt), pt.extras_names,
                         PivotConfig() if cfg is None else cfg, inputs_sorted=True,
-                        pt_reo_rows=pt_reo_rows)
+                        pt_reo_rows=pt_reo_rows, sp_reo_rows=sp_reo_rows)
 
 
 def pivot_compose(sp: PhraseTable, pt: PhraseTable,
@@ -257,23 +257,14 @@ def pivot_reordering(sp_reo: Sequence[ReorderingEntry],
 
     Orientation probabilities come from the pivot-target side, mixed per
     composed pair with the source-pivot forward phrase scores as weights.
-    The source-pivot reordering table is accepted and validated for
-    interface symmetry but does not enter the mixture; phrase order around
-    the source-pivot boundary says nothing about source-target order once
-    the pivot phrase drops out.  Every entry of both tables is checked as
-    ``reorder_rows`` checks it, and a pair repeated in either raises
-    ``TableError``, as ``pivot --reordering-sp`` does.
+    The source-pivot reordering table is accepted for interface symmetry
+    but does not enter the mixture; phrase order around the source-pivot
+    boundary says nothing about source-target order once the pivot phrase
+    drops out.  ``compose_rows`` checks it as ``pivot --reordering-sp``
+    does.  Every entry of both tables is checked as ``reorder_rows``
+    checks it, and a pair repeated in either raises ``TableError``.
     """
-    if cfg is None:
-        cfg = PivotConfig()
-    for _ in sort_reordering_rows(reorder_rows(sp_reo), cfg.chunk_size,
-                                  cfg.tmpdir):
-        pass
-    if sp_reo:
-        logging.getLogger(__name__).info(
-            "source-pivot reordering table (%d entries) is unused"
-            " by the pivot mixture", len(sp_reo))
-    rows = _compose_tables(sp, pt, cfg, reorder_rows(pt_reo))
+    rows = _compose_tables(sp, pt, cfg, reorder_rows(pt_reo), reorder_rows(sp_reo))
     return tuple(ReorderingEntry(src, tgt, scores[4:])
                  for src, tgt, scores, _ in rows)
 

@@ -37,6 +37,7 @@ Everything here runs on raw rows; ``pivotsmith.tables`` runs it over
 from __future__ import annotations
 
 import heapq
+from contextlib import closing
 from itertools import chain, groupby, islice
 from operator import itemgetter, lt
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
@@ -393,6 +394,7 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
                  pt_rows: Iterable[Row], pt_extras: Sequence[str],
                  cfg: PivotConfig, inputs_sorted: bool = False,
                  pt_reo_rows: Iterable[Row] | None = None,
+                 sp_reo_rows: Iterable[Row] | None = None,
                  ) -> Iterator[Row]:
     """Streaming triangulation over raw rows, yielding (src, tgt) sorted rows.
 
@@ -411,11 +413,14 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
     shared pivots with the source-pivot forward scores as weights.
     ``min_alignment_links`` drops a pair from both at once.
 
-    All three inputs may come in any order: each is sorted here through
-    the disk-backed sort.  ``inputs_sorted`` skips the sort of the two
-    phrase tables, which must then arrive sorted by (src, tgt); the
-    reordering rows are sorted whatever it says.  A pair repeated in any
-    of the three raises ``TableError``.
+    ``sp_reo_rows``, source-pivot reordering rows, are only checked and
+    logged as unused, all of them before the first phrase-table row.
+
+    All inputs may come in any order: each is sorted here through the
+    disk-backed sort.  ``inputs_sorted`` skips the sort of the two phrase
+    tables, which must then arrive sorted by (src, tgt); the reordering
+    rows are sorted whatever it says.  A pair repeated in any input raises
+    ``TableError``.
     """
     # Imported here, so that filter and estimate-size do not load logging.
     import logging
@@ -430,6 +435,13 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
     def sort(rows: Iterable[Row], key) -> Iterator[Row]:
         return ext_sorted(rows, key, chunk_size=cfg.chunk_size, tmp_base=cfg.tmpdir)
 
+    if sp_reo_rows is not None:
+        # closing() removes the sort's scratch files on a signal outside it too.
+        with closing(sort(sp_reo_rows, _BY_SRC_TGT)) as ordered:
+            n_entries = sum(1 for _ in check_unique(ordered, _BY_SRC_TGT,
+                                                    "reordering entry"))
+        logger.info("source-pivot reordering table (%d entries) is validated"
+                    " but unused by the pivot mixture", n_entries)
     pt_rest = iter(pt_rows)
     probe = list(islice(pt_rest, cfg.chunk_size + 1))
     hash_join = len(probe) <= cfg.chunk_size

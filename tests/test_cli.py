@@ -549,6 +549,36 @@ class TestMorphCommands:
             main(["annotate", "-i", str(tbl), "--kind", "rules"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("kind, flag, value", [
+        ("connectivity", "--features", "gen"),
+        ("connectivity", "--src-lex", "L"),
+        ("rules", "--fc-model", "M"),
+        ("induced", "--rules", "R"),
+        ("induced", "--features", "gen"),
+    ])
+    def test_flag_of_another_kind_is_usage_error(self, morph_files, capsys,
+                                                 kind, flag, value):
+        # Without the stray flag each command would run and exit 0.
+        tmp_path, src_lex, tgt_lex = morph_files
+        tbl = tmp_path / "t.txt"
+        tbl.write_text("sa ||| ta ||| 1 1 1 1 ||| 0-0\n")
+        model = tmp_path / "model.tsv"
+        model.write_text("[Feminine+Singular]\t[Feminine+Singular]\t1\t1\n")
+        out = tmp_path / "out.txt"
+        argv = ["annotate", "-i", str(tbl), "-o", str(out), "--kind", kind]
+        if kind != "connectivity":
+            argv += ["--src-lex", str(src_lex), "--tgt-lex", str(tgt_lex)]
+        if kind == "induced":
+            argv += ["--fc-model", str(model)]
+        assert main(argv) == 0
+        out.unlink()
+        argv += [flag, value]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"error: --kind {kind} does not read {flag}\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rules_check_queries(self, capsys):
         assert main(["rules-check",
                      "--pair", "gen", "Feminine", "Both",
@@ -603,6 +633,17 @@ class TestCombineCommand:
         with pytest.raises(SystemExit) as exc:
             main(["combine", "-i", f"one={a}"])
         assert exc.value.code == 2
+
+    def test_repeated_name_is_usage_error(self, tmp_path, capsys):
+        a = tmp_path / "a.txt"
+        a.write_text("a ||| x ||| 1 1 1 1 |||\n")
+        out = tmp_path / "out.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["combine", "-i", f"a={a}", "-i", f"b={a}", "-i", f"a={a}",
+                  "-o", str(out)])
+        assert exc.value.code == 2
+        assert "error: the -i names must differ, got a, b, a\n" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDecodeAndBleu:
@@ -782,9 +823,15 @@ class TestStdinOnce:
         assert "b ||| y ||| 1 1 1 1 0 1 |||" in out
 
     def test_unused_lexicon_flags_do_not_count(self, tmp_path, monkeypatch, capsys):
+        # A flag the kind does not read is refused as such, not as a second
+        # reader of stdin.
         monkeypatch.setattr("sys.stdin", io.StringIO("a ||| x ||| 1 1 1 1 ||| 0-0\n"))
-        assert main(["annotate", "--kind", "connectivity", "--src-lex", "-"]) == 0
-        assert capsys.readouterr().out.endswith("a ||| x ||| 1 1 1 1 1 1 ||| 0-0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["annotate", "--kind", "connectivity", "--src-lex", "-"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --kind connectivity does not read --src-lex\n" in captured.err
 
 
 class TestSingleThread:

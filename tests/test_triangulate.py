@@ -47,6 +47,7 @@ from pivotsmith.tables import (
     pivot_reordering,
     reorder_rows,
     write_phrase_table,
+    write_reordering_table,
 )
 from pivotsmith.triangulate import (
     PivotConfig,
@@ -858,6 +859,24 @@ class TestReorderingPivot:
                            match=f"duplicate reordering entry for pair {pair}"):
             self.compose_oriented((1, index, index), 2, chunk_size)
 
+    @staticmethod
+    def logged_inputs(pulls, n, sp_reo_pairs, **cfg):
+        """``compose_rows`` over ``n`` one-to-one pivots and a source-pivot
+        reordering table of the pairs numbered ``sp_reo_pairs``, each input
+        logging its name to ``pulls`` as a row is pulled from it."""
+        def logged(side, rows):
+            for row in rows:
+                pulls.append(side)
+                yield row
+        probs = (0.8, 0.1, 0.1, 0.6, 0.2, 0.2)
+        sp_rows = [((f"a{i}",), (f"x{i}",), (0.5,) * 4, ()) for i in range(n)]
+        pt_rows = [((f"x{i}",), ("u",), (0.5,) * 4, ()) for i in range(n)]
+        reo = [((f"x{i}",), ("u",), probs, ()) for i in range(n)]
+        sp_reo = [((f"a{i}",), (f"x{i}",), probs, ()) for i in sp_reo_pairs]
+        return compose_rows(logged("sp", sp_rows), (), logged("pt", pt_rows), (),
+                            PivotConfig(**cfg), pt_reo_rows=logged("reo", reo),
+                            sp_reo_rows=logged("sp-reo", sp_reo))
+
     @pytest.mark.parametrize("chunk_size", [100, 4], ids=["hash", "merge"])
     def test_pivot_target_rows_are_read_before_the_reordering_rows(self, chunk_size):
         # On the sort-merge join the probe list, chunk_size + 1 pivot-target
@@ -880,6 +899,57 @@ class TestReorderingPivot:
         assert pulls == ["pt"] * min(chunk_size + 1, n)
         next(rows)
         assert pulls == ["pt"] * n + ["reo"] * n + ["sp"] * n
+
+    @pytest.mark.parametrize("chunk_size", [100, 4], ids=["hash", "sort-merge"])
+    def test_source_pivot_reordering_rows_are_read_first(self, chunk_size, tmp_path):
+        pulls = []
+        n = 12
+        rows = self.logged_inputs(pulls, n, reversed(range(n)),
+                                  chunk_size=chunk_size, tmpdir=str(tmp_path))
+        assert pulls == ["sp-reo"] * n + ["pt"] * min(chunk_size + 1, n)
+        assert len(list(rows)) == n
+        assert pulls == ["sp-reo"] * n + ["pt"] * n + ["reo"] * n + ["sp"] * n
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("chunk_size", [100, 4], ids=["hash", "sort-merge"])
+    def test_repeated_source_pivot_reordering_pair_raises_first(self, chunk_size,
+                                                                 tmp_path):
+        pulls = []
+        with pytest.raises(TableError,
+                           match="duplicate reordering entry for pair 'a3' -> 'x3'"):
+            self.logged_inputs(pulls, 12, [5, 3, 7, 3, 1, 0, 2],
+                               chunk_size=chunk_size, tmpdir=str(tmp_path))
+        assert set(pulls) == {"sp-reo"}
+        assert list(tmp_path.iterdir()) == []
+
+    def test_library_and_command_log_the_same_line(self, tmp_path, caplog):
+        probs = (0.8, 0.1, 0.1, 0.6, 0.2, 0.2)
+        tables = {"sp": table([entry("a", "x")]), "pt": table([entry("x", "u")])}
+        reo_tables = {"sp-reo": (ReorderingEntry(("a",), ("x",), probs),),
+                      "pt-reo": (ReorderingEntry(("x",), ("u",), probs),)}
+        paths = {name: tmp_path / f"{name}.txt" for name in (*tables, *reo_tables)}
+        for name, tbl in tables.items():
+            with open(paths[name], "w", encoding="utf-8") as stream:
+                write_phrase_table(tbl, stream)
+        for name, entries in reo_tables.items():
+            with open(paths[name], "w", encoding="utf-8") as stream:
+                write_reordering_table(entries, stream)
+        with caplog.at_level(logging.INFO, logger="pivotsmith"):
+            pivot_reordering(reo_tables["sp-reo"], reo_tables["pt-reo"],
+                             tables["sp"], tables["pt"])
+            library = [r for r in caplog.records if "reordering" in r.getMessage()]
+            caplog.clear()
+            assert main(["pivot", "--sp", str(paths["sp"]), "--pt", str(paths["pt"]),
+                         "-o", str(tmp_path / "out.txt"),
+                         "--reordering-sp", str(paths["sp-reo"]),
+                         "--reordering-pt", str(paths["pt-reo"]),
+                         "--reordering-out", str(tmp_path / "reo-out.txt")]) == 0
+            command = [r for r in caplog.records if "reordering" in r.getMessage()]
+        line = ("pivotsmith.triangulate", logging.INFO,
+                "source-pivot reordering table (1 entries) is validated"
+                " but unused by the pivot mixture")
+        assert [(r.name, r.levelno, r.getMessage()) for r in library] == [line]
+        assert [(r.name, r.levelno, r.getMessage()) for r in command] == [line]
 
 
 class TestConfig:
