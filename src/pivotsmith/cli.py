@@ -627,6 +627,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p)
     p.set_defaults(func=cmd_estimate_size)
 
+    # A usage error that a command finds prints that command's usage.
+    for command in sub.choices.values():
+        command.set_defaults(parser=command)
     return parser
 
 
@@ -654,7 +657,7 @@ def main(argv: list[str] | None = None) -> int:
         # Ctrl-C: the clean-up has run on the way here, so stop quietly.
         return 130  # 128 + SIGINT
     except UsageError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     except (ValueError, OSError) as exc:
         print(f"pivotsmith: error: {exc}", file=sys.stderr)
         return 1

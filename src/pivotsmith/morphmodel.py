@@ -20,7 +20,6 @@ target FC tags, trained from a word-aligned parallel corpus.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from importlib import resources
 from itertools import zip_longest
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
@@ -35,8 +34,6 @@ from .tablecore import (
 FEATURES = ("pos", "gen", "num", "det")
 UNKNOWN_TAG = "[UNK]"
 EMPTY_TAG = "[NA]"
-
-TaggedToken = tuple[str, tuple[str, str, str, str]]
 
 
 def _tab_fields(lines: Iterable[str], n: int, comments: bool = False,
@@ -53,27 +50,6 @@ def _tab_fields(lines: Iterable[str], n: int, comments: bool = False,
             raise TableError(
                 f"expected {n} tab-separated fields, got {len(fields)}", lineno)
         yield lineno, fields
-
-
-def parse_tagged_corpus(lines: Iterable[str]) -> Iterator[list[TaggedToken]]:
-    """Yield sentences as lists of (token, feature values) tuples."""
-    sentence: list[TaggedToken] = []
-    for lineno, fields in _tab_fields(lines, 5):
-        if fields is None:
-            if sentence:
-                yield sentence
-                sentence = []
-            continue
-        token = fields[0]
-        if not token or any(ch.isspace() for ch in token):
-            raise TableError(f"bad token {token!r}", lineno)
-        values = tuple(fields[1:])
-        for value in values:
-            if not value or value != value.strip():
-                raise TableError(f"bad feature value {value!r}", lineno)
-        sentence.append((token, values))
-    if sentence:
-        yield sentence
 
 
 def _feature_index(name: str) -> int:
@@ -135,7 +111,7 @@ class MorphLexicon:
             if fields is None:
                 raise TableError("blank line in lexicon", lineno)
             word = fields[0]
-            if not word or any(ch.isspace() for ch in word):
+            if word.split() != [word]:
                 raise TableError(f"bad word {word!r}", lineno)
             if word in words:
                 raise TableError(f"duplicate lexicon entry for {word!r}", lineno)
@@ -146,15 +122,46 @@ class MorphLexicon:
             fc = fields[5]
             if not fc:
                 raise TableError("empty FC tag", lineno)
-            if not fields[6].isdigit() or int(fields[6]) < 1:
+            if not fields[6].isdecimal() or int(fields[6]) < 1:
                 raise TableError(f"bad count {fields[6]!r}", lineno)
             words[word] = (values, fc, int(fields[6]))
         return cls(words)
 
 
-def _argmax(counter: Counter) -> object:
+def _argmax(counts: Mapping) -> object:
     # Highest count wins; ties take the lexicographically smallest key.
-    return min(counter.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+    return min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+
+
+def _check_tagged_line(raw: str, lineno: int) -> None:
+    """Raise on a non-blank tagged-corpus line that is not a token and four
+    feature values."""
+    fields = raw.rstrip("\n").split("\t")
+    if len(fields) != 5:
+        raise TableError(
+            f"expected 5 tab-separated fields, got {len(fields)}", lineno)
+    token = fields[0]
+    if token.split() != [token]:
+        raise TableError(f"bad token {token!r}", lineno)
+    for value in fields[1:]:
+        if not value or value != value.strip():
+            raise TableError(f"bad feature value {value!r}", lineno)
+
+
+def _fold(lines: list[tuple[tuple[str, ...], int]], fc_idx: tuple[int, ...],
+          ) -> tuple[tuple[str, ...], tuple[str, ...], int]:
+    """Per-feature winners, joint FC winner and total of one word's
+    distinct ``(values, count)`` lines."""
+    per_feature: list[dict[str, int]] = [{} for _ in FEATURES]
+    combos: dict[tuple[str, ...], int] = {}
+    total = 0
+    for values, n in lines:
+        total += n
+        for counts, value in zip(per_feature, values):
+            counts[value] = counts.get(value, 0) + n
+        combo = tuple([values[i] for i in fc_idx])
+        combos[combo] = combos.get(combo, 0) + n
+    return tuple([_argmax(c) for c in per_feature]), _argmax(combos), total
 
 
 def build_lexicon(corpora: Sequence[Iterable[str]],
@@ -166,32 +173,48 @@ def build_lexicon(corpora: Sequence[Iterable[str]],
     merging corpora never means merging already resolved lexicons.  The FC
     tag comes from the most frequent joint combination of ``fc_features``
     values, not from combining per-feature winners.
+
+    A line is checked the first time its text is seen; a repeat only adds
+    to that text's count.  The distinct lines are then folded per word.
     """
     fc_idx = tuple(_feature_index(name) for name in fc_features)
     if not fc_idx:
         raise TableError("fc_features must name at least one feature")
     if len(set(fc_idx)) != len(fc_idx):
         raise TableError(f"duplicate feature in fc_features {tuple(fc_features)!r}")
-    feature_counts: dict[str, tuple[Counter, ...]] = {}
-    fc_counts: dict[str, Counter] = {}
-    totals: Counter = Counter()
+    line_counts: dict[str, int] = {}
+    seen = line_counts.get
     for corpus in corpora:
-        for sentence in parse_tagged_corpus(corpus):
-            for token, values in sentence:
-                counters = feature_counts.get(token)
-                if counters is None:
-                    counters = tuple(Counter() for _ in FEATURES)
-                    feature_counts[token] = counters
-                    fc_counts[token] = Counter()
-                for counter, value in zip(counters, values):
-                    counter[value] += 1
-                fc_counts[token][tuple(values[i] for i in fc_idx)] += 1
-                totals[token] += 1
-    words = {}
-    for token, counters in feature_counts.items():
-        values = tuple(_argmax(c) for c in counters)
-        combo = _argmax(fc_counts[token])
-        words[token] = (values, render_fc_tag(combo, na_value), totals[token])
+        for lineno, raw in enumerate(corpus, start=1):
+            n = seen(raw)
+            if n is not None:
+                line_counts[raw] = n + 1
+            elif raw.strip():
+                _check_tagged_line(raw, lineno)
+                line_counts[raw] = 1
+    words: dict[str, tuple[tuple[str, str, str, str], str, int]] = {}
+    # The words with more than one distinct line, and those lines.
+    several: dict[str, list[tuple[tuple[str, ...], int]]] = {}
+    # Each distinct values tuple once, with its FC tag: words share them.
+    tagged: dict[tuple[str, ...], tuple[tuple[str, ...], str]] = {}
+    # Popping frees each line's text while the words fill.
+    while line_counts:
+        raw, n = line_counts.popitem()
+        fields = raw.rstrip("\n").split("\t")
+        token = fields[0]
+        values = tuple(fields[1:])
+        shared = tagged.get(values)
+        if shared is None:
+            fc = render_fc_tag([values[i] for i in fc_idx], na_value)
+            shared = tagged[values] = (values, fc)
+        entry = words.get(token)
+        if entry is None:
+            words[token] = (*shared, n)
+        else:
+            several.setdefault(token, [(entry[0], entry[2])]).append((shared[0], n))
+    for token, lines in several.items():
+        values, combo, total = _fold(lines, fc_idx)
+        words[token] = (values, render_fc_tag(combo, na_value), total)
     return MorphLexicon(words)
 
 
@@ -319,10 +342,10 @@ def train_fc_model(src_lines: Iterable[str], tgt_lines: Iterable[str],
     the model degrades instead of silently shrinking.  Unaligned tokens
     produce no events.  No smoothing is applied.
     """
-    fwd_counts: Counter = Counter()
-    fwd_totals: Counter = Counter()
-    rev_counts: Counter = Counter()
-    rev_totals: Counter = Counter()
+    src_entry = src_lex._words.get
+    tgt_entry = tgt_lex._words.get
+    fwd_counts: dict[tuple[str, str], int] = {}
+    rev_counts: dict[tuple[str, str], int] = {}
     filler = object()
     rows = zip_longest(src_lines, tgt_lines, align_lines, fillvalue=filler)
     for lineno, (src_raw, tgt_raw, align_raw) in enumerate(rows, start=1):
@@ -331,24 +354,30 @@ def train_fc_model(src_lines: Iterable[str], tgt_lines: Iterable[str],
         align_text = align_raw.strip()
         if not align_text:
             continue
-        src_tokens = src_raw.split()
-        tgt_tokens = tgt_raw.split()
-        links = parse_links(align_text, len(src_tokens), len(tgt_tokens), lineno)
-        src_tags = [src_lex.fc_tag(tok) for tok in src_tokens]
-        tgt_tags = [tgt_lex.fc_tag(tok) for tok in tgt_tokens]
-        by_src: dict[int, list[int]] = {}
-        by_tgt: dict[int, list[int]] = {}
+        src_tags = [UNKNOWN_TAG if (e := src_entry(tok)) is None else e[1]
+                    for tok in src_raw.split()]
+        tgt_tags = [UNKNOWN_TAG if (e := tgt_entry(tok)) is None else e[1]
+                    for tok in tgt_raw.split()]
+        links = parse_links(align_text, len(src_tags), len(tgt_tags), lineno)
+        # ``links`` is sorted by (i, j), so each list below is in position order.
+        by_src: dict[int, list[str]] = {}
+        by_tgt: dict[int, list[str]] = {}
         for i, j in links:
-            by_src.setdefault(i, []).append(j)
-            by_tgt.setdefault(j, []).append(i)
+            by_src.setdefault(i, []).append(tgt_tags[j])
+            by_tgt.setdefault(j, []).append(src_tags[i])
         for i, targets in by_src.items():
-            event = (src_tags[i], " ".join(tgt_tags[j] for j in sorted(targets)))
-            fwd_counts[event] += 1
-            fwd_totals[event[0]] += 1
+            event = (src_tags[i], " ".join(targets))
+            fwd_counts[event] = fwd_counts.get(event, 0) + 1
         for j, sources in by_tgt.items():
-            event = (" ".join(src_tags[i] for i in sorted(sources)), tgt_tags[j])
-            rev_counts[event] += 1
-            rev_totals[event[1]] += 1
+            event = (" ".join(sources), tgt_tags[j])
+            rev_counts[event] = rev_counts.get(event, 0) + 1
+    # Summed per distinct event here, not per event in the loop above.
+    fwd_totals: dict[str, int] = {}
+    for (src_fc, _), count in fwd_counts.items():
+        fwd_totals[src_fc] = fwd_totals.get(src_fc, 0) + count
+    rev_totals: dict[str, int] = {}
+    for (_, tgt_fc), count in rev_counts.items():
+        rev_totals[tgt_fc] = rev_totals.get(tgt_fc, 0) + count
     probs: dict[tuple[str, str], list[float]] = {}
     for pair, count in fwd_counts.items():
         probs.setdefault(pair, [0.0, 0.0])[0] = count / fwd_totals[pair[0]]

@@ -287,9 +287,10 @@ def parse_links(text: str, n_src: int, n_tgt: int,
     outside = False
     for item in text.split(" "):
         left, sep, right = item.partition("-")
-        if not (sep and left.isdigit() and right.isdigit()):
+        # ``isdecimal``, not ``isdigit``: a digit like "²" is not a number
+        # that ``int`` reads, and is malformed here like any other text.
+        if not (sep and left.isdecimal() and right.isdecimal()):
             raise TableError(f"malformed alignment point {item!r}", lineno)
-        # A digit ``int`` cannot read, like "²", raises its ValueError here.
         i = int(left)
         j = int(right)
         if i >= n_src or j >= n_tgt:

@@ -317,7 +317,7 @@ def _oracle_alignment_field(text, src_len, tgt_len, lineno):
     links = []
     for item in text.split(" "):
         left, sep, right = item.partition("-")
-        if not sep or not left.isdigit() or not right.isdigit():
+        if not sep or not left.isdecimal() or not right.isdecimal():
             raise TableError(f"malformed alignment point {item!r}", lineno)
         links.append((int(left), int(right)))
     seen = set()
@@ -479,6 +479,81 @@ def oracle_bleu4(hypotheses, reference_sets):
     else:
         bleu = bp * math.exp(sum(math.log(p) for p in precisions) / 4.0)
     return bleu, precisions, bp, hyp_len, ref_len
+
+
+# --- morphology: lexicon and FC model references -----------------------------
+
+ORACLE_FEATURES = ("pos", "gen", "num", "det")
+
+
+def _oracle_winner(items):
+    """The most frequent item; a tie goes to the smallest."""
+    tally = {}
+    for item in items:
+        tally[item] = tally.get(item, 0) + 1
+    return sorted(tally.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
+
+
+def oracle_build_lexicon(corpora, fc_features=("gen", "num", "det"), na_value="NA"):
+    """``build_lexicon`` line by line: every line checked, every token's
+    lines kept.  Returns word -> (feature values, FC tag, count)."""
+    fc_idx = [ORACLE_FEATURES.index(name) for name in fc_features]
+    seen = {}
+    for corpus in corpora:
+        for lineno, raw in enumerate(corpus, start=1):
+            text = raw.rstrip("\n")
+            if not text.strip():
+                continue
+            fields = text.split("\t")
+            if len(fields) != 5:
+                raise TableError(
+                    f"expected 5 tab-separated fields, got {len(fields)}", lineno)
+            token = fields[0]
+            if not token or any(ch.isspace() for ch in token):
+                raise TableError(f"bad token {token!r}", lineno)
+            for value in fields[1:]:
+                if not value or value != value.strip():
+                    raise TableError(f"bad feature value {value!r}", lineno)
+            seen.setdefault(token, []).append(fields[1:])
+    words = {}
+    for token, rows in seen.items():
+        values = tuple(_oracle_winner([row[k] for row in rows]) for k in range(4))
+        combo = _oracle_winner([tuple(row[i] for i in fc_idx) for row in rows])
+        parts = [v for v in combo if v != na_value]
+        tag = "[" + "+".join(parts) + "]" if parts else "[NA]"
+        words[token] = (values, tag, len(rows))
+    return words
+
+
+def oracle_train_fc_model(src_lines, tgt_lines, align_lines, src_lex, tgt_lex):
+    """``train_fc_model`` from explicit event lists.  Returns
+    (source tag, target tag) -> (p(target | source), p(source | target))."""
+    sides = [list(src_lines), list(tgt_lines), list(align_lines)]
+    fwd, rev = [], []
+    for n in range(max(len(side) for side in sides)):
+        lineno = n + 1
+        if any(n >= len(side) for side in sides):
+            raise TableError("parallel files differ in sentence count", lineno)
+        src_raw, tgt_raw, align_raw = (side[n] for side in sides)
+        if not align_raw.strip():
+            continue
+        src = [src_lex.fc_tag(word) for word in src_raw.split()]
+        tgt = [tgt_lex.fc_tag(word) for word in tgt_raw.split()]
+        links = _oracle_alignment_field(align_raw.strip(), len(src), len(tgt), lineno)
+        for i in sorted({i for i, _ in links}):
+            fwd.append((src[i], " ".join(tgt[j] for j in sorted(
+                j for a, j in links if a == i))))
+        for j in sorted({j for _, j in links}):
+            rev.append((" ".join(src[i] for i in sorted(
+                i for i, b in links if b == j)), tgt[j]))
+    probs = {}
+    for pair in set(fwd):
+        given = sum(1 for event in fwd if event[0] == pair[0])
+        probs[pair] = (fwd.count(pair) / given, 0.0)
+    for pair in set(rev):
+        given = sum(1 for event in rev if event[1] == pair[1])
+        probs[pair] = (probs.get(pair, (0.0, 0.0))[0], rev.count(pair) / given)
+    return probs
 
 
 # --- golden bytes: every subcommand on small seeded inputs ------------------

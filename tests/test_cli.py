@@ -1064,3 +1064,42 @@ def test_unknown_command_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["annotate", "--kind", "connectivity", "--src-lex", "x"],
+     "--kind connectivity does not read --src-lex"),
+    (["combine", "-i", "a=x"], "combine needs at least two -i NAME=FILE inputs"),
+    (["pivot", "--sp", "s", "--pt", "t", "--reordering-out", "r"],
+     "--reordering-out requires --reordering-pt"),
+    (["lexicon", "-i", "-", "-i", "-"], "only one input can read stdin"),
+    (["rules-check", "--pair", "case", "Nom", "Nom"],
+     "unknown feature 'case', expected one of pos, gen, num, det"),
+], ids=["annotate", "combine", "pivot", "lexicon", "rules-check"])
+def test_a_command_usage_error_prints_that_commands_usage(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: pivotsmith {argv[0]} [-h]")
+    assert err.endswith(f"\npivotsmith {argv[0]}: error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["stats", "fc-train"])
+def test_a_superscript_digit_is_a_data_error_with_its_line(tmp_path, capsys, command):
+    # "²" passes ``isdigit`` but ``int`` cannot read it.
+    table_path = tmp_path / "t.txt"
+    table_path.write_text("a ||| b ||| 1 1 1 1 ||| 0-0\na ||| c ||| 1 1 1 1 ||| 0-\u00b2\n")
+    lex = tmp_path / "lex.tsv"
+    lex.write_text("w\tN\tM\tS\tNA\t[M]\t2\nx\tN\tM\tS\tNA\t[M]\t\u00b2\n")
+    for name in ("src", "tgt"):
+        (tmp_path / name).write_text("w\n")
+    (tmp_path / "align").write_text("0-0\n")
+    if command == "stats":
+        argv, message = ["stats", "-i", str(table_path)], "malformed alignment point '0-²'"
+    else:
+        argv = ["fc-train", "--src-lex", str(lex), "--tgt-lex", str(lex)]
+        argv += [f"--{name}={tmp_path / name}" for name in ("src", "tgt", "align")]
+        message = "bad count '²'"
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"pivotsmith: error: line 2: {message}\n"

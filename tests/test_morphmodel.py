@@ -3,18 +3,20 @@
 from __future__ import annotations
 
 import io
+import random
 
 import pytest
 
+from conftest import oracle_build_lexicon, oracle_train_fc_model
 from pivotsmith.morphmodel import (
     EMPTY_TAG,
+    FEATURES,
     FcModel,
     MorphLexicon,
     UNKNOWN_TAG,
     build_lexicon,
     default_rules,
     load_rules,
-    parse_tagged_corpus,
     render_fc_tag,
     train_fc_model,
 )
@@ -37,17 +39,19 @@ CORPUS = tagged(
 
 class TestTaggedCorpus:
     def test_sentence_splitting(self):
-        sentences = list(parse_tagged_corpus(CORPUS))
-        assert [len(s) for s in sentences] == [2, 2]
-        assert sentences[0][0] == ("chat", ("NOUN", "Masculine", "Singular", "NA"))
+        # Blank lines only end sentences; the words of both count.
+        lex = build_lexicon([CORPUS])
+        assert list(lex.words()) == ["chat", "chats", "la"]
+        assert lex.count("chat") == 2
+        assert lex.mle("chat", "num") == "Singular"
 
     def test_field_count_error(self):
         with pytest.raises(TableError, match="line 1.*5 tab-separated"):
-            list(parse_tagged_corpus(["chat\tNOUN\n"]))
+            build_lexicon([["chat\tNOUN\n"]])
 
     def test_token_with_space_rejected(self):
         with pytest.raises(TableError, match="bad token"):
-            list(parse_tagged_corpus(["a b\tN\tM\tS\tNA\n"]))
+            build_lexicon([["a b\tN\tM\tS\tNA\n"]])
 
 
 class TestLexicon:
@@ -329,3 +333,114 @@ class TestFcModelIo:
             FcModel.load(["[A]\t[B]\t0.5\t0.5\n", "[A]\t[B]\t0.1\t0.1\n"])
         with pytest.raises(TableError, match="not in"):
             FcModel.load(["[A]\t[B]\t1.5\t0.5\n"])
+
+
+# --- against the line-by-line references in conftest -------------------------
+
+FEATURE_VALUES = (("NOUN", "VERB", "ADJ"), ("Feminine", "Masculine", "NA"),
+                  ("Singular", "Plural", "NA"), ("Determiner", "No Determiner", "NA"))
+
+
+def random_tagged(rng, words, n_lines):
+    """Tagged lines drawn from a few lines per word, so lines repeat and
+    counts tie; some lines are blank, and the last may lack its newline."""
+    pool = ["\t".join((word, *(rng.choice(c) for c in FEATURE_VALUES))) + "\n"
+            for word in words for _ in range(3)]
+    lines = ["\n" if rng.random() < 0.1 else rng.choice(pool) for _ in range(n_lines)]
+    if lines and rng.random() < 0.5:
+        lines.append(rng.choice(pool).rstrip("\n"))
+    return lines
+
+
+def random_parallel(rng, n_lines):
+    """Source, target and alignment lines over words that the lexicons of
+    the tests below partly know, with repeated sentences, many-to-one links
+    in shuffled order, and unaligned sentences."""
+    sentences = []
+    for _ in range(n_lines):
+        if sentences and rng.random() < 0.3:
+            sentences.append(rng.choice(sentences))
+            continue
+        src = [f"s{rng.randrange(8)}" for _ in range(rng.randint(1, 5))]
+        tgt = [f"t{rng.randrange(8)}" for _ in range(rng.randint(1, 5))]
+        pairs = [(i, j) for i in range(len(src)) for j in range(len(tgt))]
+        links = rng.sample(pairs, rng.randint(0, min(len(pairs), 6)))
+        sentences.append((" ".join(src) + "\n", " ".join(tgt) + "\n",
+                          " ".join(f"{i}-{j}" for i, j in links) + "\n"))
+    return [list(side) for side in zip(*sentences)]
+
+
+def lexicon_entries(lex):
+    return {word: (tuple(lex.mle(word, f) for f in FEATURES), lex.fc_tag(word),
+                   lex.count(word)) for word in lex.words()}
+
+
+def seeded_lexicons(rng):
+    return (build_lexicon([random_tagged(rng, [f"s{i}" for i in range(6)], 30)]),
+            build_lexicon([random_tagged(rng, [f"t{i}" for i in range(6)], 30)]))
+
+
+BAD_TAGGED_LINES = (
+    "w0\tNOUN\n",
+    "a b\tNOUN\tNA\tNA\tNA\n",
+    "\tNOUN\tNA\tNA\tNA\n",
+    "w0\tNOUN\t\tNA\tNA\n",
+    "w0\tNOUN\tNA \tNA\tNA\n",
+    "w0\tNOUN\tNA\tNA\tNA\r\n",
+)
+
+
+class TestAgainstOracles:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_build_lexicon(self, seed):
+        rng = random.Random(seed)
+        words = [f"w{i}" for i in range(rng.randint(1, 8))]
+        corpora = [random_tagged(rng, words, rng.randint(0, 40))
+                   for _ in range(rng.randint(1, 3))]
+        fc_features = tuple(rng.sample(FEATURES, rng.randint(1, 4)))
+        na_value = rng.choice(("NA", "Plural"))
+        lex = build_lexicon(corpora, fc_features=fc_features, na_value=na_value)
+        assert lexicon_entries(lex) == oracle_build_lexicon(corpora, fc_features,
+                                                           na_value)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_build_lexicon_first_error(self, seed):
+        # The bad lines follow valid lines that already repeated.
+        rng = random.Random(seed)
+        corpora = [random_tagged(rng, ["w0", "w1", "w2"], rng.randint(10, 30))
+                   for _ in range(rng.randint(1, 3))]
+        corpus = rng.choice(corpora)
+        for bad in rng.sample(BAD_TAGGED_LINES, 2):
+            corpus.insert(rng.randint(len(corpus) // 2, len(corpus)), bad)
+        with pytest.raises(TableError) as want:
+            oracle_build_lexicon(corpora)
+        with pytest.raises(TableError) as got:
+            build_lexicon(corpora)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_train_fc_model(self, seed):
+        rng = random.Random(seed)
+        src_lex, tgt_lex = seeded_lexicons(rng)
+        src, tgt, align = random_parallel(rng, rng.randint(1, 30))
+        model = train_fc_model(src, tgt, align, src_lex, tgt_lex)
+        assert dict(model.pairs()) == oracle_train_fc_model(src, tgt, align,
+                                                            src_lex, tgt_lex)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_train_fc_model_first_error(self, seed):
+        rng = random.Random(seed)
+        src_lex, tgt_lex = seeded_lexicons(rng)
+        src, tgt, align = random_parallel(rng, 20)
+        k = rng.randrange(10, 20)
+        n_tgt = len(tgt[k].split())
+        bad = ("0:0", f"0-{n_tgt}", "0-0 0-0", "0-\u00b2", None)[seed % 5]
+        if bad is None:
+            del tgt[k:]
+        else:
+            align[k] = bad + "\n"
+        with pytest.raises(TableError) as want:
+            oracle_train_fc_model(src, tgt, align, src_lex, tgt_lex)
+        with pytest.raises(TableError) as got:
+            train_fc_model(src, tgt, align, src_lex, tgt_lex)
+        assert str(got.value) == str(want.value)
