@@ -371,7 +371,7 @@ def train_fc_model(src_lines: Iterable[str], tgt_lines: Iterable[str],
         for j, sources in by_tgt.items():
             event = (" ".join(sources), tgt_tags[j])
             rev_counts[event] = rev_counts.get(event, 0) + 1
-    # Summed per distinct event here, not per event in the loop above.
+    # Summed once per distinct event: cheaper than once per event above.
     fwd_totals: dict[str, int] = {}
     for (src_fc, _), count in fwd_counts.items():
         fwd_totals[src_fc] = fwd_totals.get(src_fc, 0) + count
