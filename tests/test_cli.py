@@ -1089,9 +1089,11 @@ def test_a_command_usage_error_prints_that_commands_usage(argv, message, capsys)
 def test_a_superscript_digit_is_a_data_error_with_its_line(tmp_path, capsys, command):
     # "²" passes ``isdigit`` but ``int`` cannot read it.
     table_path = tmp_path / "t.txt"
-    table_path.write_text("a ||| b ||| 1 1 1 1 ||| 0-0\na ||| c ||| 1 1 1 1 ||| 0-\u00b2\n")
+    table_path.write_text("a ||| b ||| 1 1 1 1 ||| 0-0\na ||| c ||| 1 1 1 1 ||| 0-\u00b2\n",
+                          encoding="utf-8")
     lex = tmp_path / "lex.tsv"
-    lex.write_text("w\tN\tM\tS\tNA\t[M]\t2\nx\tN\tM\tS\tNA\t[M]\t\u00b2\n")
+    lex.write_text("w\tN\tM\tS\tNA\t[M]\t2\nx\tN\tM\tS\tNA\t[M]\t\u00b2\n",
+                   encoding="utf-8")
     for name in ("src", "tgt"):
         (tmp_path / name).write_text("w\n")
     (tmp_path / "align").write_text("0-0\n")
