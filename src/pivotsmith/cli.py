@@ -52,6 +52,7 @@ from .tablecore import (
     read_reordering_rows,
     read_rows,
     sort_table_rows,
+    weight_vector,
     write_rows,
 )
 
@@ -179,6 +180,16 @@ def _load_weights(path: str | None) -> LogLinearWeights | None:
     return None if path is None else _load(path, LogLinearWeights.from_config)
 
 
+def _check_weights(flag: str, path: str | None, weights: LogLinearWeights | None,
+                   extras: tuple[str, ...]) -> None:
+    """Raise, naming ``flag`` and its file, when ``weights`` leaves out a
+    column of the table it ranks."""
+    try:
+        weight_vector(CORE_FEATURES + tuple(extras), weights)
+    except TableError as exc:
+        raise TableError(f"{flag} {path}: {exc}") from None
+
+
 def _feature_list(text: str) -> tuple[str, ...]:
     names = tuple(name.strip() for name in text.split(",") if name.strip())
     if not names:
@@ -252,6 +263,8 @@ def cmd_pivot(args: argparse.Namespace) -> int:
                           for path in (args.reordering_pt, args.reordering_sp))
         sp_extras, sp_rows = read_rows(stack.enter_context(_open_in(args.sp)))
         pt_extras, pt_rows = read_rows(stack.enter_context(_open_in(args.pt)))
+        _check_weights("--weights-sp", args.weights_sp, cfg.weights_sp, sp_extras)
+        _check_weights("--weights-pt", args.weights_pt, cfg.weights_pt, pt_extras)
         out = stack.enter_context(_open_out(args.output))
         rows = compose_rows(sp_rows, sp_extras, pt_rows, pt_extras, cfg,
                             pt_reo_rows=pt_reo, sp_reo_rows=sp_reo)
@@ -269,6 +282,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
     weights = _load_weights(args.weights)
     with _open_in(args.input) as stream, _open_out(args.output) as out:
         extras, rows = read_rows(stream)
+        _check_weights("--weights", args.weights, weights, extras)
         kept = filter_rows(rows, extras, weights, args.top_n,
                            tmpdir=args.tmpdir, chunk_size=args.chunk_size)
         write_rows(kept, out, extras)
@@ -399,8 +413,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
         max_phrase_len=args.max_phrase_len,
         unknown_word_penalty=args.unknown_penalty)
     with _open_in(args.table) as stream:
-        # The index skips phrases longer than --max-phrase-len.
         extras, rows = read_rows(stream)
+        _check_weights("--weights", args.weights, cfg.weights, extras)
+        # The index skips phrases longer than --max-phrase-len.
         index = phrase_index_rows(sort_table_rows(rows, extras), extras, cfg)
     sentences = _load(args.input, read_sentences)
     with _open_out(args.output) as out:

@@ -52,12 +52,12 @@ def _tab_fields(lines: Iterable[str], n: int, comments: bool = False,
         yield lineno, fields
 
 
-def _feature_index(name: str) -> int:
+def _feature_index(name: str, line: int | None = None) -> int:
     try:
         return FEATURES.index(name.lower())
     except ValueError:
         raise TableError(f"unknown feature {name!r}, expected one of"
-                         f" {', '.join(FEATURES)}") from None
+                         f" {', '.join(FEATURES)}", line) from None
 
 
 def render_fc_tag(values: Iterable[str], na_value: str = NA_VALUE) -> str:
@@ -250,7 +250,7 @@ def load_rules(lines: Iterable[str]) -> RuleMapping:
         if fields is None:
             continue
         feature = fields[0].strip().lower()
-        _feature_index(feature)
+        _feature_index(feature, lineno)
         src_value, tgt_value = fields[1].strip(), fields[2].strip()
         if not src_value or not tgt_value:
             raise TableError("empty feature value", lineno)

@@ -12,23 +12,24 @@ they are, no renormalization happens.  Word alignments are projected
 through the pivot positions and unioned across pivot phrases.
 
 Both sides are filtered to the top ``n`` entries per source phrase by
-log-linear score before joining.  The join takes one of two paths, chosen
-by the size of the pivot-target table:
+log-linear score before joining.  The join is a hash join: the kept
+pivot-target rows are stored by pivot phrase, the kept source-pivot rows
+stream past in (source, pivot) order, each looking up the rows of its
+pivot, and each source's partial products are put in target order, so
+each pair sums its products in ascending pivot order.  The store depends
+on the size of the pivot-target table, and both give the same output to
+the bit:
 
-* at most one sort chunk of pivot-target rows: a hash join.  The kept
-  pivot-target rows are held in a dict by pivot phrase, the source-pivot
-  table streams past it in (source, pivot) order, and each source's
-  partial products are put in target order in memory.  Memory holds the
-  pivot-target table, one chunk of the source-pivot sort and one source's
-  partials, up to ``top_n`` squared of them.
-* more rows: a sort-merge join.  Both sides stream sorted by pivot phrase
-  and the partial products are sorted back into (source, target) order,
-  all through the disk-backed sort.  Memory holds a sort chunk plus the
-  pivot-target rows of one pivot, at most ``top_n`` of them; a pivot's
-  source-pivot rows stream past them.
+* at most one sort chunk of pivot-target rows: a dict of row lists.
+* more rows: ``_PivotStore``, one scratch file of pickled pivot groups
+  indexed in memory by the hash of the pivot phrase, 28 to 40 bytes per
+  distinct pivot.  A lookup reads one group from the file.
 
-Both paths sum each pair's products in ascending pivot order, so they give
-the same output to the bit.
+Memory holds the store, one chunk of the source-pivot sort and up to one
+chunk of one source's partials; a source with more partials, at most
+``top_n`` squared, puts them in target order through the disk-backed
+sort.  A pivot's source-pivot rows stream past its pivot-target rows, so
+a hub pivot needs no more memory than another.
 
 Everything here runs on raw rows; ``pivotsmith.tables`` runs it over
 ``PhraseTable`` objects.
@@ -37,12 +38,15 @@ Everything here runs on raw rows; ``pivotsmith.tables`` runs it over
 from __future__ import annotations
 
 import heapq
-from contextlib import closing
+import os
+import shutil
+import tempfile
+from contextlib import ExitStack, closing
 from itertools import chain, groupby, islice
 from operator import itemgetter, lt
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
-from .extsort import DEFAULT_CHUNK_SIZE, drain, ext_sorted
+from .extsort import DEFAULT_CHUNK_SIZE, drain, ext_sorted, scratch_base
 from .tablecore import (
     _BY_SRC_TGT,
     CORE_FEATURES,
@@ -60,7 +64,9 @@ from .tablecore import (
     write_lines,
 )
 
-_BY_PIVOT_SRC = itemgetter(1, 0)
+_TARGET = itemgetter(1)
+# The pivot store's index hashes pivot phrases through this one name.
+_pivot_hash = hash
 _THIRD = 1.0 / 3.0
 _UNIFORM_TRIPLE = (_THIRD,) * 6
 
@@ -203,66 +209,115 @@ def _drop_extras(rows: Iterable[Row], extras: Sequence[str]) -> Iterable[Row]:
     return ((src, tgt, scores[:4], align) for src, tgt, scores, align in rows)
 
 
-def _paired_pivot_groups(sp_rows: Iterable[Row], pt_rows: Iterable[Row],
-                         ) -> Iterator[tuple[Iterator[Row], list[Row]]]:
-    """Walk two pivot-sorted streams and yield groups sharing a pivot phrase.
+class _PivotStore:
+    """Kept pivot-target rows in a scratch file, looked up by pivot phrase.
 
-    ``sp_rows`` must be sorted by (tgt, src) and ``pt_rows`` by (src, tgt);
-    the shared key is the pivot phrase, sp target and pt source.  The
-    pivot-target stream is pulled first, so that its sort has consumed its
-    input before the source-pivot sort starts on its own.
+    ``pt_rows`` must be sorted by pivot phrase.  Each pivot's rows are one
+    pickle in the file, in the order they arrive.  The index holds no
+    Python object per pivot: two ``array('q')`` columns keep each pivot's
+    hash and record start, and an open-addressing table under two thirds
+    full keeps each pivot's number in its slot, 28 to 40 bytes per
+    distinct pivot in all.  A lookup reads the record of every slot on
+    its probe path whose hash matches and compares the record's pivot, so
+    pivots whose hashes collide still find their own rows.
 
-    The source-pivot group is ``groupby``'s lazy group, valid until the next
-    pair is pulled, so a hub pivot's source-pivot rows are never held at
-    once.  The pivot-target group is a list, already cut to ``top_n`` rows.
+    The file lives in a ``pivotsmith-sort-*`` directory under the sort's
+    scratch base, which ``close`` removes.
     """
-    sp_groups = groupby(sp_rows, key=itemgetter(1))
-    pt_groups = groupby(pt_rows, key=itemgetter(0))
-    pt_item = next(pt_groups, None)
-    sp_item = next(sp_groups, None)
-    while sp_item is not None and pt_item is not None:
-        sp_key, sp_group = sp_item
-        pt_key, pt_group = pt_item
-        if sp_key < pt_key:
-            sp_item = next(sp_groups, None)
-        elif pt_key < sp_key:
-            pt_item = next(pt_groups, None)
-        else:
-            yield sp_group, list(pt_group)
-            sp_item = next(sp_groups, None)
-            pt_item = next(pt_groups, None)
-    # The pivot-target rows after the last shared pivot are read too, so
-    # that a duplicate among them raises as it does on the hash join.
-    for _ in pt_groups:
-        pass
+
+    def __init__(self, pt_rows: Iterable[Row], tmp_base: str | None) -> None:
+        import pickle
+        from array import array
+        self._dir = tempfile.mkdtemp(prefix="pivotsmith-sort-",
+                                     dir=scratch_base(tmp_base))
+        try:
+            path = os.path.join(self._dir, "pivots")
+            hashes = array("q")
+            starts = array("q", [0])
+            with open(path, "wb") as out:
+                for pivot, group in groupby(pt_rows, key=itemgetter(0)):
+                    record = pickle.dumps(list(group), pickle.HIGHEST_PROTOCOL)
+                    out.write(record)
+                    starts.append(starts[-1] + len(record))
+                    hashes.append(_pivot_hash(pivot))
+            mask = (1 << (3 * len(hashes) // 2).bit_length()) - 1
+            slots = array("q", [-1]) * (mask + 1)
+            for number, pivot_hash in enumerate(hashes):
+                slot = pivot_hash & mask
+                while slots[slot] >= 0:
+                    slot = (slot + 1) & mask
+                slots[slot] = number
+            self._file = open(path, "rb")
+        except BaseException:
+            shutil.rmtree(self._dir, ignore_errors=True)
+            raise
+        self._hashes, self._starts, self._slots, self._mask = hashes, starts, slots, mask
+        self._loads, self._damaged = pickle.loads, (EOFError, pickle.UnpicklingError)
+
+    def get(self, pivot: tuple) -> list[Row] | None:
+        """The rows of ``pivot``, or None when it has none."""
+        pivot_hash = _pivot_hash(pivot)
+        hashes, slots, mask = self._hashes, self._slots, self._mask
+        slot = pivot_hash & mask
+        number = slots[slot]
+        while number >= 0:
+            if hashes[number] == pivot_hash:
+                start = self._starts[number]
+                self._file.seek(start)
+                try:
+                    group = self._loads(self._file.read(self._starts[number + 1] - start))
+                except self._damaged as exc:
+                    raise OSError(f"damaged pivot store in {self._dir}: {exc}") from exc
+                if group[0][0] == pivot:
+                    return group
+            slot = (slot + 1) & mask
+            number = slots[slot]
+        return None
+
+    def close(self) -> None:
+        self._file.close()
+        shutil.rmtree(self._dir, ignore_errors=True)
 
 
-def _hashed_pivot_groups(sp_rows: Iterable[Row], pt_rows: Iterable[Row],
-                         ) -> Iterator[tuple[tuple[Row], list[Row]]]:
+def _looked_up_groups(sp_rows: Iterable[Row], pt_rows: Iterable[Row],
+                      on_disk: bool, tmp_base: str | None,
+                      ) -> Iterator[tuple[tuple[Row], list[Row]]]:
     """Pair each source-pivot row with the pivot-target rows of its pivot.
 
-    ``pt_rows`` must be sorted by pivot phrase; all of them are read into
-    a dict before the first source-pivot row is read.  Source-pivot rows
-    come out in their input order, each as a group of one.
+    ``pt_rows`` must be sorted by pivot phrase; all of them are stored,
+    in a dict or with ``on_disk`` in a ``_PivotStore``, before the first
+    source-pivot row is read.  Source-pivot rows come out in their input
+    order, each as a group of one.
     """
-    by_pivot = {pivot: list(group)
-                for pivot, group in groupby(pt_rows, key=itemgetter(0))}
-    for row in sp_rows:
-        pt_group = by_pivot.get(row[1])
-        if pt_group is not None:
-            yield (row,), pt_group
+    with ExitStack() as stack:
+        if on_disk:
+            lookup = stack.enter_context(closing(_PivotStore(pt_rows, tmp_base))).get
+        else:
+            lookup = {pivot: list(group)
+                      for pivot, group in groupby(pt_rows, key=itemgetter(0))}.get
+        for row in sp_rows:
+            pt_group = lookup(row[1])
+            if pt_group is not None:
+                yield (row,), pt_group
 
 
-def _by_target_per_source(partials: Iterable[Row]) -> Iterator[Row]:
+def _by_target_per_source(partials: Iterable[Row], chunk_size: int,
+                          tmp_base: str | None) -> Iterator[Row]:
     """Stable-sort each source's run of partials by target phrase.
 
     Partials of one pair keep their relative order, ascending pivot when
-    the source's rows arrive in (source, pivot) order.
+    the source's rows arrive in (source, pivot) order.  A source's
+    partials are sorted in memory up to ``chunk_size`` of them, and
+    through the disk-backed sort beyond that.
     """
     for _, grouped in groupby(partials, key=itemgetter(0)):
-        group = list(grouped)
-        group.sort(key=itemgetter(1))
-        yield from group
+        group = list(islice(grouped, chunk_size + 1))
+        if len(group) <= chunk_size:
+            group.sort(key=_TARGET)
+            yield from drain(group)
+        else:
+            yield from ext_sorted(chain(drain(group), grouped), _TARGET,
+                                  chunk_size=chunk_size, tmp_base=tmp_base)
 
 
 def _attach_orientations(pt_rows: Iterable[Row], reo_rows: Iterable[Row],
@@ -402,15 +457,16 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
     because summed products are only defined for the shared core four.
 
     The call reads up to ``cfg.chunk_size + 1`` pivot-target rows to pick
-    the join (see the module docstring): at most ``chunk_size`` rows take
-    the hash join, more take the sort-merge join.  Either way the
+    the store (see the module docstring): at most ``chunk_size`` rows are
+    held in a dict, more go to the disk pivot store.  Either way the
     pivot-target input is read to the end before the first source-pivot
-    row, unless ``inputs_sorted`` lets the sort-merge join stream both.
+    row.
 
     ``pt_reo_rows``, reordering rows whose scores are the six orientation
-    probabilities, composes a reordering table in the same pass: each output row then has ten scores, the four core
-    scores and the six orientation probabilities of its pair, mixed over
-    shared pivots with the source-pivot forward scores as weights.
+    probabilities, composes a reordering table in the same pass: each
+    output row then has ten scores, the four core scores and the six
+    orientation probabilities of its pair, mixed over shared pivots with
+    the source-pivot forward scores as weights.
     ``min_alignment_links`` drops a pair from both at once.
 
     ``sp_reo_rows``, source-pivot reordering rows, are only checked and
@@ -418,9 +474,11 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
 
     All inputs may come in any order: each is sorted here through the
     disk-backed sort.  ``inputs_sorted`` skips the sort of the two phrase
-    tables, which must then arrive sorted by (src, tgt); the reordering
-    rows are sorted whatever it says.  A pair repeated in any input raises
-    ``TableError``.
+    tables, which must then arrive sorted by (src, tgt), and so every sort
+    of a phrase-table row: the join itself sorts only one source's
+    partials, through the disk-backed sort when they exceed a chunk.  The
+    reordering rows are sorted whatever it says.  A pair repeated in any
+    input raises ``TableError``.
     """
     # Imported here, so that filter and estimate-size do not load logging.
     import logging
@@ -444,13 +502,13 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
                     " but unused by the pivot mixture", n_entries)
     pt_rest = iter(pt_rows)
     probe = list(islice(pt_rest, cfg.chunk_size + 1))
-    hash_join = len(probe) <= cfg.chunk_size
-    if hash_join:
+    on_disk = len(probe) > cfg.chunk_size
+    if on_disk:
+        logger.info("pivot-target table exceeds one sort chunk (over %d rows):"
+                    " disk pivot store", cfg.chunk_size)
+    else:
         logger.info("pivot-target table fits one sort chunk (%d rows): hash join",
                     len(probe))
-    else:
-        logger.info("pivot-target table exceeds one sort chunk (over %d rows):"
-                    " sort-merge join", cfg.chunk_size)
     # Draining hands each probed row to the pivot-target sort, so the probe
     # buffer does not stay alive beside the sort's own chunk.
     pt_rows = chain(drain(probe), pt_rest)
@@ -463,12 +521,8 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
                            pt_extras)
     if pt_reo_rows is not None:
         pt_kept = _attach_orientations(pt_kept, sort(pt_reo_rows, _BY_SRC_TGT))
-    if hash_join:
-        groups = _hashed_pivot_groups(sp_kept, pt_kept)
-        partials = _by_target_per_source(_iter_join(groups))
-    else:
-        groups = _paired_pivot_groups(sort(sp_kept, _BY_PIVOT_SRC), pt_kept)
-        partials = sort(_iter_join(groups), _BY_SRC_TGT)
+    groups = _looked_up_groups(sp_kept, pt_kept, on_disk, cfg.tmpdir)
+    partials = _by_target_per_source(_iter_join(groups), cfg.chunk_size, cfg.tmpdir)
     return _iter_reduce(partials, cfg.min_alignment_links,
                         reordering=pt_reo_rows is not None)
 

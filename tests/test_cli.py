@@ -78,6 +78,19 @@ class TestPivotCommand:
         write_phrase_table(pivot_compose(sp, pt), expected)
         assert out_path.read_text() == expected.getvalue()
 
+    @pytest.mark.parametrize("flag", ["--weights-sp", "--weights-pt"])
+    def test_incomplete_weights_name_their_flag_and_file(self, toy_files, capsys,
+                                                         flag):
+        _, _, sp_path, pt_path, tmp_path = toy_files
+        weights = tmp_path / "w.cfg"
+        weights.write_text("phi_fwd = 1\nphi_bwd = 1\nlex_fwd = 1\n")
+        out_path = tmp_path / "out.txt"
+        assert main(["pivot", "--sp", sp_path, "--pt", pt_path, "-o", str(out_path),
+                     flag, str(weights)]) == 1
+        assert f"pivotsmith: error: {flag} {weights}: no weight configured" \
+            " for feature 'lex_bwd'" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_reruns_are_byte_identical(self, toy_files):
         _, _, sp_path, pt_path, tmp_path = toy_files
         outputs = []
@@ -188,7 +201,7 @@ class TestPivotCommand:
         assert [(e.src, e.tgt) for e in composed] == sorted(want)
 
     @pytest.mark.parametrize("chunk, join", [
-        (None, "hash join"), ("3", "sort-merge join"),
+        (None, "hash join"), ("3", "disk pivot store"),
     ], ids=["hash", "sort-merge"])
     def test_reordering_out_bytes_are_the_single_row_formats(
             self, tmp_path, caplog, chunk, join):
@@ -454,7 +467,8 @@ class TestFilterCommand:
         weights.write_text("phi_fwd = 1.0\n")
         assert main(["filter", "-i", pt_path, "--top-n", "1",
                      "--weights", str(weights)]) == 1
-        assert "no weight configured" in capsys.readouterr().err
+        assert f"pivotsmith: error: --weights {weights}: no weight configured" \
+            " for feature 'lex_fwd'" in capsys.readouterr().err
 
 
 MORPH_SRC_CORPUS = (
@@ -592,6 +606,23 @@ class TestMorphCommands:
         out = capsys.readouterr().out
         assert "total: 13 pairs" in out
 
+    @pytest.mark.parametrize("command", ["rules-check", "annotate"])
+    def test_unknown_feature_in_rules_file_names_its_line(self, morph_files, capsys,
+                                                          command):
+        tmp_path, src_lex, tgt_lex = morph_files
+        rules = tmp_path / "rules.tsv"
+        rules.write_text("gen\tA\tB\nbogus\tA\tB\n", encoding="utf-8")
+        argv = [command, "--rules", str(rules)]
+        if command == "annotate":
+            tbl = tmp_path / "table.txt"
+            tbl.write_text("sa ||| ta ||| 1 1 1 1 ||| 0-0\n", encoding="utf-8")
+            argv += ["-i", str(tbl), "--kind", "rules",
+                     "--src-lex", str(src_lex), "--tgt-lex", str(tgt_lex)]
+        assert main(argv + ["-o", str(tmp_path / "out.txt")]) == 1
+        assert "pivotsmith: error: line 2: unknown feature 'bogus', expected one of" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out.txt").exists()
+
     def test_rules_check_unknown_feature_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["rules-check", "--pair", "gen", "Feminine", "Both",
@@ -647,6 +678,19 @@ class TestCombineCommand:
 
 
 class TestDecodeAndBleu:
+    def test_incomplete_weights_name_their_flag_and_file(self, tmp_path, capsys):
+        tbl = tmp_path / "t.txt"
+        tbl.write_text("a ||| A ||| 1 1 1 1 |||\n")
+        inp = tmp_path / "in.txt"
+        inp.write_text("a\n")
+        weights = tmp_path / "w.cfg"
+        weights.write_text("phi_fwd = 1\nphi_bwd = 1\nlex_fwd = 1\n")
+        assert main(["decode", "--table", str(tbl), "--input", str(inp),
+                     "--weights", str(weights), "-o", str(tmp_path / "out.txt")]) == 1
+        assert f"pivotsmith: error: --weights {weights}: no weight configured" \
+            " for feature 'lex_bwd'" in capsys.readouterr().err
+        assert not (tmp_path / "out.txt").exists()
+
     def test_decode_to_file(self, tmp_path):
         tbl = tmp_path / "t.txt"
         tbl.write_text("a ||| A ||| 1 1 1 1 |||\n"

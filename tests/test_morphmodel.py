@@ -177,6 +177,10 @@ class TestRules:
         with pytest.raises(TableError, match="unknown feature"):
             load_rules(["case\tNom\tNom\n"])
 
+    def test_unknown_feature_names_its_line(self):
+        with pytest.raises(TableError, match="^line 2: unknown feature 'bogus', "):
+            load_rules(["gen\tA\tB\n", "bogus\tA\tB\n"])
+
     def test_duplicate_rule_rejected(self):
         with pytest.raises(TableError, match="duplicate rule"):
             load_rules(["gen\tA\tB\n", "gen\tA\tB\n"])

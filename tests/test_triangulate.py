@@ -397,8 +397,9 @@ class TestStreaming:
     @pytest.mark.parametrize("reordering,min_links", [(False, 0), (True, 0), (True, 2)],
                              ids=["core", "reordering", "reordering-min-links-2"])
     def test_tiny_chunks_do_not_change_results(self, chunk, reordering, min_links):
-        # A chunk of exactly the pivot-target rows takes the hash join, one
-        # row less the sort-merge join; both must match the oracle to the bit.
+        # A chunk of exactly the pivot-target rows keeps them in a dict, one
+        # row less in the disk pivot store; both must match the oracle to the
+        # bit.
         rng = random.Random(78)
         sp, pt, pt_reo = random_pivot_triple(rng)
         chunk_size = {"pt-rows": len(pt), "pt-rows-less-1": len(pt) - 1}.get(chunk, chunk)
@@ -416,7 +417,7 @@ class TestStreaming:
             assert {(src, tgt): scores[4:] for src, tgt, scores, _ in rows} == \
                 oracle_reordering(sp, pt, pt_reo, min_links)
 
-    @pytest.mark.parametrize("extra_rows,sorts", [(0, 2), (1, 4)], ids=["hash", "merge"])
+    @pytest.mark.parametrize("extra_rows,sorts", [(0, 2), (1, 2)], ids=["hash", "merge"])
     def test_join_path_sort_count_and_read_order(self, monkeypatch, extra_rows, sorts):
         rng = random.Random(79)
         sp, pt, _ = random_pivot_triple(rng)
@@ -442,7 +443,7 @@ class TestStreaming:
 
     @pytest.mark.parametrize("chunk,message", [
         (None, "pivot-target table fits one sort chunk ({n} rows): hash join"),
-        ("2", "pivot-target table exceeds one sort chunk (over 2 rows): sort-merge join"),
+        ("2", "pivot-target table exceeds one sort chunk (over 2 rows): disk pivot store"),
     ], ids=["hash", "merge"])
     def test_verbose_names_the_join_path_and_keeps_the_bytes(
             self, tmp_path, caplog, chunk, message):
@@ -463,6 +464,74 @@ class TestStreaming:
         assert (tmp_path / "verbose.txt").read_bytes() == \
             (tmp_path / "quiet.txt").read_bytes()
 
+
+
+class TestPivotStore:
+    """The disk pivot store that a pivot-target table over one chunk takes."""
+
+    @pytest.mark.parametrize("reordering", [False, True], ids=["core", "reordering"])
+    def test_every_hash_colliding_matches_the_oracle(self, monkeypatch, reordering):
+        # One hash for every pivot: each lookup walks the probe path and
+        # must pick its own pivot's record, or none, by comparing pivots.
+        hashed = []
+
+        def one_hash(pivot):
+            hashed.append(pivot)
+            return -3
+        monkeypatch.setattr(triangulate, "_pivot_hash", one_hash)
+        rng = random.Random(81)
+        sp, pt, pt_reo = random_pivot_triple(rng)
+        sp = table([*sp, entry("lone", "nowhere")])
+        rows = list(compose_rows(
+            shuffled_rows(rng, sp), (), shuffled_rows(rng, pt), (),
+            PivotConfig(chunk_size=len(pt) - 1),
+            pt_reo_rows=reorder_rows(pt_reo) if reordering else None))
+        assert ("nowhere",) in hashed
+        want = oracle_compose(sp, pt)
+        assert {(src, tgt): (scores[:4], frozenset(align))
+                for src, tgt, scores, align in rows} == want
+        assert [row[:2] for row in rows] == sorted(want)
+        if reordering:
+            assert {(src, tgt): scores[4:] for src, tgt, scores, _ in rows} == \
+                oracle_reordering(sp, pt, pt_reo, 0)
+
+    @pytest.mark.parametrize("end", ["exhausted", "closed", "failed"])
+    def test_its_directory_goes_when_the_stream_ends(self, tmp_path, end):
+        sp_rows = [((f"s{i}",), ("p",), (0.5,) * 4, ((0, 0),)) for i in range(6)]
+        if end == "failed":
+            sp_rows.append(sp_rows[-1])
+        # Four rows over one chunk, but only two partials per source, which
+        # the per-source sort then holds in memory.
+        pt_rows = [((pivot,), (f"t{k}",), (0.25,) * 4, ((0, 0),))
+                   for pivot in ("p", "q") for k in range(2)]
+        rows = compose_rows(sp_rows, (), pt_rows, (),
+                            PivotConfig(chunk_size=3, tmpdir=str(tmp_path)),
+                            inputs_sorted=True)
+        next(rows)
+        [store] = tmp_path.iterdir()
+        assert store.name.startswith("pivotsmith-sort-")
+        assert [path.name for path in store.iterdir()] == ["pivots"]
+        if end == "closed":
+            rows.close()
+        elif end == "failed":
+            with pytest.raises(TableError, match="duplicate entry in source-pivot"):
+                list(rows)
+        else:
+            assert len(list(rows)) == 6 * 2 - 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_damaged_record_is_an_os_error(self, tmp_path):
+        pt_rows = [((f"p{i}",), ("t",), (0.5,) * 4, ((0, 0),)) for i in range(3)]
+        store = triangulate._PivotStore(iter(pt_rows), str(tmp_path))
+        try:
+            [path] = tmp_path.glob("pivotsmith-sort-*/pivots")
+            path.write_bytes(path.read_bytes()[:-5])
+            with pytest.raises(OSError, match="damaged pivot store in .*pivotsmith-sort-"):
+                store.get(("p2",))
+            assert store.get(("q",)) is None
+        finally:
+            store.close()
+        assert list(tmp_path.iterdir()) == []
 
 
 def _row(src: str, tgt: str, scores, align=((0, 0),)):
@@ -525,7 +594,8 @@ class TestReduceEdges:
 
 def _write_hub_pair(dirpath, sources):
     """`sources` source phrases that all share the pivot `the`, and enough
-    other pivot-target rows that the join cannot be a hash join."""
+    other pivot-target rows that the join keeps them in the disk pivot
+    store."""
     sp_path = dirpath / f"sp_hub{sources}.txt"
     pt_path = dirpath / f"pt_hub{sources}.txt"
     share = f"{1 / sources:.6g}"
@@ -539,8 +609,9 @@ def _write_hub_pair(dirpath, sources):
 
 
 def test_hub_pivot_peak_rss_does_not_follow_the_hub_size(tmp_path):
-    # On the sort-merge join a pivot's source-pivot rows stream past its
-    # pivot-target rows, so a four times larger hub needs no more memory.
+    # Each source-pivot row looks its pivot's rows up in the disk pivot
+    # store as it streams past, so a four times larger hub needs no more
+    # memory.
     scratch = tmp_path / "scratch"
     scratch.mkdir()
     peaks = []
@@ -745,6 +816,34 @@ def random_pivot_triple(rng: random.Random):
     return sp, pt, pt_reo
 
 
+def test_one_source_joined_rows_peak_rss_does_not_follow_top_n_squared(tmp_path):
+    # One source phrase joins n pivots of n targets each into n * n rows.
+    # Past one chunk they go through the disk-backed sort, so four times
+    # as many need no more memory.
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    peaks = []
+    for n in (100, 200):
+        share = f"{1 / n:.6g}"
+        sp, pt = tmp_path / f"sp{n}.txt", tmp_path / f"pt{n}.txt"
+        sp.write_text("".join(f"s ||| p{i} ||| {share} {share} {share} {share}"
+                              f" ||| 0-0\n" for i in range(n)), encoding="utf-8")
+        pt.write_text("".join(f"p{i} ||| t{k} ||| {share} {share} {share} {share}"
+                              f" ||| 0-0\n" for i in range(n) for k in range(n)),
+                      encoding="utf-8")
+        out = tmp_path / "out.txt"
+        _, _, peak_kb = run_measured(scratch, "pivot", "--sp", sp, "--pt", pt,
+                                     "-o", out, "--top-n", str(n),
+                                     "--chunk-size", "1000")
+        if peak_kb < 0:
+            pytest.skip("VmHWM is read from /proc/self/status")
+        with open(out, encoding="utf-8") as stream:
+            assert sum(1 for _ in stream) == n
+        assert list(scratch.iterdir()) == []
+        peaks.append(peak_kb)
+    assert abs(peaks[1] - peaks[0]) < 4 * 1024, f"peaks {peaks} KB"
+
+
 class TestEstimate:
     def test_counts_pair_combinations(self):
         sp = table([entry("a", "x"), entry("b", "x"), entry("c", "y")])
@@ -879,7 +978,7 @@ class TestReorderingPivot:
 
     @pytest.mark.parametrize("chunk_size", [100, 4], ids=["hash", "merge"])
     def test_pivot_target_rows_are_read_before_the_reordering_rows(self, chunk_size):
-        # On the sort-merge join the probe list, chunk_size + 1 pivot-target
+        # On the disk pivot store the probe list, chunk_size + 1 pivot-target
         # rows, lives until the pivot-target sort has read its input, so the
         # reordering sort must not fill its chunk before that.
         pulls = []
