@@ -34,7 +34,8 @@ import os
 import stat
 import sys
 from contextlib import ExitStack, contextmanager, suppress
-from typing import Iterator, TextIO
+from itertools import chain
+from typing import Iterable, Iterator, TextIO
 
 from . import __version__
 from .tablecore import (
@@ -99,13 +100,25 @@ def __getattr__(name: str):
 HIST_BINS = 10
 
 
+def _name(path: str) -> str:
+    """The file at ``path`` as messages name it."""
+    return "stdin" if path == "-" else path
+
+
 @contextmanager
-def _open_in(path: str) -> Iterator[TextIO]:
-    if path == "-":
-        yield sys.stdin
-        return
-    with open(path, "r", encoding="utf-8") as stream:
-        yield stream
+def _open_in(path: str) -> Iterator[Iterable[str]]:
+    """The lines of the file at ``path``, stdin for ``-``.
+
+    A leading byte-order mark is a data error: read as UTF-8 it would
+    stick to the first field.
+    """
+    with ExitStack() as stack:
+        stream = (sys.stdin if path == "-"
+                  else stack.enter_context(open(path, "r", encoding="utf-8")))
+        first = stream.readline()
+        if first.startswith("\ufeff"):
+            raise TableError(f"{_name(path)}: line 1: starts with a byte-order mark")
+        yield chain((first,), stream) if first else stream
 
 
 @contextmanager
@@ -437,6 +450,10 @@ def cmd_bleu(args: argparse.Namespace) -> int:
             raise TableError(
                 f"reference file {path!r} has {len(columns[-1])} sentences,"
                 f" expected {len(columns[0])}")
+    if len(hypotheses) != len(columns[0]):
+        raise TableError(
+            f"--hyp {_name(args.hyp)} has {len(hypotheses)} sentences,"
+            f" --ref {_name(args.ref[0])} has {len(columns[0])}")
     result = bleu4_report(hypotheses, list(zip(*columns)))
     with _open_out(args.output) as out:
         out.write(f"BLEU = {result.bleu:.6f}\n")

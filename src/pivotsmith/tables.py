@@ -38,13 +38,11 @@ from .tablecore import (
     _check_scores,
     _checked_manifest,
     check_phrase,
-    loglinear_score,
     ordered_map,
     read_reordering_rows,
     read_rows,
     sort_reordering_rows,
     sort_table_rows,
-    weight_vector,
     write_lines,
     write_rows,
 )
@@ -172,12 +170,6 @@ def parse_phrase_table(lines: Iterable[str]) -> PhraseTable:
 
 def write_phrase_table(table: PhraseTable, stream: TextIO) -> None:
     write_rows(map(entry_to_row, table), stream, table.extras_names)
-
-
-def score_entry(entry: PhraseEntry, manifest: Sequence[str],
-                weights: LogLinearWeights | None = None) -> float:
-    """Weighted sum of log feature values with a floor to keep logs finite."""
-    return loglinear_score(entry.scores.values(), weight_vector(manifest, weights))
 
 
 # --- lexicalized reordering tables ------------------------------------------

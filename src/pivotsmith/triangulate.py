@@ -21,9 +21,10 @@ on the size of the pivot-target table, and both give the same output to
 the bit:
 
 * at most one sort chunk of pivot-target rows: a dict of row lists.
-* more rows: ``_PivotStore``, one scratch file of pickled pivot groups
-  indexed in memory by the hash of the pivot phrase, 28 to 40 bytes per
-  distinct pivot.  A lookup reads one group from the file.
+* more rows: ``_PivotStore``, one unnamed scratch file of pickled pivot
+  groups indexed in memory by the hash of the pivot phrase, 28 to 40
+  bytes per distinct pivot.  A lookup reads one group from the file,
+  and the file goes with the process however the process ends.
 
 Memory holds the store, one chunk of the source-pivot sort and up to one
 chunk of one source's partials; a source with more partials, at most
@@ -38,8 +39,6 @@ Everything here runs on raw rows; ``pivotsmith.tables`` runs it over
 from __future__ import annotations
 
 import heapq
-import os
-import shutil
 import tempfile
 from contextlib import ExitStack, closing
 from itertools import chain, groupby, islice
@@ -221,25 +220,25 @@ class _PivotStore:
     its probe path whose hash matches and compares the record's pivot, so
     pivots whose hashes collide still find their own rows.
 
-    The file lives in a ``pivotsmith-sort-*`` directory under the sort's
-    scratch base, which ``close`` removes.
+    The file is a ``tempfile.TemporaryFile`` under the sort's scratch
+    base, written and read through one handle.  It has no name on Linux,
+    so it goes with the process however the process ends; ``close``
+    frees it at once.
     """
 
     def __init__(self, pt_rows: Iterable[Row], tmp_base: str | None) -> None:
         import pickle
         from array import array
-        self._dir = tempfile.mkdtemp(prefix="pivotsmith-sort-",
-                                     dir=scratch_base(tmp_base))
+        self._base = scratch_base(tmp_base) or tempfile.gettempdir()
+        self._file = tempfile.TemporaryFile(dir=self._base)
         try:
-            path = os.path.join(self._dir, "pivots")
             hashes = array("q")
             starts = array("q", [0])
-            with open(path, "wb") as out:
-                for pivot, group in groupby(pt_rows, key=itemgetter(0)):
-                    record = pickle.dumps(list(group), pickle.HIGHEST_PROTOCOL)
-                    out.write(record)
-                    starts.append(starts[-1] + len(record))
-                    hashes.append(_pivot_hash(pivot))
+            for pivot, group in groupby(pt_rows, key=itemgetter(0)):
+                record = pickle.dumps(list(group), pickle.HIGHEST_PROTOCOL)
+                self._file.write(record)
+                starts.append(starts[-1] + len(record))
+                hashes.append(_pivot_hash(pivot))
             mask = (1 << (3 * len(hashes) // 2).bit_length()) - 1
             slots = array("q", [-1]) * (mask + 1)
             for number, pivot_hash in enumerate(hashes):
@@ -247,9 +246,8 @@ class _PivotStore:
                 while slots[slot] >= 0:
                     slot = (slot + 1) & mask
                 slots[slot] = number
-            self._file = open(path, "rb")
         except BaseException:
-            shutil.rmtree(self._dir, ignore_errors=True)
+            self._file.close()
             raise
         self._hashes, self._starts, self._slots, self._mask = hashes, starts, slots, mask
         self._loads, self._damaged = pickle.loads, (EOFError, pickle.UnpicklingError)
@@ -267,7 +265,7 @@ class _PivotStore:
                 try:
                     group = self._loads(self._file.read(self._starts[number + 1] - start))
                 except self._damaged as exc:
-                    raise OSError(f"damaged pivot store in {self._dir}: {exc}") from exc
+                    raise OSError(f"damaged pivot store in {self._base}: {exc}") from exc
                 if group[0][0] == pivot:
                     return group
             slot = (slot + 1) & mask
@@ -276,29 +274,6 @@ class _PivotStore:
 
     def close(self) -> None:
         self._file.close()
-        shutil.rmtree(self._dir, ignore_errors=True)
-
-
-def _looked_up_groups(sp_rows: Iterable[Row], pt_rows: Iterable[Row],
-                      on_disk: bool, tmp_base: str | None,
-                      ) -> Iterator[tuple[tuple[Row], list[Row]]]:
-    """Pair each source-pivot row with the pivot-target rows of its pivot.
-
-    ``pt_rows`` must be sorted by pivot phrase; all of them are stored,
-    in a dict or with ``on_disk`` in a ``_PivotStore``, before the first
-    source-pivot row is read.  Source-pivot rows come out in their input
-    order, each as a group of one.
-    """
-    with ExitStack() as stack:
-        if on_disk:
-            lookup = stack.enter_context(closing(_PivotStore(pt_rows, tmp_base))).get
-        else:
-            lookup = {pivot: list(group)
-                      for pivot, group in groupby(pt_rows, key=itemgetter(0))}.get
-        for row in sp_rows:
-            pt_group = lookup(row[1])
-            if pt_group is not None:
-                yield (row,), pt_group
 
 
 def _by_target_per_source(partials: Iterable[Row], chunk_size: int,
@@ -348,22 +323,31 @@ def _attach_orientations(pt_rows: Iterable[Row], reo_rows: Iterable[Row],
         pass
 
 
-def _iter_join(groups: Iterable[tuple[Iterable[Row], Sequence[Row]]],
-               ) -> Iterator[Row]:
-    """Emit one partial product row per entry pair of each pivot group.
+def _iter_join(sp_rows: Iterable[Row], pt_rows: Iterable[Row], on_disk: bool,
+               tmp_base: str | None) -> Iterator[Row]:
+    """Emit one partial product row per pair of rows sharing a pivot phrase.
 
-    ``groups`` yields (source-pivot rows, pivot-target rows) sharing one
-    pivot phrase.  The source-pivot rows are walked once, in order; the
-    pivot-target rows once per source-pivot row.  When the pivot-target
-    rows carry orientation probabilities, the partial carries them too,
-    after the source-pivot forward score that weights them.  Both are
-    shared references: ``_iter_reduce`` multiplies them, so a partial holds
-    four new floats, not ten.
+    ``pt_rows`` must be sorted by pivot phrase; all of them are stored,
+    in a dict or with ``on_disk`` in a ``_PivotStore``, before the first
+    source-pivot row is read, and the store is closed when the stream
+    ends, fails or is closed.  The source-pivot rows are walked once, in
+    order, each with the pivot-target rows of its pivot in their sorted
+    order.  When the pivot-target rows carry orientation probabilities,
+    the partial carries them too, after the source-pivot forward score
+    that weights them.  Both are shared references: ``_iter_reduce``
+    multiplies them, so a partial holds four new floats, not ten.
     """
-    for sp_group, pt_group in groups:
-        oriented = len(pt_group[0][2]) > 4
-        for src, _, (f0, f1, f2, f3), a_sp in sp_group:
-            if oriented:
+    with ExitStack() as stack:
+        if on_disk:
+            lookup = stack.enter_context(closing(_PivotStore(pt_rows, tmp_base))).get
+        else:
+            lookup = {pivot: list(group)
+                      for pivot, group in groupby(pt_rows, key=itemgetter(0))}.get
+        for src, pivot, (f0, f1, f2, f3), a_sp in sp_rows:
+            pt_group = lookup(pivot)
+            if pt_group is None:
+                continue
+            if len(pt_group[0][2]) > 4:
                 for _, tgt, g, a_pt in pt_group:
                     yield (src, tgt,
                            (f0 * g[0], f1 * g[1], f2 * g[2], f3 * g[3], f0) + g[4:],
@@ -457,8 +441,9 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
     because summed products are only defined for the shared core four.
 
     The call reads up to ``cfg.chunk_size + 1`` pivot-target rows to pick
-    the store (see the module docstring): at most ``chunk_size`` rows are
-    held in a dict, more go to the disk pivot store.  Either way the
+    the store that ``_iter_join`` builds (see the module docstring): at
+    most ``chunk_size`` rows are held in a dict, more go to the disk pivot
+    store, an unnamed file in the sort's scratch location.  Either way the
     pivot-target input is read to the end before the first source-pivot
     row.
 
@@ -507,8 +492,8 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
         logger.info("pivot-target table exceeds one sort chunk (over %d rows):"
                     " disk pivot store", cfg.chunk_size)
     else:
-        logger.info("pivot-target table fits one sort chunk (%d rows): hash join",
-                    len(probe))
+        logger.info("pivot-target table fits one sort chunk (%d rows):"
+                    " in-memory pivot store", len(probe))
     # Draining hands each probed row to the pivot-target sort, so the probe
     # buffer does not stay alive beside the sort's own chunk.
     pt_rows = chain(drain(probe), pt_rest)
@@ -521,8 +506,8 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
                            pt_extras)
     if pt_reo_rows is not None:
         pt_kept = _attach_orientations(pt_kept, sort(pt_reo_rows, _BY_SRC_TGT))
-    groups = _looked_up_groups(sp_kept, pt_kept, on_disk, cfg.tmpdir)
-    partials = _by_target_per_source(_iter_join(groups), cfg.chunk_size, cfg.tmpdir)
+    partials = _by_target_per_source(
+        _iter_join(sp_kept, pt_kept, on_disk, cfg.tmpdir), cfg.chunk_size, cfg.tmpdir)
     return _iter_reduce(partials, cfg.min_alignment_links,
                         reordering=pt_reo_rows is not None)
 

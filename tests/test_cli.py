@@ -201,7 +201,7 @@ class TestPivotCommand:
         assert [(e.src, e.tgt) for e in composed] == sorted(want)
 
     @pytest.mark.parametrize("chunk, join", [
-        (None, "hash join"), ("3", "disk pivot store"),
+        (None, "in-memory pivot store"), ("3", "disk pivot store"),
     ], ids=["hash", "sort-merge"])
     def test_reordering_out_bytes_are_the_single_row_formats(
             self, tmp_path, caplog, chunk, join):
@@ -802,7 +802,19 @@ class TestDecodeAndBleu:
         ref.write_text("a\n")
         assert main(["bleu", "--hyp", str(hyp), "--ref", str(ref)]) == 1
         assert capsys.readouterr().err == (
-            "pivotsmith: error: 2 hypotheses against 1 reference sets\n")
+            f"pivotsmith: error: --hyp {hyp} has 2 sentences, --ref {ref} has 1\n")
+
+    def test_bleu_count_mismatch_names_stdin_and_the_first_reference(
+            self, tmp_path, capsys, monkeypatch):
+        refs = [tmp_path / "r1.txt", tmp_path / "r2.txt"]
+        for ref in refs:
+            ref.write_text("a\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO("a\nb\n"))
+        assert main(["bleu", "--hyp", "-", "--ref", str(refs[0]),
+                     "--ref", str(refs[1]), "-o", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"pivotsmith: error: --hyp stdin has 2 sentences, --ref {refs[0]} has 1\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestStatsAndEstimate:
@@ -1149,3 +1161,33 @@ def test_a_superscript_digit_is_a_data_error_with_its_line(tmp_path, capsys, com
         message = "bad count '²'"
     assert main(argv) == 1
     assert capsys.readouterr().err == f"pivotsmith: error: line 2: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["stats", "pivot", "decode", "lexicon", "bleu"])
+def test_a_leading_byte_order_mark_is_a_data_error_on_line_1(tmp_path, capsys,
+                                                             monkeypatch, command):
+    # Read as UTF-8, U+FEFF would stick to the first source phrase, word or
+    # token; lexicon reads it from stdin.
+    table_line = "a ||| b ||| 1 1 1 1 ||| 0-0\n"
+    table_path = tmp_path / "t.txt"
+    table_path.write_text(table_line, encoding="utf-8")
+    sentences = tmp_path / "s.txt"
+    sentences.write_text("a\n", encoding="utf-8")
+    first_line = {"stats": table_line, "pivot": table_line,
+                  "lexicon": "w\tN\tM\tS\tNA\n"}.get(command, "a\n")
+    marked = tmp_path / "bom.txt"
+    marked.write_text("\ufeff" + first_line, encoding="utf-8")
+    argv = {"stats": ["stats", "-i", str(marked)],
+            "pivot": ["pivot", "--sp", str(marked), "--pt", str(table_path)],
+            "decode": ["decode", "--table", str(table_path), "--input", str(marked)],
+            "lexicon": ["lexicon", "-i", "-"],
+            "bleu": ["bleu", "--hyp", str(marked), "--ref", str(sentences)]}[command]
+    name = str(marked)
+    if command == "lexicon":
+        monkeypatch.setattr("sys.stdin", io.StringIO(marked.read_text(encoding="utf-8")))
+        name = "stdin"
+    out = tmp_path / "out.txt"
+    assert main(argv + ["-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"pivotsmith: error: {name}: line 1: starts with a byte-order mark\n")
+    assert not out.exists()

@@ -26,7 +26,12 @@ from pivotsmith.evalkit import (
 )
 from pivotsmith.features import connectivity_scores, induced_morph_scores
 from pivotsmith.morphmodel import FcModel, MorphLexicon
-from pivotsmith.tablecore import ORIGIN_PREFIX, TableError
+from pivotsmith.tablecore import (
+    ORIGIN_PREFIX,
+    TableError,
+    loglinear_score,
+    weight_vector,
+)
 from pivotsmith.tables import (
     PhraseEntry,
     PhraseTable,
@@ -37,7 +42,6 @@ from pivotsmith.tables import (
     decode_corpus,
     entry_to_row,
     parse_phrase_table,
-    score_entry,
     write_phrase_table,
 )
 
@@ -118,7 +122,8 @@ def oracle_index(tbl: PhraseTable, cfg: DecodeConfig):
     best = {}
     for e in tbl:
         if len(e.src) <= cfg.max_phrase_len:
-            score = score_entry(e, tbl.manifest, cfg.weights)
+            score = loglinear_score(e.scores.values(),
+                                    weight_vector(tbl.manifest, cfg.weights))
             best.setdefault(e.src, []).append((-score, e.tgt))
     return {src: (-min(options)[0], min(options)[1]) for src, options in best.items()}
 

@@ -6,6 +6,7 @@ import io
 import logging
 import math
 import random
+import re
 
 import pytest
 
@@ -442,7 +443,8 @@ class TestStreaming:
         assert reads == ["pt"] * len(pt) + ["sp"] * len(sp)
 
     @pytest.mark.parametrize("chunk,message", [
-        (None, "pivot-target table fits one sort chunk ({n} rows): hash join"),
+        (None, "pivot-target table fits one sort chunk ({n} rows):"
+               " in-memory pivot store"),
         ("2", "pivot-target table exceeds one sort chunk (over 2 rows): disk pivot store"),
     ], ids=["hash", "merge"])
     def test_verbose_names_the_join_path_and_keeps_the_bytes(
@@ -496,7 +498,15 @@ class TestPivotStore:
                 oracle_reordering(sp, pt, pt_reo, 0)
 
     @pytest.mark.parametrize("end", ["exhausted", "closed", "failed"])
-    def test_its_directory_goes_when_the_stream_ends(self, tmp_path, end):
+    def test_it_leaves_no_scratch_when_the_stream_ends(self, monkeypatch, tmp_path,
+                                                       end):
+        stores = []
+
+        class Recorded(triangulate._PivotStore):
+            def __init__(self, *args):
+                super().__init__(*args)
+                stores.append(self)
+        monkeypatch.setattr(triangulate, "_PivotStore", Recorded)
         sp_rows = [((f"s{i}",), ("p",), (0.5,) * 4, ((0, 0),)) for i in range(6)]
         if end == "failed":
             sp_rows.append(sp_rows[-1])
@@ -508,9 +518,11 @@ class TestPivotStore:
                             PivotConfig(chunk_size=3, tmpdir=str(tmp_path)),
                             inputs_sorted=True)
         next(rows)
-        [store] = tmp_path.iterdir()
-        assert store.name.startswith("pivotsmith-sort-")
-        assert [path.name for path in store.iterdir()] == ["pivots"]
+        [store] = stores
+        assert store._base == str(tmp_path)
+        assert not store._file.closed
+        # The open store's file has no name in the scratch base.
+        assert list(tmp_path.iterdir()) == []
         if end == "closed":
             rows.close()
         elif end == "failed":
@@ -518,20 +530,22 @@ class TestPivotStore:
                 list(rows)
         else:
             assert len(list(rows)) == 6 * 2 - 1
+        assert store._file.closed
         assert list(tmp_path.iterdir()) == []
 
     def test_damaged_record_is_an_os_error(self, tmp_path):
         pt_rows = [((f"p{i}",), ("t",), (0.5,) * 4, ((0, 0),)) for i in range(3)]
         store = triangulate._PivotStore(iter(pt_rows), str(tmp_path))
         try:
-            [path] = tmp_path.glob("pivotsmith-sort-*/pivots")
-            path.write_bytes(path.read_bytes()[:-5])
-            with pytest.raises(OSError, match="damaged pivot store in .*pivotsmith-sort-"):
+            assert list(tmp_path.iterdir()) == []
+            store._file.truncate(store._file.seek(0, io.SEEK_END) - 5)
+            with pytest.raises(OSError, match="damaged pivot store in "
+                               + re.escape(f"{tmp_path}: ")):
                 store.get(("p2",))
             assert store.get(("q",)) is None
         finally:
             store.close()
-        assert list(tmp_path.iterdir()) == []
+        assert store._file.closed
 
 
 def _row(src: str, tgt: str, scores, align=((0, 0),)):
