@@ -3,7 +3,9 @@
 One subcommand per pipeline stage.  Commands read stdin and write stdout
 when file flags are omitted, and ``-`` names either on any file flag.
 They exit 2 on usage errors, and 1 on data errors with the offending line
-number in the message.  Nothing here uses
+number in the message.  The message also names the file (``stdin`` for
+``-``), as in ``pivotsmith: error: pt.txt: line 3: ...``, except for the
+corpora of ``lexicon`` and ``fc-train``.  Nothing here uses
 randomness and every command runs its work in one thread, so reruns are
 byte-identical.  ``--threads`` on ``annotate`` and ``decode`` is accepted
 for compatibility and has no effect.  A command may read stdin for at
@@ -184,9 +186,13 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _load(path: str, loader):
-    """``loader`` run on the file at ``path``, stdin for ``-``."""
+    """``loader`` run on the file at ``path``, stdin for ``-``; its data
+    errors name the file."""
     with _open_in(path) as stream:
-        return loader(stream)
+        try:
+            return loader(stream)
+        except TableError as exc:
+            raise exc.in_file(_name(path)) from None
 
 
 def _load_weights(path: str | None) -> LogLinearWeights | None:
@@ -272,10 +278,13 @@ def cmd_pivot(args: argparse.Namespace) -> int:
         chunk_size=args.chunk_size)
     with ExitStack() as stack:
         pt_reo, sp_reo = (None if path is None else
-                          read_reordering_rows(stack.enter_context(_open_in(path)))
+                          read_reordering_rows(stack.enter_context(_open_in(path)),
+                                               _name(path))
                           for path in (args.reordering_pt, args.reordering_sp))
-        sp_extras, sp_rows = read_rows(stack.enter_context(_open_in(args.sp)))
-        pt_extras, pt_rows = read_rows(stack.enter_context(_open_in(args.pt)))
+        sp_extras, sp_rows = read_rows(stack.enter_context(_open_in(args.sp)),
+                                       _name(args.sp))
+        pt_extras, pt_rows = read_rows(stack.enter_context(_open_in(args.pt)),
+                                       _name(args.pt))
         _check_weights("--weights-sp", args.weights_sp, cfg.weights_sp, sp_extras)
         _check_weights("--weights-pt", args.weights_pt, cfg.weights_pt, pt_extras)
         out = stack.enter_context(_open_out(args.output))
@@ -294,7 +303,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
     _check_stdin([args.input, args.weights])
     weights = _load_weights(args.weights)
     with _open_in(args.input) as stream, _open_out(args.output) as out:
-        extras, rows = read_rows(stream)
+        extras, rows = read_rows(stream, _name(args.input))
         _check_weights("--weights", args.weights, weights, extras)
         kept = filter_rows(rows, extras, weights, args.top_n,
                            tmpdir=args.tmpdir, chunk_size=args.chunk_size)
@@ -345,7 +354,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     scorer, default_names = _build_scorer(args)
     names = args.names if args.names is not None else default_names
     with _open_in(args.input) as stream, _open_out(args.output) as out:
-        extras, rows = read_rows(stream)
+        extras, rows = read_rows(stream, _name(args.input))
         extras, annotated = annotate_rows(rows, extras, scorer, names,
                                           threads=args.threads)
         write_rows(annotated, out, extras)
@@ -410,7 +419,7 @@ def cmd_combine(args: argparse.Namespace) -> int:
     with ExitStack() as stack:
         inputs = []
         for name, path in args.input:
-            extras, rows = read_rows(stack.enter_context(_open_in(path)))
+            extras, rows = read_rows(stack.enter_context(_open_in(path)), _name(path))
             inputs.append((extras, rows, name))
         extras, combined = combine_rows(inputs)
         with _open_out(args.output) as out:
@@ -426,7 +435,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
         max_phrase_len=args.max_phrase_len,
         unknown_word_penalty=args.unknown_penalty)
     with _open_in(args.table) as stream:
-        extras, rows = read_rows(stream)
+        extras, rows = read_rows(stream, _name(args.table))
         _check_weights("--weights", args.weights, cfg.weights, extras)
         # The index skips phrases longer than --max-phrase-len.
         index = phrase_index_rows(sort_table_rows(rows, extras), extras, cfg)
@@ -467,7 +476,7 @@ def cmd_bleu(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     with _open_in(args.input) as stream:
-        extras, rows = read_rows(stream)
+        extras, rows = read_rows(stream, _name(args.input))
         manifest = CORE_FEATURES + extras
         bins = [[0] * HIST_BINS for _ in manifest]
         overflow = [0] * len(manifest)
@@ -495,8 +504,8 @@ def cmd_estimate_size(args: argparse.Namespace) -> int:
     _bind("triangulate")
     _check_stdin([args.sp, args.pt], "only one of --sp and --pt can read stdin")
     with _open_in(args.sp) as sp_f, _open_in(args.pt) as pt_f:
-        _, sp_rows = read_rows(sp_f)
-        _, pt_rows = read_rows(pt_f)
+        _, sp_rows = read_rows(sp_f, _name(args.sp))
+        _, pt_rows = read_rows(pt_f, _name(args.pt))
         total = estimate_pivot_size_rows(sp_rows, pt_rows)
     with _open_out(args.output) as out:
         out.write(f"{total}\n")

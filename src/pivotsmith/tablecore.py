@@ -83,6 +83,12 @@ class TableError(ValueError):
         super().__init__(message)
         self.line = line
 
+    def in_file(self, name: str) -> "TableError":
+        """This error with the file ``name`` before its message."""
+        named = TableError(f"{name}: {self}")
+        named.line = self.line
+        return named
+
 
 class AlignmentLink(NamedTuple):
     src_pos: int
@@ -219,10 +225,12 @@ def _checked_manifest(extras_names: Sequence[str]) -> tuple[str, ...]:
 
 # --- text format -----------------------------------------------------------
 
-def read_header(lines: Iterable[str]) -> tuple[tuple[str, ...], Iterator[tuple[int, str]]]:
+def read_header(lines: Iterable[str], name: str | None = None,
+                ) -> tuple[tuple[str, ...], Iterator[tuple[int, str]]]:
     """Split off the optional #features header.
 
     Returns the extras names and an iterator of (lineno, line) data lines.
+    A bad header's error names the file ``name`` when one is given.
     """
     numbered = iter(enumerate(lines, start=1))
     first = next(numbered, None)
@@ -230,12 +238,18 @@ def read_header(lines: Iterable[str]) -> tuple[tuple[str, ...], Iterator[tuple[i
         return (), iter(())
     lineno, line = first
     if line.startswith("#"):
-        if not line.startswith(_HEADER_PREFIX):
-            raise TableError("unrecognized comment, expected '#features: ...'", lineno)
-        names = line[len(_HEADER_PREFIX):].split()
-        if not names:
-            raise TableError("empty feature header", lineno)
-        _checked_manifest(names)
+        try:
+            if not line.startswith(_HEADER_PREFIX):
+                raise TableError("unrecognized comment, expected '#features: ...'",
+                                 lineno)
+            names = line[len(_HEADER_PREFIX):].split()
+            if not names:
+                raise TableError("empty feature header", lineno)
+            _checked_manifest(names)
+        except TableError as exc:
+            if name is None:
+                raise
+            raise exc.in_file(name) from None
         return tuple(names), numbered
 
     def chain() -> Iterator[tuple[int, str]]:
@@ -350,16 +364,25 @@ def parse_row(line: str, lineno: int, n_extras: int) -> Row:
     return src, tgt, scores, links
 
 
-def read_rows(lines: Iterable[str]) -> tuple[tuple[str, ...], Iterator[Row]]:
-    """Stream raw rows out of phrase table text without materializing it."""
-    extras, numbered = read_header(lines)
+def read_rows(lines: Iterable[str], name: str | None = None,
+              ) -> tuple[tuple[str, ...], Iterator[Row]]:
+    """Stream raw rows out of phrase table text without materializing it.
+
+    A data error names the file ``name`` when one is given.
+    """
+    extras, numbered = read_header(lines, name)
     n_extras = len(extras)
 
     def gen() -> Iterator[Row]:
-        for lineno, line in numbered:
-            if not line or line.isspace():
-                raise TableError("blank line in table", lineno)
-            yield parse_row(line, lineno, n_extras)
+        try:
+            for lineno, line in numbered:
+                if not line or line.isspace():
+                    raise TableError("blank line in table", lineno)
+                yield parse_row(line, lineno, n_extras)
+        except TableError as exc:
+            if name is None:
+                raise
+            raise exc.in_file(name) from None
         _clear_parse_memos()
 
     return extras, gen()
@@ -572,29 +595,36 @@ def _check_orientation_probs(probs: Sequence[float], line: int | None) -> None:
                 f"orientation triple sums to {total!r}, expected 1", line)
 
 
-def read_reordering_rows(lines: Iterable[str]) -> Iterator[Row]:
+def read_reordering_rows(lines: Iterable[str], name: str | None = None,
+                         ) -> Iterator[Row]:
     """Stream reordering table text as ``(src, tgt, probs, ())`` rows in
     file order, each line checked as it is read.  The phrase fields go
-    through ``parse_phrase``, as ``parse_row``'s do, and share its memo."""
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.rstrip("\n")
-        if not text.strip():
-            raise TableError("blank line in reordering table", lineno)
-        parts = text.split(SEPARATOR)
-        if len(parts) != 3:
-            raise TableError(
-                f"expected 3 fields separated by '|||', got {len(parts)}", lineno)
-        src = parse_phrase(parts[0], "source", lineno)
-        tgt = parse_phrase(parts[1], "target", lineno)
-        fields = parts[2].split(" ")
-        if len(fields) != 6:
-            raise TableError(f"expected 6 probabilities, got {len(fields)}", lineno)
-        try:
-            probs = tuple(float(f) for f in fields)
-        except ValueError:
-            raise TableError(f"non-numeric probability in {parts[2]!r}", lineno) from None
-        # The phrase fields were checked as they were split.
-        _check_orientation_probs(probs, lineno)
-        yield src, tgt, probs, ()
+    through ``parse_phrase``, as ``parse_row``'s do, and share its memo.
+    A data error names the file ``name`` when one is given."""
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            text = raw.rstrip("\n")
+            if not text.strip():
+                raise TableError("blank line in reordering table", lineno)
+            parts = text.split(SEPARATOR)
+            if len(parts) != 3:
+                raise TableError(
+                    f"expected 3 fields separated by '|||', got {len(parts)}", lineno)
+            src = parse_phrase(parts[0], "source", lineno)
+            tgt = parse_phrase(parts[1], "target", lineno)
+            fields = parts[2].split(" ")
+            if len(fields) != 6:
+                raise TableError(f"expected 6 probabilities, got {len(fields)}", lineno)
+            try:
+                probs = tuple(float(f) for f in fields)
+            except ValueError:
+                raise TableError(f"non-numeric probability in {parts[2]!r}", lineno) from None
+            # The phrase fields were checked as they were split.
+            _check_orientation_probs(probs, lineno)
+            yield src, tgt, probs, ()
+    except TableError as exc:
+        if name is None:
+            raise
+        raise exc.in_file(name) from None
     _clear_parse_memos()
 

@@ -13,24 +13,28 @@ through the pivot positions and unioned across pivot phrases.
 
 Both sides are filtered to the top ``n`` entries per source phrase by
 log-linear score before joining.  The join is a hash join: the kept
-pivot-target rows are stored by pivot phrase, the kept source-pivot rows
-stream past in (source, pivot) order, each looking up the rows of its
-pivot, and each source's partial products are put in target order, so
-each pair sums its products in ascending pivot order.  The store depends
+pivot-target rows are stored by pivot phrase, and the kept source-pivot
+rows stream past in (source, pivot) order, each looking up the rows of
+its pivot.  Each source's products are summed per target as they arrive,
+in ascending pivot order, and its composed rows come out in target order
+when the source ends; no partial product row is made.  The store depends
 on the size of the pivot-target table, and both give the same output to
 the bit:
 
 * at most one sort chunk of pivot-target rows: a dict of row lists.
 * more rows: ``_PivotStore``, one unnamed scratch file of pickled pivot
   groups indexed in memory by the hash of the pivot phrase, 28 to 40
-  bytes per distinct pivot.  A lookup reads one group from the file,
-  and the file goes with the process however the process ends.
+  bytes per distinct pivot.  A lookup reads one group from the file with
+  one ``os.pread``, and the file goes with the process however the
+  process ends.
 
-Memory holds the store, one chunk of the source-pivot sort and up to one
-chunk of one source's partials; a source with more partials, at most
-``top_n`` squared, puts them in target order through the disk-backed
-sort.  A pivot's source-pivot rows stream past its pivot-target rows, so
-a hub pivot needs no more memory than another.
+Memory holds the store, one chunk of the source-pivot sort and the sums
+of at most one chunk of one source's targets.  A source with more
+targets, at most ``top_n`` squared, puts its sums so far and its partial
+products from there on in target order through the disk-backed sort,
+and the sums continue there with the same additions.  A pivot's
+source-pivot rows stream past its pivot-target rows, so a hub pivot
+needs no more memory than another.
 
 Everything here runs on raw rows; ``pivotsmith.tables`` runs it over
 ``PhraseTable`` objects.
@@ -39,6 +43,7 @@ Everything here runs on raw rows; ``pivotsmith.tables`` runs it over
 from __future__ import annotations
 
 import heapq
+import os
 import tempfile
 from contextlib import ExitStack, closing
 from itertools import chain, groupby, islice
@@ -221,9 +226,10 @@ class _PivotStore:
     pivots whose hashes collide still find their own rows.
 
     The file is a ``tempfile.TemporaryFile`` under the sort's scratch
-    base, written and read through one handle.  It has no name on Linux,
-    so it goes with the process however the process ends; ``close``
-    frees it at once.
+    base.  It is written through its buffered handle, flushed once, and
+    each lookup reads one record with one ``os.pread`` on its descriptor,
+    with no seek.  It has no name on Linux, so it goes with the process
+    however the process ends; ``close`` frees it at once.
     """
 
     def __init__(self, pt_rows: Iterable[Row], tmp_base: str | None) -> None:
@@ -246,9 +252,11 @@ class _PivotStore:
                 while slots[slot] >= 0:
                     slot = (slot + 1) & mask
                 slots[slot] = number
+            self._file.flush()
         except BaseException:
             self._file.close()
             raise
+        self._fd = self._file.fileno()
         self._hashes, self._starts, self._slots, self._mask = hashes, starts, slots, mask
         self._loads, self._damaged = pickle.loads, (EOFError, pickle.UnpicklingError)
 
@@ -261,9 +269,9 @@ class _PivotStore:
         while number >= 0:
             if hashes[number] == pivot_hash:
                 start = self._starts[number]
-                self._file.seek(start)
                 try:
-                    group = self._loads(self._file.read(self._starts[number + 1] - start))
+                    group = self._loads(
+                        os.pread(self._fd, self._starts[number + 1] - start, start))
                 except self._damaged as exc:
                     raise OSError(f"damaged pivot store in {self._base}: {exc}") from exc
                 if group[0][0] == pivot:
@@ -274,25 +282,6 @@ class _PivotStore:
 
     def close(self) -> None:
         self._file.close()
-
-
-def _by_target_per_source(partials: Iterable[Row], chunk_size: int,
-                          tmp_base: str | None) -> Iterator[Row]:
-    """Stable-sort each source's run of partials by target phrase.
-
-    Partials of one pair keep their relative order, ascending pivot when
-    the source's rows arrive in (source, pivot) order.  A source's
-    partials are sorted in memory up to ``chunk_size`` of them, and
-    through the disk-backed sort beyond that.
-    """
-    for _, grouped in groupby(partials, key=itemgetter(0)):
-        group = list(islice(grouped, chunk_size + 1))
-        if len(group) <= chunk_size:
-            group.sort(key=_TARGET)
-            yield from drain(group)
-        else:
-            yield from ext_sorted(chain(drain(group), grouped), _TARGET,
-                                  chunk_size=chunk_size, tmp_base=tmp_base)
 
 
 def _attach_orientations(pt_rows: Iterable[Row], reo_rows: Iterable[Row],
@@ -324,38 +313,144 @@ def _attach_orientations(pt_rows: Iterable[Row], reo_rows: Iterable[Row],
 
 
 def _iter_join(sp_rows: Iterable[Row], pt_rows: Iterable[Row], on_disk: bool,
-               tmp_base: str | None) -> Iterator[Row]:
-    """Emit one partial product row per pair of rows sharing a pivot phrase.
+               cfg: PivotConfig, reordering: bool) -> Iterator[Row]:
+    """Compose the rows of each pair of phrases that share a pivot phrase.
 
     ``pt_rows`` must be sorted by pivot phrase; all of them are stored,
     in a dict or with ``on_disk`` in a ``_PivotStore``, before the first
     source-pivot row is read, and the store is closed when the stream
     ends, fails or is closed.  The source-pivot rows are walked once, in
-    order, each with the pivot-target rows of its pivot in their sorted
-    order.  When the pivot-target rows carry orientation probabilities,
-    the partial carries them too, after the source-pivot forward score
-    that weights them.  Both are shared references: ``_iter_reduce``
-    multiplies them, so a partial holds four new floats, not ten.
+    (source, pivot) order, each with the pivot-target rows of its pivot,
+    and ``_source_sums`` sums each source's products per target as they
+    arrive.  When the source ends, its targets come out in sorted order.
+    A source with more than ``cfg.chunk_size`` targets puts its sums so
+    far and its partials from there on in target order through the
+    disk-backed sort instead, and ``_iter_reduce`` continues the sums.
+
+    With ``reordering`` the pivot-target rows carry six orientation
+    probabilities, and each composed row their mixture over the shared
+    pivots after its four core scores.
     """
+    limit, tmp_base, min_links = cfg.chunk_size, cfg.tmpdir, cfg.min_alignment_links
     with ExitStack() as stack:
         if on_disk:
             lookup = stack.enter_context(closing(_PivotStore(pt_rows, tmp_base))).get
         else:
             lookup = {pivot: list(group)
                       for pivot, group in groupby(pt_rows, key=itemgetter(0))}.get
-        for src, pivot, (f0, f1, f2, f3), a_sp in sp_rows:
-            pt_group = lookup(pivot)
-            if pt_group is None:
+        for src, group in groupby(sp_rows, key=itemgetter(0)):
+            sums, rest = _source_sums(src, group, lookup, limit, reordering)
+            if rest is None:
+                yield from _iter_composed(src, sorted(sums.items()), min_links,
+                                          reordering)
                 continue
-            if len(pt_group[0][2]) > 4:
-                for _, tgt, g, a_pt in pt_group:
-                    yield (src, tgt,
-                           (f0 * g[0], f1 * g[1], f2 * g[2], f3 * g[3], f0) + g[4:],
-                           _project(a_sp, a_pt))
+            with closing(ext_sorted(chain(_drained_sums(src, sums, reordering), rest),
+                                    _TARGET, chunk_size=limit, tmp_base=tmp_base),
+                         ) as ordered:
+                yield from _iter_composed(src, _iter_reduce(ordered, reordering),
+                                          min_links, reordering)
+
+
+def _source_sums(src: tuple, sp_rows: Iterable[Row],
+                 lookup: Callable[[tuple], list[Row] | None], limit: int,
+                 reordering: bool) -> tuple[dict[tuple, list], Iterator[Row] | None]:
+    """Sum one source's products per target phrase, in arrival order.
+
+    ``sp_rows`` are the kept source-pivot rows of ``src``, in pivot order.
+    A target's sums are a list: its four core scores; its alignment links,
+    the first partial's tuple until a second partial makes them a set;
+    then with ``reordering`` its six orientation probabilities weighted by
+    the source-pivot forward score.  Every sum starts at ``0.0``, so a
+    ``-0`` input score composes to ``0``, and adds its products in arrival
+    order, ascending pivot: the float operations ``_iter_reduce`` makes on
+    the same products.
+
+    Returns the sums and None, or, when a new target would make more than
+    ``limit`` of them, the sums so far and the source's partials from that
+    target on.
+    """
+    sums: dict[tuple, list] = {}
+    get = sums.get
+    for _, pivot, f, a_sp in sp_rows:
+        pt_group = lookup(pivot)
+        if pt_group is None:
+            continue
+        f0, f1, f2, f3 = f
+        pt_group = iter(pt_group)
+        for pt_row in pt_group:
+            _, tgt, g, a_pt = pt_row
+            acc = get(tgt)
+            if acc is None:
+                if len(sums) == limit:
+                    joined = chain(((f, a_sp, chain((pt_row,), pt_group)),),
+                                   ((f, a_sp, lookup(pivot))
+                                    for _, pivot, f, a_sp in sp_rows))
+                    return sums, _iter_partials(src, joined, reordering)
+                if reordering:
+                    sums[tgt] = [0.0 + f0 * g[0], 0.0 + f1 * g[1], 0.0 + f2 * g[2],
+                                 0.0 + f3 * g[3], _project(a_sp, a_pt),
+                                 0.0 + f0 * g[4], 0.0 + f0 * g[5], 0.0 + f0 * g[6],
+                                 0.0 + f0 * g[7], 0.0 + f0 * g[8], 0.0 + f0 * g[9]]
+                else:
+                    sums[tgt] = [0.0 + f0 * g[0], 0.0 + f1 * g[1], 0.0 + f2 * g[2],
+                                 0.0 + f3 * g[3], _project(a_sp, a_pt)]
+                continue
+            acc[0] += f0 * g[0]
+            acc[1] += f1 * g[1]
+            acc[2] += f2 * g[2]
+            acc[3] += f3 * g[3]
+            # _project gives each partial's links sorted and unique, so a
+            # pair of one partial keeps them as they are.
+            links = acc[4]
+            if links.__class__ is set:
+                links.update(_project(a_sp, a_pt))
             else:
-                for _, tgt, g, a_pt in pt_group:
-                    yield (src, tgt, (f0 * g[0], f1 * g[1], f2 * g[2], f3 * g[3]),
-                           _project(a_sp, a_pt))
+                acc[4] = {*links, *_project(a_sp, a_pt)}
+            if reordering:
+                acc[5] += f0 * g[4]
+                acc[6] += f0 * g[5]
+                acc[7] += f0 * g[6]
+                acc[8] += f0 * g[7]
+                acc[9] += f0 * g[8]
+                acc[10] += f0 * g[9]
+    return sums, None
+
+
+def _iter_partials(src: tuple, joined: Iterable[tuple], reordering: bool,
+                   ) -> Iterator[Row]:
+    """One partial product row per pivot-target row of each item of
+    ``joined``: source-pivot scores, source-pivot alignment, and the
+    pivot-target rows to join them with, or None for a pivot without any.
+
+    With ``reordering`` a partial's scores also carry the source-pivot
+    forward score and the pivot-target orientation probabilities that it
+    weights, for ``_iter_reduce`` to multiply.
+    """
+    for (f0, f1, f2, f3), a_sp, pt_rows in joined:
+        if pt_rows is None:
+            continue
+        for _, tgt, g, a_pt in pt_rows:
+            scores = (f0 * g[0], f1 * g[1], f2 * g[2], f3 * g[3])
+            if reordering:
+                scores += (f0,) + g[4:]
+            yield src, tgt, scores, _project(a_sp, a_pt)
+
+
+def _drained_sums(src: tuple, sums: dict[tuple, list], reordering: bool,
+                  ) -> Iterator[Row]:
+    """Each target's sums as one partial, dropped from ``sums`` as it goes.
+
+    The orientation sums go with weight ``1.0``: ``_iter_reduce`` adds
+    ``1.0 * m`` to ``0.0``, which gives ``m`` back exactly.
+    """
+    while sums:
+        tgt, acc = sums.popitem()
+        links = acc[4]
+        scores = tuple(acc[:4])
+        if reordering:
+            scores += (1.0, *acc[5:])
+        yield (src, tgt, scores,
+               links if links.__class__ is tuple else tuple(sorted(links)))
 
 
 def _snap_score(total: float, column: str, src: Sequence[str],
@@ -369,18 +464,16 @@ def _snap_score(total: float, column: str, src: Sequence[str],
     return total
 
 
-def _iter_reduce(partials: Iterable[Row], min_links: int,
-                 reordering: bool = False) -> Iterator[Row]:
-    """Sum partial products per (src, tgt) pair and union their alignments.
+def _iter_reduce(partials: Iterable[Row], reordering: bool,
+                 ) -> Iterator[tuple[tuple, list]]:
+    """Sum one source's target-sorted partials per target.
 
-    With ``reordering`` each partial also carries a weight and six
-    orientation probabilities; their weighted sums, renormalized per
-    direction triple, follow the four core scores of the output row.
-    Summation runs in partial order, ascending pivot, so both outputs are
-    reproducible to the bit.  Every sum starts from ``0.0``, so a ``-0``
-    input score composes to ``0``.
+    Yields each target with its sums, laid out as ``_source_sums`` lays
+    them out.  With ``reordering`` each partial also carries a weight and
+    six orientation probabilities, whose weighted sums follow.  Summation
+    runs in partial order, and every sum starts from ``0.0``.
     """
-    for (src, tgt), grouped in groupby(partials, key=_BY_SRC_TGT):
+    for tgt, grouped in groupby(partials, key=_TARGET):
         s0 = s1 = s2 = s3 = m0 = m1 = m2 = m3 = m4 = m5 = 0.0
         align = links = None
         for _, _, scores, part in grouped:
@@ -396,16 +489,34 @@ def _iter_reduce(partials: Iterable[Row], min_links: int,
                 m3 += weight * scores[8]
                 m4 += weight * scores[9]
                 m5 += weight * scores[10]
-            # _project gives each partial's links sorted and unique, so a
-            # pair of one partial keeps them as they are.
             if align is None:
                 align = part
             else:
                 if links is None:
                     links = set(align)
                 links.update(part)
-        if links is not None:
-            align = tuple(sorted(links))
+        sums = [s0, s1, s2, s3, align if links is None else links]
+        if reordering:
+            sums += (m0, m1, m2, m3, m4, m5)
+        yield tgt, sums
+
+
+def _iter_composed(src: tuple, sums: Iterable[tuple[tuple, list]],
+                   min_links: int, reordering: bool) -> Iterator[Row]:
+    """The composed rows of ``src`` from its targets' sums, in their order.
+
+    A pair whose links number fewer than ``min_links`` is dropped.  A core
+    score over ``1.0`` within the guard band snaps to ``1.0``; beyond it
+    the pair raises ``TableError``.  With ``reordering`` each direction's
+    three orientation sums are renormalized, or uniform when they sum to
+    zero.
+    """
+    for tgt, acc in sums:
+        if reordering:
+            s0, s1, s2, s3, links, m0, m1, m2, m3, m4, m5 = acc
+        else:
+            s0, s1, s2, s3, links = acc
+        align = links if links.__class__ is tuple else tuple(sorted(links))
         if len(align) < min_links:
             continue
         if s0 > 1.0 or s1 > 1.0 or s2 > 1.0 or s3 > 1.0:
@@ -460,8 +571,8 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
     All inputs may come in any order: each is sorted here through the
     disk-backed sort.  ``inputs_sorted`` skips the sort of the two phrase
     tables, which must then arrive sorted by (src, tgt), and so every sort
-    of a phrase-table row: the join itself sorts only one source's
-    partials, through the disk-backed sort when they exceed a chunk.  The
+    of a phrase-table row: the join sums each source's products in memory
+    and sorts only a source with more than a chunk of targets.  The
     reordering rows are sorted whatever it says.  A pair repeated in any
     input raises ``TableError``.
     """
@@ -506,10 +617,7 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
                            pt_extras)
     if pt_reo_rows is not None:
         pt_kept = _attach_orientations(pt_kept, sort(pt_reo_rows, _BY_SRC_TGT))
-    partials = _by_target_per_source(
-        _iter_join(sp_kept, pt_kept, on_disk, cfg.tmpdir), cfg.chunk_size, cfg.tmpdir)
-    return _iter_reduce(partials, cfg.min_alignment_links,
-                        reordering=pt_reo_rows is not None)
+    return _iter_join(sp_kept, pt_kept, on_disk, cfg, pt_reo_rows is not None)
 
 
 def estimate_pivot_size_rows(sp_rows: Iterable[Row],

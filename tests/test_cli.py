@@ -243,7 +243,7 @@ class TestPivotCommand:
     @pytest.mark.parametrize("sp_reo, message", [
         ("y ||| u ||| 0.2 0.4 0.4 0.3 0.3 0.4\n" + REO_LINE, None),
         (REO_LINE * 2, "duplicate reordering entry for pair 'x' -> 'u'"),
-        ("x ||| u ||| 0.5 0.5\n", "line 1: expected 6 probabilities, got 2"),
+        ("x ||| u ||| 0.5 0.5\n", "{sp_reo}: line 1: expected 6 probabilities, got 2"),
     ], ids=["valid", "duplicate", "malformed"])
     def test_reordering_sp_is_validated_only(self, toy_files, caplog, capsys,
                                              sp_reo, message):
@@ -263,6 +263,7 @@ class TestPivotCommand:
                     " but unused by the pivot mixture") in caplog.text
         else:
             assert rc == 1
+            message = message.format(sp_reo=tmp_path / "sp-reo.txt")
             assert capsys.readouterr().err == f"pivotsmith: error: {message}\n"
             assert not out.exists()
 
@@ -619,8 +620,8 @@ class TestMorphCommands:
             argv += ["-i", str(tbl), "--kind", "rules",
                      "--src-lex", str(src_lex), "--tgt-lex", str(tgt_lex)]
         assert main(argv + ["-o", str(tmp_path / "out.txt")]) == 1
-        assert "pivotsmith: error: line 2: unknown feature 'bogus', expected one of" \
-            in capsys.readouterr().err
+        assert f"pivotsmith: error: {rules}: line 2: unknown feature 'bogus'," \
+            " expected one of" in capsys.readouterr().err
         assert not (tmp_path / "out.txt").exists()
 
     def test_rules_check_unknown_feature_is_usage_error(self, capsys):
@@ -1154,13 +1155,37 @@ def test_a_superscript_digit_is_a_data_error_with_its_line(tmp_path, capsys, com
         (tmp_path / name).write_text("w\n")
     (tmp_path / "align").write_text("0-0\n")
     if command == "stats":
-        argv, message = ["stats", "-i", str(table_path)], "malformed alignment point '0-²'"
+        argv = ["stats", "-i", str(table_path)]
+        message = f"{table_path}: line 2: malformed alignment point '0-²'"
     else:
         argv = ["fc-train", "--src-lex", str(lex), "--tgt-lex", str(lex)]
         argv += [f"--{name}={tmp_path / name}" for name in ("src", "tgt", "align")]
-        message = "bad count '²'"
+        message = f"{lex}: line 2: bad count '²'"
     assert main(argv) == 1
-    assert capsys.readouterr().err == f"pivotsmith: error: line 2: {message}\n"
+    assert capsys.readouterr().err == f"pivotsmith: error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["pivot", "combine", "estimate-size"])
+@pytest.mark.parametrize("bad_first", [True, False], ids=["bad-first", "bad-second"])
+@pytest.mark.parametrize("bad_text,message", [
+    ("a ||| b ||| 1 1 1 ||| 0-0\n", "line 1: expected 4 score columns, got 3"),
+    ("#features: f\na ||| b ||| 1 1 1 1 0.5 ||| 0-0\n#x\n",
+     "line 3: expected 4 fields separated by '|||', got 1"),
+    ("#features:\n", "line 1: empty feature header"),
+], ids=["row", "later-row", "header"])
+def test_a_data_error_names_which_of_two_tables_it_is_in(tmp_path, capsys, command,
+                                                          bad_first, bad_text, message):
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_text("a ||| b ||| 1 1 1 1 ||| 0-0\n", encoding="utf-8")
+    bad.write_text(bad_text, encoding="utf-8")
+    first, second = (bad, good) if bad_first else (good, bad)
+    argv = {"pivot": ["pivot", "--sp", first, "--pt", second],
+            "combine": ["combine", "-i", f"x={first}", "-i", f"y={second}"],
+            "estimate-size": ["estimate-size", "--sp", first, "--pt", second]}[command]
+    out = tmp_path / "out.txt"
+    assert main([*map(str, argv), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"pivotsmith: error: {bad}: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["stats", "pivot", "decode", "lexicon", "bleu"])

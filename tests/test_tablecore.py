@@ -354,6 +354,28 @@ class TestRows:
         assert scores == (1.0, 1.0, 1.0, 1.0, 0.5)
         assert align == ((0, 0),)
 
+    @pytest.mark.parametrize("reader,lines,message", [
+        ("rows", ["a ||| x ||| 1 1 1 1 |||\n", "a ||| y ||| 1 1 1 |||\n"],
+         "line 2: expected 4 score columns, got 3"),
+        ("rows", ["#features:\n"], "line 1: empty feature header"),
+        ("rows", ["#features: f f\n"], "duplicate feature name 'f'"),
+        ("reordering", ["x ||| u ||| 0.5 0.5\n"], "line 1: expected 6 probabilities, got 2"),
+    ], ids=["row", "header", "manifest", "reordering"])
+    def test_a_named_reader_puts_the_name_before_its_errors(self, reader, lines,
+                                                              message):
+        def read(name=None):
+            if reader == "reordering":
+                return list(read_reordering_rows(lines, name))
+            extras, rows = read_rows(lines, name)
+            return extras, list(rows)
+        with pytest.raises(TableError) as plain:
+            read()
+        with pytest.raises(TableError) as named:
+            read("t.txt")
+        assert str(plain.value) == message
+        assert str(named.value) == f"t.txt: {message}"
+        assert named.value.line == plain.value.line
+
     def test_scoreset_named_order(self):
         s = ScoreSet(0.1, 0.2, 0.3, 0.4, extras=(("f", 0.5),))
         assert [name for name, _ in s.named()] == list(CORE_FEATURES) + ["f"]

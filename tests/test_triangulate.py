@@ -24,6 +24,7 @@ from pivotsmith import triangulate
 from pivotsmith.cli import main
 from pivotsmith.extsort import ext_sorted
 from pivotsmith.tablecore import (
+    _BY_SRC_TGT,
     CORE_FEATURES,
     SCORE_OVERSHOOT_TOL,
     AlignmentLink,
@@ -418,6 +419,60 @@ class TestStreaming:
             assert {(src, tgt): scores[4:] for src, tgt, scores, _ in rows} == \
                 oracle_reordering(sp, pt, pt_reo, min_links)
 
+    @pytest.mark.parametrize("chunk_size", [1, 2, 3])
+    @pytest.mark.parametrize("on_disk", [False, True], ids=["dict-store", "disk-store"])
+    @pytest.mark.parametrize("reordering,min_links",
+                             [(False, 0), (False, 2), (True, 0), (True, 2)],
+                             ids=["core", "core-min-links-2", "reordering",
+                                  "reordering-min-links-2"])
+    def test_sources_over_one_chunk_of_targets_keep_the_bytes(
+            self, monkeypatch, tmp_path, chunk_size, on_disk, reordering, min_links):
+        # A source with more targets than one chunk puts its sums so far and
+        # its later partials through the disk-backed sort, where the
+        # sequential reduce continues the same additions.  Its rows must be
+        # the oracle's and the bytes those of sums held in memory.
+        rng = random.Random(83)
+        sp, pt, pt_reo = random_pivot_triple(rng)
+        sp_rows = sorted(map(entry_to_row, sp), key=_BY_SRC_TGT)
+        pt_rows = sorted(map(entry_to_row, pt), key=_BY_SRC_TGT)
+        reo_rows = sorted(reorder_rows(pt_reo), key=_BY_SRC_TGT)
+        sorts = []
+
+        def counting_sort(*args, **kwargs):
+            sorts.append(1)
+            return ext_sorted(*args, **kwargs)
+        monkeypatch.setattr(triangulate, "ext_sorted", counting_sort)
+
+        def composed(chunk):
+            kept = pt_rows
+            if reordering:
+                kept = triangulate._attach_orientations(pt_rows, reo_rows)
+            cfg = PivotConfig(chunk_size=chunk, min_alignment_links=min_links,
+                              tmpdir=str(tmp_path))
+            return list(triangulate._iter_join(sp_rows, kept, on_disk, cfg, reordering))
+
+        def text(rows):
+            table_out, reordering_out = io.StringIO(), io.StringIO()
+            if reordering:
+                triangulate.write_reordering_rows(rows, table_out, reordering_out)
+            else:
+                write_rows(rows, table_out)
+            return table_out.getvalue(), reordering_out.getvalue()
+
+        in_memory = composed(len(pt_rows))
+        assert sorts == []
+        rows = composed(chunk_size)
+        assert sorts
+        want = oracle_compose(sp, pt, min_links)
+        assert {(src, tgt): (scores[:4], frozenset(align))
+                for src, tgt, scores, align in rows} == want
+        assert [row[:2] for row in rows] == sorted(want)
+        if reordering:
+            assert {(src, tgt): scores[4:] for src, tgt, scores, _ in rows} == \
+                oracle_reordering(sp, pt, pt_reo, min_links)
+        assert text(rows) == text(in_memory)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("extra_rows,sorts", [(0, 2), (1, 2)], ids=["hash", "merge"])
     def test_join_path_sort_count_and_read_order(self, monkeypatch, extra_rows, sorts):
         rng = random.Random(79)
@@ -510,8 +565,8 @@ class TestPivotStore:
         sp_rows = [((f"s{i}",), ("p",), (0.5,) * 4, ((0, 0),)) for i in range(6)]
         if end == "failed":
             sp_rows.append(sp_rows[-1])
-        # Four rows over one chunk, but only two partials per source, which
-        # the per-source sort then holds in memory.
+        # Four rows over one chunk, but only two targets per source, whose
+        # sums the join then holds in memory.
         pt_rows = [((pivot,), (f"t{k}",), (0.25,) * 4, ((0, 0),))
                    for pivot in ("p", "q") for k in range(2)]
         rows = compose_rows(sp_rows, (), pt_rows, (),
@@ -552,9 +607,12 @@ def _row(src: str, tgt: str, scores, align=((0, 0),)):
     return (tuple(src.split()), tuple(tgt.split()), tuple(scores), tuple(align))
 
 
-# Three pivot-target rows: the pair (a, x) composes through p1 and p2, the
-# pair (b, y) through p3 alone.
+# Four pivot-target rows: the pair (a, x) composes through p1 and p2, the
+# pairs (a, w) and (b, y) through p2 and p3 alone.  With a chunk of one,
+# (a, w) arrives between the two partials of (a, x), so the first one's sum
+# and the second one cross the disk-backed sort.
 _EDGE_PT = [_row("p1", "x", (1.0, 1.0, 1.0, 1.0)),
+            _row("p2", "w", (1.0, 1.0, 1.0, 1.0)),
             _row("p2", "x", (1.0, 1.0, 1.0, 1.0), ((0, 1),)),
             _row("p3", "y", (1.0, 1.0, 1.0, 1.0))]
 
@@ -563,11 +621,13 @@ def _edge_sp(a_p1, a_p2, b_p3):
     return [_row("a", "p1", a_p1), _row("a", "p2", a_p2), _row("b", "p3", b_p3)]
 
 
-@pytest.mark.parametrize("chunk", [len(_EDGE_PT), len(_EDGE_PT) - 1], ids=["hash", "merge"])
+@pytest.mark.parametrize("chunk", [len(_EDGE_PT), len(_EDGE_PT) - 1, 1],
+                         ids=["hash", "merge", "one-target-sums"])
 @pytest.mark.parametrize("reordering", [False, True], ids=["core", "reordering"])
 class TestReduceEdges:
     """Sign, overshoot and min-links handling of pairs of one and of two
-    partials, on both join paths, with and without orientations."""
+    partials, on both pivot stores and with a source's sums continued
+    through the disk-backed sort, with and without orientations."""
 
     def compose(self, sp, chunk, reordering, min_links=0):
         cfg = PivotConfig(chunk_size=chunk, min_alignment_links=min_links)
@@ -599,8 +659,9 @@ class TestReduceEdges:
     def test_min_links_drops_a_short_pair_of_one_partial(self, chunk, reordering):
         sp = _edge_sp((0.5,) * 4, (0.5,) * 4, (1.0,) * 4)
         assert set(self.compose(sp, chunk, reordering, min_links=1)) == {
-            (("a",), ("x",)), (("b",), ("y",))}
-        # (a, x) unions 0-0 and 0-1; (b, y) keeps the single link of p3.
+            (("a",), ("w",)), (("a",), ("x",)), (("b",), ("y",))}
+        # (a, x) unions 0-0 and 0-1; (a, w) and (b, y) keep the single link
+        # of p2 and p3.
         rows = self.compose(sp, chunk, reordering, min_links=2)
         assert list(rows) == [(("a",), ("x",))]
         assert rows[("a",), ("x",)][3] == ((0, 0), (0, 1))
@@ -830,10 +891,10 @@ def random_pivot_triple(rng: random.Random):
     return sp, pt, pt_reo
 
 
-def test_one_source_joined_rows_peak_rss_does_not_follow_top_n_squared(tmp_path):
-    # One source phrase joins n pivots of n targets each into n * n rows.
-    # Past one chunk they go through the disk-backed sort, so four times
-    # as many need no more memory.
+def _one_source_peaks(tmp_path, target, rows_out):
+    """Peak RSS of pivots where one source phrase joins n pivots of n
+    targets each, the k-th target of pivot i named ``target(i, k)``, for
+    n = 100 and 200; ``rows_out(n)`` rows must come out."""
     scratch = tmp_path / "scratch"
     scratch.mkdir()
     peaks = []
@@ -842,8 +903,8 @@ def test_one_source_joined_rows_peak_rss_does_not_follow_top_n_squared(tmp_path)
         sp, pt = tmp_path / f"sp{n}.txt", tmp_path / f"pt{n}.txt"
         sp.write_text("".join(f"s ||| p{i} ||| {share} {share} {share} {share}"
                               f" ||| 0-0\n" for i in range(n)), encoding="utf-8")
-        pt.write_text("".join(f"p{i} ||| t{k} ||| {share} {share} {share} {share}"
-                              f" ||| 0-0\n" for i in range(n) for k in range(n)),
+        pt.write_text("".join(f"p{i} ||| {target(i, k)} ||| {share} {share} {share}"
+                              f" {share} ||| 0-0\n" for i in range(n) for k in range(n)),
                       encoding="utf-8")
         out = tmp_path / "out.txt"
         _, _, peak_kb = run_measured(scratch, "pivot", "--sp", sp, "--pt", pt,
@@ -852,9 +913,25 @@ def test_one_source_joined_rows_peak_rss_does_not_follow_top_n_squared(tmp_path)
         if peak_kb < 0:
             pytest.skip("VmHWM is read from /proc/self/status")
         with open(out, encoding="utf-8") as stream:
-            assert sum(1 for _ in stream) == n
+            assert sum(1 for _ in stream) == rows_out(n)
         assert list(scratch.iterdir()) == []
         peaks.append(peak_kb)
+    return peaks
+
+
+def test_one_source_joined_rows_peak_rss_does_not_follow_top_n_squared(tmp_path):
+    # One source phrase joins n pivots of the same n targets each into n * n
+    # partials, summed into n rows.  Four times as many partials need no
+    # more memory.
+    peaks = _one_source_peaks(tmp_path, lambda i, k: f"t{k}", lambda n: n)
+    assert abs(peaks[1] - peaks[0]) < 4 * 1024, f"peaks {peaks} KB"
+
+
+def test_one_source_distinct_targets_peak_rss_does_not_follow_top_n_squared(tmp_path):
+    # n pivots of n distinct targets each give one source n * n targets.
+    # Past one chunk of them its sums go through the disk-backed sort, so
+    # four times as many need no more memory.
+    peaks = _one_source_peaks(tmp_path, lambda i, k: f"t{i}_{k}", lambda n: n * n)
     assert abs(peaks[1] - peaks[0]) < 4 * 1024, f"peaks {peaks} KB"
 
 
