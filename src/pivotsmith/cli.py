@@ -4,11 +4,13 @@ One subcommand per pipeline stage.  Commands read stdin and write stdout
 when file flags are omitted, and ``-`` names either on any file flag.
 They exit 2 on usage errors, and 1 on data errors with the offending line
 number in the message.  The message also names the file (``stdin`` for
-``-``), as in ``pivotsmith: error: pt.txt: line 3: ...``, except for the
-corpora of ``lexicon`` and ``fc-train``.  Nothing here uses
-randomness and every command runs its work in one thread, so reruns are
-byte-identical.  ``--threads`` on ``annotate`` and ``decode`` is accepted
-for compatibility and has no effect.  A command may read stdin for at
+``-``), as in ``pivotsmith: error: pt.txt: line 3: ...``.  Nothing here
+uses randomness, and every process runs one thread, so reruns are
+byte-identical.  ``pivot`` may start one worker process, which builds
+the disk pivot store on a CPU of its own while the command sorts the
+source-pivot table; the store is the same with or without it.
+``--threads`` on ``annotate`` and ``decode`` is accepted for
+compatibility and has no effect.  A command may read stdin for at
 most one input, and ``pivot``'s two outputs must be different files.
 
 Every command that reads a phrase table streams it as raw rows; none
@@ -23,8 +25,8 @@ modules it runs (``_LIBRARY``), and only ``pivot`` sets up logging.  A
 command whose output pipe is closed by its reader exits 141 quietly, and
 one interrupted by Ctrl-C exits 130 quietly.  Run as a program
 (``console_main`` or ``python -m``), SIGTERM and SIGHUP exit 128 plus the
-signal number the same way; each case first removes the scratch files
-and the unfinished output file.
+signal number the same way; each case first stops ``pivot``'s worker,
+and removes the scratch files and the unfinished output file.
 """
 
 from __future__ import annotations
@@ -368,7 +370,7 @@ def cmd_lexicon(args: argparse.Namespace) -> int:
     with ExitStack() as stack:
         streams = [stack.enter_context(_open_in(path)) for path in paths]
         lexicon = build_lexicon(streams, fc_features=args.fc_features,
-                                na_value=args.na_value)
+                                na_value=args.na_value, names=list(map(_name, paths)))
     with _open_out(args.output) as out:
         lexicon.save(out)
     return 0
@@ -402,7 +404,8 @@ def cmd_fc_train(args: argparse.Namespace) -> int:
     tgt_lex = _load(args.tgt_lex, MorphLexicon.load)
     with _open_in(args.src) as src_f, _open_in(args.tgt) as tgt_f, \
             _open_in(args.align) as align_f:
-        model = train_fc_model(src_f, tgt_f, align_f, src_lex, tgt_lex)
+        model = train_fc_model(src_f, tgt_f, align_f, src_lex, tgt_lex,
+                               align_name=_name(args.align))
     with _open_out(args.output) as out:
         model.save(out)
     return 0

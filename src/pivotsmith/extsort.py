@@ -62,7 +62,7 @@ import heapq
 import os
 import shutil
 import tempfile
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from itertools import chain, islice
 from typing import BinaryIO, Callable, Iterable, Iterator
 
@@ -86,6 +86,23 @@ _dumps = None
 def scratch_base(override: str | None = None) -> str | None:
     """Directory for spill files: explicit override, else the env var."""
     return override or os.environ.get(TMPDIR_ENV) or None
+
+
+@contextmanager
+def signals_held() -> Iterator[set]:
+    """Hold SIGINT, SIGTERM and SIGHUP, whose handlers the command line
+    raises from, until the block ends, and yield them.
+
+    A handler that raised between a ``mkdtemp`` and the assignment of its
+    result would leave the directory behind with no name to remove it by.
+    """
+    import signal
+    signums = {signal.SIGINT, signal.SIGTERM, signal.SIGHUP}
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, signums)
+    try:
+        yield signums
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
 
 
 def encode_row(row: Row) -> bytes:
@@ -162,8 +179,9 @@ def ext_sorted(rows: Iterable[Row], key: Callable[[Row], object],
         while len(chunk) == chunk_size:
             chunk.sort(key=key)
             if tmpdir is None:
-                tmpdir = tempfile.mkdtemp(prefix="pivotsmith-sort-",
-                                          dir=scratch_base(tmp_base))
+                with signals_held():
+                    tmpdir = tempfile.mkdtemp(prefix="pivotsmith-sort-",
+                                              dir=scratch_base(tmp_base))
             runs.append(os.path.join(tmpdir, f"run{written}"))
             written += 1
             _write_run(runs[-1], chunk)

@@ -76,6 +76,15 @@ class MorphLexicon:
     def __init__(self, words: Mapping[str, tuple[tuple[str, str, str, str], str, int]]):
         self._words = dict(words)
 
+    @classmethod
+    def _adopt(cls, words: dict[str, tuple[tuple[str, str, str, str], str, int]],
+               ) -> "MorphLexicon":
+        """A lexicon that keeps ``words`` itself, not a copy: for a dict
+        that no one else holds."""
+        lexicon = cls.__new__(cls)
+        lexicon._words = words
+        return lexicon
+
     def __len__(self) -> int:
         return len(self._words)
 
@@ -125,7 +134,7 @@ class MorphLexicon:
             if not fields[6].isdecimal() or int(fields[6]) < 1:
                 raise TableError(f"bad count {fields[6]!r}", lineno)
             words[word] = (values, fc, int(fields[6]))
-        return cls(words)
+        return cls._adopt(words)
 
 
 def _argmax(counts: Mapping) -> object:
@@ -166,7 +175,8 @@ def _fold(lines: list[tuple[tuple[str, ...], int]], fc_idx: tuple[int, ...],
 
 def build_lexicon(corpora: Sequence[Iterable[str]],
                   fc_features: Sequence[str] = DEFAULT_FC_FEATURES,
-                  na_value: str = NA_VALUE) -> MorphLexicon:
+                  na_value: str = NA_VALUE,
+                  names: Sequence[str] | None = None) -> MorphLexicon:
     """Count feature values over tagged corpora and keep per-word argmaxes.
 
     Counts from all corpora are pooled before taking the argmax, so
@@ -176,6 +186,7 @@ def build_lexicon(corpora: Sequence[Iterable[str]],
 
     A line is checked the first time its text is seen; a repeat only adds
     to that text's count.  The distinct lines are then folded per word.
+    A data error names its corpus from ``names`` when they are given.
     """
     fc_idx = tuple(_feature_index(name) for name in fc_features)
     if not fc_idx:
@@ -184,14 +195,19 @@ def build_lexicon(corpora: Sequence[Iterable[str]],
         raise TableError(f"duplicate feature in fc_features {tuple(fc_features)!r}")
     line_counts: dict[str, int] = {}
     seen = line_counts.get
-    for corpus in corpora:
-        for lineno, raw in enumerate(corpus, start=1):
-            n = seen(raw)
-            if n is not None:
-                line_counts[raw] = n + 1
-            elif raw.strip():
-                _check_tagged_line(raw, lineno)
-                line_counts[raw] = 1
+    for k, corpus in enumerate(corpora):
+        try:
+            for lineno, raw in enumerate(corpus, start=1):
+                n = seen(raw)
+                if n is not None:
+                    line_counts[raw] = n + 1
+                elif raw.strip():
+                    _check_tagged_line(raw, lineno)
+                    line_counts[raw] = 1
+        except TableError as exc:
+            if names is None:
+                raise
+            raise exc.in_file(names[k]) from None
     words: dict[str, tuple[tuple[str, str, str, str], str, int]] = {}
     # The words with more than one distinct line, and those lines.
     several: dict[str, list[tuple[tuple[str, ...], int]]] = {}
@@ -215,7 +231,7 @@ def build_lexicon(corpora: Sequence[Iterable[str]],
     for token, lines in several.items():
         values, combo, total = _fold(lines, fc_idx)
         words[token] = (values, render_fc_tag(combo, na_value), total)
-    return MorphLexicon(words)
+    return MorphLexicon._adopt(words)
 
 
 # --- agreement rules ---------------------------------------------------------
@@ -333,14 +349,15 @@ class FcModel:
 
 def train_fc_model(src_lines: Iterable[str], tgt_lines: Iterable[str],
                    align_lines: Iterable[str], src_lex: MorphLexicon,
-                   tgt_lex: MorphLexicon) -> FcModel:
+                   tgt_lex: MorphLexicon, align_name: str | None = None) -> FcModel:
     """Relative-frequency FC tag translation model from aligned sentences.
 
     For every source token its aligned target tokens, in position order,
     form one joint target tag event; target tokens mirror this.  Words
     missing from a lexicon tag as ``[UNK]`` and still produce events, so
     the model degrades instead of silently shrinking.  Unaligned tokens
-    produce no events.  No smoothing is applied.
+    produce no events.  No smoothing is applied.  An alignment error
+    names the alignment file ``align_name`` when it is given.
     """
     src_entry = src_lex._words.get
     tgt_entry = tgt_lex._words.get
@@ -358,7 +375,12 @@ def train_fc_model(src_lines: Iterable[str], tgt_lines: Iterable[str],
                     for tok in src_raw.split()]
         tgt_tags = [UNKNOWN_TAG if (e := tgt_entry(tok)) is None else e[1]
                     for tok in tgt_raw.split()]
-        links = parse_links(align_text, len(src_tags), len(tgt_tags), lineno)
+        try:
+            links = parse_links(align_text, len(src_tags), len(tgt_tags), lineno)
+        except TableError as exc:
+            if align_name is None:
+                raise
+            raise exc.in_file(align_name) from None
         # ``links`` is sorted by (i, j), so each list below is in position order.
         by_src: dict[int, list[str]] = {}
         by_tgt: dict[int, list[str]] = {}

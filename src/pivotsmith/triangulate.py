@@ -22,17 +22,21 @@ on the size of the pivot-target table, and both give the same output to
 the bit:
 
 * at most one sort chunk of pivot-target rows: a dict of row lists.
-* more rows: ``_PivotStore``, one unnamed scratch file of pickled pivot
-  groups indexed in memory by the hash of the pivot phrase, 28 to 40
-  bytes per distinct pivot.  A lookup reads one group from the file with
-  one ``os.pread``, and the file goes with the process however the
-  process ends.
+* more rows: ``pivotstore.PivotStore``, one unnamed scratch file of
+  pickled pivot groups indexed in memory by the hash of the pivot phrase,
+  28 to 40 bytes per distinct pivot.  A lookup reads one group from the
+  file with one ``os.pread``, and the file goes with the process however
+  the process ends.  Where this process may run on two CPUs or more, a
+  forked worker process builds it, pivot-target sort included, while
+  this one sorts the source-pivot table.
 
 Memory holds the store, one chunk of the source-pivot sort and the sums
-of at most one chunk of one source's targets.  A source with more
-targets, at most ``top_n`` squared, puts its sums so far and its partial
-products from there on in target order through the disk-backed sort,
-and the sums continue there with the same additions.  A pivot's
+of at most one chunk of one source's targets.  While a worker builds the
+disk store, it holds one chunk of the pivot-target sort beside this
+process's source-pivot chunk.  A source with more targets, at most
+``top_n`` squared, puts its sums so far and its partial products from
+there on in target order through the disk-backed sort, and the sums
+continue there with the same additions.  A pivot's
 source-pivot rows stream past its pivot-target rows, so a hub pivot
 needs no more memory than another.
 
@@ -43,14 +47,12 @@ Everything here runs on raw rows; ``pivotsmith.tables`` runs it over
 from __future__ import annotations
 
 import heapq
-import os
-import tempfile
 from contextlib import ExitStack, closing
 from itertools import chain, groupby, islice
 from operator import itemgetter, lt
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Generator, Iterable, Iterator, Sequence, TextIO
 
-from .extsort import DEFAULT_CHUNK_SIZE, drain, ext_sorted, scratch_base
+from .extsort import DEFAULT_CHUNK_SIZE, drain, ext_sorted
 from .tablecore import (
     _BY_SRC_TGT,
     CORE_FEATURES,
@@ -69,8 +71,6 @@ from .tablecore import (
 )
 
 _TARGET = itemgetter(1)
-# The pivot store's index hashes pivot phrases through this one name.
-_pivot_hash = hash
 _THIRD = 1.0 / 3.0
 _UNIFORM_TRIPLE = (_THIRD,) * 6
 
@@ -213,77 +213,6 @@ def _drop_extras(rows: Iterable[Row], extras: Sequence[str]) -> Iterable[Row]:
     return ((src, tgt, scores[:4], align) for src, tgt, scores, align in rows)
 
 
-class _PivotStore:
-    """Kept pivot-target rows in a scratch file, looked up by pivot phrase.
-
-    ``pt_rows`` must be sorted by pivot phrase.  Each pivot's rows are one
-    pickle in the file, in the order they arrive.  The index holds no
-    Python object per pivot: two ``array('q')`` columns keep each pivot's
-    hash and record start, and an open-addressing table under two thirds
-    full keeps each pivot's number in its slot, 28 to 40 bytes per
-    distinct pivot in all.  A lookup reads the record of every slot on
-    its probe path whose hash matches and compares the record's pivot, so
-    pivots whose hashes collide still find their own rows.
-
-    The file is a ``tempfile.TemporaryFile`` under the sort's scratch
-    base.  It is written through its buffered handle, flushed once, and
-    each lookup reads one record with one ``os.pread`` on its descriptor,
-    with no seek.  It has no name on Linux, so it goes with the process
-    however the process ends; ``close`` frees it at once.
-    """
-
-    def __init__(self, pt_rows: Iterable[Row], tmp_base: str | None) -> None:
-        import pickle
-        from array import array
-        self._base = scratch_base(tmp_base) or tempfile.gettempdir()
-        self._file = tempfile.TemporaryFile(dir=self._base)
-        try:
-            hashes = array("q")
-            starts = array("q", [0])
-            for pivot, group in groupby(pt_rows, key=itemgetter(0)):
-                record = pickle.dumps(list(group), pickle.HIGHEST_PROTOCOL)
-                self._file.write(record)
-                starts.append(starts[-1] + len(record))
-                hashes.append(_pivot_hash(pivot))
-            mask = (1 << (3 * len(hashes) // 2).bit_length()) - 1
-            slots = array("q", [-1]) * (mask + 1)
-            for number, pivot_hash in enumerate(hashes):
-                slot = pivot_hash & mask
-                while slots[slot] >= 0:
-                    slot = (slot + 1) & mask
-                slots[slot] = number
-            self._file.flush()
-        except BaseException:
-            self._file.close()
-            raise
-        self._fd = self._file.fileno()
-        self._hashes, self._starts, self._slots, self._mask = hashes, starts, slots, mask
-        self._loads, self._damaged = pickle.loads, (EOFError, pickle.UnpicklingError)
-
-    def get(self, pivot: tuple) -> list[Row] | None:
-        """The rows of ``pivot``, or None when it has none."""
-        pivot_hash = _pivot_hash(pivot)
-        hashes, slots, mask = self._hashes, self._slots, self._mask
-        slot = pivot_hash & mask
-        number = slots[slot]
-        while number >= 0:
-            if hashes[number] == pivot_hash:
-                start = self._starts[number]
-                try:
-                    group = self._loads(
-                        os.pread(self._fd, self._starts[number + 1] - start, start))
-                except self._damaged as exc:
-                    raise OSError(f"damaged pivot store in {self._base}: {exc}") from exc
-                if group[0][0] == pivot:
-                    return group
-            slot = (slot + 1) & mask
-            number = slots[slot]
-        return None
-
-    def close(self) -> None:
-        self._file.close()
-
-
 def _attach_orientations(pt_rows: Iterable[Row], reo_rows: Iterable[Row],
                          ) -> Iterator[Row]:
     """Append six orientation probabilities to each pivot-target row.
@@ -312,20 +241,28 @@ def _attach_orientations(pt_rows: Iterable[Row], reo_rows: Iterable[Row],
         pass
 
 
-def _iter_join(sp_rows: Iterable[Row], pt_rows: Iterable[Row], on_disk: bool,
+def _iter_join(sp_rows: Generator[Row, None, None],
+               pt_kept: Callable[[str | None], Iterator[Row]], on_disk: bool,
                cfg: PivotConfig, reordering: bool) -> Iterator[Row]:
     """Compose the rows of each pair of phrases that share a pivot phrase.
 
-    ``pt_rows`` must be sorted by pivot phrase; all of them are stored,
-    in a dict or with ``on_disk`` in a ``_PivotStore``, before the first
-    source-pivot row is read, and the store is closed when the stream
-    ends, fails or is closed.  The source-pivot rows are walked once, in
-    (source, pivot) order, each with the pivot-target rows of its pivot,
-    and ``_source_sums`` sums each source's products per target as they
-    arrive.  When the source ends, its targets come out in sorted order.
-    A source with more than ``cfg.chunk_size`` targets puts its sums so
-    far and its partials from there on in target order through the
-    disk-backed sort instead, and ``_iter_reduce`` continues the sums.
+    ``sp_rows`` are the kept source-pivot rows, and ``pt_kept(tmp_base)``
+    gives the kept pivot-target rows, sorted by pivot phrase, with any sort
+    spilling under ``tmp_base``.  All of them are stored, in a dict or
+    with ``on_disk`` in a ``pivotstore.PivotStore``, before the join reads
+    a second source-pivot row, and the store is closed when the stream
+    ends, fails or is closed.  ``open_store`` builds the disk store in a
+    worker process while this one reads the source-pivot rows to the
+    first, or inline before the first.  A pivot-target error wins over a
+    source-pivot one, as it would inline.
+
+    The source-pivot rows are walked once, in (source, pivot) order, each
+    with the pivot-target rows of its pivot, and ``_source_sums`` sums
+    each source's products per target as they arrive.  When the source
+    ends, its targets come out in sorted order.  A source with more than
+    ``cfg.chunk_size`` targets puts its sums so far and its partials from
+    there on in target order through the disk-backed sort instead, and
+    ``_iter_reduce`` continues the sums.
 
     With ``reordering`` the pivot-target rows carry six orientation
     probabilities, and each composed row their mixture over the shared
@@ -334,10 +271,28 @@ def _iter_join(sp_rows: Iterable[Row], pt_rows: Iterable[Row], on_disk: bool,
     limit, tmp_base, min_links = cfg.chunk_size, cfg.tmpdir, cfg.min_alignment_links
     with ExitStack() as stack:
         if on_disk:
-            lookup = stack.enter_context(closing(_PivotStore(pt_rows, tmp_base))).get
+            from .pivotstore import open_store
+            store, worker = open_store(pt_kept, tmp_base, stack)
+            # The worker has its own copy of the pivot-target side: this
+            # drops the probed rows here.
+            del pt_kept
+            if worker is not None:
+                # Closed on the way out, the source-pivot sort removes its
+                # scratch at once when the worker's error ends the join.
+                stack.callback(sp_rows.close)
+                try:
+                    head = list(islice(sp_rows, 1))
+                except Exception:
+                    # The pivot-target table's error comes first, as it
+                    # does when the store is built inline.
+                    worker.finish(store)
+                    raise
+                worker.finish(store)
+                sp_rows = chain(head, sp_rows)
+            lookup = store.get
         else:
-            lookup = {pivot: list(group)
-                      for pivot, group in groupby(pt_rows, key=itemgetter(0))}.get
+            lookup = {pivot: list(group) for pivot, group
+                      in groupby(pt_kept(tmp_base), key=itemgetter(0))}.get
         for src, group in groupby(sp_rows, key=itemgetter(0)):
             sums, rest = _source_sums(src, group, lookup, limit, reordering)
             if rest is None:
@@ -554,9 +509,10 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
     The call reads up to ``cfg.chunk_size + 1`` pivot-target rows to pick
     the store that ``_iter_join`` builds (see the module docstring): at
     most ``chunk_size`` rows are held in a dict, more go to the disk pivot
-    store, an unnamed file in the sort's scratch location.  Either way the
-    pivot-target input is read to the end before the first source-pivot
-    row.
+    store, an unnamed file in the sort's scratch location.  The dict, and
+    a disk store built inline, read the pivot-target input to the end
+    before the first source-pivot row; a disk store's worker process reads
+    the rest of it while this process reads the source-pivot rows.
 
     ``pt_reo_rows``, reordering rows whose scores are the six orientation
     probabilities, composes a reordering table in the same pass: each
@@ -586,12 +542,12 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
     wv_sp = weight_vector(CORE_FEATURES + tuple(sp_extras), cfg.weights_sp)
     wv_pt = weight_vector(CORE_FEATURES + tuple(pt_extras), cfg.weights_pt)
 
-    def sort(rows: Iterable[Row], key) -> Iterator[Row]:
-        return ext_sorted(rows, key, chunk_size=cfg.chunk_size, tmp_base=cfg.tmpdir)
+    def sort(rows: Iterable[Row], key, tmp_base: str | None) -> Iterator[Row]:
+        return ext_sorted(rows, key, chunk_size=cfg.chunk_size, tmp_base=tmp_base)
 
     if sp_reo_rows is not None:
         # closing() removes the sort's scratch files on a signal outside it too.
-        with closing(sort(sp_reo_rows, _BY_SRC_TGT)) as ordered:
+        with closing(sort(sp_reo_rows, _BY_SRC_TGT, cfg.tmpdir)) as ordered:
             n_entries = sum(1 for _ in check_unique(ordered, _BY_SRC_TGT,
                                                     "reordering entry"))
         logger.info("source-pivot reordering table (%d entries) is validated"
@@ -605,18 +561,22 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
     else:
         logger.info("pivot-target table fits one sort chunk (%d rows):"
                     " in-memory pivot store", len(probe))
-    # Draining hands each probed row to the pivot-target sort, so the probe
-    # buffer does not stay alive beside the sort's own chunk.
-    pt_rows = chain(drain(probe), pt_rest)
     if not inputs_sorted:
-        sp_rows = sort(sp_rows, _BY_SRC_TGT)
-        pt_rows = sort(pt_rows, _BY_SRC_TGT)
+        sp_rows = sort(sp_rows, _BY_SRC_TGT, cfg.tmpdir)
     sp_kept = _drop_extras(_iter_top_n(sp_rows, wv_sp, cfg.top_n, "source-pivot"),
                            sp_extras)
-    pt_kept = _drop_extras(_iter_top_n(pt_rows, wv_pt, cfg.top_n, "pivot-target"),
-                           pt_extras)
-    if pt_reo_rows is not None:
-        pt_kept = _attach_orientations(pt_kept, sort(pt_reo_rows, _BY_SRC_TGT))
+
+    def pt_kept(tmp_base: str | None) -> Iterator[Row]:
+        # Draining hands each probed row to the pivot-target sort, so the
+        # probe buffer does not stay alive beside the sort's own chunk.
+        rows = chain(drain(probe), pt_rest)
+        if not inputs_sorted:
+            rows = sort(rows, _BY_SRC_TGT, tmp_base)
+        kept = _drop_extras(_iter_top_n(rows, wv_pt, cfg.top_n, "pivot-target"),
+                            pt_extras)
+        if pt_reo_rows is None:
+            return kept
+        return _attach_orientations(kept, sort(pt_reo_rows, _BY_SRC_TGT, tmp_base))
     return _iter_join(sp_kept, pt_kept, on_disk, cfg, pt_reo_rows is not None)
 
 

@@ -47,7 +47,8 @@ try:
         hwm = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
 except OSError:
     hwm = -1
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, hwm, file=sys.stderr)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, hwm,
+      resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)
 sys.exit(rc)
 """
 
@@ -56,10 +57,13 @@ def run_measured(scratch, *argv):
     """Run the CLI on ``argv`` in a child process with ``scratch`` as its
     ``PIVOTSMITH_TMPDIR``.
 
-    Returns the wall seconds, the child's ``ru_maxrss`` and its ``VmHWM``
-    (-1 without ``/proc``), both in KB.  ``ru_maxrss`` also counts the
-    peak of the process that started the child, because it survives the
-    exec; ``VmHWM`` is the child's own.
+    Returns the wall seconds, the child's ``ru_maxrss``, its ``VmHWM``
+    (-1 without ``/proc``) and the largest ``ru_maxrss`` of the processes
+    it started and reaped, all in KB.  The last is the peak of ``pivot``'s
+    disk pivot store worker (0 without one), which holds memory of its own
+    beside the command's.  ``ru_maxrss`` also counts the peak of the
+    process that started the child, because it survives the exec;
+    ``VmHWM`` is the child's own.
     """
     env = dict(os.environ)
     env["PIVOTSMITH_TMPDIR"] = str(scratch)
@@ -69,8 +73,15 @@ def run_measured(scratch, *argv):
         capture_output=True, text=True, env=env, timeout=600)
     elapsed = time.perf_counter() - started
     assert proc.returncode == 0, proc.stderr
-    maxrss_kb, hwm_kb = proc.stderr.strip().splitlines()[-1].split()
-    return elapsed, int(maxrss_kb), int(hwm_kb)
+    maxrss_kb, hwm_kb, worker_kb = map(int, proc.stderr.strip().splitlines()[-1].split())
+    return elapsed, maxrss_kb, hwm_kb, worker_kb
+
+
+def assert_flat_peaks(peaks):
+    """Each process's peak, the command's ``VmHWM`` and its store worker's,
+    stays within 4 MB across ``peaks``, pairs in KB from ``run_measured``."""
+    for own in zip(*peaks):
+        assert abs(own[1] - own[0]) < 4 * 1024, f"(VmHWM, worker) peaks {peaks} KB"
 
 
 def run_pivot_measured(sp_path, pt_path, out_path, scratch, *extra_args):

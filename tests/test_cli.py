@@ -503,6 +503,31 @@ class TestMorphCommands:
         text = src_lex.read_text()
         assert "sa\tNOUN\tFeminine\tSingular\tNA\t[Feminine+Singular]\t2\n" in text
 
+    def test_lexicon_corpus_error_names_its_file(self, morph_files, capsys):
+        tmp_path, _, _ = morph_files
+        corp = tmp_path / "corp"
+        corp.write_text("sa\tNOUN\n")
+        out = tmp_path / "corp.lex"
+        assert main(["lexicon", "-i", str(tmp_path / "src_tagged.tsv"),
+                     "-i", str(corp), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"pivotsmith: error: {corp}: line 1: expected 5 tab-separated fields,"
+            " got 2\n")
+        assert not out.exists()
+
+    def test_fc_train_alignment_error_names_its_file(self, morph_files, capsys):
+        tmp_path, src_lex, tgt_lex = morph_files
+        (tmp_path / "psrc.txt").write_text("sa\n")
+        (tmp_path / "ptgt.txt").write_text("ta\n")
+        align = tmp_path / "align"
+        align.write_text("0-x\n")
+        assert main(["fc-train", "--src", str(tmp_path / "psrc.txt"),
+                     "--tgt", str(tmp_path / "ptgt.txt"), "--align", str(align),
+                     "--src-lex", str(src_lex), "--tgt-lex", str(tgt_lex),
+                     "-o", str(tmp_path / "model.tsv")]) == 1
+        assert capsys.readouterr().err == (
+            f"pivotsmith: error: {align}: line 1: malformed alignment point '0-x'\n")
+
     def test_fc_train_and_annotate(self, morph_files):
         tmp_path, src_lex, tgt_lex = morph_files
         (tmp_path / "psrc.txt").write_text("sa sb\nsa\n")

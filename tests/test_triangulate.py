@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import errno
 import io
 import logging
 import math
+import os
 import random
 import re
+import signal
+import threading
 
 import pytest
 
 from conftest import (
+    assert_flat_peaks,
     entry,
     oracle_compose,
     oracle_project,
@@ -20,7 +25,7 @@ from conftest import (
     run_pivot_measured,
     table,
 )
-from pivotsmith import triangulate
+from pivotsmith import extsort, pivotstore, triangulate
 from pivotsmith.cli import main
 from pivotsmith.extsort import ext_sorted
 from pivotsmith.tablecore import (
@@ -58,6 +63,42 @@ from pivotsmith.triangulate import (
     filter_rows,
     project_alignment,
 )
+
+
+# A disk pivot store is built in a worker process when this process may run
+# on two CPUs or more; with one, it is built inline.
+STORE_WORKER = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+                and len(os.sched_getaffinity(0)) > 1)
+
+
+class ReadLog:
+    """What logged inputs did, in order, each with the process that did it.
+
+    The log is a file, so that a forked store worker's pulls count too.
+    """
+
+    def __init__(self, path):
+        self.path = path
+
+    def note(self, what: str) -> None:
+        with open(self.path, "a", encoding="utf-8") as log:
+            log.write(f"{os.getpid()} {what}\n")
+
+    def logged(self, side: str, rows):
+        """``rows``, noting ``side`` as each one is pulled."""
+        for row in rows:
+            self.note(side)
+            yield row
+
+    def split(self) -> tuple[list[str], list[str]]:
+        """The notes of this process, and those of any other."""
+        if not os.path.exists(self.path):
+            return [], []
+        with open(self.path, encoding="utf-8") as log:
+            entries = [line.split() for line in log]
+        me = str(os.getpid())
+        return ([what for pid, what in entries if pid == me],
+                [what for pid, what in entries if pid != me])
 
 
 def as_dict(tbl: PhraseTable):
@@ -443,13 +484,16 @@ class TestStreaming:
             return ext_sorted(*args, **kwargs)
         monkeypatch.setattr(triangulate, "ext_sorted", counting_sort)
 
-        def composed(chunk):
-            kept = pt_rows
+        def pt_kept(tmp_base):
             if reordering:
-                kept = triangulate._attach_orientations(pt_rows, reo_rows)
+                return triangulate._attach_orientations(pt_rows, reo_rows)
+            return (row for row in pt_rows)
+
+        def composed(chunk):
             cfg = PivotConfig(chunk_size=chunk, min_alignment_links=min_links,
                               tmpdir=str(tmp_path))
-            return list(triangulate._iter_join(sp_rows, kept, on_disk, cfg, reordering))
+            return list(triangulate._iter_join((row for row in sp_rows), pt_kept,
+                                               on_disk, cfg, reordering))
 
         def text(rows):
             table_out, reordering_out = io.StringIO(), io.StringIO()
@@ -473,29 +517,38 @@ class TestStreaming:
         assert text(rows) == text(in_memory)
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("extra_rows,sorts", [(0, 2), (1, 2)], ids=["hash", "merge"])
-    def test_join_path_sort_count_and_read_order(self, monkeypatch, extra_rows, sorts):
+    @pytest.mark.parametrize("extra_rows,inline", [(0, False), (1, False), (1, True)],
+                             ids=["hash", "merge", "merge-inline"])
+    def test_join_path_sort_count_and_read_order(self, monkeypatch, tmp_path,
+                                                 extra_rows, inline):
         rng = random.Random(79)
         sp, pt, _ = random_pivot_triple(rng)
-        calls = []
+        log = ReadLog(tmp_path / "reads")
 
-        def counting_sort(*args, **kwargs):
-            calls.append(1)
+        def noted_sort(*args, **kwargs):
+            log.note("sort")
             return ext_sorted(*args, **kwargs)
-        monkeypatch.setattr(triangulate, "ext_sorted", counting_sort)
-        reads = []
-
-        def logged(side, rows):
-            for row in rows:
-                reads.append(side)
-                yield row
-        cfg = PivotConfig(chunk_size=len(pt) - extra_rows)
-        list(compose_rows(logged("sp", shuffled_rows(rng, sp)), (),
-                          logged("pt", shuffled_rows(rng, pt)), (), cfg))
-        assert len(calls) == sorts
-        # The whole pivot-target input goes into its sort before the first
-        # source-pivot row is read, so the probed rows never outlive it.
-        assert reads == ["pt"] * len(pt) + ["sp"] * len(sp)
+        monkeypatch.setattr(triangulate, "ext_sorted", noted_sort)
+        if inline:
+            _one_cpu(monkeypatch)
+        chunk = len(pt) - extra_rows
+        list(compose_rows(log.logged("sp", shuffled_rows(rng, sp)), (),
+                          log.logged("pt", shuffled_rows(rng, pt)), (),
+                          PivotConfig(chunk_size=chunk)))
+        here, worker = log.split()
+        probe = ["pt"] * min(chunk + 1, len(pt))
+        if extra_rows and not inline and STORE_WORKER:
+            # Past the probe, the worker sorts and reads the pivot-target
+            # rows while this process sorts and reads the source-pivot rows.
+            assert here == probe + ["sort"] + ["sp"] * len(sp)
+            assert worker == ["sort"] + ["pt"] * (len(pt) - len(probe))
+        else:
+            # The whole pivot-target input goes into its sort before the
+            # first source-pivot row is read, so the probed rows never
+            # outlive it.
+            assert here == probe + ["sort"] * 2 + ["pt"] * (len(pt) - len(probe)) \
+                + ["sp"] * len(sp)
+            assert worker == []
 
     @pytest.mark.parametrize("chunk,message", [
         (None, "pivot-target table fits one sort chunk ({n} rows):"
@@ -535,7 +588,7 @@ class TestPivotStore:
         def one_hash(pivot):
             hashed.append(pivot)
             return -3
-        monkeypatch.setattr(triangulate, "_pivot_hash", one_hash)
+        monkeypatch.setattr(pivotstore, "_pivot_hash", one_hash)
         rng = random.Random(81)
         sp, pt, pt_reo = random_pivot_triple(rng)
         sp = table([*sp, entry("lone", "nowhere")])
@@ -557,11 +610,11 @@ class TestPivotStore:
                                                        end):
         stores = []
 
-        class Recorded(triangulate._PivotStore):
+        class Recorded(pivotstore.PivotStore):
             def __init__(self, *args):
                 super().__init__(*args)
                 stores.append(self)
-        monkeypatch.setattr(triangulate, "_PivotStore", Recorded)
+        monkeypatch.setattr(pivotstore, "PivotStore", Recorded)
         sp_rows = [((f"s{i}",), ("p",), (0.5,) * 4, ((0, 0),)) for i in range(6)]
         if end == "failed":
             sp_rows.append(sp_rows[-1])
@@ -590,8 +643,9 @@ class TestPivotStore:
 
     def test_damaged_record_is_an_os_error(self, tmp_path):
         pt_rows = [((f"p{i}",), ("t",), (0.5,) * 4, ((0, 0),)) for i in range(3)]
-        store = triangulate._PivotStore(iter(pt_rows), str(tmp_path))
+        store = pivotstore.PivotStore(str(tmp_path))
         try:
+            store.set_index(store.write(iter(pt_rows)))
             assert list(tmp_path.iterdir()) == []
             store._file.truncate(store._file.seek(0, io.SEEK_END) - 5)
             with pytest.raises(OSError, match="damaged pivot store in "
@@ -601,6 +655,171 @@ class TestPivotStore:
         finally:
             store.close()
         assert store._file.closed
+
+
+def _write_spill_pair(tmp_path, n_sp=40, n_pt=40, bad_sp=None, bad_pt=None):
+    """Files of ``n_sp`` source-pivot and ``n_pt`` pivot-target rows, with
+    the line numbered ``bad_sp`` or ``bad_pt`` one score short."""
+    def scores(line, bad):
+        return "0.1 0.1 1" if line == bad else "0.1 0.1 1 1"
+    sp, pt = tmp_path / "sp.txt", tmp_path / "pt.txt"
+    sp.write_text("".join(f"s{i} ||| p{i % 10} ||| {scores(i + 1, bad_sp)} ||| 0-0\n"
+                          for i in range(n_sp)), encoding="utf-8")
+    pt.write_text("".join(f"p{i % 10} ||| t{i} ||| {scores(i + 1, bad_pt)} ||| 0-0\n"
+                          for i in range(n_pt)), encoding="utf-8")
+    return sp, pt
+
+
+def _one_cpu(monkeypatch):
+    """Make this process look as if it may run on one CPU only."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not STORE_WORKER, reason="a store worker needs two CPUs")
+class TestStoreWorker:
+    """The forked process that builds the disk pivot store, against the
+    same store built inline."""
+
+    def pivot(self, tmp_path, sp, pt, *options):
+        scratch = tmp_path / "scratch"
+        scratch.mkdir(exist_ok=True)
+        out = tmp_path / "out.txt"
+        rc = main([*options, "pivot", "--sp", str(sp), "--pt", str(pt),
+                   "--chunk-size", "5", "--tmpdir", str(scratch), "-o", str(out)])
+        assert list(scratch.iterdir()) == []
+        _no_child_left()
+        return rc, out.read_bytes() if out.exists() else None
+
+    @pytest.mark.parametrize("bad", ["both", "sp", "pt"])
+    @pytest.mark.parametrize("inline", [False, True], ids=["worker", "inline"])
+    def test_a_pivot_target_error_wins(self, monkeypatch, tmp_path, capsys, bad,
+                                       inline):
+        # The bad pivot-target line lies past the probe, so the worker
+        # reads it, while this process reads the bad source-pivot line.
+        if inline:
+            _one_cpu(monkeypatch)
+        sp, pt = _write_spill_pair(tmp_path, bad_sp=3 if bad != "pt" else None,
+                                   bad_pt=37 if bad != "sp" else None)
+        assert self.pivot(tmp_path, sp, pt) == (1, None)
+        path, line = (sp, 3) if bad == "sp" else (pt, 37)
+        assert capsys.readouterr().err == (
+            f"pivotsmith: error: {path}: line {line}: expected 4 score columns,"
+            " got 3\n")
+
+    def test_a_worker_error_keeps_its_type_and_line(self, tmp_path):
+        sp, pt = _write_spill_pair(tmp_path, bad_pt=37)
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        with open(sp, encoding="utf-8") as sp_f, open(pt, encoding="utf-8") as pt_f:
+            rows = compose_rows(read_rows(sp_f)[1], (), read_rows(pt_f, "pt.txt")[1], (),
+                                PivotConfig(chunk_size=5, tmpdir=str(scratch)))
+            with pytest.raises(TableError) as caught:
+                next(rows)
+        assert type(caught.value) is TableError
+        assert caught.value.line == 37
+        assert str(caught.value) == "pt.txt: line 37: expected 4 score columns, got 3"
+        assert list(scratch.iterdir()) == []
+        _no_child_left()
+
+    @pytest.mark.parametrize("inline", [False, True], ids=["worker", "inline"])
+    def test_a_damaged_spill_run_in_the_worker_is_an_os_error(
+            self, monkeypatch, tmp_path, capsys, inline):
+        # Only the pivot-target sort spills: its runs end too early.
+        def write_run_without_end_marker(path, rows):
+            with open(path, "wb") as out:
+                out.write(extsort.encode_row(list(rows)[:1]))
+        monkeypatch.setattr(extsort, "_write_run", write_run_without_end_marker)
+        if inline:
+            _one_cpu(monkeypatch)
+        sp, pt = _write_spill_pair(tmp_path, n_sp=5)
+        assert self.pivot(tmp_path, sp, pt) == (1, None)
+        nested = "" if inline else "/pivotsmith-sort-[^/]+"
+        assert re.fullmatch(
+            f"pivotsmith: error: damaged spill run in {re.escape(str(tmp_path))}"
+            f"/scratch/pivotsmith-sort-[^/]+{nested}: Ran out of input\n",
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("inline", [False, True], ids=["worker", "inline"])
+    def test_a_damaged_store_record_is_an_os_error(self, monkeypatch, tmp_path,
+                                                   capsys, inline):
+        class Truncated(pivotstore.PivotStore):
+            def set_index(self, index):
+                super().set_index(index)
+                self._file.truncate(self._file.seek(0, io.SEEK_END) - 5)
+        monkeypatch.setattr(pivotstore, "PivotStore", Truncated)
+        if inline:
+            _one_cpu(monkeypatch)
+        sp, pt = _write_spill_pair(tmp_path)
+        assert self.pivot(tmp_path, sp, pt) == (1, None)
+        assert capsys.readouterr().err.startswith(
+            f"pivotsmith: error: damaged pivot store in {tmp_path / 'scratch'}: ")
+
+    def test_a_killed_worker_is_an_os_error(self, monkeypatch, tmp_path, capsys):
+        parent = os.getpid()
+
+        def killed(store, rows):
+            assert os.getpid() != parent
+            os.kill(os.getpid(), signal.SIGKILL)
+        monkeypatch.setattr(pivotstore.PivotStore, "write", killed)
+        sp, pt = _write_spill_pair(tmp_path)
+        assert self.pivot(tmp_path, sp, pt) == (1, None)
+        assert capsys.readouterr().err == (
+            "pivotsmith: error: the disk pivot store's worker ended by signal"
+            f" {int(signal.SIGKILL)} before sending its index\n")
+
+    @pytest.mark.parametrize("case", ["worker", "one-cpu", "fork-fails", "threads"])
+    def test_verbose_names_where_the_store_was_built(self, monkeypatch, tmp_path,
+                                                     caplog, case):
+        sp, pt = _write_spill_pair(tmp_path)
+        _, want = self.pivot(tmp_path, sp, pt)
+        message = "disk pivot store built inline: "
+        if case == "worker":
+            message = "disk pivot store built in a worker process on CPU "
+        elif case == "one-cpu":
+            _one_cpu(monkeypatch)
+            message += "the CPU affinity mask holds 1 CPU"
+        elif case == "fork-fails":
+            def no_fork():
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            monkeypatch.setattr(os, "fork", no_fork)
+            message += f"os.fork failed: [Errno {errno.EAGAIN}]"
+        release = threading.Event()
+        waiting = threading.Thread(target=release.wait)
+        if case == "threads":
+            waiting.start()
+            message += f"{threading.active_count()} Python threads are alive"
+        try:
+            with caplog.at_level(logging.INFO, logger="pivotsmith.pivotstore"):
+                assert self.pivot(tmp_path, sp, pt, "--verbose") == (0, want)
+        finally:
+            release.set()
+            if case == "threads":
+                waiting.join(timeout=10)
+        [logged] = [m for m in caplog.messages if m.startswith("disk pivot store built")]
+        assert logged.startswith(message)
+
+    def test_closing_the_stream_early_reaps_the_worker(self, tmp_path):
+        sp, pt = _write_spill_pair(tmp_path)
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        with open(sp, encoding="utf-8") as sp_f, open(pt, encoding="utf-8") as pt_f:
+            rows = compose_rows(read_rows(sp_f)[1], (), read_rows(pt_f)[1], (),
+                                PivotConfig(chunk_size=5, tmpdir=str(scratch)))
+            next(rows)
+            rows.close()
+        _no_child_left()
+        assert list(scratch.iterdir()) == []
+
+    def test_cpu_mask_comes_back(self, tmp_path):
+        mask = os.sched_getaffinity(0)
+        sp, pt = _write_spill_pair(tmp_path)
+        assert self.pivot(tmp_path, sp, pt)[0] == 0
+        assert os.sched_getaffinity(0) == mask
 
 
 def _row(src: str, tgt: str, scores, align=((0, 0),)):
@@ -693,13 +912,14 @@ def test_hub_pivot_peak_rss_does_not_follow_the_hub_size(tmp_path):
     for sources in (20_000, 80_000):
         sp, pt = _write_hub_pair(tmp_path, sources)
         out = tmp_path / "out.txt"
-        _, _, peak_kb = run_pivot_measured(sp, pt, out, scratch, "--chunk-size", "1000")
+        _, _, peak_kb, worker_kb = run_pivot_measured(sp, pt, out, scratch,
+                                                      "--chunk-size", "1000")
         if peak_kb < 0:
             pytest.skip("VmHWM is read from /proc/self/status")
         with open(out, "rb") as stream:
             assert sum(1 for _ in stream) == sources
-        peaks.append(peak_kb)
-    assert abs(peaks[1] - peaks[0]) < 4 * 1024, f"peaks {peaks} KB"
+        peaks.append((peak_kb, worker_kb))
+    assert_flat_peaks(peaks)
 
 
 def test_reordering_peak_rss_does_not_follow_the_table_size(tmp_path):
@@ -718,17 +938,17 @@ def test_reordering_peak_rss_does_not_follow_the_table_size(tmp_path):
         reo.write_text("".join(f"p{i} ||| t{i} ||| 0.5 0.25 0.25 0.5 0.25 0.25\n"
                                for i in range(rows)), encoding="utf-8")
         out, reo_out = tmp_path / "out.txt", tmp_path / "reo-out.txt"
-        _, _, peak_kb = run_measured(scratch, "pivot", "--sp", sp, "--pt", pt,
-                                     "-o", out, "--reordering-pt", reo,
-                                     "--reordering-out", reo_out,
-                                     "--chunk-size", "1000")
+        _, _, peak_kb, worker_kb = run_measured(scratch, "pivot", "--sp", sp, "--pt", pt,
+                                                "-o", out, "--reordering-pt", reo,
+                                                "--reordering-out", reo_out,
+                                                "--chunk-size", "1000")
         if peak_kb < 0:
             pytest.skip("VmHWM is read from /proc/self/status")
         for path in (out, reo_out):
             with open(path, "rb") as stream:
                 assert sum(1 for _ in stream) == rows
-        peaks.append(peak_kb)
-    assert abs(peaks[1] - peaks[0]) < 4 * 1024, f"peaks {peaks} KB"
+        peaks.append((peak_kb, worker_kb))
+    assert_flat_peaks(peaks)
 
 
 def test_orientation_text_memo_does_not_follow_the_table_size(tmp_path):
@@ -751,18 +971,18 @@ def test_orientation_text_memo_does_not_follow_the_table_size(tmp_path):
                          f" {d!r} {e!r} {1 - d - e!r}\n")
         reo.write_text("".join(lines), encoding="utf-8")
         out, reo_out = tmp_path / "out.txt", tmp_path / "reo-out.txt"
-        _, _, peak_kb = run_measured(scratch, "pivot", "--sp", sp, "--pt", pt,
-                                     "-o", out, "--reordering-pt", reo,
-                                     "--reordering-out", reo_out,
-                                     "--chunk-size", "1000")
+        _, _, peak_kb, worker_kb = run_measured(scratch, "pivot", "--sp", sp, "--pt", pt,
+                                                "-o", out, "--reordering-pt", reo,
+                                                "--reordering-out", reo_out,
+                                                "--chunk-size", "1000")
         if peak_kb < 0:
             pytest.skip("VmHWM is read from /proc/self/status")
         with open(reo_out, encoding="utf-8") as stream:
             written = [line.split(" ||| ")[2].split() for line in stream]
         assert len(written) == rows
         assert len({value for probs in written for value in probs}) > 5 * rows
-        peaks.append(peak_kb)
-    assert abs(peaks[1] - peaks[0]) < 4 * 1024, f"peaks {peaks} KB"
+        peaks.append((peak_kb, worker_kb))
+    assert_flat_peaks(peaks)
 
 
 def test_reordering_sp_peak_rss_does_not_follow_the_table_size(tmp_path):
@@ -780,17 +1000,17 @@ def test_reordering_sp_peak_rss_does_not_follow_the_table_size(tmp_path):
         reo_sp.write_text("".join(f"s{i} ||| p{i} ||| 0.5 0.25 0.25 0.5 0.25 0.25\n"
                                   for i in range(rows)), encoding="utf-8")
         out, reo_out = tmp_path / "out.txt", tmp_path / "reo-out.txt"
-        _, _, peak_kb = run_measured(scratch, "pivot", "--sp", sp, "--pt", pt,
-                                     "-o", out, "--reordering-sp", reo_sp,
-                                     "--reordering-pt", reo_pt,
-                                     "--reordering-out", reo_out,
-                                     "--chunk-size", "1000")
+        _, _, peak_kb, worker_kb = run_measured(scratch, "pivot", "--sp", sp, "--pt", pt,
+                                                "-o", out, "--reordering-sp", reo_sp,
+                                                "--reordering-pt", reo_pt,
+                                                "--reordering-out", reo_out,
+                                                "--chunk-size", "1000")
         if peak_kb < 0:
             pytest.skip("VmHWM is read from /proc/self/status")
         assert out.read_text(encoding="utf-8") == "s ||| t ||| 1 1 1 1 ||| 0-0\n"
         assert list(scratch.iterdir()) == []
-        peaks.append(peak_kb)
-    assert abs(peaks[1] - peaks[0]) < 4 * 1024, f"peaks {peaks} KB"
+        peaks.append((peak_kb, worker_kb))
+    assert_flat_peaks(peaks)
 
 
 def _bits_alignment(i, width):
@@ -816,13 +1036,14 @@ def test_parse_memos_do_not_follow_the_table_size(tmp_path):
             f" ||| {_bits_alignment(i + 1, 6)}\n" for i in range(rows)),
             encoding="utf-8")
         out = tmp_path / "out.txt"
-        _, _, peak_kb = run_pivot_measured(sp, pt, out, scratch, "--chunk-size", "1000")
+        _, _, peak_kb, worker_kb = run_pivot_measured(sp, pt, out, scratch,
+                                                      "--chunk-size", "1000")
         if peak_kb < 0:
             pytest.skip("VmHWM is read from /proc/self/status")
         with open(out, "rb") as stream:
             assert sum(1 for _ in stream) == rows
-        peaks.append(peak_kb)
-    assert abs(peaks[1] - peaks[0]) < 4 * 1024, f"peaks {peaks} KB"
+        peaks.append((peak_kb, worker_kb))
+    assert_flat_peaks(peaks)
 
 
 def _write_wide_pivot(dirpath, targets):
@@ -853,8 +1074,8 @@ def test_top_n_peak_rss_does_not_follow_the_group_size(tmp_path, command):
             argv = ["pivot", "--sp", sp, "--pt", pt]
         else:
             argv = ["filter", "-i", pt]
-        _, _, peak_kb = run_measured(scratch, *argv, "-o", out, "--top-n", "5",
-                                     "--chunk-size", "1000")
+        _, _, peak_kb, worker_kb = run_measured(scratch, *argv, "-o", out, "--top-n", "5",
+                                                "--chunk-size", "1000")
         if peak_kb < 0:
             pytest.skip("VmHWM is read from /proc/self/status")
         with open(out, encoding="utf-8") as stream:
@@ -864,8 +1085,8 @@ def test_top_n_peak_rss_does_not_follow_the_group_size(tmp_path, command):
         # Equal scores rank by target phrase.
         assert {line.split(" ||| ")[1] for line in lines} == {
             "u0", "u1", "u10", "u100", "u1000"}
-        peaks.append(peak_kb)
-    assert abs(peaks[1] - peaks[0]) < 4 * 1024, f"peaks {peaks} KB"
+        peaks.append((peak_kb, worker_kb))
+    assert_flat_peaks(peaks)
 
 
 def shuffled_rows(rng: random.Random, tbl: PhraseTable) -> list:
@@ -907,15 +1128,15 @@ def _one_source_peaks(tmp_path, target, rows_out):
                               f" {share} ||| 0-0\n" for i in range(n) for k in range(n)),
                       encoding="utf-8")
         out = tmp_path / "out.txt"
-        _, _, peak_kb = run_measured(scratch, "pivot", "--sp", sp, "--pt", pt,
-                                     "-o", out, "--top-n", str(n),
-                                     "--chunk-size", "1000")
+        _, _, peak_kb, worker_kb = run_measured(scratch, "pivot", "--sp", sp, "--pt", pt,
+                                                "-o", out, "--top-n", str(n),
+                                                "--chunk-size", "1000")
         if peak_kb < 0:
             pytest.skip("VmHWM is read from /proc/self/status")
         with open(out, encoding="utf-8") as stream:
             assert sum(1 for _ in stream) == rows_out(n)
         assert list(scratch.iterdir()) == []
-        peaks.append(peak_kb)
+        peaks.append((peak_kb, worker_kb))
     return peaks
 
 
@@ -924,7 +1145,7 @@ def test_one_source_joined_rows_peak_rss_does_not_follow_top_n_squared(tmp_path)
     # partials, summed into n rows.  Four times as many partials need no
     # more memory.
     peaks = _one_source_peaks(tmp_path, lambda i, k: f"t{k}", lambda n: n)
-    assert abs(peaks[1] - peaks[0]) < 4 * 1024, f"peaks {peaks} KB"
+    assert_flat_peaks(peaks)
 
 
 def test_one_source_distinct_targets_peak_rss_does_not_follow_top_n_squared(tmp_path):
@@ -932,7 +1153,7 @@ def test_one_source_distinct_targets_peak_rss_does_not_follow_top_n_squared(tmp_
     # Past one chunk of them its sums go through the disk-backed sort, so
     # four times as many need no more memory.
     peaks = _one_source_peaks(tmp_path, lambda i, k: f"t{i}_{k}", lambda n: n * n)
-    assert abs(peaks[1] - peaks[0]) < 4 * 1024, f"peaks {peaks} KB"
+    assert_flat_peaks(peaks)
 
 
 class TestEstimate:
@@ -1050,14 +1271,12 @@ class TestReorderingPivot:
             self.compose_oriented((1, index, index), 2, chunk_size)
 
     @staticmethod
-    def logged_inputs(pulls, n, sp_reo_pairs, **cfg):
+    def logged_inputs(log, n, sp_reo_pairs, **cfg):
         """``compose_rows`` over ``n`` one-to-one pivots and a source-pivot
         reordering table of the pairs numbered ``sp_reo_pairs``, each input
-        logging its name to ``pulls`` as a row is pulled from it."""
-        def logged(side, rows):
-            for row in rows:
-                pulls.append(side)
-                yield row
+        noting its name in the ``ReadLog`` ``log`` as a row is pulled from
+        it."""
+        logged = log.logged
         probs = (0.8, 0.1, 0.1, 0.6, 0.2, 0.2)
         sp_rows = [((f"a{i}",), (f"x{i}",), (0.5,) * 4, ()) for i in range(n)]
         pt_rows = [((f"x{i}",), ("u",), (0.5,) * 4, ()) for i in range(n)]
@@ -1068,48 +1287,57 @@ class TestReorderingPivot:
                             sp_reo_rows=logged("sp-reo", sp_reo))
 
     @pytest.mark.parametrize("chunk_size", [100, 4], ids=["hash", "merge"])
-    def test_pivot_target_rows_are_read_before_the_reordering_rows(self, chunk_size):
+    def test_pivot_target_rows_are_read_before_the_reordering_rows(self, chunk_size,
+                                                                   tmp_path):
         # On the disk pivot store the probe list, chunk_size + 1 pivot-target
         # rows, lives until the pivot-target sort has read its input, so the
-        # reordering sort must not fill its chunk before that.
-        pulls = []
-
-        def logged(side, rows):
-            for row in rows:
-                pulls.append(side)
-                yield row
+        # reordering sort must not fill its chunk before that.  A worker
+        # reads the rows past the probe, and the source-pivot rows are read
+        # here meanwhile.
+        log = ReadLog(tmp_path / "reads")
         n = 12
         sp_rows = [((f"a{i}",), (f"x{i}",), (0.5,) * 4, ()) for i in range(n)]
         pt_rows = [((f"x{i}",), ("u",), (0.5,) * 4, ()) for i in range(n)]
         reo = [((f"x{i}",), ("u",), (0.8, 0.1, 0.1, 0.6, 0.2, 0.2), ())
                for i in range(n)]
-        rows = compose_rows(logged("sp", sp_rows), (), logged("pt", pt_rows), (),
+        rows = compose_rows(log.logged("sp", sp_rows), (), log.logged("pt", pt_rows), (),
                             PivotConfig(chunk_size=chunk_size),
-                            pt_reo_rows=logged("reo", reo))
-        assert pulls == ["pt"] * min(chunk_size + 1, n)
+                            pt_reo_rows=log.logged("reo", reo))
+        probe = ["pt"] * min(chunk_size + 1, n)
+        assert log.split() == (probe, [])
         next(rows)
-        assert pulls == ["pt"] * n + ["reo"] * n + ["sp"] * n
+        rest = ["pt"] * (n - len(probe)) + ["reo"] * n
+        if chunk_size < n and STORE_WORKER:
+            assert log.split() == (probe + ["sp"] * n, rest)
+        else:
+            assert log.split() == (probe + rest + ["sp"] * n, [])
 
     @pytest.mark.parametrize("chunk_size", [100, 4], ids=["hash", "sort-merge"])
     def test_source_pivot_reordering_rows_are_read_first(self, chunk_size, tmp_path):
-        pulls = []
+        log = ReadLog(tmp_path.parent / f"{tmp_path.name}-reads")
         n = 12
-        rows = self.logged_inputs(pulls, n, reversed(range(n)),
+        rows = self.logged_inputs(log, n, reversed(range(n)),
                                   chunk_size=chunk_size, tmpdir=str(tmp_path))
-        assert pulls == ["sp-reo"] * n + ["pt"] * min(chunk_size + 1, n)
+        first = ["sp-reo"] * n + ["pt"] * min(chunk_size + 1, n)
+        assert log.split() == (first, [])
         assert len(list(rows)) == n
-        assert pulls == ["sp-reo"] * n + ["pt"] * n + ["reo"] * n + ["sp"] * n
+        rest = ["pt"] * (n - min(chunk_size + 1, n)) + ["reo"] * n
+        if chunk_size < n and STORE_WORKER:
+            assert log.split() == (first + ["sp"] * n, rest)
+        else:
+            assert log.split() == (first + rest + ["sp"] * n, [])
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("chunk_size", [100, 4], ids=["hash", "sort-merge"])
     def test_repeated_source_pivot_reordering_pair_raises_first(self, chunk_size,
                                                                  tmp_path):
-        pulls = []
+        log = ReadLog(tmp_path.parent / f"{tmp_path.name}-reads")
         with pytest.raises(TableError,
                            match="duplicate reordering entry for pair 'a3' -> 'x3'"):
-            self.logged_inputs(pulls, 12, [5, 3, 7, 3, 1, 0, 2],
+            self.logged_inputs(log, 12, [5, 3, 7, 3, 1, 0, 2],
                                chunk_size=chunk_size, tmpdir=str(tmp_path))
-        assert set(pulls) == {"sp-reo"}
+        here, worker = log.split()
+        assert (set(here), worker) == ({"sp-reo"}, [])
         assert list(tmp_path.iterdir()) == []
 
     def test_library_and_command_log_the_same_line(self, tmp_path, caplog):

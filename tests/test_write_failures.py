@@ -264,6 +264,86 @@ def test_signal_mid_sort_exits_and_leaves_nothing(tmp_path, command, signum, sta
     assert list(work.iterdir()) == []
 
 
+# _CHILD_CONSOLE, then whether the program left a child process behind.
+_CHILD_CONSOLE_REAPED = _CHILD_CONSOLE.replace("cli.console_main()", """
+import os
+try:
+    cli.console_main()
+finally:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        print("a child process is left", file=sys.stderr)
+    except ChildProcessError:
+        pass
+""")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="the disk pivot store's worker needs two CPUs")
+@pytest.mark.parametrize("signum, status", [
+    (signal.SIGTERM, 143), (signal.SIGHUP, 129), (signal.SIGINT, 130)],
+    ids=["SIGTERM", "SIGHUP", "SIGINT"])
+@pytest.mark.parametrize("group", [False, True], ids=["process", "group"])
+def test_signal_while_the_store_worker_sorts_leaves_nothing(tmp_path, signum, status,
+                                                            group):
+    # The worker's sort spills under the command's scratch directory.  A
+    # signal to the command alone makes it kill and reap the worker; one to
+    # the whole process group, as Ctrl-C sends, ends the worker at once.
+    scratch = tmp_path / "scratch"
+    work = tmp_path / "work"
+    scratch.mkdir()
+    work.mkdir()
+    sp, pt = tmp_path / "sp.txt", tmp_path / "pt.txt"
+    sp.write_text("".join(f"s{i} ||| p{i} ||| 1 1 1 1 ||| 0-0\n"
+                          for i in range(SIGNAL_ROWS)))
+    pt.write_text("".join(f"p{i} ||| t{i} ||| 1 1 1 1 ||| 0-0\n"
+                          for i in range(SIGNAL_ROWS)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _CHILD_CONSOLE_REAPED, "500", "pivot", "--sp", str(sp),
+         "--pt", str(pt), "--chunk-size", "500", "-o", str(work / "out.txt")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=group,
+        env=child_env(PIVOTSMITH_TMPDIR=str(scratch)))
+    try:
+        deadline = time.monotonic() + 60
+        pattern = str(scratch / "pivotsmith-sort-*" / "pivotsmith-sort-*" / "run0")
+        while not glob.glob(pattern):
+            assert proc.poll() is None, "the command ended before its worker spilled"
+            assert time.monotonic() < deadline, "no worker spill run within 60 s"
+            time.sleep(0.002)
+        if group:
+            os.killpg(proc.pid, signum)
+        else:
+            proc.send_signal(signum)
+    finally:
+        rc, stderr = _finish(proc)
+    assert rc == status, stderr
+    assert stderr == b"", stderr
+    assert list(scratch.iterdir()) == []
+    assert list(work.iterdir()) == []
+
+
+def test_no_descriptor_or_file_is_left_unclosed(tmp_path):
+    # Under -X dev, ResourceWarning made an error prints "Exception
+    # ignored" for any file or pipe that only the collector closes.
+    sp, pt = tmp_path / "sp.txt", tmp_path / "pt.txt"
+    sp.write_text("".join(f"s{i} ||| p{i} ||| 1 1 1 1 ||| 0-0\n" for i in range(200)))
+    lines = [f"p{i} ||| t{i} ||| 1 1 1 1 ||| 0-0\n" for i in range(200)]
+    pt.write_text("".join(lines))
+    bad = tmp_path / "bad.txt"
+    bad.write_text("".join(lines[:150]) + "p ||| t ||| 1 1 1 ||| 0-0\n")
+    for table, status, err in ((pt, 0, ""), (bad, 1, f"{bad}: line 151:")):
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+             "-m", "pivotsmith.cli", "pivot", "--sp", str(sp), "--pt", str(table),
+             "--chunk-size", "20", "--tmpdir", str(tmp_path), "-o",
+             str(tmp_path / "out.txt")],
+            capture_output=True, text=True, env=child_env(), timeout=120)
+        assert done.returncode == status, done.stderr
+        assert err in done.stderr
+        assert len(done.stderr.splitlines()) == status, done.stderr
+
+
 def test_signal_ignored_at_start_stays_ignored():
     # As under nohup: the program keeps ignoring SIGHUP and handles SIGTERM.
     code = """
