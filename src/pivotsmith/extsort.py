@@ -89,9 +89,10 @@ def scratch_base(override: str | None = None) -> str | None:
 
 
 @contextmanager
-def signals_held() -> Iterator[set]:
+def signals_held() -> Iterator[tuple[set, set]]:
     """Hold SIGINT, SIGTERM and SIGHUP, whose handlers the command line
-    raises from, until the block ends, and yield them.
+    raises from, until the block ends, and yield them with the signal
+    mask from before.
 
     A handler that raised between a ``mkdtemp`` and the assignment of its
     result would leave the directory behind with no name to remove it by.
@@ -100,7 +101,7 @@ def signals_held() -> Iterator[set]:
     signums = {signal.SIGINT, signal.SIGTERM, signal.SIGHUP}
     held = signal.pthread_sigmask(signal.SIG_BLOCK, signums)
     try:
-        yield signums
+        yield signums, held
     finally:
         signal.pthread_sigmask(signal.SIG_SETMASK, held)
 

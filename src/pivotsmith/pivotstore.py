@@ -4,9 +4,10 @@ A pivot join whose pivot-target table is larger than one sort chunk keeps
 its kept pivot-target rows in a ``PivotStore``: one unnamed scratch file
 of pickled pivot groups, indexed in memory by the hash of the pivot
 phrase.  ``open_store`` builds it in a forked ``_StoreWorker`` on a CPU of
-its own while the caller sorts the source-pivot table, when this process
-may run on two CPUs or more and can fork with no other thread alive, and
-inline before that sort otherwise.  Both give the same store.
+its own while the caller sorts the source-pivot table, when there is that
+sort to overlap and this process may run on two CPUs or more and can fork
+with no other thread alive, and inline before the source-pivot rows
+otherwise.  Both give the same store.
 
 Only ``triangulate`` imports this module, and only for a disk store, so a
 pivot that fits one chunk loads none of it.
@@ -109,10 +110,13 @@ class PivotStore:
         self._file.close()
 
 
-def _inline_reason() -> str | None:
-    """Why the disk pivot store cannot be built in a worker process, or
-    None when it can: this process may run on two CPUs or more, and fork
-    with no other thread alive."""
+def _inline_reason(inputs_sorted: bool) -> str | None:
+    """Why the disk pivot store is not built in a worker process, or None
+    when it is: the source-pivot rows go through a sort that the build can
+    overlap, and this process may run on two CPUs or more, and fork with
+    no other thread alive."""
+    if inputs_sorted:
+        return "the source-pivot rows come sorted, so no sort overlaps the build"
     if not hasattr(os, "fork") or not hasattr(os, "sched_setaffinity"):
         return "os.fork or os.sched_setaffinity is missing"
     cpus = len(os.sched_getaffinity(0))
@@ -124,17 +128,6 @@ def _inline_reason() -> str | None:
     return None
 
 
-def _current_cpu() -> int | None:
-    """The CPU this process last ran on, from ``/proc/self/stat``."""
-    try:
-        with open("/proc/self/stat", "rb") as stat:
-            # Field 39; the command name before it, in parentheses, may
-            # hold spaces.
-            return int(stat.read().rsplit(b")", 1)[1].split()[36])
-    except (OSError, IndexError, ValueError):
-        return None
-
-
 class _StoreWorker:
     """A forked process that writes the disk pivot store while this one
     sorts the source-pivot table.
@@ -144,8 +137,8 @@ class _StoreWorker:
     index back through a pipe, and leaves through ``os._exit``: it never
     unwinds into the caller's frames.  Its sorts spill under a scratch
     directory that this process made and removes.  While it runs, this
-    process keeps one CPU of its affinity mask and the worker gets the
-    rest: a freshly forked worker would otherwise share its parent's CPU.
+    process keeps the lowest CPU of its affinity mask and the worker gets
+    the rest: a freshly forked worker would otherwise share its parent's CPU.
     The mask comes back when the worker is reaped.
 
     ``finish`` waits for the index, or raises the worker's error with its
@@ -166,13 +159,11 @@ class _StoreWorker:
               tmp_base: str | None) -> str | None:
         """Fork the worker; None, or why it could not start."""
         mask = os.sched_getaffinity(0)
-        own = _current_cpu()
-        if own not in mask:
-            own = min(mask)
+        own = min(mask)
         # A signal must neither run this process's handlers in the worker
         # nor arrive here before the scratch, the pipe and the worker's pid
         # are kept.
-        with signals_held() as signums:
+        with signals_held() as (signums, held):
             self._scratch = tempfile.mkdtemp(prefix="pivotsmith-sort-",
                                              dir=scratch_base(tmp_base))
             read_fd, write_fd = os.pipe()
@@ -181,7 +172,7 @@ class _StoreWorker:
                 self._pid = os.fork()
                 if self._pid == 0:
                     _run_worker(store, pt_kept, self._scratch, mask - {own},
-                                read_fd, write_fd, signums)
+                                read_fd, write_fd, signums, held)
             except OSError as exc:
                 return f"os.fork failed: {exc}"
             finally:
@@ -250,7 +241,7 @@ class _StoreWorker:
 
 def _run_worker(store: PivotStore, pt_kept: Callable[[str | None], Iterator[Row]],
                 scratch: str, cpus: set[int], read_fd: int, write_fd: int,
-                signums: set) -> None:
+                signums: set, held: set) -> None:
     """The worker's whole life, in the forked process: write the store and
     send its index, or the error that stopped it, through ``write_fd``.
     With the pipe's read end closed here, a write fails once this
@@ -258,7 +249,8 @@ def _run_worker(store: PivotStore, pt_kept: Callable[[str | None], Iterator[Row]
 
     A Python handler of ``signums`` would raise into the caller's frames,
     so the signal's default action ends the worker instead; one ignored
-    stays ignored.  The worker never returns.
+    stays ignored.  The signal mask goes back to ``held``, the caller's
+    mask before the fork.  The worker never returns.
     """
     status = 1
     try:
@@ -268,7 +260,7 @@ def _run_worker(store: PivotStore, pt_kept: Callable[[str | None], Iterator[Row]
         for signum in signums:
             if callable(signal.getsignal(signum)):
                 signal.signal(signum, signal.SIG_DFL)
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, signums)
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
         with suppress(OSError):
             os.sched_setaffinity(0, cpus)
         with open(write_fd, "wb") as out:
@@ -289,10 +281,13 @@ def _run_worker(store: PivotStore, pt_kept: Callable[[str | None], Iterator[Row]
 
 
 def open_store(pt_kept: Callable[[str | None], Iterator[Row]], tmp_base: str | None,
-               stack: ExitStack) -> tuple[PivotStore, _StoreWorker | None]:
+               stack: ExitStack, inputs_sorted: bool,
+               ) -> tuple[PivotStore, _StoreWorker | None]:
     """A ``PivotStore`` of the rows of ``pt_kept(tmp_base)``, closed by
     ``stack``, and the ``_StoreWorker`` that writes it, whose ``close``
-    goes on ``stack`` too.
+    goes on ``stack`` too.  ``inputs_sorted`` says that the source-pivot
+    rows come sorted: with no sort of theirs for a worker to overlap, the
+    store is built inline.
 
     With no worker, which ``_inline_reason`` or a failed fork decides, the
     store is written here before the call returns, and the worker is None.
@@ -301,7 +296,7 @@ def open_store(pt_kept: Callable[[str | None], Iterator[Row]], tmp_base: str | N
     import logging
     logger = logging.getLogger(__name__)
     store = stack.enter_context(closing(PivotStore(tmp_base)))
-    reason = _inline_reason()
+    reason = _inline_reason(inputs_sorted)
     if reason is None:
         worker = stack.enter_context(closing(_StoreWorker()))
         reason = worker.start(store, pt_kept, tmp_base)

@@ -26,9 +26,9 @@ the bit:
   pickled pivot groups indexed in memory by the hash of the pivot phrase,
   28 to 40 bytes per distinct pivot.  A lookup reads one group from the
   file with one ``os.pread``, and the file goes with the process however
-  the process ends.  Where this process may run on two CPUs or more, a
-  forked worker process builds it, pivot-target sort included, while
-  this one sorts the source-pivot table.
+  the process ends.  Where this process may run on two CPUs or more and
+  the source-pivot table needs sorting, a forked worker process builds
+  it, pivot-target sort included, while this one sorts that table.
 
 Memory holds the store, one chunk of the source-pivot sort and the sums
 of at most one chunk of one source's targets.  While a worker builds the
@@ -243,7 +243,7 @@ def _attach_orientations(pt_rows: Iterable[Row], reo_rows: Iterable[Row],
 
 def _iter_join(sp_rows: Generator[Row, None, None],
                pt_kept: Callable[[str | None], Iterator[Row]], on_disk: bool,
-               cfg: PivotConfig, reordering: bool) -> Iterator[Row]:
+               cfg: PivotConfig, reordering: bool, inputs_sorted: bool) -> Iterator[Row]:
     """Compose the rows of each pair of phrases that share a pivot phrase.
 
     ``sp_rows`` are the kept source-pivot rows, and ``pt_kept(tmp_base)``
@@ -252,9 +252,10 @@ def _iter_join(sp_rows: Generator[Row, None, None],
     with ``on_disk`` in a ``pivotstore.PivotStore``, before the join reads
     a second source-pivot row, and the store is closed when the stream
     ends, fails or is closed.  ``open_store`` builds the disk store in a
-    worker process while this one reads the source-pivot rows to the
-    first, or inline before the first.  A pivot-target error wins over a
-    source-pivot one, as it would inline.
+    worker process while this one sorts the source-pivot rows to the
+    first, or inline before the first; always inline when the rows come
+    ``inputs_sorted``, which leaves no sort to overlap.  A pivot-target
+    error wins over a source-pivot one, as it would inline.
 
     The source-pivot rows are walked once, in (source, pivot) order, each
     with the pivot-target rows of its pivot, and ``_source_sums`` sums
@@ -272,7 +273,7 @@ def _iter_join(sp_rows: Generator[Row, None, None],
     with ExitStack() as stack:
         if on_disk:
             from .pivotstore import open_store
-            store, worker = open_store(pt_kept, tmp_base, stack)
+            store, worker = open_store(pt_kept, tmp_base, stack, inputs_sorted)
             # The worker has its own copy of the pivot-target side: this
             # drops the probed rows here.
             del pt_kept
@@ -512,7 +513,9 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
     store, an unnamed file in the sort's scratch location.  The dict, and
     a disk store built inline, read the pivot-target input to the end
     before the first source-pivot row; a disk store's worker process reads
-    the rest of it while this process reads the source-pivot rows.
+    the rest of it while this process sorts the source-pivot rows.  With
+    ``inputs_sorted`` there is no such sort, and the store is built
+    inline.
 
     ``pt_reo_rows``, reordering rows whose scores are the six orientation
     probabilities, composes a reordering table in the same pass: each
@@ -577,7 +580,8 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
         if pt_reo_rows is None:
             return kept
         return _attach_orientations(kept, sort(pt_reo_rows, _BY_SRC_TGT, tmp_base))
-    return _iter_join(sp_kept, pt_kept, on_disk, cfg, pt_reo_rows is not None)
+    return _iter_join(sp_kept, pt_kept, on_disk, cfg, pt_reo_rows is not None,
+                      inputs_sorted)
 
 
 def estimate_pivot_size_rows(sp_rows: Iterable[Row],

@@ -111,6 +111,12 @@ print(repr((rc, ours, watched)), file=sys.stderr)
 """
 
 
+# A disk pivot store is built in a worker process when this process may run
+# on two CPUs or more; with one, it is built inline.
+STORE_WORKER = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+                and len(os.sched_getaffinity(0)) > 1)
+
+
 def child_env(**extra):
     """The environment for a child interpreter that imports this ``src``."""
     env = {**os.environ, **extra}

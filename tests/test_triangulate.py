@@ -15,6 +15,7 @@ import threading
 import pytest
 
 from conftest import (
+    STORE_WORKER,
     assert_flat_peaks,
     entry,
     oracle_compose,
@@ -63,12 +64,6 @@ from pivotsmith.triangulate import (
     filter_rows,
     project_alignment,
 )
-
-
-# A disk pivot store is built in a worker process when this process may run
-# on two CPUs or more; with one, it is built inline.
-STORE_WORKER = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-                and len(os.sched_getaffinity(0)) > 1)
 
 
 class ReadLog:
@@ -493,7 +488,8 @@ class TestStreaming:
             cfg = PivotConfig(chunk_size=chunk, min_alignment_links=min_links,
                               tmpdir=str(tmp_path))
             return list(triangulate._iter_join((row for row in sp_rows), pt_kept,
-                                               on_disk, cfg, reordering))
+                                               on_disk, cfg, reordering,
+                                               inputs_sorted=True))
 
         def text(rows):
             table_out, reordering_out = io.StringIO(), io.StringIO()
@@ -820,6 +816,46 @@ class TestStoreWorker:
         sp, pt = _write_spill_pair(tmp_path)
         assert self.pivot(tmp_path, sp, pt)[0] == 0
         assert os.sched_getaffinity(0) == mask
+
+    def test_the_worker_keeps_the_callers_signal_mask(self, monkeypatch, tmp_path):
+        # A signal the caller blocks stays blocked in the worker, rather
+        # than ending it with its default action.
+        write = pivotstore.PivotStore.write
+        seen = tmp_path / "mask"
+
+        def noting_write(store, rows):
+            held = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+            seen.write_text(f"{os.getpid()} {' '.join(str(int(s)) for s in held)}")
+            return write(store, rows)
+        monkeypatch.setattr(pivotstore.PivotStore, "write", noting_write)
+        sp, pt = _write_spill_pair(tmp_path)
+        before = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGHUP})
+        try:
+            assert self.pivot(tmp_path, sp, pt)[0] == 0
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, before)
+        pid, *held = seen.read_text().split()
+        assert int(pid) != os.getpid()
+        assert set(map(int, held)) == set(map(int, before | {signal.SIGHUP}))
+
+
+def test_sorted_library_inputs_build_the_store_inline(monkeypatch, tmp_path, caplog):
+    # pivot_compose joins tables that are already sorted: with no
+    # source-pivot sort to overlap, a worker would only be waited for.
+    rng = random.Random(84)
+    sp, pt, _ = random_pivot_triple(rng)
+    want = as_dict(pivot_compose(sp, pt))
+
+    def no_fork():
+        raise AssertionError("the store was built in a worker")
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    with caplog.at_level(logging.INFO, logger="pivotsmith.pivotstore"):
+        got = pivot_compose(sp, pt, PivotConfig(chunk_size=len(pt) - 1,
+                                                tmpdir=str(tmp_path)))
+    assert as_dict(got) == want
+    assert caplog.messages[-1] == ("disk pivot store built inline: the source-pivot"
+                                   " rows come sorted, so no sort overlaps the build")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _row(src: str, tgt: str, scores, align=((0, 0),)):

@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from conftest import child_env
+from conftest import STORE_WORKER, child_env
 from pivotsmith import cli, extsort
 from pivotsmith.cli import main
 
@@ -88,24 +88,58 @@ def test_write_failing_after_3000_rows_leaves_no_output(tmp_path, scratch, capsy
     assert list(scratch.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("command", COMMANDS + ["pivot-inline"])
 def test_scratch_disk_full_after_3_runs_leaves_nothing(tmp_path, scratch, capsys,
                                                        monkeypatch, command):
+    # Each process's fourth spill run fails.  The runs are noted in a file,
+    # so that a pivot's store worker counts its own: it fails in the
+    # pivot-target sort while this process fails in the source-pivot sort,
+    # and the worker's error is the one shown.  Inline, the pivot-target
+    # sort fails before the source-pivot sort starts.
     write_run = extsort._write_run
-    runs = []
+    log = tmp_path / "runs"
+
+    def runs_by_process() -> dict[int, list[tuple[str, str]]]:
+        """Each process's runs: the first letter of the run's first source
+        phrase, and its path."""
+        runs = {}
+        if log.exists():
+            for line in log.read_text().splitlines():
+                pid, side, path = line.split()
+                runs.setdefault(int(pid), []).append((side, path))
+        return runs
 
     def write_run_then_fail(path, rows):
-        runs.append(path)
-        if len(runs) > 3:
-            write_run(path, itertools.islice(rows, 1))
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        write_run(path, rows)
+        rows = iter(rows)
+        first = next(rows)
+        with open(log, "a", encoding="utf-8") as out:
+            out.write(f"{os.getpid()} {first[0][0][0]} {path}\n")
+        if len(runs_by_process()[os.getpid()]) > 3:
+            write_run(path, [first])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+        write_run(path, itertools.chain([first], rows))
     monkeypatch.setattr(extsort, "_write_run", write_run_then_fail)
+    if command == "pivot-inline":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     work = tmp_path / "work"
     work.mkdir()
-    assert main(_argv(command, tmp_path) + ["-o", str(work / "out.txt")]) == 1
-    assert "[Errno 28] No space left on device" in capsys.readouterr().err
-    assert len(runs) == 4
+    argv = _argv(command.removesuffix("-inline"), tmp_path)
+    assert main(argv + ["-o", str(work / "out.txt")]) == 1
+    runs = runs_by_process()
+    here = runs.pop(os.getpid())
+    if command == "pivot" and STORE_WORKER:
+        [there] = runs.values()
+        assert [side for side, _ in here] == ["s"] * 4
+        assert [side for side, _ in there] == ["p"] * 4
+        failed = there[-1][1]
+    else:
+        assert runs == {}
+        assert len(here) == 4
+        if command.startswith("pivot"):
+            assert [side for side, _ in here] == ["p"] * 4
+        failed = here[-1][1]
+    assert capsys.readouterr().err == (
+        f"pivotsmith: error: [Errno 28] No space left on device: '{failed}'\n")
     assert list(work.iterdir()) == []
     assert list(scratch.iterdir()) == []
 
@@ -278,8 +312,7 @@ finally:
 """)
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
-                    or len(os.sched_getaffinity(0)) < 2,
+@pytest.mark.skipif(not STORE_WORKER,
                     reason="the disk pivot store's worker needs two CPUs")
 @pytest.mark.parametrize("signum, status", [
     (signal.SIGTERM, 143), (signal.SIGHUP, 129), (signal.SIGINT, 130)],
