@@ -6,9 +6,12 @@ They exit 2 on usage errors, and 1 on data errors with the offending line
 number in the message.  The message also names the file (``stdin`` for
 ``-``), as in ``pivotsmith: error: pt.txt: line 3: ...``.  Nothing here
 uses randomness, and every process runs one thread, so reruns are
-byte-identical.  ``pivot`` may start one worker process, which builds
-the disk pivot store on a CPU of its own while the command sorts the
-source-pivot table; the store is the same with or without it.
+byte-identical.  ``pivot`` may start two processes, one after the
+other, each on a CPU of its own: a worker that builds the disk pivot
+store while the command sorts the source-pivot table, then a shard that
+joins and formats the sources from the median source on while the
+command joins and writes those before it, and appends the shard's text
+after its own.  The output is the same with or without them.
 ``--threads`` on ``annotate`` and ``decode`` is accepted for
 compatibility and has no effect.  A command may read stdin for at
 most one input, and ``pivot``'s two outputs must be different files.
@@ -25,8 +28,9 @@ modules it runs (``_LIBRARY``), and only ``pivot`` sets up logging.  A
 command whose output pipe is closed by its reader exits 141 quietly, and
 one interrupted by Ctrl-C exits 130 quietly.  Run as a program
 (``console_main`` or ``python -m``), SIGTERM and SIGHUP exit 128 plus the
-signal number the same way; each case first stops ``pivot``'s worker,
-and removes the scratch files and the unfinished output file.
+signal number the same way; each case first stops ``pivot``'s worker or
+shard process, and removes the scratch files and the unfinished output
+file.
 """
 
 from __future__ import annotations
@@ -290,11 +294,15 @@ def cmd_pivot(args: argparse.Namespace) -> int:
         _check_weights("--weights-sp", args.weights_sp, cfg.weights_sp, sp_extras)
         _check_weights("--weights-pt", args.weights_pt, cfg.weights_pt, pt_extras)
         out = stack.enter_context(_open_out(args.output))
+        reo_out = (stack.enter_context(_open_out(args.reordering_out))
+                   if reordering else None)
+        # The join may append a shard process's text to both streams after
+        # its last row (compose_rows, outputs).
         rows = compose_rows(sp_rows, sp_extras, pt_rows, pt_extras, cfg,
-                            pt_reo_rows=pt_reo, sp_reo_rows=sp_reo)
+                            pt_reo_rows=pt_reo, sp_reo_rows=sp_reo,
+                            outputs=(out, reo_out))
         if reordering:
-            with _open_out(args.reordering_out) as reo_out:
-                write_reordering_rows(rows, out, reo_out)
+            write_reordering_rows(rows, out, reo_out)
         else:
             write_rows(rows, out)
     return 0

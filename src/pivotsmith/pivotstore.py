@@ -1,13 +1,15 @@
-"""The disk pivot store, and the worker process that builds it.
+"""The disk pivot store, and how it is built.
 
 A pivot join whose pivot-target table is larger than one sort chunk keeps
 its kept pivot-target rows in a ``PivotStore``: one unnamed scratch file
 of pickled pivot groups, indexed in memory by the hash of the pivot
-phrase.  ``open_store`` builds it in a forked ``_StoreWorker`` on a CPU of
-its own while the caller sorts the source-pivot table, when there is that
+phrase.  ``open_store`` builds it in a ``forked.Worker`` on a CPU of its
+own while the caller sorts the source-pivot table, when there is that
 sort to overlap and this process may run on two CPUs or more and can fork
 with no other thread alive, and inline before the source-pivot rows
-otherwise.  Both give the same store.
+otherwise.  Both give the same store.  The worker is reaped before the
+join starts, so when the join then starts its shard process
+(``forked.Shard``), ``pivot`` runs two processes, one after the other.
 
 Only ``triangulate`` imports this module, and only for a disk store, so a
 pivot that fits one chunk loads none of it.
@@ -16,17 +18,18 @@ pivot that fits one chunk loads none of it.
 from __future__ import annotations
 
 import os
-import shutil
-import sys
 import tempfile
 from array import array
-from contextlib import ExitStack, closing, suppress
+from contextlib import ExitStack, closing
 from itertools import groupby
 from operator import itemgetter
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .extsort import scratch_base, signals_held
+from .extsort import scratch_base
 from .tablecore import Row
+
+if TYPE_CHECKING:
+    from .forked import Worker
 
 # The store's index hashes pivot phrases through this one name.
 _pivot_hash = hash
@@ -110,196 +113,30 @@ class PivotStore:
         self._file.close()
 
 
-def _inline_reason(inputs_sorted: bool) -> str | None:
-    """Why the disk pivot store is not built in a worker process, or None
-    when it is: the source-pivot rows go through a sort that the build can
-    overlap, and this process may run on two CPUs or more, and fork with
-    no other thread alive."""
-    if inputs_sorted:
-        return "the source-pivot rows come sorted, so no sort overlaps the build"
-    if not hasattr(os, "fork") or not hasattr(os, "sched_setaffinity"):
-        return "os.fork or os.sched_setaffinity is missing"
-    cpus = len(os.sched_getaffinity(0))
-    if cpus < 2:
-        return f"the CPU affinity mask holds {cpus} CPU"
-    threading = sys.modules.get("threading")
-    if threading is not None and threading.active_count() > 1:
-        return f"{threading.active_count()} Python threads are alive"
-    return None
-
-
-class _StoreWorker:
-    """A forked process that writes the disk pivot store while this one
-    sorts the source-pivot table.
-
-    ``start`` forks.  The worker runs ``PivotStore.write`` on the kept
-    pivot-target rows into the store's already open file, sends the
-    index back through a pipe, and leaves through ``os._exit``: it never
-    unwinds into the caller's frames.  Its sorts spill under a scratch
-    directory that this process made and removes.  While it runs, this
-    process keeps the lowest CPU of its affinity mask and the worker gets
-    the rest: a freshly forked worker would otherwise share its parent's CPU.
-    The mask comes back when the worker is reaped.
-
-    ``finish`` waits for the index, or raises the worker's error with its
-    type, message and ``line``.  ``close`` kills the worker if it still
-    runs, reaps it and removes its scratch, on every way out.
-    """
-
-    def __init__(self) -> None:
-        self._pid = 0
-        self._reader: BinaryIO | None = None
-        self._scratch: str | None = None
-        self._mask: set[int] | None = None
-        # This process's CPU and the worker's while both run.
-        self.cpus: tuple[int, list[int]] | None = None
-
-    def start(self, store: PivotStore,
-              pt_kept: Callable[[str | None], Iterator[Row]],
-              tmp_base: str | None) -> str | None:
-        """Fork the worker; None, or why it could not start."""
-        mask = os.sched_getaffinity(0)
-        own = min(mask)
-        # A signal must neither run this process's handlers in the worker
-        # nor arrive here before the scratch, the pipe and the worker's pid
-        # are kept.
-        with signals_held() as (signums, held):
-            self._scratch = tempfile.mkdtemp(prefix="pivotsmith-sort-",
-                                             dir=scratch_base(tmp_base))
-            read_fd, write_fd = os.pipe()
-            self._reader = open(read_fd, "rb")
-            try:
-                self._pid = os.fork()
-                if self._pid == 0:
-                    _run_worker(store, pt_kept, self._scratch, mask - {own},
-                                read_fd, write_fd, signums, held)
-            except OSError as exc:
-                return f"os.fork failed: {exc}"
-            finally:
-                os.close(write_fd)
-        self._mask = mask
-        self.cpus = own, sorted(mask - {own})
-        with suppress(OSError):
-            os.sched_setaffinity(0, {own})
-        return None
-
-    def finish(self, store: PivotStore) -> None:
-        """Give ``store`` the worker's index, or raise the worker's error."""
-        import pickle
-        try:
-            header = pickle.load(self._reader)
-        except (EOFError, pickle.UnpicklingError):
-            header = None
-        index = []
-        if isinstance(header, list):
-            for length in header:
-                column = array("q", [0]) * length
-                if self._reader.readinto(column) != length * column.itemsize:
-                    header = None
-                    break
-                index.append(column)
-        code = os.waitstatus_to_exitcode(self._reap(kill=False))
-        if isinstance(header, BaseException):
-            try:
-                raise header
-            finally:
-                # Held here, the error would keep this frame, and through
-                # its traceback the caller's streams and their scratch, in
-                # a cycle until the collector runs.
-                del header
-        if header is None:
-            ended = f"signal {-code}" if code < 0 else f"exit status {code}"
-            raise OSError(f"the disk pivot store's worker ended by {ended}"
-                          " before sending its index")
-        store.set_index(index)
-
-    def _reap(self, kill: bool) -> int:
-        """Wait for the worker, after killing it with ``kill``, give this
-        process back its CPU mask, and remove the pipe and the worker's
-        scratch; the worker's wait status."""
-        status = 0
-        if self._pid:
-            if kill:
-                import signal
-                os.kill(self._pid, signal.SIGKILL)
-            status = os.waitpid(self._pid, 0)[1]
-            self._pid = 0
-        if self._mask is not None:
-            with suppress(OSError):
-                os.sched_setaffinity(0, self._mask)
-            self._mask = None
-        if self._reader is not None:
-            self._reader.close()
-        if self._scratch is not None:
-            shutil.rmtree(self._scratch, ignore_errors=True)
-            self._scratch = None
-        return status
-
-    def close(self) -> None:
-        self._reap(kill=True)
-
-
-def _run_worker(store: PivotStore, pt_kept: Callable[[str | None], Iterator[Row]],
-                scratch: str, cpus: set[int], read_fd: int, write_fd: int,
-                signums: set, held: set) -> None:
-    """The worker's whole life, in the forked process: write the store and
-    send its index, or the error that stopped it, through ``write_fd``.
-    With the pipe's read end closed here, a write fails once this
-    worker's parent is gone, instead of waiting for a reader forever.
-
-    A Python handler of ``signums`` would raise into the caller's frames,
-    so the signal's default action ends the worker instead; one ignored
-    stays ignored.  The signal mask goes back to ``held``, the caller's
-    mask before the fork.  The worker never returns.
-    """
-    status = 1
-    try:
-        import pickle
-        import signal
-        os.close(read_fd)
-        for signum in signums:
-            if callable(signal.getsignal(signum)):
-                signal.signal(signum, signal.SIG_DFL)
-        signal.pthread_sigmask(signal.SIG_SETMASK, held)
-        with suppress(OSError):
-            os.sched_setaffinity(0, cpus)
-        with open(write_fd, "wb") as out:
-            rows = pt_kept(scratch)
-            try:
-                index = store.write(rows)
-            except Exception as exc:
-                pickle.dump(exc, out)
-            else:
-                pickle.dump([len(column) for column in index], out)
-                for column in index:
-                    out.write(column)
-            finally:
-                rows.close()
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def open_store(pt_kept: Callable[[str | None], Iterator[Row]], tmp_base: str | None,
-               stack: ExitStack, inputs_sorted: bool,
-               ) -> tuple[PivotStore, _StoreWorker | None]:
+               stack: ExitStack, reason: str | None,
+               ) -> tuple[PivotStore, Worker | None]:
     """A ``PivotStore`` of the rows of ``pt_kept(tmp_base)``, closed by
-    ``stack``, and the ``_StoreWorker`` that writes it, whose ``close``
-    goes on ``stack`` too.  ``inputs_sorted`` says that the source-pivot
-    rows come sorted: with no sort of theirs for a worker to overlap, the
-    store is built inline.
+    ``stack``, and the ``forked.Worker`` that writes it, whose ``close``
+    goes on ``stack`` too.
 
-    With no worker, which ``_inline_reason`` or a failed fork decides, the
-    store is written here before the call returns, and the worker is None.
-    Otherwise the caller's ``finish`` on the worker completes the store.
+    With ``reason``, why no worker may start, or a failed fork, the store
+    is written here before the call returns, and the worker is None.
+    Otherwise the worker's ``finish`` gives the index that completes the
+    store.
     """
     import logging
     logger = logging.getLogger(__name__)
     store = stack.enter_context(closing(PivotStore(tmp_base)))
-    reason = _inline_reason(inputs_sorted)
     if reason is None:
-        worker = stack.enter_context(closing(_StoreWorker()))
-        reason = worker.start(store, pt_kept, tmp_base)
+        from .forked import Worker
+        worker = stack.enter_context(closing(
+            Worker("the disk pivot store's worker", "sending its index")))
+
+        def build(scratch: str) -> tuple[None, tuple[array, array, array]]:
+            with closing(pt_kept(scratch)) as rows:
+                return None, store.write(rows)
+        reason = worker.start(build, tmp_base)
         if reason is None:
             logger.info("disk pivot store built in a worker process on CPU %s"
                         " while this process sorts the source-pivot table on CPU %s",

@@ -30,15 +30,27 @@ the bit:
   the source-pivot table needs sorting, a forked worker process builds
   it, pivot-target sort included, while this one sorts that table.
 
+Where the same holds and the caller hands over its output streams, the
+join itself is split in two by source (a range-partitioned exchange,
+Graefe 1990): once the store is complete and the source-pivot rows are
+sorted, a forked shard process joins the sources from the median source
+on and writes their text to unnamed scratch files, while this process
+joins and yields the sources before it, then appends the shard's text.
+Each source's sums are its own, so the bytes are those of one process.
+So ``pivot`` may start two processes, one after the other: the store's
+worker, reaped before the join starts, and the shard (``forked``).
+
 Memory holds the store, one chunk of the source-pivot sort and the sums
 of at most one chunk of one source's targets.  While a worker builds the
 disk store, it holds one chunk of the pivot-target sort beside this
-process's source-pivot chunk.  A source with more targets, at most
-``top_n`` squared, puts its sums so far and its partial products from
-there on in target order through the disk-backed sort, and the sums
-continue there with the same additions.  A pivot's
-source-pivot rows stream past its pivot-target rows, so a hub pivot
-needs no more memory than another.
+process's source-pivot chunk.  The shard starts as a copy of this
+process and holds the sums of its own sources; its text takes scratch
+disk of up to the size of its part of the output until it is appended.
+A source with more targets, at most ``top_n`` squared, puts its sums so
+far and its partial products from there on in target order through the
+disk-backed sort, and the sums continue there with the same additions.
+A pivot's source-pivot rows stream past its pivot-target rows, so a hub
+pivot needs no more memory than another.
 
 Everything here runs on raw rows; ``pivotsmith.tables`` runs it over
 ``PhraseTable`` objects.
@@ -47,12 +59,14 @@ Everything here runs on raw rows; ``pivotsmith.tables`` runs it over
 from __future__ import annotations
 
 import heapq
+import os
+import sys
 from contextlib import ExitStack, closing
 from itertools import chain, groupby, islice
 from operator import itemgetter, lt
-from typing import Callable, Generator, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
-from .extsort import DEFAULT_CHUNK_SIZE, drain, ext_sorted
+from .extsort import DEFAULT_CHUNK_SIZE, ExternalSort, drain, ext_sorted
 from .tablecore import (
     _BY_SRC_TGT,
     CORE_FEATURES,
@@ -241,70 +255,143 @@ def _attach_orientations(pt_rows: Iterable[Row], reo_rows: Iterable[Row],
         pass
 
 
-def _iter_join(sp_rows: Generator[Row, None, None],
-               pt_kept: Callable[[str | None], Iterator[Row]], on_disk: bool,
-               cfg: PivotConfig, reordering: bool, inputs_sorted: bool) -> Iterator[Row]:
+def _inline_reason(inputs_sorted: bool) -> str | None:
+    """Why the join forks no worker process, neither to build the disk
+    pivot store nor for a shard, or None when it may: the source-pivot
+    rows go through a sort, and this process may run on two CPUs or more
+    and fork with no other thread alive."""
+    if inputs_sorted:
+        return "the source-pivot rows come sorted, so no sort overlaps the build"
+    if not hasattr(os, "fork") or not hasattr(os, "sched_setaffinity"):
+        return "os.fork or os.sched_setaffinity is missing"
+    cpus = len(os.sched_getaffinity(0))
+    if cpus < 2:
+        return f"the CPU affinity mask holds {cpus} CPU"
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:
+        return f"{threading.active_count()} Python threads are alive"
+    return None
+
+
+def _iter_join(sp_rows: Iterable[Row], pt_kept: Callable[[str | None], Iterator[Row]],
+               on_disk: bool, cfg: PivotConfig, reordering: bool, inputs_sorted: bool,
+               sp_keep: Callable[[Iterable[Row]], Iterable[Row]],
+               outputs: Sequence[TextIO | None] | None = None) -> Iterator[Row]:
     """Compose the rows of each pair of phrases that share a pivot phrase.
 
-    ``sp_rows`` are the kept source-pivot rows, and ``pt_kept(tmp_base)``
-    gives the kept pivot-target rows, sorted by pivot phrase, with any sort
-    spilling under ``tmp_base``.  All of them are stored, in a dict or
-    with ``on_disk`` in a ``pivotstore.PivotStore``, before the join reads
-    a second source-pivot row, and the store is closed when the stream
-    ends, fails or is closed.  ``open_store`` builds the disk store in a
-    worker process while this one sorts the source-pivot rows to the
-    first, or inline before the first; always inline when the rows come
-    ``inputs_sorted``, which leaves no sort to overlap.  A pivot-target
-    error wins over a source-pivot one, as it would inline.
+    ``sp_rows`` are the source-pivot rows, sorted here through an
+    ``ExternalSort`` unless they come ``inputs_sorted``, and ``sp_keep``
+    keeps those of any (source, pivot)-ordered part of them.
+    ``pt_kept(tmp_base)`` gives the kept pivot-target rows, sorted by
+    pivot phrase, with any sort spilling under ``tmp_base``.  All of them
+    are stored, in a dict or with ``on_disk`` in a
+    ``pivotstore.PivotStore``, before the join reads a source-pivot row,
+    and the store is closed when the stream ends, fails or is closed.
+    ``open_store`` builds the disk store in a worker process while this
+    one sorts the source-pivot rows, or inline before the sort; always
+    inline when the rows come ``inputs_sorted``, which leaves no sort to
+    overlap.  A pivot-target error wins over a source-pivot one, as it
+    would inline.
 
-    The source-pivot rows are walked once, in (source, pivot) order, each
-    with the pivot-target rows of its pivot, and ``_source_sums`` sums
-    each source's products per target as they arrive.  When the source
-    ends, its targets come out in sorted order.  A source with more than
-    ``cfg.chunk_size`` targets puts its sums so far and its partials from
-    there on in target order through the disk-backed sort instead, and
-    ``_iter_reduce`` continues the sums.
+    The sorted source-pivot rows are walked once, in (source, pivot)
+    order, by ``_join_sources``.  With ``outputs``, the table stream and
+    the reordering stream or None that the caller writes the rows to as
+    ``write_rows`` or ``write_reordering_rows`` would, the join may split
+    them at a source: ``forked.open_shard`` forks a shard process that
+    joins the sources from there on and writes their text, while this
+    process yields the rows before it.  The shard's text is appended to
+    ``outputs`` once this process's rows are all out, so the bytes are
+    those of one process, and an error in this process's sources wins
+    over one in the shard's, as it comes first.
+    """
+    tmp_base = cfg.tmpdir
+
+    def join(rows: Iterable[Row], tmp_base: str | None) -> Iterator[Row]:
+        return _join_sources(sp_keep(rows), lookup, cfg, reordering, tmp_base)
+
+    with ExitStack() as stack:
+        sort = None if inputs_sorted else stack.enter_context(
+            closing(ExternalSort(_BY_SRC_TGT)))
+        if on_disk:
+            from .pivotstore import open_store
+            store, worker = open_store(pt_kept, tmp_base, stack,
+                                       _inline_reason(inputs_sorted))
+            # The worker has its own copy of the pivot-target side: this
+            # drops the probed rows here.
+            del pt_kept
+            if worker is not None:
+                try:
+                    sort.spill(sp_rows, cfg.chunk_size, tmp_base)
+                except Exception:
+                    # The pivot-target table's error comes first, as it
+                    # does when the store is built inline.
+                    store.set_index(worker.finish()[1])
+                    raise
+                store.set_index(worker.finish()[1])
+            lookup = store.get
+        else:
+            worker = None
+            lookup = {pivot: list(group) for pivot, group
+                      in groupby(pt_kept(tmp_base), key=itemgetter(0))}.get
+        if sort is None:
+            yield from join(sp_rows, tmp_base)
+            return
+        if worker is None:
+            sort.spill(sp_rows, cfg.chunk_size, tmp_base)
+        del sp_rows
+        shard = None
+        if outputs is not None:
+            import logging
+            logger = logging.getLogger(__name__)
+            reason = _inline_reason(False)
+            if reason is None:
+                from .forked import open_shard
+                shard, reason = open_shard(sort, join, outputs,
+                                           4 if reordering else None, tmp_base, stack)
+            if shard is None:
+                logger.info("pivot join runs in this process alone: %s", reason)
+        if shard is None:
+            yield from join(sort.merge(), tmp_base)
+            return
+        yield from join(sort.merge(hi=(shard.split,)), tmp_base)
+        shard_rows = shard.hand_over()
+        own, others = shard.cpus
+        logger.info("pivot join split at source %r: %d source-pivot rows joined in"
+                    " this process on CPU %s, %d in a shard process on CPU %s",
+                    " ".join(shard.split), sort.rows - shard_rows, own,
+                    shard_rows, ",".join(map(str, others)))
+
+
+def _join_sources(sp_kept: Iterable[Row], lookup: Callable[[tuple], list[Row] | None],
+                  cfg: PivotConfig, reordering: bool, tmp_base: str | None,
+                  ) -> Iterator[Row]:
+    """The composed rows of the kept source-pivot rows ``sp_kept``, in
+    (source, pivot) order, each joined with the pivot-target rows that
+    ``lookup`` gives for its pivot.
+
+    ``_source_sums`` sums each source's products per target as they
+    arrive.  When the source ends, its targets come out in sorted order.
+    A source with more than ``cfg.chunk_size`` targets puts its sums so
+    far and its partials from there on in target order through the
+    disk-backed sort under ``tmp_base`` instead, and ``_iter_reduce``
+    continues the sums.
 
     With ``reordering`` the pivot-target rows carry six orientation
     probabilities, and each composed row their mixture over the shared
     pivots after its four core scores.
     """
-    limit, tmp_base, min_links = cfg.chunk_size, cfg.tmpdir, cfg.min_alignment_links
-    with ExitStack() as stack:
-        if on_disk:
-            from .pivotstore import open_store
-            store, worker = open_store(pt_kept, tmp_base, stack, inputs_sorted)
-            # The worker has its own copy of the pivot-target side: this
-            # drops the probed rows here.
-            del pt_kept
-            if worker is not None:
-                # Closed on the way out, the source-pivot sort removes its
-                # scratch at once when the worker's error ends the join.
-                stack.callback(sp_rows.close)
-                try:
-                    head = list(islice(sp_rows, 1))
-                except Exception:
-                    # The pivot-target table's error comes first, as it
-                    # does when the store is built inline.
-                    worker.finish(store)
-                    raise
-                worker.finish(store)
-                sp_rows = chain(head, sp_rows)
-            lookup = store.get
-        else:
-            lookup = {pivot: list(group) for pivot, group
-                      in groupby(pt_kept(tmp_base), key=itemgetter(0))}.get
-        for src, group in groupby(sp_rows, key=itemgetter(0)):
-            sums, rest = _source_sums(src, group, lookup, limit, reordering)
-            if rest is None:
-                yield from _iter_composed(src, sorted(sums.items()), min_links,
-                                          reordering)
-                continue
-            with closing(ext_sorted(chain(_drained_sums(src, sums, reordering), rest),
-                                    _TARGET, chunk_size=limit, tmp_base=tmp_base),
-                         ) as ordered:
-                yield from _iter_composed(src, _iter_reduce(ordered, reordering),
-                                          min_links, reordering)
+    limit, min_links = cfg.chunk_size, cfg.min_alignment_links
+    for src, group in groupby(sp_kept, key=itemgetter(0)):
+        sums, rest = _source_sums(src, group, lookup, limit, reordering)
+        if rest is None:
+            yield from _iter_composed(src, sorted(sums.items()), min_links,
+                                      reordering)
+            continue
+        with closing(ext_sorted(chain(_drained_sums(src, sums, reordering), rest),
+                                _TARGET, chunk_size=limit, tmp_base=tmp_base),
+                     ) as ordered:
+            yield from _iter_composed(src, _iter_reduce(ordered, reordering),
+                                      min_links, reordering)
 
 
 def _source_sums(src: tuple, sp_rows: Iterable[Row],
@@ -501,6 +588,7 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
                  cfg: PivotConfig, inputs_sorted: bool = False,
                  pt_reo_rows: Iterable[Row] | None = None,
                  sp_reo_rows: Iterable[Row] | None = None,
+                 outputs: Sequence[TextIO | None] | None = None,
                  ) -> Iterator[Row]:
     """Streaming triangulation over raw rows, yielding (src, tgt) sorted rows.
 
@@ -526,6 +614,13 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
 
     ``sp_reo_rows``, source-pivot reordering rows, are only checked and
     logged as unused, all of them before the first phrase-table row.
+
+    ``outputs`` hands over the table stream, and with ``pt_reo_rows`` the
+    reordering stream, that the caller writes the rows to, all of them,
+    with ``tablecore.write_rows`` or ``write_reordering_rows``.  The join
+    may then compose and write the rows of the sources from a split
+    source on in a forked shard process (see the module docstring), and
+    append their text to these streams after the last row it yields.
 
     All inputs may come in any order: each is sorted here through the
     disk-backed sort.  ``inputs_sorted`` skips the sort of the two phrase
@@ -564,10 +659,10 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
     else:
         logger.info("pivot-target table fits one sort chunk (%d rows):"
                     " in-memory pivot store", len(probe))
-    if not inputs_sorted:
-        sp_rows = sort(sp_rows, _BY_SRC_TGT, cfg.tmpdir)
-    sp_kept = _drop_extras(_iter_top_n(sp_rows, wv_sp, cfg.top_n, "source-pivot"),
-                           sp_extras)
+
+    def sp_keep(rows: Iterable[Row]) -> Iterable[Row]:
+        return _drop_extras(_iter_top_n(rows, wv_sp, cfg.top_n, "source-pivot"),
+                            sp_extras)
 
     def pt_kept(tmp_base: str | None) -> Iterator[Row]:
         # Draining hands each probed row to the pivot-target sort, so the
@@ -580,8 +675,8 @@ def compose_rows(sp_rows: Iterable[Row], sp_extras: Sequence[str],
         if pt_reo_rows is None:
             return kept
         return _attach_orientations(kept, sort(pt_reo_rows, _BY_SRC_TGT, tmp_base))
-    return _iter_join(sp_kept, pt_kept, on_disk, cfg, pt_reo_rows is not None,
-                      inputs_sorted)
+    return _iter_join(sp_rows, pt_kept, on_disk, cfg, pt_reo_rows is not None,
+                      inputs_sorted, sp_keep, outputs)
 
 
 def estimate_pivot_size_rows(sp_rows: Iterable[Row],

@@ -59,10 +59,11 @@ def run_measured(scratch, *argv):
 
     Returns the wall seconds, the child's ``ru_maxrss``, its ``VmHWM``
     (-1 without ``/proc``) and the largest ``ru_maxrss`` of the processes
-    it started and reaped, all in KB.  The last is the peak of ``pivot``'s
-    disk pivot store worker (0 without one), which holds memory of its own
-    beside the command's.  ``ru_maxrss`` also counts the peak of the
-    process that started the child, because it survives the exec;
+    it started and reaped, all in KB.  The last is the larger of the peaks
+    of ``pivot``'s two forked processes, the disk pivot store's worker and
+    the join's shard process (0 without either), which hold memory of
+    their own beside the command's.  ``ru_maxrss`` also counts the peak of
+    the process that started the child, because it survives the exec;
     ``VmHWM`` is the child's own.
     """
     env = dict(os.environ)
@@ -78,10 +79,11 @@ def run_measured(scratch, *argv):
 
 
 def assert_flat_peaks(peaks):
-    """Each process's peak, the command's ``VmHWM`` and its store worker's,
-    stays within 4 MB across ``peaks``, pairs in KB from ``run_measured``."""
+    """Each peak, the command's ``VmHWM`` and the larger of its store
+    worker's and its shard process's, stays within 4 MB across ``peaks``,
+    pairs in KB from ``run_measured``."""
     for own in zip(*peaks):
-        assert abs(own[1] - own[0]) < 4 * 1024, f"(VmHWM, worker) peaks {peaks} KB"
+        assert abs(own[1] - own[0]) < 4 * 1024, f"(VmHWM, children) peaks {peaks} KB"
 
 
 def run_pivot_measured(sp_path, pt_path, out_path, scratch, *extra_args):
@@ -125,9 +127,14 @@ def child_env(**extra):
     return env
 
 
-def child_modules(*argv):
+def _one_cpu_of_mask():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def child_modules(*argv, one_cpu=False):
     """Run ``pivotsmith.cli.main(argv)`` in a fresh interpreter, or only
-    import ``pivotsmith.cli`` when ``argv`` is empty.
+    import ``pivotsmith.cli`` when ``argv`` is empty; with ``one_cpu``, on
+    the lowest CPU of this process's affinity mask alone.
 
     The repository's ``src`` comes first on the child's ``PYTHONPATH``.
     Returns the exit code (None for a bare import), the sorted names of
@@ -136,7 +143,8 @@ def child_modules(*argv):
     loaded.
     """
     proc = subprocess.run([sys.executable, "-c", _CHILD_MODULES, *map(str, argv)],
-                          capture_output=True, text=True, env=child_env(), timeout=60)
+                          capture_output=True, text=True, env=child_env(), timeout=60,
+                          preexec_fn=_one_cpu_of_mask if one_cpu else None)
     assert proc.returncode == 0, proc.stderr
     rc, ours, watched = ast.literal_eval(proc.stderr.strip().splitlines()[-1])
     return rc, ours, watched

@@ -15,6 +15,7 @@ import threading
 import pytest
 
 from conftest import (
+    STORE_WORKER,
     child_env,
     child_modules,
     entry,
@@ -1011,7 +1012,8 @@ def test_each_command_loads_only_its_modules(startup_files, command):
     }[command]
     if argv:
         argv += ["-o", f["out"]]
-    rc, modules, watched = child_modules(*argv)
+    # On one CPU the pivot join runs in the command alone; two are below.
+    rc, modules, watched = child_modules(*argv, one_cpu=command.startswith("pivot"))
     assert rc == (None if command == "import" else 0)
     assert modules == sorted(_BASE + [f"pivotsmith.{m}" for m in extra_modules])
     assert ("logging" in watched) == logs
@@ -1021,6 +1023,22 @@ def test_each_command_loads_only_its_modules(startup_files, command):
     assert "concurrent.futures" not in watched
     # These inputs fit one sort chunk, and only a spill loads pickle.
     assert "pickle" not in watched
+
+
+@pytest.mark.skipif(not STORE_WORKER, reason="a pivot join's shard needs two CPUs")
+@pytest.mark.parametrize("reordering", [False, True], ids=["pivot", "pivot-reordering"])
+def test_a_sharded_pivot_join_loads_forked_but_not_pickle(startup_files, reordering):
+    # The shard process's module loads only when the join forks it, and
+    # its result comes back without pickle.
+    f = {name: str(path) for name, path in startup_files.items()}
+    argv = ["pivot", "--sp", f["sp"], "--pt", f["pt"], "-o", f["out"]]
+    if reordering:
+        argv += ["--reordering-pt", f["reo"], "--reordering-out", f["reo_out"]]
+    rc, modules, watched = child_modules(*argv)
+    assert rc == 0
+    assert modules == sorted(_BASE + ["pivotsmith.extsort", "pivotsmith.forked",
+                                      "pivotsmith.triangulate"])
+    assert watched == ["logging"]
 
 
 def test_a_sort_that_spills_loads_pickle(startup_files):

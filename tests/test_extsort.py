@@ -10,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 import weakref
+from contextlib import closing
 from operator import itemgetter
 
 import pytest
@@ -324,3 +325,109 @@ def test_spilled_rows_are_not_held_once_yielded():
     assert bound < 2000 / 5  # far below a run's rows, or it shows nothing
     assert _most_held_while_merging(2000, 200) <= bound
     assert _most_held_while_merging(8000, 800) <= bound
+
+
+def _spilled(rows, key, chunk_size, tmp_path):
+    sort = extsort.ExternalSort(key)
+    sort.spill(rows, chunk_size, str(tmp_path))
+    return sort
+
+
+@pytest.mark.parametrize("chunk_size,index_keys", [(700, 256), (700, 4), (20, 4),
+                                                   (5000, 256)],
+                         ids=["spilled", "thinned", "fan-in", "in-memory"])
+def test_range_merges_split_the_full_merge_at_any_key(tmp_path, monkeypatch,
+                                                      chunk_size, index_keys):
+    # Six keys over 3000 rows, so equal keys cross record boundaries and
+    # sparse index entries; every cut, below, between and above the keys,
+    # must give the full merge's rows on either side in the same order.
+    # Four index keys in all thin every run's index, to one key per run
+    # past four runs; 150 runs take a fan-in pass first.
+    monkeypatch.setattr(extsort, "INDEX_KEYS", index_keys)
+    monkeypatch.setattr(extsort, "MERGE_FAN_IN", 16)
+    rng = random.Random(14)
+    rows = [((f"s{rng.randint(0, 5)}",), (f"t{i}",), (float(i),), ())
+            for i in range(3000)]
+    key = itemgetter(0)
+    want = sorted(rows, key=key)
+    for cut in [("a",), ("s0",), ("s2",), ("s3", "x"), ("s5",), ("z",)]:
+        low, high = _spilled(rows, key, chunk_size, tmp_path), \
+            _spilled(rows, key, chunk_size, tmp_path)
+        try:
+            assert sum(len(keys) for _, keys, _ in low._runs) <= \
+                max(index_keys, len(low._runs))
+            below, above = list(low.merge(hi=cut)), list(high.merge(lo=cut))
+        finally:
+            low.close()
+            high.close()
+        assert below + above == want
+        assert all(key(row) < cut for row in below)
+        assert all(key(row) >= cut for row in above)
+        between = _spilled(rows, key, chunk_size, tmp_path)
+        with closing(between):
+            assert list(between.merge(lo=("s1",), hi=cut)) == \
+                [row for row in want if ("s1",) <= key(row) < cut]
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_range_merge_seeks_past_the_records_below_it(tmp_path, monkeypatch):
+    rows = [((f"k{i:05d}",), (), (), ()) for i in range(4000)]
+    random.Random(15).shuffle(rows)
+    key = itemgetter(0)
+    read = []
+    read_run = extsort._read_run
+
+    def counted(stream):
+        for row in read_run(stream):
+            read.append(row)
+            yield row
+    monkeypatch.setattr(extsort, "_read_run", counted)
+    sort = _spilled(rows, key, 1000, tmp_path)
+    with closing(sort):
+        assert len(list(sort.merge(lo=("k03000",)))) == 1000
+    # Four runs of 63 records, fewer than the index's entries at most:
+    # each is read from the record before its first row past the cut.
+    assert 1000 <= len(read) <= 1000 + 4 * extsort.RECORD_ROWS
+
+
+@pytest.mark.parametrize("n_records", [1, 63, 255, 256, 5000])
+def test_a_run_index_names_evenly_spaced_records(tmp_path, n_records):
+    rows = [((f"k{i:06d}",), (), (), ()) for i in range(n_records * extsort.RECORD_ROWS)]
+    path = tmp_path / "run"
+    index = extsort._write_run(str(path), rows)
+    if n_records < extsort.INDEX_KEYS:
+        assert len(index) == n_records
+    else:
+        assert extsort.INDEX_KEYS // 2 <= len(index) < extsort.INDEX_KEYS
+    # Rows are numbered in order: the second entry gives the spacing.
+    stride = int(index[1][0][0][0][1:]) // extsort.RECORD_ROWS if len(index) > 1 else 1
+    with open(path, "rb") as stream:
+        for number, (row, offset) in enumerate(index):
+            assert row == rows[number * stride * extsort.RECORD_ROWS]
+            stream.seek(offset)
+            assert next(extsort._read_run(stream)) == row
+
+
+@pytest.mark.parametrize("split_samples", [32, 4])
+def test_the_spill_notes_rows_least_key_and_evenly_spaced_samples(tmp_path, monkeypatch,
+                                                                   split_samples):
+    # Chunks of 10, 10 and 5 rows.  32 samples keep every row.  With 4,
+    # each chunk gives every third row from the second (every second in
+    # the last), and neighbours merge in pairs past 4 in all.
+    monkeypatch.setattr(extsort, "SPLIT_SAMPLES", split_samples)
+    rows = [((f"k{i:02d}",), (), (), ()) for i in range(25)]
+    random.Random(16).shuffle(rows)
+    sort = _spilled(rows, itemgetter(0), 10, tmp_path)
+    with closing(sort):
+        assert (sort.rows, sort.least) == (25, ("k00",))
+        chunks = [sorted(rows[start:start + 10]) for start in (0, 10, 20)]
+        if split_samples == 32:
+            assert sort.samples == [(row[0], 1) for chunk in chunks for row in chunk]
+        else:
+            # 3 samples of 3 rows, 3 more (the 6 merge to 3 of 6), then 2
+            # of 2 (the 5 merge to 2 and the last).
+            first, second, last = ([row[0] for row in chunk[step // 2::step]]
+                                   for chunk, step in zip(chunks, (3, 3, 2)))
+            assert sort.samples == [(first[0], 12), (second[1], 8), (last[1], 2)]
+        assert list(sort.merge()) == sorted(rows)
+    assert os.listdir(tmp_path) == []

@@ -11,6 +11,8 @@ import random
 import re
 import signal
 import threading
+import time
+from contextlib import closing
 
 import pytest
 
@@ -26,7 +28,7 @@ from conftest import (
     run_pivot_measured,
     table,
 )
-from pivotsmith import extsort, pivotstore, triangulate
+from pivotsmith import extsort, forked, pivotstore, triangulate
 from pivotsmith.cli import main
 from pivotsmith.extsort import ext_sorted
 from pivotsmith.tablecore import (
@@ -489,7 +491,7 @@ class TestStreaming:
                               tmpdir=str(tmp_path))
             return list(triangulate._iter_join((row for row in sp_rows), pt_kept,
                                                on_disk, cfg, reordering,
-                                               inputs_sorted=True))
+                                               inputs_sorted=True, sp_keep=iter))
 
         def text(rows):
             table_out, reordering_out = io.StringIO(), io.StringIO()
@@ -525,6 +527,13 @@ class TestStreaming:
             log.note("sort")
             return ext_sorted(*args, **kwargs)
         monkeypatch.setattr(triangulate, "ext_sorted", noted_sort)
+
+        class NotedSort(extsort.ExternalSort):
+            # The join sorts the source-pivot rows in two phases itself.
+            def spill(self, *args, **kwargs):
+                log.note("sort")
+                return super().spill(*args, **kwargs)
+        monkeypatch.setattr(triangulate, "ExternalSort", NotedSort)
         if inline:
             _one_cpu(monkeypatch)
         chunk = len(pt) - extra_rows
@@ -540,10 +549,10 @@ class TestStreaming:
             assert worker == ["sort"] + ["pt"] * (len(pt) - len(probe))
         else:
             # The whole pivot-target input goes into its sort before the
-            # first source-pivot row is read, so the probed rows never
-            # outlive it.
-            assert here == probe + ["sort"] * 2 + ["pt"] * (len(pt) - len(probe)) \
-                + ["sp"] * len(sp)
+            # source-pivot sort reads its first row, so the probed rows
+            # never outlive it.
+            assert here == probe + ["sort"] + ["pt"] * (len(pt) - len(probe)) \
+                + ["sort"] + ["sp"] * len(sp)
             assert worker == []
 
     @pytest.mark.parametrize("chunk,message", [
@@ -729,6 +738,7 @@ class TestStoreWorker:
         def write_run_without_end_marker(path, rows):
             with open(path, "wb") as out:
                 out.write(extsort.encode_row(list(rows)[:1]))
+            return []  # an empty sparse index: a merge reads from the start
         monkeypatch.setattr(extsort, "_write_run", write_run_without_end_marker)
         if inline:
             _one_cpu(monkeypatch)
@@ -858,6 +868,300 @@ def test_sorted_library_inputs_build_the_store_inline(monkeypatch, tmp_path, cap
     assert list(tmp_path.iterdir()) == []
 
 
+def _write_shard_tables(tmp_path, config):
+    """Source-pivot, pivot-target and reordering files for ``config``, and
+    the chunk size that gives its store and source-pivot sort: a dict or a
+    disk store, and a sort that spills or not.  With a chunk of 3 a
+    source with four targets goes through the fallback sort."""
+    rng = random.Random(85)
+    sp, pt, pt_reo = random_pivot_triple(rng)
+    if config == "disk-unspilled":
+        sp = table([e for e in sp if e.src < sorted({e.src for e in sp})[5]])
+    chunk = {"dict-unspilled": 100_000, "dict-spilled": len(pt),
+             "disk-unspilled": len(sp), "disk-spilled": 3}[config]
+    on_disk = len(pt) > chunk
+    assert on_disk == config.startswith("disk")
+    assert (len(sp) > chunk) == config.endswith("-spilled")
+    assert len({e.src for e in sp}) > 4
+    paths = {name: tmp_path / f"{name}.txt" for name in ("sp", "pt", "reo")}
+    for name, tbl in (("sp", sp), ("pt", pt)):
+        with open(paths[name], "w", encoding="utf-8") as stream:
+            write_phrase_table(tbl, stream)
+    with open(paths["reo"], "w", encoding="utf-8") as stream:
+        write_reordering_table(pt_reo, stream)
+    return sp, paths, chunk
+
+
+def _pivot_files(tmp_path, paths, *options, reordering=False, verbose=False):
+    """Exit code and the bytes of both outputs of a ``pivot`` on ``paths``
+    with ``options``, after checking that it left no scratch, no ``.tmp``
+    file and no child process."""
+    scratch = tmp_path / "scratch"
+    scratch.mkdir(exist_ok=True)
+    out, reo_out = tmp_path / "out.txt", tmp_path / "reo-out.txt"
+    argv = ["--verbose"] * verbose + [
+        "pivot", "--sp", str(paths["sp"]), "--pt", str(paths["pt"]),
+        "--tmpdir", str(scratch), "-o", str(out), *options]
+    if reordering:
+        argv += ["--reordering-pt", str(paths["reo"]), "--reordering-out", str(reo_out)]
+    rc = main(argv)
+    assert list(scratch.iterdir()) == []
+    assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []
+    _no_child_left()
+    found = tuple(path.read_bytes() if path.exists() else None for path in (out, reo_out))
+    for path in (out, reo_out):
+        path.unlink(missing_ok=True)
+    return (rc, *found)
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["sorted", "shuffled"])
+def test_the_split_source_is_near_the_median_row(tmp_path, shuffled):
+    # Sorted input gives each chunk a source range of its own, so the
+    # split must come from samples inside the chunks: one median per
+    # chunk split these four chunks at row 1500.
+    rows = [((f"s{i:05d}",), ("p",), (), ()) for i in range(4000)]
+    if shuffled:
+        random.Random(17).shuffle(rows)
+    sort = extsort.ExternalSort(_BY_SRC_TGT)
+    with closing(sort):
+        sort.spill(rows, 1000, str(tmp_path))
+        split = forked._split_source(sort)
+    before = sum(row[0] < split for row in rows)
+    # A merged sample stands for at most two per sample of all rows.
+    assert abs(before - 2000) <= 2 * 4000 / extsort.SPLIT_SAMPLES
+    assert list(tmp_path.iterdir()) == []
+
+
+def _split_at(monkeypatch, split):
+    """Make every shard of the pivot join start at source ``split``."""
+    monkeypatch.setattr(forked, "_split_source", lambda sort: split)
+
+
+def _shard_line(split, here, there):
+    own = min(os.sched_getaffinity(0))
+    rest = ",".join(map(str, sorted(os.sched_getaffinity(0) - {own})))
+    return (f"pivot join split at source {' '.join(split)!r}: {here} source-pivot rows"
+            f" joined in this process on CPU {own}, {there} in a shard process"
+            f" on CPU {rest}")
+
+
+@pytest.mark.skipif(not STORE_WORKER, reason="a pivot join's shard needs two CPUs")
+class TestShard:
+    """The pivot join split at a source between the command and a forked
+    shard process, against the same join in one process."""
+
+    @pytest.mark.parametrize("config", ["dict-unspilled", "dict-spilled",
+                                        "disk-unspilled", "disk-spilled"])
+    @pytest.mark.parametrize("reordering,min_links",
+                             [(False, 0), (False, 2), (True, 0), (True, 2)],
+                             ids=["core", "core-min-links-2", "reordering",
+                                  "reordering-min-links-2"])
+    def test_every_split_gives_the_serial_bytes(self, monkeypatch, tmp_path, caplog,
+                                                config, reordering, min_links):
+        sp, paths, chunk = _write_shard_tables(tmp_path, config)
+        options = ["--chunk-size", str(chunk), "--min-links", str(min_links)]
+        with monkeypatch.context() as one_cpu:
+            _one_cpu(one_cpu)
+            serial = _pivot_files(tmp_path, paths, *options, reordering=reordering)
+        assert serial[0] == 0 and serial[1]
+        if config == "disk-spilled" and min_links == 0:
+            # A source with more targets than a chunk takes the fallback
+            # sort, in the shard wherever the split puts it there.
+            targets = {}
+            for line in serial[1].splitlines():
+                src = line.split(b" ||| ")[0]
+                targets[src] = targets.get(src, 0) + 1
+            assert max(targets.values()) > chunk
+        sources = sorted({e.src for e in sp})
+        # Each source boundary, the first (nothing here) and one past the
+        # last (nothing in the shard).
+        for split in sources + [sources[-1] + ("zz",)]:
+            _split_at(monkeypatch, split)
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="pivotsmith.triangulate"):
+                assert _pivot_files(tmp_path, paths, *options,
+                                    reordering=reordering) == serial
+            there = sum(e.src >= split for e in sp)
+            assert _shard_line(split, len(sp) - there, there) in caplog.messages
+
+    @staticmethod
+    def write_bad_tables(tmp_path, bad):
+        """Sources s0 to s9, with a repeated pair at s2 and a composed
+        score of 2 at s7, as ``bad`` says."""
+        sp = [f"s{i} ||| p{i} ||| 1 1 1 1 ||| 0-0\n" for i in range(10)]
+        pt = [f"p{i} ||| t{i} ||| 1 1 1 1 ||| 0-0\n" for i in range(10)]
+        if bad in ("repeated", "both"):
+            sp.append(sp[2])
+        if bad in ("overshoot", "both"):
+            sp.append("s7 ||| p8 ||| 1 1 1 1 ||| 0-0\n")
+            pt.append("p8 ||| t7 ||| 1 1 1 1 ||| 0-0\n")
+        paths = {"sp": tmp_path / "sp.txt", "pt": tmp_path / "pt.txt"}
+        paths["sp"].write_text("".join(sp), encoding="utf-8")
+        paths["pt"].write_text("".join(pt), encoding="utf-8")
+        return paths
+
+    @pytest.mark.parametrize("chunk", ["3", "250000"], ids=["disk-store", "dict-store"])
+    @pytest.mark.parametrize("split", ["s0", "s5", "s9"])
+    @pytest.mark.parametrize("bad", ["repeated", "overshoot", "both"])
+    def test_a_data_error_in_either_half_is_the_serial_error(
+            self, monkeypatch, tmp_path, capsys, chunk, split, bad):
+        # At s5 the repeated pair is in this process's half and the
+        # overshoot in the shard's; both come first in this process's
+        # half, as in one process.
+        paths = self.write_bad_tables(tmp_path, bad)
+        with monkeypatch.context() as one_cpu:
+            _one_cpu(one_cpu)
+            assert _pivot_files(tmp_path, paths, "--chunk-size", chunk) == (1, None, None)
+        serial = capsys.readouterr().err
+        assert serial.startswith("pivotsmith: error: ")
+        _split_at(monkeypatch, (split,))
+        assert _pivot_files(tmp_path, paths, "--chunk-size", chunk) == (1, None, None)
+        assert capsys.readouterr().err == serial
+
+    @pytest.mark.parametrize("bad", ["repeated", "overshoot"])
+    def test_a_shard_error_keeps_its_type_and_line(self, monkeypatch, tmp_path, bad):
+        paths = self.write_bad_tables(tmp_path, bad)
+
+        def composed(outputs):
+            with open(paths["sp"], encoding="utf-8") as sp_f, \
+                    open(paths["pt"], encoding="utf-8") as pt_f:
+                rows = compose_rows(read_rows(sp_f)[1], (), read_rows(pt_f)[1], (),
+                                    PivotConfig(chunk_size=3, tmpdir=str(tmp_path)),
+                                    outputs=outputs)
+                with pytest.raises(TableError) as caught:
+                    write_rows(rows, outputs[0] if outputs else io.StringIO())
+            return caught.value
+
+        serial = composed(None)
+        _split_at(monkeypatch, ("s1",))
+        sharded = composed((io.StringIO(), None))
+        assert (type(sharded), str(sharded), sharded.line) == \
+            (type(serial), str(serial), serial.line)
+        assert sorted(tmp_path.iterdir()) == sorted(paths.values())
+        _no_child_left()
+
+    def test_a_killed_shard_is_an_os_error(self, monkeypatch, tmp_path, capsys):
+        parent = os.getpid()
+
+        def killed(*args):
+            assert os.getpid() != parent
+            os.kill(os.getpid(), signal.SIGKILL)
+        monkeypatch.setattr(forked, "write_lines", killed)
+        paths = self.write_bad_tables(tmp_path, None)
+        assert _pivot_files(tmp_path, paths) == (1, None, None)
+        assert capsys.readouterr().err == (
+            "pivotsmith: error: the pivot join's shard process ended by signal"
+            f" {int(signal.SIGKILL)} before handing over its text\n")
+
+    @pytest.mark.parametrize("reordering", [False, True], ids=["core", "reordering"])
+    def test_a_full_scratch_disk_names_the_scratch_base(self, monkeypatch, tmp_path,
+                                                        capsys, reordering):
+        # The shard's text goes to unnamed files in the scratch base, so
+        # the error of a full disk names no file but that directory.
+        write_lines = forked.write_lines
+
+        class Full:
+            def __init__(self, stream):
+                self.stream, self.lines = stream, 0
+
+            def write(self, text):
+                self.lines += 1
+                if self.lines > 3:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.stream.write(text)
+
+        def full(rows, table_out, reordering_out, n_table_scores):
+            return write_lines(rows, Full(table_out), reordering_out, n_table_scores)
+        monkeypatch.setattr(forked, "write_lines", full)
+        rng = random.Random(86)
+        sp, pt, pt_reo = random_pivot_triple(rng)
+        paths = {name: tmp_path / f"{name}.txt" for name in ("sp", "pt", "reo")}
+        for name, tbl in (("sp", sp), ("pt", pt)):
+            with open(paths[name], "w", encoding="utf-8") as stream:
+                write_phrase_table(tbl, stream)
+        with open(paths["reo"], "w", encoding="utf-8") as stream:
+            write_reordering_table(pt_reo, stream)
+        _split_at(monkeypatch, min(e.src for e in sp))
+        assert _pivot_files(tmp_path, paths, reordering=reordering) == (1, None, None)
+        assert capsys.readouterr().err == (
+            f"pivotsmith: error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}:"
+            f" '{tmp_path / 'scratch'}'\n")
+
+    @pytest.mark.parametrize("case", ["split", "one-cpu", "one-source", "fork-fails",
+                                      "threads", "no-scratch"])
+    def test_verbose_names_where_the_join_ran(self, monkeypatch, tmp_path, caplog,
+                                              case):
+        sources = ["s0"] * 10 if case == "one-source" else [f"s{i}" for i in range(10)]
+        paths = {"sp": tmp_path / "sp.txt", "pt": tmp_path / "pt.txt"}
+        paths["sp"].write_text("".join(f"{src} ||| p{i} ||| 1 1 1 1 ||| 0-0\n"
+                                       for i, src in enumerate(sources)))
+        paths["pt"].write_text("".join(f"p{i} ||| t{i} ||| 1 1 1 1 ||| 0-0\n"
+                                       for i in range(10)))
+        with monkeypatch.context() as one_cpu:
+            _one_cpu(one_cpu)
+            want = _pivot_files(tmp_path, paths)
+        message = "pivot join runs in this process alone: "
+        if case == "split":
+            # Ten sources of one row each: the median row is the sixth.
+            message = _shard_line(("s5",), 5, 5)
+        elif case == "one-cpu":
+            _one_cpu(monkeypatch)
+            message += "the CPU affinity mask holds 1 CPU"
+        elif case == "one-source":
+            message += "no source-pivot row comes before the median source"
+        elif case == "fork-fails":
+            def no_fork():
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            monkeypatch.setattr(os, "fork", no_fork)
+            message += f"os.fork failed: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}"
+        elif case == "no-scratch":
+            # Nothing spills, so one process needs no scratch at all.
+            def full(*args, **kwargs):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            monkeypatch.setattr(forked.tempfile, "TemporaryFile", full)
+            message += ("no scratch file for the shard's text: [Errno"
+                        f" {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}")
+        release = threading.Event()
+        waiting = threading.Thread(target=release.wait)
+        if case == "threads":
+            waiting.start()
+            message += f"{threading.active_count()} Python threads are alive"
+        try:
+            with caplog.at_level(logging.INFO, logger="pivotsmith.triangulate"):
+                assert _pivot_files(tmp_path, paths, verbose=True) == want
+        finally:
+            release.set()
+            if case == "threads":
+                waiting.join(timeout=10)
+        [logged] = [m for m in caplog.messages if m.startswith("pivot join ")]
+        assert logged == message
+
+    def test_closing_the_stream_early_reaps_the_shard(self, monkeypatch, tmp_path):
+        # A shard still at work is killed, not waited for.
+        monkeypatch.setattr(forked, "write_lines", lambda *args: time.sleep(60))
+        paths = self.write_bad_tables(tmp_path, None)
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        out = io.StringIO()
+        with open(paths["sp"], encoding="utf-8") as sp_f, \
+                open(paths["pt"], encoding="utf-8") as pt_f:
+            rows = compose_rows(read_rows(sp_f)[1], (), read_rows(pt_f)[1], (),
+                                PivotConfig(tmpdir=str(scratch)), outputs=(out, None))
+            next(rows)
+            started = time.monotonic()
+            rows.close()
+            assert time.monotonic() - started < 30
+        _no_child_left()
+        assert list(scratch.iterdir()) == []
+        assert out.getvalue() == ""
+
+    def test_cpu_mask_comes_back(self, tmp_path):
+        mask = os.sched_getaffinity(0)
+        paths = self.write_bad_tables(tmp_path, None)
+        assert _pivot_files(tmp_path, paths)[0] == 0
+        assert os.sched_getaffinity(0) == mask
+
+
 def _row(src: str, tgt: str, scores, align=((0, 0),)):
     return (tuple(src.split()), tuple(tgt.split()), tuple(scores), tuple(align))
 
@@ -955,6 +1259,32 @@ def test_hub_pivot_peak_rss_does_not_follow_the_hub_size(tmp_path):
         with open(out, "rb") as stream:
             assert sum(1 for _ in stream) == sources
         peaks.append((peak_kb, worker_kb))
+    assert_flat_peaks(peaks)
+
+
+def test_dict_store_peak_rss_does_not_follow_the_source_pivot_size(tmp_path):
+    # A pivot-target table of one chunk stays in a dict while a four times
+    # larger source-pivot table streams through its sort.  On two CPUs the
+    # join's shard process runs too, and neither its peak nor the
+    # command's follows the table.
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    sp, pt = tmp_path / "sp.txt", tmp_path / "pt.txt"
+    pt.write_text("".join(f"p{k} ||| t{k} ||| 1 1 1 1 ||| 0-0\n" for k in range(500)),
+                  encoding="utf-8")
+    peaks = []
+    for sources in (20_000, 80_000):
+        sp.write_text("".join(f"s{i} ||| p{i % 500} ||| 1 1 1 1 ||| 0-0\n"
+                              for i in range(sources)), encoding="utf-8")
+        out = tmp_path / "out.txt"
+        _, _, peak_kb, children_kb = run_pivot_measured(sp, pt, out, scratch,
+                                                        "--chunk-size", "1000")
+        if peak_kb < 0:
+            pytest.skip("VmHWM is read from /proc/self/status")
+        with open(out, "rb") as stream:
+            assert sum(1 for _ in stream) == sources
+        assert (children_kb > 0) == STORE_WORKER
+        peaks.append((peak_kb, children_kb))
     assert_flat_peaks(peaks)
 
 

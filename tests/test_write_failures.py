@@ -117,7 +117,7 @@ def test_scratch_disk_full_after_3_runs_leaves_nothing(tmp_path, scratch, capsys
         if len(runs_by_process()[os.getpid()]) > 3:
             write_run(path, [first])
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
-        write_run(path, itertools.chain([first], rows))
+        return write_run(path, itertools.chain([first], rows))
     monkeypatch.setattr(extsort, "_write_run", write_run_then_fail)
     if command == "pivot-inline":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -149,11 +149,13 @@ def _write_run_without_end_marker(path, rows):
     records = iter(lambda: list(itertools.islice(rows, extsort.RECORD_ROWS)), [])
     with open(path, "wb") as out:
         out.writelines(map(extsort.encode_row, records))
+    return []  # an empty sparse index: a merge reads from the start
 
 
 def _write_run_of_bad_bytes(path, rows):
     with open(path, "wb") as out:
         out.write(b"\xff")
+    return []
 
 
 @pytest.mark.parametrize("write_run", [_write_run_without_end_marker,
@@ -356,6 +358,50 @@ def test_signal_while_the_store_worker_sorts_leaves_nothing(tmp_path, signum, st
     assert list(work.iterdir()) == []
 
 
+@pytest.mark.skipif(not STORE_WORKER, reason="a pivot join's shard needs two CPUs")
+@pytest.mark.parametrize("signum, status", [
+    (signal.SIGTERM, 143), (signal.SIGHUP, 129), (signal.SIGINT, 130)],
+    ids=["SIGTERM", "SIGHUP", "SIGINT"])
+@pytest.mark.parametrize("group", [False, True], ids=["process", "group"])
+def test_signal_while_the_shard_formats_leaves_nothing(tmp_path, signum, status, group):
+    # A dict-store pivot whose sorts fit one chunk spills nothing, so the
+    # only scratch directory is the one the command makes for its shard
+    # process, which lives while the shard joins and writes its text.  A
+    # signal to the command alone makes it kill and reap the shard; one to
+    # the whole process group ends the shard at once.
+    scratch = tmp_path / "scratch"
+    work = tmp_path / "work"
+    scratch.mkdir()
+    work.mkdir()
+    sp, pt = tmp_path / "sp.txt", tmp_path / "pt.txt"
+    sp.write_text("".join(f"s{i} ||| p{i} ||| 1 1 1 1 ||| 0-0\n"
+                          for i in range(SIGNAL_ROWS)))
+    pt.write_text("".join(f"p{i} ||| t{i} ||| 1 1 1 1 ||| 0-0\n"
+                          for i in range(SIGNAL_ROWS)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _CHILD_CONSOLE_REAPED, str(extsort.DEFAULT_CHUNK_SIZE),
+         "pivot", "--sp", str(sp), "--pt", str(pt), "-o", str(work / "out.txt")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=group,
+        env=child_env(PIVOTSMITH_TMPDIR=str(scratch)))
+    try:
+        deadline = time.monotonic() + 60
+        pattern = str(scratch / "pivotsmith-sort-*")
+        while not glob.glob(pattern):
+            assert proc.poll() is None, "the command ended before its shard started"
+            assert time.monotonic() < deadline, "no shard within 60 s"
+            time.sleep(0.002)
+        if group:
+            os.killpg(proc.pid, signum)
+        else:
+            proc.send_signal(signum)
+    finally:
+        rc, stderr = _finish(proc)
+    assert rc == status, stderr
+    assert stderr == b"", stderr
+    assert list(scratch.iterdir()) == []
+    assert list(work.iterdir()) == []
+
+
 def test_no_descriptor_or_file_is_left_unclosed(tmp_path):
     # Under -X dev, ResourceWarning made an error prints "Exception
     # ignored" for any file or pipe that only the collector closes.
@@ -365,16 +411,24 @@ def test_no_descriptor_or_file_is_left_unclosed(tmp_path):
     pt.write_text("".join(lines))
     bad = tmp_path / "bad.txt"
     bad.write_text("".join(lines[:150]) + "p ||| t ||| 1 1 1 ||| 0-0\n")
-    for table, status, err in ((pt, 0, ""), (bad, 1, f"{bad}: line 151:")):
-        done = subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
-             "-m", "pivotsmith.cli", "pivot", "--sp", str(sp), "--pt", str(table),
-             "--chunk-size", "20", "--tmpdir", str(tmp_path), "-o",
-             str(tmp_path / "out.txt")],
-            capture_output=True, text=True, env=child_env(), timeout=120)
-        assert done.returncode == status, done.stderr
-        assert err in done.stderr
-        assert len(done.stderr.splitlines()) == status, done.stderr
+    # The last source-pivot row repeated: the join's shard, if it runs,
+    # meets it.
+    repeated = tmp_path / "repeated.txt"
+    repeated.write_text(sp.read_text() + "s199 ||| p199 ||| 1 1 1 1 ||| 0-0\n")
+    duplicate = "duplicate entry in source-pivot table for pair 's199' -> 'p199'"
+    cases = [(sp, pt, 0, ""), (sp, bad, 1, f"{bad}: line 151:"),
+             (repeated, pt, 1, duplicate)]
+    for chunk in ("20", "1000"):  # a disk and a dict pivot store
+        for sp_table, pt_table, status, err in cases:
+            done = subprocess.run(
+                [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+                 "-m", "pivotsmith.cli", "pivot", "--sp", str(sp_table), "--pt",
+                 str(pt_table), "--chunk-size", chunk, "--tmpdir", str(tmp_path),
+                 "-o", str(tmp_path / "out.txt")],
+                capture_output=True, text=True, env=child_env(), timeout=120)
+            assert done.returncode == status, done.stderr
+            assert err in done.stderr
+            assert len(done.stderr.splitlines()) == status, done.stderr
 
 
 def test_signal_ignored_at_start_stays_ignored():
