@@ -19,9 +19,19 @@ most one input, and ``pivot``'s two outputs must be different files.
 Every command that reads a phrase table streams it as raw rows; none
 builds a ``PhraseTable`` or loads ``pivotsmith.tables``, the object model
 and its adapters, so no command imports ``dataclasses``.  ``annotate``,
-``combine`` and ``decode`` sort rows through ``sort_table_rows``, which
-also rejects duplicate pairs, and ``pivot`` passes every table it reads,
-``--reordering-sp`` included, to ``compose_rows``.
+``combine`` and ``decode`` put rows in table order through
+``sort_table_rows``, which also rejects duplicate pairs, and ``pivot``
+passes every table it reads, ``--reordering-sp`` included, to
+``compose_rows``.  A table that is a regular file and already in table
+order, as every table pivotsmith writes is, is streamed through with a
+check of each row against the one before instead of being sorted again;
+``combine`` merges such inputs with its sorted other ones.  A row out of
+order after the first few, a duplicate pair or bad data stops the
+streaming, and the command starts over from the start of its input files
+through the sort, which gives the error or the bytes that it always
+gave (``_stream_or_sort``).  stdin, any ``combine`` input beside stdin,
+shuffled tables and an ``annotate`` or ``combine`` output written in
+place (stdout, a FIFO, a symlink or a device) keep the sort.
 
 Every command is a fresh process, so each one imports only the library
 modules it runs (``_LIBRARY``), and only ``pivot`` sets up logging.  A
@@ -43,7 +53,7 @@ import stat
 import sys
 from contextlib import ExitStack, contextmanager, suppress
 from itertools import chain
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from . import __version__
 from .tablecore import (
@@ -56,6 +66,7 @@ from .tablecore import (
     DEFAULT_UNKNOWN_PENALTY,
     NA_VALUE,
     LogLinearWeights,
+    Row,
     TableError,
     ordered_map,
     read_reordering_rows,
@@ -108,25 +119,67 @@ def __getattr__(name: str):
 HIST_BINS = 10
 
 
-def _name(path: str) -> str:
-    """The file at ``path`` as messages name it."""
-    return "stdin" if path == "-" else path
+class _Input:
+    """A file that a command reads, open: ``name``, as messages give it
+    (``stdin`` for ``-``), ``regular``, whether it is a regular file other
+    than stdin, and its lines (``lines``), which a regular file gives again
+    from its start."""
+
+    def __init__(self, path: str, stream: TextIO) -> None:
+        self.name = "stdin" if path == "-" else path
+        self.regular = path != "-" and stat.S_ISREG(os.fstat(stream.fileno()).st_mode)
+        self._stream = stream
+        self._lines = self._start()
+
+    def _start(self) -> Iterable[str]:
+        first = self._stream.readline()
+        # Read as UTF-8, a byte-order mark would stick to the first field.
+        if first.startswith("\ufeff"):
+            raise TableError(f"{self.name}: line 1: starts with a byte-order mark")
+        return chain((first,), self._stream) if first else self._stream
+
+    def lines(self) -> Iterable[str]:
+        """The file's lines from its start; after the first call, read again."""
+        lines, self._lines = self._lines, None
+        if lines is None:
+            self._stream.seek(0)
+            lines = self._start()
+        return lines
+
+    def rows(self) -> tuple[tuple[str, ...], Iterator[Row]]:
+        """``read_rows`` on ``lines()``, its data errors naming this file."""
+        return read_rows(self.lines(), self.name)
+
+    def load(self, loader):
+        """``loader`` run on ``lines()``, its data errors naming this file."""
+        lines = self.lines()
+        try:
+            return loader(lines)
+        except TableError as exc:
+            raise exc.in_file(self.name) from None
 
 
 @contextmanager
-def _open_in(path: str) -> Iterator[Iterable[str]]:
-    """The lines of the file at ``path``, stdin for ``-``.
+def _open_in(path: str) -> Iterator[_Input]:
+    """The file at ``path``, stdin for ``-``, as an ``_Input``.
 
-    A leading byte-order mark is a data error: read as UTF-8 it would
-    stick to the first field.
+    A leading byte-order mark is a data error, raised here.
     """
-    with ExitStack() as stack:
-        stream = (sys.stdin if path == "-"
-                  else stack.enter_context(open(path, "r", encoding="utf-8")))
-        first = stream.readline()
-        if first.startswith("\ufeff"):
-            raise TableError(f"{_name(path)}: line 1: starts with a byte-order mark")
-        yield chain((first,), stream) if first else stream
+    if path == "-":
+        yield _Input(path, sys.stdin)
+        return
+    with open(path, "r", encoding="utf-8") as stream:
+        yield _Input(path, stream)
+
+
+def _in_place(path: str) -> bool:
+    """Whether ``_open_out`` writes ``path`` in place: stdout, or a
+    symlink, device or FIFO, which renaming a new file would replace."""
+    if path == "-":
+        return True
+    with suppress(FileNotFoundError):
+        return not stat.S_ISREG(os.lstat(path).st_mode)
+    return False
 
 
 @contextmanager
@@ -134,26 +187,22 @@ def _open_out(path: str) -> Iterator[TextIO]:
     """Write a file whole or not at all: a failed command leaves no output.
 
     A regular file is written under a temporary name in its directory and
-    renamed over ``path`` on success.  A symlink, device or FIFO at
-    ``path`` is written in place, since renaming would replace it.
+    renamed over ``path`` on success.  stdout, a symlink, a device or a
+    FIFO is written in place (``_in_place``).
     """
     if path == "-":
         yield sys.stdout
         sys.stdout.flush()
         return
-    try:
-        mode = os.lstat(path).st_mode
-    except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
+    if _in_place(path):
         with open(path, "w", encoding="utf-8") as stream:
             yield stream
         return
     tmp, fd = _create_sibling(path)
     try:
         with open(fd, "w", encoding="utf-8") as stream:
-            if mode is not None:
-                os.fchmod(fd, stat.S_IMODE(mode))
+            with suppress(FileNotFoundError):
+                os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
             yield stream
         os.replace(tmp, path)
     except BaseException:
@@ -192,13 +241,31 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _load(path: str, loader):
-    """``loader`` run on the file at ``path``, stdin for ``-``; its data
-    errors name the file."""
-    with _open_in(path) as stream:
+    """``loader`` run on the file at ``path``, stdin for ``-``
+    (``_Input.load``)."""
+    with _open_in(path) as source:
+        return source.load(loader)
+
+
+def _stream_or_sort(run: Callable[[bool], object], stream: bool):
+    """``run(stream)``, and ``run(False)`` when ``run(True)`` raises a data error.
+
+    ``run(True)`` streams each table input already in table order instead
+    of sorting it (``sort_table_rows``), checking its rows as they go by,
+    so a row out of order, a duplicate pair or bad data may stop it with
+    part of its work done.  ``run(False)`` then starts over from the start
+    of the inputs, through the sort, which reads a table whole before it
+    yields a row: it gives the error, or the bytes, that the sort always
+    gave.  ``run`` opens its output itself, so that the failed run's
+    unfinished file is gone first, and so that each run opens its files in
+    the order that the sort path always has.
+    """
+    if stream:
         try:
-            return loader(stream)
-        except TableError as exc:
-            raise exc.in_file(_name(path)) from None
+            return run(True)
+        except ValueError:
+            pass
+    return run(False)
 
 
 def _load_weights(path: str | None) -> LogLinearWeights | None:
@@ -283,14 +350,13 @@ def cmd_pivot(args: argparse.Namespace) -> int:
         tmpdir=args.tmpdir,
         chunk_size=args.chunk_size)
     with ExitStack() as stack:
-        pt_reo, sp_reo = (None if path is None else
-                          read_reordering_rows(stack.enter_context(_open_in(path)),
-                                               _name(path))
+        def reordering_rows(path: str):
+            source = stack.enter_context(_open_in(path))
+            return read_reordering_rows(source.lines(), source.name)
+        pt_reo, sp_reo = (None if path is None else reordering_rows(path)
                           for path in (args.reordering_pt, args.reordering_sp))
-        sp_extras, sp_rows = read_rows(stack.enter_context(_open_in(args.sp)),
-                                       _name(args.sp))
-        pt_extras, pt_rows = read_rows(stack.enter_context(_open_in(args.pt)),
-                                       _name(args.pt))
+        sp_extras, sp_rows = stack.enter_context(_open_in(args.sp)).rows()
+        pt_extras, pt_rows = stack.enter_context(_open_in(args.pt)).rows()
         _check_weights("--weights-sp", args.weights_sp, cfg.weights_sp, sp_extras)
         _check_weights("--weights-pt", args.weights_pt, cfg.weights_pt, pt_extras)
         out = stack.enter_context(_open_out(args.output))
@@ -312,8 +378,8 @@ def cmd_filter(args: argparse.Namespace) -> int:
     _bind("triangulate")
     _check_stdin([args.input, args.weights])
     weights = _load_weights(args.weights)
-    with _open_in(args.input) as stream, _open_out(args.output) as out:
-        extras, rows = read_rows(stream, _name(args.input))
+    with _open_in(args.input) as table, _open_out(args.output) as out:
+        extras, rows = table.rows()
         _check_weights("--weights", args.weights, weights, extras)
         kept = filter_rows(rows, extras, weights, args.top_n,
                            tmpdir=args.tmpdir, chunk_size=args.chunk_size)
@@ -363,11 +429,14 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     _check_stdin(inputs)
     scorer, default_names = _build_scorer(args)
     names = args.names if args.names is not None else default_names
-    with _open_in(args.input) as stream, _open_out(args.output) as out:
-        extras, rows = read_rows(stream, _name(args.input))
-        extras, annotated = annotate_rows(rows, extras, scorer, names,
-                                          threads=args.threads)
-        write_rows(annotated, out, extras)
+    with _open_in(args.input) as table:
+        def annotate(stream: bool) -> None:
+            with _open_out(args.output) as out:
+                extras, rows = table.rows()
+                extras, annotated = annotate_rows(rows, extras, scorer, names,
+                                                  threads=args.threads, stream=stream)
+                write_rows(annotated, out, extras)
+        _stream_or_sort(annotate, table.regular and not _in_place(args.output))
     return 0
 
 
@@ -376,9 +445,10 @@ def cmd_lexicon(args: argparse.Namespace) -> int:
     paths = args.input or ["-"]
     _check_stdin(paths)
     with ExitStack() as stack:
-        streams = [stack.enter_context(_open_in(path)) for path in paths]
-        lexicon = build_lexicon(streams, fc_features=args.fc_features,
-                                na_value=args.na_value, names=list(map(_name, paths)))
+        sources = [stack.enter_context(_open_in(path)) for path in paths]
+        lexicon = build_lexicon([source.lines() for source in sources],
+                                fc_features=args.fc_features, na_value=args.na_value,
+                                names=[source.name for source in sources])
     with _open_out(args.output) as out:
         lexicon.save(out)
     return 0
@@ -412,8 +482,8 @@ def cmd_fc_train(args: argparse.Namespace) -> int:
     tgt_lex = _load(args.tgt_lex, MorphLexicon.load)
     with _open_in(args.src) as src_f, _open_in(args.tgt) as tgt_f, \
             _open_in(args.align) as align_f:
-        model = train_fc_model(src_f, tgt_f, align_f, src_lex, tgt_lex,
-                               align_name=_name(args.align))
+        model = train_fc_model(src_f.lines(), tgt_f.lines(), align_f.lines(),
+                               src_lex, tgt_lex, align_name=align_f.name)
     with _open_out(args.output) as out:
         model.save(out)
     return 0
@@ -428,13 +498,15 @@ def cmd_combine(args: argparse.Namespace) -> int:
     _bind("combine")
     _check_stdin([path for _, path in args.input])
     with ExitStack() as stack:
-        inputs = []
-        for name, path in args.input:
-            extras, rows = read_rows(stack.enter_context(_open_in(path)), _name(path))
-            inputs.append((extras, rows, name))
-        extras, combined = combine_rows(inputs)
-        with _open_out(args.output) as out:
-            write_rows(combined, out, extras)
+        tables = [(name, stack.enter_context(_open_in(path))) for name, path in args.input]
+
+        def combine(stream: bool) -> None:
+            inputs = [(*table.rows(), name) for name, table in tables]
+            extras, combined = combine_rows(inputs, stream=stream)
+            with _open_out(args.output) as out:
+                write_rows(combined, out, extras)
+        _stream_or_sort(combine, all(table.regular for _, table in tables)
+                        and not _in_place(args.output))
     return 0
 
 
@@ -445,11 +517,14 @@ def cmd_decode(args: argparse.Namespace) -> int:
         weights=_load_weights(args.weights),
         max_phrase_len=args.max_phrase_len,
         unknown_word_penalty=args.unknown_penalty)
-    with _open_in(args.table) as stream:
-        extras, rows = read_rows(stream, _name(args.table))
-        _check_weights("--weights", args.weights, cfg.weights, extras)
-        # The index skips phrases longer than --max-phrase-len.
-        index = phrase_index_rows(sort_table_rows(rows, extras), extras, cfg)
+    with _open_in(args.table) as table:
+        def build_index(stream: bool):
+            extras, rows = table.rows()
+            _check_weights("--weights", args.weights, cfg.weights, extras)
+            # Sorted only to find duplicates: the index does not depend on
+            # row order.  It skips phrases longer than --max-phrase-len.
+            return phrase_index_rows(sort_table_rows(rows, extras, stream), extras, cfg)
+        index = _stream_or_sort(build_index, table.regular)
     sentences = _load(args.input, read_sentences)
     with _open_out(args.output) as out:
         for tokens in ordered_map(
@@ -462,18 +537,22 @@ def cmd_decode(args: argparse.Namespace) -> int:
 def cmd_bleu(args: argparse.Namespace) -> int:
     _bind("evalkit")
     _check_stdin([args.hyp, *args.ref])
-    hypotheses = _load(args.hyp, read_sentences)
+    with _open_in(args.hyp) as hyp:
+        hypotheses = hyp.load(read_sentences)
     columns = []
     for path in args.ref:
-        columns.append(_load(path, read_sentences))
-        if len(columns[-1]) != len(columns[0]):
+        with _open_in(path) as ref:
+            columns.append(ref.load(read_sentences))
+        if len(columns) == 1:
+            first_ref = ref
+        elif len(columns[-1]) != len(columns[0]):
             raise TableError(
                 f"reference file {path!r} has {len(columns[-1])} sentences,"
                 f" expected {len(columns[0])}")
     if len(hypotheses) != len(columns[0]):
         raise TableError(
-            f"--hyp {_name(args.hyp)} has {len(hypotheses)} sentences,"
-            f" --ref {_name(args.ref[0])} has {len(columns[0])}")
+            f"--hyp {hyp.name} has {len(hypotheses)} sentences,"
+            f" --ref {first_ref.name} has {len(columns[0])}")
     result = bleu4_report(hypotheses, list(zip(*columns)))
     with _open_out(args.output) as out:
         out.write(f"BLEU = {result.bleu:.6f}\n")
@@ -486,8 +565,8 @@ def cmd_bleu(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    with _open_in(args.input) as stream:
-        extras, rows = read_rows(stream, _name(args.input))
+    with _open_in(args.input) as table:
+        extras, rows = table.rows()
         manifest = CORE_FEATURES + extras
         bins = [[0] * HIST_BINS for _ in manifest]
         overflow = [0] * len(manifest)
@@ -515,8 +594,8 @@ def cmd_estimate_size(args: argparse.Namespace) -> int:
     _bind("triangulate")
     _check_stdin([args.sp, args.pt], "only one of --sp and --pt can read stdin")
     with _open_in(args.sp) as sp_f, _open_in(args.pt) as pt_f:
-        _, sp_rows = read_rows(sp_f, _name(args.sp))
-        _, pt_rows = read_rows(pt_f, _name(args.pt))
+        _, sp_rows = sp_f.rows()
+        _, pt_rows = pt_f.rows()
         total = estimate_pivot_size_rows(sp_rows, pt_rows)
     with _open_out(args.output) as out:
         out.write(f"{total}\n")

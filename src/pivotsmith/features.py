@@ -4,8 +4,9 @@ Each scorer turns one entry into a source-side and a target-side score,
 and ``annotate_rows`` appends those as two named extra columns to a
 stream of raw rows, through ``tablecore.ordered_map``, and returns them
 through ``tablecore.sort_table_rows``, in table order with duplicates
-rejected; ``pivotsmith.tables.annotate_table`` runs it over a
-``PhraseTable``.  A scorer takes a ``RowView`` of a raw row: it reads
+rejected: sorted, or with ``stream`` passed through unsorted when they
+are already in table order; ``pivotsmith.tables.annotate_table`` runs it
+over a ``PhraseTable``.  A scorer takes a ``RowView`` of a raw row: it reads
 ``src``, ``tgt`` and ``alignment`` by name and unpacks each link as
 ``(i, j)``, so a ``PhraseEntry`` serves as well.  The connectivity
 scores measure alignment coverage.  The morphology scores check agreement
@@ -100,14 +101,14 @@ def induced_morph_scores(entry: RowView, src_lex: MorphLexicon,
 
 def annotate_rows(rows: Iterable[Row], extras_names: Sequence[str],
                   scorer: Scorer, names: tuple[str, str], threads: int = 1,
-                  ) -> tuple[tuple[str, ...], Iterator[Row]]:
+                  stream: bool = False) -> tuple[tuple[str, ...], Iterator[Row]]:
     """Append one scorer's two values to every row as named extras.
 
     Returns the output extras names and a lazy stream of the scored rows
-    in table order (``sort_table_rows``), so a duplicate pair raises while
-    the stream is read.  Rows are scored in the calling thread, once each,
-    through a ``RowView``; ``threads`` is ignored apart from being
-    validated (at least 1).
+    in table order (``sort_table_rows``, which ``stream`` is passed to), so
+    a duplicate pair raises while the stream is read.  Rows are scored in
+    the calling thread, once each, through a ``RowView``; ``threads`` is
+    ignored apart from being validated (at least 1).
     """
     if len(names) != 2 or names[0] == names[1]:
         raise TableError(f"need two distinct feature names, got {names!r}")
@@ -127,4 +128,5 @@ def annotate_rows(rows: Iterable[Row], extras_names: Sequence[str],
                     f" {' '.join(src)!r} -> {' '.join(tgt)!r}")
         return src, tgt, scores + (w_s, w_t), align
 
-    return out_extras, sort_table_rows(ordered_map(score, rows, threads), out_extras)
+    return out_extras, sort_table_rows(ordered_map(score, rows, threads), out_extras,
+                                       stream)

@@ -3,7 +3,9 @@
 This is the row layer every command runs on: it reads, checks, sorts and
 writes tables as raw row tuples, and scores rows log-linearly.  Each
 table format has one duplicate-checked sort, through the disk-backed
-sort: ``sort_table_rows`` and ``sort_reordering_rows``.  Both formats
+sort: ``sort_table_rows`` and ``sort_reordering_rows``.  The first can
+also stream a table that is already in table order (``in_table_order``)
+instead of sorting it again.  Both formats
 have one writer, ``write_lines``, the only code that formats their lines:
 ``write_rows`` and the reordering writers call it.  It builds each piece
 of a line's text once, and keeps bounded memos of alignment and
@@ -43,6 +45,7 @@ from __future__ import annotations
 import math
 import re
 from contextlib import closing
+from itertools import chain, islice
 from operator import itemgetter
 from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence,
                     TextIO)
@@ -196,15 +199,68 @@ def _sorted_unique(rows: Iterable[Row], key: Callable[[Row], tuple],
         yield from check_unique(ordered, key, what)
 
 
-def sort_table_rows(rows: Iterable[Row],
-                    extras_names: Sequence[str]) -> Iterator[Row]:
+# Rows that ``in_table_order`` reads ahead to tell a table in table order
+# from one to sort: a shuffled table has a row out of order among its first
+# few, and goes to the sort with them, read once.
+ORDER_LOOKAHEAD = 256
+
+
+def _checked_order(rows: Iterable[Row], key: Callable[[Row], tuple],
+                   prev: Row | None = None) -> Iterator[Row]:
+    """Pass rows through while each one's ``key`` is at least the one
+    before's, ``prev`` for the first; raise at the first that is less.
+
+    ``key`` is a ``table_order`` key, built only for rows of an equal pair.
+    """
+    for row in rows:
+        if prev is not None and (row[0] < prev[0] or row[0] == prev[0] and (
+                row[1] < prev[1] or row[1] == prev[1] and key(row) < key(prev))):
+            raise TableError(f"pair {' '.join(row[0])!r} -> {' '.join(row[1])!r}"
+                             " is out of table order")
+        prev = row
+        yield row
+
+
+def in_table_order(rows: Iterable[Row], key: Callable[[Row], tuple],
+                   ) -> tuple[Iterator[Row], bool]:
+    """``rows`` whole, and whether their first ``ORDER_LOOKAHEAD`` are in
+    ``key`` order (``table_order``).
+
+    When they are, the stream checks each later row against the one
+    before it and raises a ``TableError`` at the first out of order.
+    Equal neighbours pass, for ``check_unique`` to reject.
+    """
+    rows = iter(rows)
+    head = list(islice(rows, ORDER_LOOKAHEAD))
+    try:
+        for _ in _checked_order(head, key):
+            pass
+    except TableError:
+        return chain(head, rows), False
+    return chain(head, _checked_order(rows, key, head[-1] if head else None)), True
+
+
+def sort_table_rows(rows: Iterable[Row], extras_names: Sequence[str],
+                    stream: bool = False) -> Iterator[Row]:
     """Rows in table order, duplicates rejected, through the disk-backed sort.
 
     The sort holds ``extsort.DEFAULT_CHUNK_SIZE`` rows in memory and spills
     under ``PIVOTSMITH_TMPDIR`` or the system default.  Its scratch files
     are removed as soon as this stream ends, fails or is closed.
+
+    With ``stream``, rows whose first ``ORDER_LOOKAHEAD`` are in table
+    order are passed through instead, without the sort, and a later row
+    out of order raises a ``TableError`` (``in_table_order``).  A caller
+    that can read the rows again then sorts them from the start: a
+    streamed error may come before one on a later line that the sort
+    would give.
     """
-    return _sorted_unique(rows, table_order(extras_names), "entry")
+    key = table_order(extras_names)
+    if stream:
+        rows, ordered = in_table_order(rows, key)
+        if ordered:
+            return check_unique(rows, key, "entry")
+    return _sorted_unique(rows, key, "entry")
 
 
 def sort_reordering_rows(rows: Iterable[Row]) -> Iterator[Row]:
@@ -252,11 +308,7 @@ def read_header(lines: Iterable[str], name: str | None = None,
             raise exc.in_file(name) from None
         return tuple(names), numbered
 
-    def chain() -> Iterator[tuple[int, str]]:
-        yield lineno, line
-        yield from numbered
-
-    return (), chain()
+    return (), chain(((lineno, line),), numbered)
 
 
 # Rows parsed from equal text share one object: phrase tuples by field

@@ -954,9 +954,11 @@ _BASE = ["pivotsmith", "pivotsmith.cli", "pivotsmith.tablecore"]
 @pytest.fixture
 def startup_files(tmp_path):
     paths = {name: tmp_path / f"{name}.txt"
-             for name in ("sp", "pt", "in", "reo", "align", "corpus")}
+             for name in ("sp", "shuffled", "pt", "in", "reo", "align", "corpus")}
     paths["sp"].write_text("a ||| x ||| 0.5 0.5 0.5 0.5 ||| 0-0\n"
                            "b ||| x ||| 0.5 0.5 0.5 0.5 ||| 0-0\n")
+    paths["shuffled"].write_text("".join(reversed(
+        paths["sp"].read_text().splitlines(keepends=True))))
     paths["pt"].write_text("x ||| u ||| 0.5 0.5 0.5 0.5 ||| 0-0\n")
     paths["in"].write_text("a b\n")
     paths["reo"].write_text("x ||| u ||| 0.5 0.25 0.25 0.5 0.25 0.25\n")
@@ -969,13 +971,18 @@ def startup_files(tmp_path):
     return paths
 
 
-# command: (pivotsmith modules it loads beyond _BASE, whether it loads logging)
+# command: (pivotsmith modules it loads beyond _BASE, whether it loads logging).
+# decode, annotate and combine stream tables already in table order, and
+# load extsort only to sort one that is not.
 _STARTUP = {
     "import": ([], False),
     "bleu": (["evalkit"], False),
-    "decode": (["evalkit", "extsort"], False),
-    "annotate": (["extsort", "features", "morphmodel"], False),
-    "combine": (["combine", "extsort"], False),
+    "decode": (["evalkit"], False),
+    "decode-shuffled": (["evalkit", "extsort"], False),
+    "annotate": (["features", "morphmodel"], False),
+    "annotate-shuffled": (["extsort", "features", "morphmodel"], False),
+    "combine": (["combine"], False),
+    "combine-shuffled": (["combine", "extsort"], False),
     "pivot": (["extsort", "triangulate"], True),
     "pivot-reordering": (["extsort", "triangulate"], True),
     "filter": (["extsort", "triangulate"], False),
@@ -995,8 +1002,11 @@ def test_each_command_loads_only_its_modules(startup_files, command):
         "import": [],
         "bleu": ["bleu", "--hyp", f["in"], "--ref", f["in"]],
         "decode": ["decode", "--table", f["sp"], "--input", f["in"]],
+        "decode-shuffled": ["decode", "--table", f["shuffled"], "--input", f["in"]],
         "annotate": ["annotate", "-i", f["sp"], "--kind", "connectivity"],
+        "annotate-shuffled": ["annotate", "-i", f["shuffled"], "--kind", "connectivity"],
         "combine": ["combine", "-i", f"a={f['sp']}", "-i", f"b={f['pt']}"],
+        "combine-shuffled": ["combine", "-i", f"a={f['shuffled']}", "-i", f"b={f['pt']}"],
         "pivot": ["pivot", "--sp", f["sp"], "--pt", f["pt"]],
         "pivot-reordering": ["pivot", "--sp", f["sp"], "--pt", f["pt"],
                                  "--reordering-sp", f["reo"], "--reordering-pt",

@@ -4,14 +4,18 @@ The CLI streams rows through ``annotate_rows``, ``combine_rows`` and
 ``phrase_index_rows``.  These tests hold its bytes to the library's
 ``PhraseTable`` adapters and to naive transcriptions of each step, check
 its failures, run it with a sort chunk of a few rows, and run it with the
-``PhraseTable``/``PhraseEntry`` constructors disabled.
+``PhraseTable``/``PhraseEntry`` constructors disabled.  A table file
+already in table order is streamed instead of sorted, and must give what
+the same table gives shuffled or through stdin, which are sorted.
 """
 
 from __future__ import annotations
 
 import functools
 import io
+import os
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -27,6 +31,7 @@ from pivotsmith.evalkit import (
 from pivotsmith.features import connectivity_scores, induced_morph_scores
 from pivotsmith.morphmodel import FcModel, MorphLexicon
 from pivotsmith.tablecore import (
+    ORDER_LOOKAHEAD,
     ORIGIN_PREFIX,
     TableError,
     loglinear_score,
@@ -282,23 +287,44 @@ def test_bad_scorer_value_exits_one_and_leaves_no_output(tmp_path, capsys,
 
 # --- spill path ---------------------------------------------------------------
 
-def _run_all(tmp_path, tag: str) -> dict[str, bytes]:
-    """annotate, combine of three and decode on fixed random inputs."""
+def shuffled(path, seed: int = 0) -> str:
+    """A copy of the table at ``path`` with its data lines shuffled."""
+    with open(path, encoding="utf-8") as stream:
+        lines = stream.readlines()
+    header = lines[:1] if lines and lines[0].startswith("#") else []
+    body = lines[len(header):]
+    random.Random(seed).shuffle(body)
+    copy = f"{path}.shuffled"
+    with open(copy, "w", encoding="utf-8") as out:
+        out.writelines(header + body)
+    return copy
+
+
+def _write_inputs(tmp_path) -> dict[str, str]:
+    """Fixed random inputs: ``a`` in table order, ``b`` and ``c`` shuffled,
+    so that each command below sorts some of its input."""
     a, b, c = random_inputs(11)
     work = tmp_path / "in"
-    work.mkdir(exist_ok=True)
-    paths = {name: save(tbl, work / f"{name}.txt")
-             for tbl, name in ((a, "a"), (b, "b"), (c, "c"))}
+    work.mkdir()
+    paths = {"a": save(a, work / "a.txt"), "b": shuffled(save(b, work / "b.txt")),
+             "c": shuffled(save(c, work / "c.txt"))}
+    paths["sentences"] = str(work / "in.txt")
+    with open(paths["sentences"], "w", encoding="utf-8") as out:
+        out.write("s0x0 s1x0 s2x0 s3x0\ns4x0 oov s5x0 s5x1\n")
+    return paths
+
+
+def _run_all(tmp_path, tag: str, paths: dict[str, str]) -> dict[str, bytes]:
+    """annotate, combine of three and decode of a shuffled copy of the
+    combined table, on ``_write_inputs``."""
     out = {name: tmp_path / f"{tag}-{name}.txt"
            for name in ("annotated", "combined", "decoded")}
     assert main(["annotate", "-i", paths["b"], "-o", str(out["annotated"]),
                  "--kind", "connectivity"]) == 0
     assert main(["combine", "-i", f"a={paths['a']}", "-i", f"b={out['annotated']}",
                  "-i", f"c={paths['c']}", "-o", str(out["combined"])]) == 0
-    sentences = work / "in.txt"
-    sentences.write_text("s0x0 s1x0 s2x0 s3x0\ns4x0 oov s5x0 s5x1\n", encoding="utf-8")
-    assert main(["decode", "--table", str(out["combined"]), "--input", str(sentences),
-                 "-o", str(out["decoded"])]) == 0
+    assert main(["decode", "--table", shuffled(out["combined"]),
+                 "--input", paths["sentences"], "-o", str(out["decoded"])]) == 0
     return {name: path.read_bytes() for name, path in out.items()}
 
 
@@ -307,7 +333,8 @@ def test_tiny_sort_chunks_give_the_same_bytes_and_clean_up(tmp_path, monkeypatch
     scratch = tmp_path / "scratch"
     scratch.mkdir()
     monkeypatch.setenv(extsort.TMPDIR_ENV, str(scratch))
-    default = _run_all(tmp_path, "default")
+    paths = _write_inputs(tmp_path)
+    default = _run_all(tmp_path, "default", paths)
     runs = []
     write_run = extsort._write_run
 
@@ -316,8 +343,9 @@ def test_tiny_sort_chunks_give_the_same_bytes_and_clean_up(tmp_path, monkeypatch
         return write_run(path, rows)
     monkeypatch.setattr(extsort, "_write_run", counted)
     monkeypatch.setattr(extsort, "DEFAULT_CHUNK_SIZE", 3)
-    assert _run_all(tmp_path, "tiny") == default
-    assert runs and all(p.startswith(str(scratch)) for p in runs)
+    assert _run_all(tmp_path, "tiny", paths) == default
+    # The annotated table and the combined one have about 60 rows each.
+    assert len(runs) >= 3 * 10 and all(p.startswith(str(scratch)) for p in runs)
     assert list(scratch.iterdir()) == []
 
     # A duplicate met only when the spilled runs are merged.
@@ -376,3 +404,148 @@ def test_library_adapters_keep_their_errors():
         combine_tables([(a, "x"), (b, "x")])
     with pytest.raises(TableError, match="bad feature name"):
         annotate_table(a, connectivity_scores, ("ok", "not ok"))
+
+
+# --- a table already in table order is streamed, not sorted again --------------
+
+# A row past the lookahead is met while the table streams.
+MIDDLE = ORDER_LOOKAHEAD + 50
+BAD = "s9999 ||| t0 ||| 0.5 0.5 0.5 ||| 0-0\n"  # three scores
+
+
+def _ordered_lines(n: int, prefix: str = "t", seed: int = 0) -> list[str]:
+    """``n`` data lines in table order, three targets a source."""
+    rng = random.Random(seed)
+    return [f"s{i // 3:04d} ||| {prefix}{i % 3} ||| {rng.random():.6g}"
+            f" {rng.random():.6g} 0.5 0.5 ||| 0-0\n" for i in range(n)]
+
+
+def _streaming_cases() -> dict[str, list[str]]:
+    rows = _ordered_lines(2 * ORDER_LOOKAHEAD + 100)
+    swapped = rows[:]
+    swapped[MIDDLE], swapped[MIDDLE + 1] = rows[MIDDLE + 1], rows[MIDDLE]
+    # The same pair as the row before it, with other scores.
+    duplicated = rows[:MIDDLE + 1] + [rows[MIDDLE].replace(" 0.5 0.5 ", " 0.25 0.5 ")]
+    duplicated += rows[MIDDLE + 1:]
+    early = rows[:6] + [rows[5].replace(" 0.5 0.5 ", " 0.25 0.5 ")] + rows[6:]
+    return {
+        "in-order": rows,
+        "first-row-out-of-order": rows[-1:] + rows[:-1],
+        "middle-row-out-of-order": swapped,
+        "last-row-out-of-order": rows[:-2] + [rows[-1], rows[-2]],
+        "duplicate": duplicated,
+        "duplicate-in-lookahead": early,
+        "duplicate-then-parse-error": duplicated[:MIDDLE + 100] + [BAD]
+        + duplicated[MIDDLE + 100:],
+    }
+
+
+def _stream_argv(command: str, table: str, work) -> list[str]:
+    if command == "annotate":
+        return ["annotate", "-i", table, "--kind", "connectivity"]
+    if command == "combine":
+        # ``two`` shares every other pair with the table, in table order;
+        # ``three`` is shuffled, so the streamed inputs merge with a sort.
+        two, three = work / "two.txt", work / "three.txt"
+        if not two.exists():
+            two.write_text("".join(_ordered_lines(2 * ORDER_LOOKAHEAD, seed=1)[::2]),
+                           encoding="utf-8")
+            three.write_text("".join(_ordered_lines(150, "u", seed=2)), encoding="utf-8")
+            shuffled(three)
+        return ["combine", "-i", f"one={table}", "-i", f"two={two}",
+                "-i", f"three={three}.shuffled"]
+    sentences = work / "sentences.txt"
+    sentences.write_text("s0000 s0001 s0002\ns0100 oov s0200 s0201\n", encoding="utf-8")
+    return ["decode", "--table", table, "--input", str(sentences)]
+
+
+@pytest.mark.parametrize("case", list(_streaming_cases()))
+@pytest.mark.parametrize("command", ["annotate", "combine", "decode"])
+def test_a_table_gives_the_same_as_a_file_shuffled_file_or_stdin(
+        tmp_path, monkeypatch, capsys, command, case):
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    monkeypatch.setenv(extsort.TMPDIR_ENV, str(scratch))
+    monkeypatch.setattr(extsort, "DEFAULT_CHUNK_SIZE", 100)  # the sorts spill
+    lines = _streaming_cases()[case]
+    table = tmp_path / "table.txt"
+    table.write_text("".join(lines), encoding="utf-8")
+    # Shuffled before its first bad line only, which keeps the error's line.
+    bad = lines.index(BAD) if BAD in lines else len(lines)
+    head = lines[:bad]
+    random.Random(3).shuffle(head)
+    mixed = tmp_path / "mixed.txt"
+    mixed.write_text("".join(head + lines[bad:]), encoding="utf-8")
+    results = []
+    for path, stdin in ((table, ""), (mixed, ""), ("-", "".join(lines))):
+        out_dir = tmp_path / f"out-{len(results)}"
+        out_dir.mkdir()
+        out = out_dir / "out.txt"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        rc = main(_stream_argv(command, str(path), tmp_path) + ["-o", str(out)])
+        err = capsys.readouterr().err.replace(
+            "stdin" if path == "-" else str(path), "TABLE")
+        assert os.listdir(out_dir) == (["out.txt"] if rc == 0 else [])
+        assert list(scratch.iterdir()) == []
+        results.append((rc, err, out.read_bytes() if rc == 0 else None))
+    assert results[0] == results[1] == results[2]
+    rc, err, _ = results[0]
+    if case.startswith("duplicate-then"):
+        assert (rc, err) == (1, f"pivotsmith: error: TABLE: line {bad + 1}:"
+                                " expected 4 score columns, got 3\n")
+    elif case.startswith("duplicate"):
+        row = MIDDLE if case == "duplicate" else 5
+        src, tgt = lines[row].split(" ||| ")[:2]
+        assert (rc, err) == (1, f"pivotsmith: error: duplicate entry for pair"
+                                f" {src!r} -> {tgt!r}\n")
+    else:
+        assert (rc, err) == (0, "")
+
+
+@pytest.fixture
+def spills(monkeypatch) -> list:
+    """The sorts that ``ExternalSort.spill`` is called on, in call order."""
+    sorts = []
+    spill = extsort.ExternalSort.spill
+
+    def counted(self, *args, **kwargs):
+        sorts.append(self)
+        return spill(self, *args, **kwargs)
+    monkeypatch.setattr(extsort.ExternalSort, "spill", counted)
+    return sorts
+
+
+@pytest.mark.parametrize("command", ["annotate", "combine", "decode"])
+def test_a_table_in_table_order_is_not_sorted(tmp_path, spills, command):
+    table = tmp_path / "table.txt"
+    table.write_text("".join(_ordered_lines(2 * ORDER_LOOKAHEAD)), encoding="utf-8")
+    argv = _stream_argv(command, str(table), tmp_path)
+    if command == "combine":
+        argv[-1] = f"three={tmp_path / 'three.txt'}"  # in order
+    assert main(argv + ["-o", str(tmp_path / "out.txt")]) == 0
+    assert spills == []
+    assert main(_stream_argv(command, shuffled(table), tmp_path)
+                + ["-o", str(tmp_path / "out.txt")]) == 0
+    assert spills
+
+
+@pytest.mark.parametrize("command", ["annotate", "combine"])
+def test_an_output_written_in_place_keeps_the_sort(tmp_path, capsys, spills, command):
+    # A streamed run may stop after it wrote part of its output, which
+    # only a new file renamed over the output can take back.
+    table = tmp_path / "table.txt"
+    table.write_text("".join(_ordered_lines(2 * ORDER_LOOKAHEAD)), encoding="utf-8")
+    argv = _stream_argv(command, str(table), tmp_path)[:5]  # combine: one, two
+    new = tmp_path / "new.txt"
+    assert main(argv + ["-o", str(new)]) == 0
+    assert spills == []
+    target = tmp_path / "target.txt"
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    capsys.readouterr()
+    for output in (str(link), "-"):
+        assert main(argv + ["-o", output]) == 0
+        assert len(spills) == 1
+        del spills[:]
+    assert target.read_bytes() == new.read_bytes()
+    assert capsys.readouterr().out == new.read_text(encoding="utf-8")
